@@ -9,7 +9,6 @@ scans small-graph corpora for conjecture counterexamples.
 from .errors import FormatError, LplabError, UsageError
 from .graphs import (
     Graph,
-    all_pairs_distances,
     bfs_distances,
     encode_graph6,
     is_connected,
@@ -20,7 +19,6 @@ from .longest import (
     LongestPathSet,
     Path,
     enumerate_longest_paths,
-    enumerate_longest_paths_oracle,
     is_path,
     longest_path_length,
 )
@@ -33,7 +31,6 @@ from .systems import (
     make_path_system,
     multiplicity_profile,
     path_distance_value,
-    t_count,
     t_prime,
 )
 from .bounds import (

@@ -13,17 +13,13 @@ from typing import Optional, Sequence
 from .errors import UsageError
 from .graphs import GRAPH6_SMALL_MAX, encode_graph6
 from .longest import Path, is_path
-from .systems import (
-    PathSystem,
-    enumerate_good_paths,
-    multiplicity_profile,
-    path_distance_value,
-    t_prime,
-)
+from .systems import PathSystem
 
 Rational = Fraction
 
 REPORT_SCHEMA = "lplab-report/1"
+
+DEFAULT_CHECKS = ("lemma1", "lemma2", "lemma3", "cor1", "theorem")
 
 # Known ratio constants carried from the literature (cited, not re-proven).
 D3_UPPER = Fraction(1, 17)
@@ -116,13 +112,7 @@ def theorem_bound_parts(k: int, n: int) -> dict[str, Optional[Fraction]]:
 
 def theorem_bound(k: int, n: int) -> Fraction:
     """Best proven upper bound on f for k longest paths in a connected graph on n vertices."""
-    parts = theorem_bound_parts(k, n)
-    general = parts["general"]
-    k4 = parts["k4"]
-    assert general is not None
-    if k4 is not None:
-        return min(general, k4)
-    return general
+    return min(b for b in theorem_bound_parts(k, n).values() if b is not None)
 
 
 def ratio_table(k_max: int) -> list[dict]:
@@ -157,12 +147,12 @@ def check_lemma1(ps: PathSystem) -> CheckReport:
     if ps.k < 3:
         raise UsageError(f"lemma1 needs k >= 3, got {ps.k}")
     inst = instance_id(ps)
-    f, minimizers = path_distance_value(ps)
+    f, minimizers = ps.path_distance
     if f == 0:
         return CheckReport("lemma1", inst, "vacuous")
-    profile = multiplicity_profile(ps)
+    n_counts = ps.profile.n_counts
     ell = ps.paths[0].length
-    rhs = lemma1_rhs(ps.k, ell, profile.n_counts[: ps.k - 2])
+    rhs = lemma1_rhs(ps.k, ell, n_counts[: ps.k - 2])
     lhs = Fraction(ps.graph.n)
     if lhs >= rhs:
         return CheckReport("lemma1", inst, "pass", lhs, rhs)
@@ -172,7 +162,7 @@ def check_lemma1(ps: PathSystem) -> CheckReport:
         "fail",
         lhs,
         rhs,
-        witness={"f": f, "minimizers": sorted(minimizers), "n_counts": list(profile.n_counts)},
+        witness={"f": f, "minimizers": sorted(minimizers), "n_counts": list(n_counts)},
     )
 
 
@@ -187,8 +177,8 @@ def check_lemma2(ps: PathSystem) -> CheckReport:
     if ps.k < 3:
         raise UsageError(f"lemma2 needs k >= 3, got {ps.k}")
     inst = instance_id(ps)
-    tprimes = [t_prime(ps, h) for h in range(ps.k)]
-    f, minimizers = path_distance_value(ps)
+    tprimes = list(ps.t_primes)
+    f, minimizers = ps.path_distance
     if f == 0:
         return CheckReport(
             "lemma2", inst, "pass", Fraction(0), Fraction(0),
@@ -206,75 +196,17 @@ def check_lemma2(ps: PathSystem) -> CheckReport:
     )
 
 
+def _lemma3_constant(k: int) -> Fraction:
+    """The constant c of Lemma 3, (k - 1)/2; Corollary 1 sharpens it to 1 at k = 4."""
+    return Fraction(k - 1, 2)
+
+
 def check_lemma3(ps: PathSystem) -> list[CheckReport]:
     """Both parts of the X1..X^{k-2} lemma; returns [part (i), part (ii)] reports."""
     _require_certified(ps, "lemma3")
     if ps.k < 3:
         raise UsageError(f"lemma3 needs k >= 3, got {ps.k}")
-    k = ps.k
-    inst = instance_id(ps)
-    f, _ = path_distance_value(ps)
-    ff = Fraction(f)
-    profile = multiplicity_profile(ps)
-    goods_by_host = [enumerate_good_paths(ps, h) for h in range(k)]
-
-    # (i): f <= (|V(Q)| - 1)/2 * (k - 1) for every good Q on every host
-    rep_i: CheckReport
-    any_goods = any(goods_by_host)
-    if not any_goods:
-        rep_i = CheckReport("lemma3i", inst, "vacuous")
-    else:
-        rep_i = CheckReport("lemma3i", inst, "pass", ff, None)
-        min_rhs: Optional[Fraction] = None
-        for h, goods in enumerate(goods_by_host):
-            for q in goods:
-                rhs = Fraction(q.n_vertices - 1, 2) * (k - 1)
-                if min_rhs is None or rhs < min_rhs:
-                    min_rhs = rhs
-                if ff > rhs:
-                    rep_i = CheckReport(
-                        "lemma3i",
-                        inst,
-                        "fail",
-                        ff,
-                        rhs,
-                        witness={"host": h, "subpath": [q.start, q.end]},
-                    )
-                    break
-            if rep_i.status == "fail":
-                break
-        if rep_i.status == "pass":
-            rep_i = CheckReport("lemma3i", inst, "pass", ff, min_rhs)
-
-    # (ii): |X^1 u ... u X^{k-2}| >= t'(P) * (2f/(k-1) - 1) for every host
-    rep_ii = CheckReport("lemma3ii", inst, "pass")
-    worst: Optional[tuple[Fraction, Fraction, int]] = None
-    for h in range(k):
-        union = frozenset().union(*profile.x_sets[h][: k - 2])
-        lhs = Fraction(len(union))
-        tp = _max_edge_disjoint_count(goods_by_host[h])
-        rhs = tp * (Fraction(2, k - 1) * ff - 1)
-        if worst is None or lhs - rhs < worst[0] - worst[1]:
-            worst = (lhs, rhs, h)
-        if lhs < rhs:
-            rep_ii = CheckReport(
-                "lemma3ii",
-                inst,
-                "fail",
-                lhs,
-                rhs,
-                witness={"host": h, "t_prime": tp, "f": f},
-            )
-            break
-    if rep_ii.status == "pass" and worst is not None:
-        rep_ii = CheckReport("lemma3ii", inst, "pass", worst[0], worst[1])
-    return [rep_i, rep_ii]
-
-
-def _max_edge_disjoint_count(goods) -> int:
-    from .systems import _max_edge_disjoint
-
-    return _max_edge_disjoint(goods)
+    return _check_good_path_bounds(ps, _lemma3_constant(ps.k), "lemma3i", "lemma3ii")
 
 
 def check_corollary1(ps: PathSystem) -> list[CheckReport]:
@@ -282,59 +214,58 @@ def check_corollary1(ps: PathSystem) -> list[CheckReport]:
     _require_certified(ps, "corollary1")
     if ps.k != 4:
         raise UsageError(f"corollary1 needs k = 4 exactly, got {ps.k}")
-    inst = instance_id(ps)
-    f, _ = path_distance_value(ps)
-    ff = Fraction(f)
-    profile = multiplicity_profile(ps)
-    goods_by_host = [enumerate_good_paths(ps, h) for h in range(4)]
+    return _check_good_path_bounds(ps, Fraction(1), "cor1i", "cor1ii")
 
-    rep_i: CheckReport
+
+def _check_good_path_bounds(
+    ps: PathSystem, c: Fraction, id_i: str, id_ii: str
+) -> list[CheckReport]:
+    """(i) f <= c(|V(Q)| - 1) for every good Q on every host, and
+    (ii) |X^1 u ... u X^{k-2}| >= t'(f/c - 1) for every host."""
+    k = ps.k
+    inst = instance_id(ps)
+    f, _ = ps.path_distance
+    ff = Fraction(f)
+    goods_by_host = ps.good_paths
+
+    rep_i: Optional[CheckReport] = None
     if not any(goods_by_host):
-        rep_i = CheckReport("cor1i", inst, "vacuous")
+        rep_i = CheckReport(id_i, inst, "vacuous")
     else:
-        rep_i = CheckReport("cor1i", inst, "pass")
         min_rhs: Optional[Fraction] = None
         for h, goods in enumerate(goods_by_host):
             for q in goods:
-                rhs = Fraction(q.n_vertices - 1)
+                rhs = (q.n_vertices - 1) * c
                 if min_rhs is None or rhs < min_rhs:
                     min_rhs = rhs
                 if ff > rhs:
                     rep_i = CheckReport(
-                        "cor1i",
-                        inst,
-                        "fail",
-                        ff,
-                        rhs,
+                        id_i, inst, "fail", ff, rhs,
                         witness={"host": h, "subpath": [q.start, q.end]},
                     )
                     break
-            if rep_i.status == "fail":
+            if rep_i is not None:
                 break
-        if rep_i.status == "pass":
-            rep_i = CheckReport("cor1i", inst, "pass", ff, min_rhs)
+        if rep_i is None:
+            rep_i = CheckReport(id_i, inst, "pass", ff, min_rhs)
 
-    rep_ii = CheckReport("cor1ii", inst, "pass")
+    rep_ii: Optional[CheckReport] = None
     worst: Optional[tuple[Fraction, Fraction]] = None
-    for h in range(4):
-        union = profile.x_sets[h][0] | profile.x_sets[h][1]
+    for h in range(k):
+        union = frozenset().union(*ps.profile.x_sets[h][: k - 2])
         lhs = Fraction(len(union))
-        tp = _max_edge_disjoint_count(goods_by_host[h])
-        rhs = tp * (ff - 1)
+        tp = ps.t_primes[h]
+        rhs = tp * (ff / c - 1)
         if worst is None or lhs - rhs < worst[0] - worst[1]:
             worst = (lhs, rhs)
         if lhs < rhs:
             rep_ii = CheckReport(
-                "cor1ii",
-                inst,
-                "fail",
-                lhs,
-                rhs,
+                id_ii, inst, "fail", lhs, rhs,
                 witness={"host": h, "t_prime": tp, "f": f},
             )
             break
-    if rep_ii.status == "pass" and worst is not None:
-        rep_ii = CheckReport("cor1ii", inst, "pass", worst[0], worst[1])
+    if rep_ii is None:
+        rep_ii = CheckReport(id_ii, inst, "pass", *worst)
     return [rep_i, rep_ii]
 
 
@@ -345,7 +276,7 @@ def check_theorem(ps: PathSystem) -> CheckReport:
         raise UsageError(f"theorem check needs k >= 3, got {ps.k}")
     inst = instance_id(ps)
     check_id = "thm2" if ps.k == 4 else "thm3"
-    f, minimizers = path_distance_value(ps)
+    f, minimizers = ps.path_distance
     parts = theorem_bound_parts(ps.k, ps.graph.n)
     bound = theorem_bound(ps.k, ps.graph.n)
     lhs = Fraction(f)
@@ -363,6 +294,27 @@ def check_theorem(ps: PathSystem) -> CheckReport:
         bound,
         witness={**witness_base, "f": f, "minimizers": sorted(minimizers)},
     )
+
+
+def run_checks(ps: PathSystem, checks: Sequence[str]) -> list[CheckReport]:
+    """Run those of the named checks that apply to a system of ps.k members.
+
+    Reports come in DEFAULT_CHECKS order whatever the order of checks.
+    """
+    reports = []
+    if ps.k < 3:
+        return reports
+    if "lemma1" in checks:
+        reports.append(check_lemma1(ps))
+    if "lemma2" in checks:
+        reports.append(check_lemma2(ps))
+    if "lemma3" in checks:
+        reports.extend(check_lemma3(ps))
+    if "cor1" in checks and ps.k == 4:
+        reports.extend(check_corollary1(ps))
+    if "theorem" in checks:
+        reports.append(check_theorem(ps))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -453,22 +405,21 @@ def surgery_trace(
     if host_index is not None and not 0 <= host_index < k:
         raise UsageError(f"host index {host_index} out of range")
     certified = ps.longest_certified
-    f, _ = path_distance_value(ps)
+    f, _ = ps.path_distance
     if certified and f == 0:
         return None, CheckReport("surgery", inst, "vacuous", witness={"f": 0})
 
     if host_index is not None:
         host = host_index
     else:
-        profile = multiplicity_profile(ps)
-        host_sizes = [
-            len(frozenset().union(*profile.x_sets[h][: k - 2])) for h in range(k)
-        ]
+        x_sets = ps.profile.x_sets
+        host_sizes = [len(frozenset().union(*x_sets[h][: k - 2])) for h in range(k)]
         host = min(range(k), key=lambda h: (host_sizes[h], h))
     host_path = ps.paths[host]
-    goods = enumerate_good_paths(ps, host)
+    goods = ps.good_paths[host]
 
-    unit = Fraction(f) if k == 4 else Fraction(2 * f, k - 1)
+    # unit = f/c, with Corollary 1's c = 1 at k = 4 and Lemma 3's c otherwise
+    unit = Fraction(f) if k == 4 else f / _lemma3_constant(k)
     bounds3 = (unit, unit + 1, unit)
 
     for q in goods:

@@ -9,19 +9,25 @@ import sys
 
 from typing import Optional, Sequence
 
-from .bounds import frac_str, ratio_table, theorem_bound, theorem_bound_parts
+from .bounds import (
+    DEFAULT_CHECKS,
+    frac_str,
+    ratio_table,
+    run_checks,
+    theorem_bound,
+    theorem_bound_parts,
+)
 from .construct import build_gt
 from .errors import FormatError, LplabError, UsageError
 from .graphs import Graph, parse_edge_list, parse_graph6
 from .harness import (
-    DEFAULT_CHECKS,
     ScanConfig,
     check_conjecture,
     generate_connected_graphs,
     iter_ksubsets,
     scan_stream,
 )
-from .longest import enumerate_longest_paths
+from .longest import enumerate_longest_paths, pairwise_intersection_holds
 from .systems import certified_system, make_path_system, path_distance_value
 
 EXIT_OK = 0
@@ -61,7 +67,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"n = {g.n}, m = {g.m}")
     print(f"ell(G) = {lps.length}")
     print(f"|L(G)| = {len(lps.paths)}{' (truncated)' if lps.truncated else ''}")
-    print(f"pairwise intersection: {'holds' if common else 'see subsets'}")
+    holds, pair = (True, None) if common else pairwise_intersection_holds(lps.paths)
+    if holds:
+        print("pairwise intersection: holds")
+    else:
+        i, j = pair
+        print(
+            f"pairwise intersection: fails, longest paths {i} and {j} are disjoint: "
+            f"{list(lps.paths[i].vertices)} {list(lps.paths[j].vertices)}"
+        )
     common_verts = [v for v in range(g.n) if common >> v & 1]
     print(f"common vertices of all longest paths: {common_verts}")
     k = args.k
@@ -88,8 +102,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .harness import _run_lemma_checks
-
     g = load_graph(args.graph)
     checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
     unknown = set(checks) - set(DEFAULT_CHECKS)
@@ -110,7 +122,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = False
     for subset in subsets:
         ps = certified_system(g, [lps.paths[i] for i in subset], lps.length)
-        for rep in _run_lemma_checks(ps, checks):
+        for rep in run_checks(ps, checks):
             reports.append(rep.to_json())
             failed = failed or rep.status == "fail"
     _emit(reports, args.out)

@@ -4,13 +4,14 @@ that turns a no-common-vertex witness into instances with unboundedly large f.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import UsageError
 from .graphs import GRAPH6_SMALL_MAX, Graph, encode_graph6
 from .longest import longest_path_length
-from .systems import PathSystem, common_vertices, make_path_system, path_distance_value
+from .systems import PathSystem, common_vertices, make_path_system
 
 # Enumeration-based verification of "members stay longest" is attempted only
 # when the pruned DFS is clearly feasible: small order, or near-tree density.
@@ -118,8 +119,6 @@ def build_gt(g: Graph, ps: PathSystem, t: int) -> ConstructionResult:
     g1, ps1 = attach_pendants(g, ps)
     p = g1.n - g.n
     g2, ps2 = subdivide(g1, t, ps1)
-    exact = (g.n + p) + t * g1.m  # g1.m = m + p
-    assert exact == g2.n
     nominal_bound = g.n + t * (g.m + 2 * k)
 
     expected_len = (ps.paths[0].length + 2) * (t + 1)
@@ -134,14 +133,9 @@ def build_gt(g: Graph, ps: PathSystem, t: int) -> ConstructionResult:
         ell2 = longest_path_length(g2)
         longest_preserved = all(m.length == ell2 for m in ps2.paths)
         if longest_preserved:
-            ps2 = PathSystem(
-                graph=ps2.graph,
-                paths=ps2.paths,
-                multiplicity=ps2.multiplicity,
-                longest_certified=True,
-            )
+            ps2 = dataclasses.replace(ps2, longest_certified=True)
 
-    f_value, _ = path_distance_value(ps2)
+    f_value, _ = ps2.path_distance
     f_lower_witnessed: Optional[bool] = None
     if not base_common:
         f_lower_witnessed = f_value >= t

@@ -276,24 +276,3 @@ def is_connected(g: Graph) -> bool:
         frontier = nxt & ~seen
         seen |= frontier
     return seen == full
-
-
-def all_pairs_distances(g: Graph) -> list[DistanceVector]:
-    """All-pairs hop distances by Floyd-Warshall (independent of the BFS route)."""
-    inf = float("inf")
-    n = g.n
-    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
-    for u, v in g.edges():
-        d[u][v] = d[v][u] = 1
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            dik = d[i][k]
-            if dik is inf:
-                continue
-            di = d[i]
-            for j in range(n):
-                alt = dik + dk[j]
-                if alt < di[j]:
-                    di[j] = alt
-    return [[None if x is inf else int(x) for x in row] for row in d]

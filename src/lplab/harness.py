@@ -18,14 +18,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .bounds import (
-    CheckReport,
+    DEFAULT_CHECKS,
     REPORT_SCHEMA,
-    check_corollary1,
-    check_lemma1,
-    check_lemma2,
-    check_lemma3,
-    check_theorem,
+    CheckReport,
     frac_str,
+    run_checks,
     theorem_bound,
 )
 from .errors import FormatError, UsageError
@@ -34,12 +31,11 @@ from .longest import (
     DEFAULT_PATH_CAP,
     LongestPathSet,
     enumerate_longest_paths,
+    pairwise_intersection_holds,
 )
 from .systems import certified_system
 
 GENERATOR_MAX_N = 9
-
-DEFAULT_CHECKS = ("lemma1", "lemma2", "lemma3", "cor1", "theorem")
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +241,7 @@ def check_conjecture(
         if not acc:
             members = [lps.paths[idx] for idx in subset]
             ps = certified_system(g, members, lps.length)
-            from .systems import path_distance_value
-
-            f, minimizers = path_distance_value(ps)
+            f, minimizers = ps.path_distance
             return ConjectureVerdict(
                 "violation",
                 k,
@@ -361,21 +355,6 @@ def _tally(tallies: dict, report: CheckReport) -> None:
     slot[report.status] += 1
 
 
-def _run_lemma_checks(ps, checks: Sequence[str]) -> list[CheckReport]:
-    reports = []
-    if "lemma1" in checks and ps.k >= 3:
-        reports.append(check_lemma1(ps))
-    if "lemma2" in checks and ps.k >= 3:
-        reports.append(check_lemma2(ps))
-    if "lemma3" in checks and ps.k >= 3:
-        reports.extend(check_lemma3(ps))
-    if "cor1" in checks and ps.k == 4:
-        reports.extend(check_corollary1(ps))
-    if "theorem" in checks and ps.k >= 3:
-        reports.append(check_theorem(ps))
-    return reports
-
-
 def scan_one_graph(g6: str, config: ScanConfig) -> dict:
     """Analyze a single graph; the record merges associatively across graphs."""
     g = parse_graph6(g6)
@@ -397,31 +376,18 @@ def scan_one_graph(g6: str, config: ScanConfig) -> dict:
 
     # pairwise intersection; a global common vertex covers every pair exactly
     common = lps.common_mask()
-    if common:
-        pair_report_status = "pass"
-    else:
-        pair_report_status = "pass"
-        for i in range(len(lps.paths)):
-            mi = lps.paths[i].mask
-            for j in range(i + 1, len(lps.paths)):
-                if not mi & lps.paths[j].mask:
-                    pair_report_status = "fail"
-                    record["failures"].append(
-                        {
-                            "check": "pairwise",
-                            "graph6": record["graph6"],
-                            "pair": [i, j],
-                            "members": [
-                                list(lps.paths[i].vertices),
-                                list(lps.paths[j].vertices),
-                            ],
-                        }
-                    )
-                    break
-            if pair_report_status == "fail":
-                break
-    tallies["pairwise"] = {"pass": 0, "fail": 0, "vacuous": 0}
-    tallies["pairwise"][pair_report_status] += 1
+    holds, pair = (True, None) if common else pairwise_intersection_holds(lps.paths)
+    if not holds:
+        i, j = pair
+        record["failures"].append(
+            {
+                "check": "pairwise",
+                "graph6": record["graph6"],
+                "pair": [i, j],
+                "members": [list(lps.paths[i].vertices), list(lps.paths[j].vertices)],
+            }
+        )
+    tallies["pairwise"] = {"pass": int(holds), "fail": int(not holds), "vacuous": 0}
 
     verdict = check_conjecture(
         g, k, path_cap=config.path_cap, subset_cap=config.conjecture_subset_cap,
@@ -434,8 +400,9 @@ def scan_one_graph(g6: str, config: ScanConfig) -> dict:
         # subset with a common vertex has f = 0, and the bound is >= 0
         if "theorem" in config.checks and k >= 3:
             thm_id = "thm2" if k == 4 else "thm3"
+            # bound >= 0 here: k >= 3 longest paths need n >= 2, and both
+            # bound formulas are nonnegative from n = 2 on
             bound = theorem_bound(k, g.n)
-            assert bound >= 0
             slot = tallies.setdefault(thm_id, {"pass": 0, "fail": 0, "vacuous": 0})
             if common:
                 # a vertex on every longest path gives f = 0 for every subset,
@@ -490,7 +457,7 @@ def scan_one_graph(g6: str, config: ScanConfig) -> dict:
                 ps = certified_system(
                     g, [lps.paths[idx] for idx in subset], lps.length
                 )
-                for rep in _run_lemma_checks(ps, lemma_checks):
+                for rep in run_checks(ps, lemma_checks):
                     _tally(tallies, rep)
                     if rep.status == "fail":
                         record["failures"].append(rep.to_json())

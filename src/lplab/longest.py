@@ -2,13 +2,12 @@
 
 Paths are undirected objects: the two orientations of a vertex sequence are
 the same path, kept in canonical form (first vertex numerically smaller than
-the last).  Enumeration is depth-first with a reachability pruning bound; an
-independent permutation-prefix oracle cross-checks it on tiny graphs.
+the last).  Enumeration is depth-first with a reachability pruning bound; the tests
+cross-check it against an independent permutation-prefix oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -16,7 +15,6 @@ from .errors import UsageError
 from .graphs import Graph, is_connected
 
 DEFAULT_PATH_CAP = 100_000
-ORACLE_MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -181,35 +179,6 @@ def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> Lon
         paths=tuple(Path(t) for t in ordered),
         truncated=truncated,
     )
-
-
-def enumerate_longest_paths_oracle(g: Graph) -> LongestPathSet:
-    """Brute-force oracle: scan every vertex permutation prefix.
-
-    Deliberately independent of the DFS route; guarded to n <= 10.
-    """
-    if g.n > ORACLE_MAX_N:
-        raise UsageError(f"oracle limited to n <= {ORACLE_MAX_N}, got {g.n}")
-    if not is_connected(g):
-        raise UsageError("oracle requires a connected graph")
-    verts = range(g.n)
-    for size in range(g.n, 0, -1):
-        found: set[tuple[int, ...]] = set()
-        for perm in itertools.permutations(verts, size):
-            ok = True
-            for a, b in zip(perm, perm[1:]):
-                if not g.nbr_masks[a] >> b & 1:
-                    ok = False
-                    break
-            if ok:
-                found.add(canonical_sequence(perm))
-        if found:
-            return LongestPathSet(
-                length=size - 1,
-                paths=tuple(Path(t) for t in sorted(found)),
-                truncated=False,
-            )
-    raise AssertionError("unreachable: single vertices are always paths")
 
 
 def pairwise_intersection_holds(paths: Iterable[Path]) -> tuple[bool, tuple[int, int] | None]:

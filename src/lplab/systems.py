@@ -1,16 +1,19 @@
 """Path systems: k paths on one graph and the quantities derived from them.
 
 Covers the path-distance-function f, common vertices, per-host multiplicity
-classes X^i with the global counts n_i, good subpaths, and the counts t / t'.
+classes X^i with the global counts n_i, good subpaths, and the count t'.
+A PathSystem computes each of these at most once, on first use, so every
+check run on the same system reads the same facts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import UsageError
-from .graphs import Graph, bfs_distances, is_connected
+from .graphs import GRAPH6_SMALL_MAX, Graph, bfs_distances, encode_graph6, is_connected
 from .longest import Path, is_path, longest_path_length
 
 
@@ -27,9 +30,30 @@ class PathSystem:
     def k(self) -> int:
         return len(self.paths)
 
-    def to_json(self) -> dict:
-        from .graphs import GRAPH6_SMALL_MAX, encode_graph6
+    # Lazily computed facts.  cached_property stores into the instance
+    # __dict__ directly, so it works on the frozen dataclass; the facts are
+    # not fields and take no part in equality.
 
+    @cached_property
+    def path_distance(self) -> tuple[int, frozenset[int]]:
+        """f(G, P) and its minimizing vertices."""
+        return path_distance_value(self)
+
+    @cached_property
+    def profile(self) -> MultiplicityProfile:
+        return multiplicity_profile(self)
+
+    @cached_property
+    def good_paths(self) -> tuple[tuple[GoodPath, ...], ...]:
+        """Good subpaths per host, in host order."""
+        return tuple(tuple(enumerate_good_paths(self, h)) for h in range(self.k))
+
+    @cached_property
+    def t_primes(self) -> tuple[int, ...]:
+        """t' per host, in host order."""
+        return tuple(_max_edge_disjoint(goods) for goods in self.good_paths)
+
+    def to_json(self) -> dict:
         return {
             "graph6": encode_graph6(self.graph) if self.graph.n <= GRAPH6_SMALL_MAX else None,
             "members": [list(p.vertices) for p in self.paths],
@@ -171,11 +195,8 @@ def enumerate_good_paths(ps: PathSystem, host_index: int) -> list[GoodPath]:
     no int-vertex of Q lies on path i or j, and V(Q) meets every member
     other than the host.  Single-vertex subpaths are admitted.
     """
+    _check_host(ps, host_index)
     k = ps.k
-    if k < 3:
-        raise UsageError(f"good paths need k >= 3 members, got {k}")
-    if not 0 <= host_index < k:
-        raise UsageError(f"host index {host_index} out of range")
     host = ps.paths[host_index]
     seq = host.vertices
     others = [i for i in range(k) if i != host_index]
@@ -218,22 +239,22 @@ def enumerate_good_paths(ps: PathSystem, host_index: int) -> list[GoodPath]:
     return goods
 
 
-def t_count(ps: PathSystem, host_index: int) -> int:
-    """Number of distinct good subpaths of the host."""
-    return len(enumerate_good_paths(ps, host_index))
+def _check_host(ps: PathSystem, host_index: int) -> None:
+    if ps.k < 3:
+        raise UsageError(f"good paths need k >= 3 members, got {ps.k}")
+    if not 0 <= host_index < ps.k:
+        raise UsageError(f"host index {host_index} out of range")
 
 
 def t_prime(ps: PathSystem, host_index: int) -> int:
-    """Maximum number of pairwise edge-disjoint good subpaths of the host.
-
-    Zero-edge subpaths have no edges and always count; for the rest, greedy
-    interval scheduling over host-edge ranges is exact.
-    """
-    goods = enumerate_good_paths(ps, host_index)
-    return _max_edge_disjoint(goods)
+    """Maximum number of pairwise edge-disjoint good subpaths of the host."""
+    _check_host(ps, host_index)
+    return ps.t_primes[host_index]
 
 
 def _max_edge_disjoint(goods: Sequence[GoodPath]) -> int:
+    """Zero-edge subpaths have no edges and always count; for the rest,
+    greedy interval scheduling over host-edge ranges is exact."""
     count = sum(1 for q in goods if q.edge_count == 0)
     intervals = sorted(
         ((q.start, q.end) for q in goods if q.edge_count > 0),

@@ -40,6 +40,30 @@ def petersen() -> Graph:
     return Graph.from_edges(10, outer + spokes + inner)
 
 
+# H: the Petersen graph minus one vertex, with a pendant (9, 10, 11) on each
+# of that vertex's three former neighbours.  42 longest paths of length 9 and
+# no vertex common to all of them, yet every two meet.
+H_GRAPH6 = "KhAAPWU_?_@?"
+
+# Nine longest paths of H with no common vertex; f = 1.
+H_SYSTEM = (
+    (10, 3, 2, 1, 6, 8, 5, 7, 4, 11),
+    (9, 0, 5, 7, 2, 3, 8, 6, 4, 11),
+    (9, 0, 1, 6, 4, 7, 5, 8, 3, 10),
+    (9, 0, 1, 2, 7, 5, 8, 6, 4, 11),
+    (9, 0, 1, 6, 8, 5, 7, 2, 3, 10),
+    (9, 0, 1, 2, 7, 4, 6, 8, 3, 10),
+    (9, 0, 1, 2, 3, 8, 5, 7, 4, 11),
+    (9, 0, 5, 8, 3, 2, 1, 6, 4, 11),
+    (9, 0, 5, 7, 4, 6, 1, 2, 3, 10),
+)
+
+
+@pytest.fixture
+def h_graph() -> Graph:
+    return parse_graph6(H_GRAPH6)
+
+
 @pytest.fixture(scope="session")
 def corpus_by_n() -> dict[int, list[Graph]]:
     """Connected graphs for n = 1..6, shared across the unit tests."""

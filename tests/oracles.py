@@ -11,7 +11,61 @@ import itertools
 import networkx as nx
 import numpy as np
 
-from lplab.graphs import Graph, all_pairs_distances
+from lplab.errors import UsageError
+from lplab.graphs import Graph, DistanceVector, is_connected
+from lplab.longest import LongestPathSet, Path, canonical_sequence
+
+ORACLE_MAX_N = 10
+
+
+def all_pairs_distances(g: Graph) -> list[DistanceVector]:
+    """All-pairs hop distances by Floyd-Warshall (independent of the BFS route)."""
+    inf = float("inf")
+    n = g.n
+    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+    for u, v in g.edges():
+        d[u][v] = d[v][u] = 1
+    for k in range(n):
+        dk = d[k]
+        for i in range(n):
+            dik = d[i][k]
+            if dik is inf:
+                continue
+            di = d[i]
+            for j in range(n):
+                alt = dik + dk[j]
+                if alt < di[j]:
+                    di[j] = alt
+    return [[None if x is inf else int(x) for x in row] for row in d]
+
+
+def enumerate_longest_paths_oracle(g: Graph) -> LongestPathSet:
+    """Brute-force oracle: scan every vertex permutation prefix.
+
+    Deliberately independent of the DFS route; guarded to n <= 10.
+    """
+    if g.n > ORACLE_MAX_N:
+        raise UsageError(f"oracle limited to n <= {ORACLE_MAX_N}, got {g.n}")
+    if not is_connected(g):
+        raise UsageError("oracle requires a connected graph")
+    verts = range(g.n)
+    for size in range(g.n, 0, -1):
+        found: set[tuple[int, ...]] = set()
+        for perm in itertools.permutations(verts, size):
+            ok = True
+            for a, b in zip(perm, perm[1:]):
+                if not g.nbr_masks[a] >> b & 1:
+                    ok = False
+                    break
+            if ok:
+                found.add(canonical_sequence(perm))
+        if found:
+            return LongestPathSet(
+                length=size - 1,
+                paths=tuple(Path(t) for t in sorted(found)),
+                truncated=False,
+            )
+    raise AssertionError("unreachable: single vertices are always paths")
 
 
 def to_networkx(g: Graph) -> nx.Graph:

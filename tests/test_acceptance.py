@@ -18,11 +18,9 @@ from lplab.bounds import ratio_table, theorem_bound, theorem_bound_parts
 from lplab.construct import build_gt
 from lplab.graphs import encode_graph6, parse_graph6
 from lplab.harness import ScanConfig, generate_connected_graphs, scan_stream
-from lplab.longest import (
-    enumerate_longest_paths,
-    enumerate_longest_paths_oracle,
-)
+from lplab.longest import enumerate_longest_paths
 from lplab.systems import certified_system, make_path_system, multiplicity_profile
+from oracles import enumerate_longest_paths_oracle
 
 _VERDICTS: dict[int, str] = {}
 

@@ -20,14 +20,18 @@ from lplab.bounds import (
     general_ratio_bound,
     lemma1_rhs,
     ratio_table,
+    DEFAULT_CHECKS,
+    run_checks,
     surgery_trace,
     theorem_bound,
     theorem_bound_parts,
 )
+from lplab import systems
 from lplab.errors import UsageError
 from lplab.graphs import Graph
 from lplab.longest import enumerate_longest_paths, is_path
 from lplab.systems import certified_system, make_path_system
+from conftest import H_SYSTEM
 
 
 @pytest.fixture
@@ -171,6 +175,40 @@ class TestInstanceChecks:
                     statuses.add(rep.status)
                     assert rep.status != "fail", rep.to_json()
         assert "pass" in statuses
+
+
+class TestSharedFacts:
+    """The checks of one system read its cached facts; none recomputes them."""
+
+    @pytest.mark.parametrize("k", [4, 9])
+    def test_each_fact_computed_once(self, monkeypatch, h_graph, k):
+        if k == 9:
+            ps = make_path_system(h_graph, H_SYSTEM, require_longest=True)
+        else:
+            lps = enumerate_longest_paths(h_graph)
+            ps = certified_system(h_graph, lps.paths[:k], lps.length)
+        calls = {"goods": 0, "f": 0, "profile": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            systems, "enumerate_good_paths", counting("goods", systems.enumerate_good_paths)
+        )
+        monkeypatch.setattr(
+            systems, "path_distance_value", counting("f", systems.path_distance_value)
+        )
+        monkeypatch.setattr(
+            systems, "multiplicity_profile", counting("profile", systems.multiplicity_profile)
+        )
+        reports = run_checks(ps, DEFAULT_CHECKS) + [surgery_trace(ps)[1]]
+        expected = {"lemma1", "lemma2", "lemma3i", "lemma3ii", "surgery"}
+        expected |= {"cor1i", "cor1ii", "thm2"} if k == 4 else {"thm3"}
+        assert {r.check_id for r in reports} == expected
+        assert calls == {"goods": k, "f": 1, "profile": 1}
 
 
 class TestSurgery:

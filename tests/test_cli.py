@@ -7,6 +7,7 @@ import pytest
 from lplab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, cli, load_graph
 from lplab.errors import FormatError
 from lplab.graphs import encode_graph6
+from conftest import H_GRAPH6
 
 
 class TestLoadGraph:
@@ -61,6 +62,13 @@ class TestAnalyze:
 
     def test_bad_graph(self, capsys):
         assert cli(["analyze", "zz!!zz"]) == EXIT_USAGE
+
+    def test_pairwise_verdict_without_common_vertex(self, capsys):
+        # H's 42 longest paths share no vertex, yet every two of them meet
+        assert cli(["analyze", H_GRAPH6]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "common vertices of all longest paths: []" in out
+        assert "pairwise intersection: holds" in out
 
 
 class TestVerify:

@@ -4,9 +4,9 @@ import pytest
 
 from lplab.construct import ConstructionResult, attach_pendants, build_gt, subdivide
 from lplab.errors import UsageError
-from lplab.graphs import all_pairs_distances
 from lplab.longest import longest_path_length
 from lplab.systems import make_path_system, path_distance_value
+from oracles import all_pairs_distances
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lplab.errors import FormatError, UsageError
 from lplab.graphs import (
     Graph,
-    all_pairs_distances,
     bfs_distances,
     encode_graph6,
     format_edge_list,
@@ -18,7 +17,7 @@ from lplab.graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from oracles import from_networkx, to_networkx
+from oracles import all_pairs_distances, from_networkx, to_networkx
 
 
 def small_graphs(max_n=7):

@@ -8,11 +8,11 @@ from lplab.longest import (
     Path,
     canonical_sequence,
     enumerate_longest_paths,
-    enumerate_longest_paths_oracle,
     is_path,
     longest_path_length,
     pairwise_intersection_holds,
 )
+from oracles import enumerate_longest_paths_oracle
 
 
 class TestPath:

@@ -14,7 +14,6 @@ from lplab.systems import (
     make_path_system,
     multiplicity_profile,
     path_distance_value,
-    t_count,
     t_prime,
 )
 from oracles import f_oracle, max_edge_disjoint_oracle
@@ -140,7 +139,7 @@ class TestGoodPaths:
 
     def test_star_counts(self, k13_system):
         for host in range(3):
-            assert t_count(k13_system, host) == 3
+            assert len(enumerate_good_paths(k13_system, host)) == 3
             assert t_prime(k13_system, host) == 3
 
     def test_branchy_single_good(self, branchy_system):
@@ -164,8 +163,12 @@ class TestGoodPaths:
             enumerate_good_paths(ps, 0)
 
     def test_host_index_range(self, k13_system):
-        with pytest.raises(UsageError):
-            enumerate_good_paths(k13_system, 3)
+        # t' per host is a cached tuple, which must not wrap index -1
+        for bad in (-1, 3):
+            with pytest.raises(UsageError):
+                enumerate_good_paths(k13_system, bad)
+            with pytest.raises(UsageError):
+                t_prime(k13_system, bad)
 
     def test_t_prime_matches_exhaustive_oracle(self, corpus_by_n):
         checked = 0
@@ -216,4 +219,4 @@ class TestCertifiedInvariants:
                     prof = multiplicity_profile(ps)
                     assert prof.n(3) == 0  # no vertex on all members
                 for host in range(3):
-                    assert t_count(ps, host) >= t_prime(ps, host) >= 0
+                    assert len(enumerate_good_paths(ps, host)) >= t_prime(ps, host) >= 0
