@@ -11,7 +11,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import UsageError
-from .graphs import GRAPH6_SMALL_MAX, encode_graph6
 from .longest import Path, is_path
 from .systems import PathSystem
 
@@ -63,9 +62,8 @@ class CheckReport:
 
 
 def instance_id(ps: PathSystem) -> dict:
-    g = ps.graph
     return {
-        "graph6": encode_graph6(g) if g.n <= GRAPH6_SMALL_MAX else None,
+        "graph6": ps.graph6,
         "members": [list(p.vertices) for p in ps.paths],
         "certified": ps.longest_certified,
     }

@@ -79,12 +79,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     common_verts = [v for v in range(g.n) if common >> v & 1]
     print(f"common vertices of all longest paths: {common_verts}")
     k = args.k
-    verdict = check_conjecture(g, k, path_cap=args.path_cap, seed=args.seed, lps=lps)
-    print(
-        f"k = {k}: {verdict.status} "
-        f"({verdict.subsets_checked}/{verdict.total_subsets} subsets"
-        f"{', via common-vertex shortcut' if verdict.used_shortcut else ''})"
-    )
+    verdict = check_conjecture(g, k, path_cap=args.path_cap, lps=lps)
+    if verdict.used_shortcut:
+        work = (
+            f"{verdict.subsets_checked}/{verdict.total_subsets} subsets, "
+            "via common-vertex shortcut"
+        )
+    else:
+        work = f"{verdict.subsets_checked} search nodes"
+    print(f"k = {k}: {verdict.status} ({work})")
     if verdict.witness:
         print(f"witness: {json.dumps(verdict.witness)}")
         return EXIT_FINDING

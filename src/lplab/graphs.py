@@ -256,11 +256,10 @@ def bfs_distances(g: Graph, sources: Iterable[int]) -> DistanceVector:
             queue.append(s)
     while queue:
         u = queue.popleft()
-        du = dist[u]
-        assert du is not None
+        du = dist[u]  # set before u was queued
         for w in g.adj[u]:
             if dist[w] is None:
-                dist[w] = du + 1
+                dist[w] = du + 1  # type: ignore[operator]
                 queue.append(w)
     return dist
 

@@ -31,6 +31,7 @@ from .longest import (
     DEFAULT_PATH_CAP,
     LongestPathSet,
     enumerate_longest_paths,
+    first_empty_intersection,
     pairwise_intersection_holds,
 )
 from .systems import certified_system
@@ -189,7 +190,7 @@ def iter_ksubsets(
 class ConjectureVerdict:
     status: str  # "no-violation" | "violation" | "incomplete"
     k: int
-    subsets_checked: int
+    subsets_checked: int  # search nodes, or total_subsets via the shortcut
     total_subsets: int
     used_shortcut: bool
     witness: Optional[dict] = None
@@ -210,13 +211,16 @@ def check_conjecture(
     k: int,
     path_cap: Optional[int] = DEFAULT_PATH_CAP,
     subset_cap: Optional[int] = 100_000,
-    seed: int = 0,
     lps: Optional[LongestPathSet] = None,
 ) -> ConjectureVerdict:
     """Do every k of the longest paths of g share a vertex?
 
     When all longest paths share a vertex, every k-subset trivially does, so
-    the whole subset space is covered without iterating it.
+    the whole subset space is covered without searching it.  Otherwise an
+    exact search finds the lexicographically least k-subset with no common
+    vertex, or proves there is none.  subsets_checked then counts its search
+    nodes, and subset_cap bounds them: a search cut by the cap, or a
+    truncated path list without a violation, gives "incomplete".
     """
     if k < 2:
         raise UsageError(f"k must be >= 2, got {k}")
@@ -228,37 +232,29 @@ def check_conjecture(
     if lps.common_mask():
         status = "incomplete" if lps.truncated else "no-violation"
         return ConjectureVerdict(status, k, total, total, used_shortcut=True)
-    g6 = encode_graph6(g) if g.n <= 62 else None
-    subsets, planned, truncated = iter_ksubsets(
-        len(lps.paths), k, subset_cap, seed, f"conj:{g6}:{k}"
+    subset, nodes, capped = first_empty_intersection(
+        [p.mask for p in lps.paths], k, subset_cap
     )
-    checked = 0
-    for subset in subsets:
-        checked += 1
-        acc = -1
-        for idx in subset:
-            acc &= lps.paths[idx].mask
-        if not acc:
-            members = [lps.paths[idx] for idx in subset]
-            ps = certified_system(g, members, lps.length)
-            f, minimizers = ps.path_distance
-            return ConjectureVerdict(
-                "violation",
-                k,
-                checked,
-                total,
-                used_shortcut=False,
-                witness={
-                    "graph6": g6,
-                    "member_indices": list(subset),
-                    "members": [list(p.vertices) for p in members],
-                    "f": f,
-                    "minimizers": sorted(minimizers),
-                },
-            )
-    if truncated or lps.truncated:
-        return ConjectureVerdict("incomplete", k, checked, total, used_shortcut=False)
-    return ConjectureVerdict("no-violation", k, checked, total, used_shortcut=False)
+    if subset is None:
+        status = "incomplete" if capped or lps.truncated else "no-violation"
+        return ConjectureVerdict(status, k, nodes, total, used_shortcut=False)
+    members = [lps.paths[idx] for idx in subset]
+    ps = certified_system(g, members, lps.length)
+    f, minimizers = ps.path_distance
+    return ConjectureVerdict(
+        "violation",
+        k,
+        nodes,
+        total,
+        used_shortcut=False,
+        witness={
+            "graph6": ps.graph6,
+            "member_indices": list(subset),
+            "members": [list(p.vertices) for p in members],
+            "f": f,
+            "minimizers": sorted(minimizers),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +356,7 @@ def scan_one_graph(g6: str, config: ScanConfig) -> dict:
     g = parse_graph6(g6)
     record: dict = {
         "graph6": encode_graph6(g),
+        "n": g.n,
         "connected": is_connected(g),
         "tallies": {},
         "failures": [],
@@ -390,8 +387,7 @@ def scan_one_graph(g6: str, config: ScanConfig) -> dict:
     tallies["pairwise"] = {"pass": int(holds), "fail": int(not holds), "vacuous": 0}
 
     verdict = check_conjecture(
-        g, k, path_cap=config.path_cap, subset_cap=config.conjecture_subset_cap,
-        seed=config.seed, lps=lps,
+        g, k, path_cap=config.path_cap, subset_cap=config.conjecture_subset_cap, lps=lps
     )
     record["conjecture"] = verdict.to_json()
 
@@ -486,8 +482,7 @@ def _merge_records(report: SearchReport, records: Iterable[dict]) -> SearchRepor
                 report.incomplete_graphs += 1
                 if report.conjecture_status == "no-violation":
                     report.conjecture_status = "incomplete"
-        n = parse_graph6(rec["graph6"]).n
-        ratio = Fraction(rec["max_f"], n)
+        ratio = Fraction(rec["max_f"], rec["n"])
         if rec["max_f"] > report.max_f or ratio > report.max_ratio:
             report.max_f = max(report.max_f, rec["max_f"])
             if ratio > report.max_ratio:

@@ -186,10 +186,91 @@ def pairwise_intersection_holds(paths: Iterable[Path]) -> tuple[bool, tuple[int,
 
     Returns (True, None) or (False, (i, j)) with the first offending pair.
     """
-    plist = list(paths)
-    for i in range(len(plist)):
-        mi = plist[i].mask
-        for j in range(i + 1, len(plist)):
-            if not mi & plist[j].mask:
-                return False, (i, j)
-    return True, None
+    pair, _, _ = first_empty_intersection([p.mask for p in paths], 2)
+    return (True, None) if pair is None else (False, pair)
+
+
+class _NodeCapReached(Exception):
+    pass
+
+
+def first_empty_intersection(
+    masks: Sequence[int], k: int, node_cap: int | None = None
+) -> tuple[tuple[int, ...] | None, int, bool]:
+    """Lexicographically least k-subset of indices whose masks have an empty AND.
+
+    An exact cover-style search (Knuth's Algorithm X with the
+    minimum-remaining-values rule): a subset has an empty AND iff every
+    vertex is missed by one of its members, so the search branches on the
+    surviving vertex that the fewest remaining masks miss.  Adding members
+    only shrinks the AND, so a subset exists iff at most k masks have an
+    empty AND and k <= len(masks).
+
+    Returns (subset or None, search nodes, capped).  With node_cap set, the
+    search stops before its node count would pass the cap and reports
+    (None, node_cap, True): no answer either way.
+    """
+    n_items = len(masks)
+    everyone = (1 << n_items) - 1
+    universe = 0
+    for m in masks:
+        universe |= m
+    # missed_by[v]: bitset of the indices whose mask lacks vertex v
+    missed_by = [0] * universe.bit_length()
+    for i, m in enumerate(masks):
+        miss = universe & ~m
+        while miss:
+            low = miss & -miss
+            missed_by[low.bit_length() - 1] |= 1 << i
+            miss ^= low
+    nodes = 0
+
+    def cover_at_most(alive: int, allowed: int, limit: int) -> bool:
+        """Can at most limit indices of allowed together miss every vertex of alive?"""
+        nonlocal nodes
+        if node_cap is not None and nodes >= node_cap:
+            raise _NodeCapReached
+        nodes += 1
+        if not alive:
+            return True
+        if not limit:
+            return False
+        branch = 0
+        fewest = n_items + 1
+        rest = alive
+        while rest:
+            low = rest & -rest
+            cand = missed_by[low.bit_length() - 1] & allowed
+            count = cand.bit_count()
+            if count < fewest:
+                if not count:
+                    return False
+                branch, fewest = cand, count
+            rest ^= low
+        # a cover contains some index that misses the branch vertex; trying
+        # them in index order, ban each from its later siblings, which only
+        # repeat covers already tried
+        while branch:
+            low = branch & -branch
+            allowed ^= low
+            if cover_at_most(alive & masks[low.bit_length() - 1], allowed, limit - 1):
+                return True
+            branch ^= low
+        return False
+
+    try:
+        if k > n_items or not cover_at_most(universe, everyone, k):
+            return None, nodes, False
+        # greedy: each position takes the least index whose suffix can still
+        # be completed from larger indices; the first decision guarantees one
+        chosen: list[int] = []
+        alive, i = universe, 0
+        for slots in range(k, 0, -1):
+            while not cover_at_most(alive & masks[i], everyone >> (i + 1) << (i + 1), slots - 1):
+                i += 1
+            chosen.append(i)
+            alive &= masks[i]
+            i += 1
+    except _NodeCapReached:
+        return None, nodes, True
+    return tuple(chosen), nodes, False

@@ -35,6 +35,11 @@ class PathSystem:
     # not fields and take no part in equality.
 
     @cached_property
+    def graph6(self) -> str | None:
+        """graph6 string of the graph, or None above the small-graph format's order."""
+        return encode_graph6(self.graph) if self.graph.n <= GRAPH6_SMALL_MAX else None
+
+    @cached_property
     def path_distance(self) -> tuple[int, frozenset[int]]:
         """f(G, P) and its minimizing vertices."""
         return path_distance_value(self)
@@ -55,7 +60,7 @@ class PathSystem:
 
     def to_json(self) -> dict:
         return {
-            "graph6": encode_graph6(self.graph) if self.graph.n <= GRAPH6_SMALL_MAX else None,
+            "graph6": self.graph6,
             "members": [list(p.vertices) for p in self.paths],
             "longest_certified": self.longest_certified,
         }

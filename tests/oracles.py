@@ -12,7 +12,7 @@ import networkx as nx
 import numpy as np
 
 from lplab.errors import UsageError
-from lplab.graphs import Graph, DistanceVector, is_connected
+from lplab.graphs import GRAPH6_SMALL_MAX, Graph, DistanceVector, encode_graph6, is_connected
 from lplab.longest import LongestPathSet, Path, canonical_sequence
 
 ORACLE_MAX_N = 10
@@ -148,3 +148,33 @@ def max_edge_disjoint_oracle(goods) -> int:
             if len(union) == total:
                 return r
     return best
+
+
+def conjecture_oracle(g: Graph, k: int, lps: LongestPathSet) -> tuple[str, dict | None]:
+    """(status, witness) of check_conjecture by exhaustive k-subset iteration.
+
+    Walks itertools.combinations in order and stops at the first subset with
+    no common vertex, with f and its minimizers from Floyd-Warshall distances.
+    Uncapped, so only for small path families.
+    """
+    if lps.common_mask():
+        return ("incomplete" if lps.truncated else "no-violation"), None
+    for subset in itertools.combinations(range(len(lps.paths)), k):
+        acc = -1
+        for idx in subset:
+            acc &= lps.paths[idx].mask
+        if not acc:
+            members = [lps.paths[idx] for idx in subset]
+            d = all_pairs_distances(g)
+            sums = [
+                sum(min(d[v][u] for u in p.vertices) for p in members) for v in range(g.n)
+            ]
+            f = min(sums)
+            return "violation", {
+                "graph6": encode_graph6(g) if g.n <= GRAPH6_SMALL_MAX else None,
+                "member_indices": list(subset),
+                "members": [list(p.vertices) for p in members],
+                "f": f,
+                "minimizers": [v for v in range(g.n) if sums[v] == f],
+            }
+    return ("incomplete" if lps.truncated else "no-violation"), None

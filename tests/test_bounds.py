@@ -31,7 +31,7 @@ from lplab.errors import UsageError
 from lplab.graphs import Graph
 from lplab.longest import enumerate_longest_paths, is_path
 from lplab.systems import certified_system, make_path_system
-from conftest import H_SYSTEM
+from conftest import H_GRAPH6, H_SYSTEM
 
 
 @pytest.fixture
@@ -209,6 +209,24 @@ class TestSharedFacts:
         expected |= {"cor1i", "cor1ii", "thm2"} if k == 4 else {"thm3"}
         assert {r.check_id for r in reports} == expected
         assert calls == {"goods": k, "f": 1, "profile": 1}
+
+
+    def test_graph6_encoded_once(self, monkeypatch, h_graph):
+        lps = enumerate_longest_paths(h_graph)
+        ps = certified_system(h_graph, lps.paths[:4], lps.length)
+        calls = 0
+        encode = systems.encode_graph6
+
+        def counting(g):
+            nonlocal calls
+            calls += 1
+            return encode(g)
+
+        monkeypatch.setattr(systems, "encode_graph6", counting)
+        reports = run_checks(ps, DEFAULT_CHECKS) + [surgery_trace(ps)[1]]
+        assert len(reports) == 8
+        assert all(r.instance["graph6"] == H_GRAPH6 for r in reports)
+        assert calls == 1
 
 
 class TestSurgery:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -69,6 +70,18 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "common vertices of all longest paths: []" in out
         assert "pairwise intersection: holds" in out
+
+    def test_verdict_wording(self, capsys):
+        assert cli(["analyze", "Cs"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "k = 3: no-violation (1/1 subsets, via common-vertex shortcut)\n" in out
+        # H: every 8 longest paths meet, some 9 do not
+        assert cli(["analyze", H_GRAPH6, "--k", "8", "--subset-cap", "10"]) == EXIT_OK
+        assert re.search(r"k = 8: no-violation \(\d+ search nodes\)\n", capsys.readouterr().out)
+        assert cli(["analyze", H_GRAPH6, "--k", "9"]) == EXIT_FINDING
+        out = capsys.readouterr().out
+        assert re.search(r"k = 9: violation \(\d+ search nodes\)\n", out)
+        assert '"member_indices": [24, 25, 26, 27, 29, 31, 32, 33, 37]' in out
 
 
 class TestVerify:

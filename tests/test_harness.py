@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+from lplab import harness
 from lplab.errors import FormatError, UsageError
 from lplab.graphs import Graph, encode_graph6
-from lplab.longest import LongestPathSet, Path
+from lplab.longest import LongestPathSet, Path, enumerate_longest_paths
 from lplab.harness import (
     ScanConfig,
     check_conjecture,
@@ -15,7 +17,10 @@ from lplab.harness import (
     iter_ksubsets,
     scan_stream,
 )
-from oracles import canonical_code, labeled_scan_canonical_codes
+from oracles import canonical_code, conjecture_oracle, labeled_scan_canonical_codes
+
+# H's least violating 9-subset of its 42 longest paths, in enumeration order
+H_LEAST_VIOLATION = [24, 25, 26, 27, 29, 31, 32, 33, 37]
 
 
 KNOWN_TOTAL = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -98,6 +103,56 @@ class TestCheckConjecture:
             for g in corpus_by_n[n]:
                 assert check_conjecture(g, 3).status == "no-violation"
 
+    def test_matches_exhaustive_oracle(self):
+        # random families of equal-length paths on K_n, injected as the
+        # longest paths; every k from 2 to one past the family size
+        rng = random.Random(20161)
+        searched = {"violation": 0, "no-violation": 0, "incomplete": 0}
+        for _ in range(400):
+            n = rng.randint(2, 8)
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+            length = rng.randint(0, n - 2)
+            family = {
+                Path(tuple(rng.sample(range(n), length + 1))).canonical()
+                for _ in range(rng.randint(1, 12))
+            }
+            lps = LongestPathSet(length, tuple(sorted(family, key=lambda p: p.vertices)),
+                                 truncated=rng.random() < 0.2)
+            for k in range(2, len(lps.paths) + 2):
+                verdict = check_conjecture(g, k, lps=lps)
+                assert (verdict.status, verdict.witness) == conjecture_oracle(g, k, lps)
+                if not verdict.used_shortcut:
+                    searched[verdict.status] += 1
+        assert min(searched.values()) >= 50, searched
+
+    def test_h_least_violating_k(self, h_graph):
+        lps = enumerate_longest_paths(h_graph)
+        for k in range(3, 9):
+            verdict = check_conjecture(h_graph, k, lps=lps)
+            assert verdict.status == "no-violation"
+            assert not verdict.used_shortcut and verdict.witness is None
+        verdict = check_conjecture(h_graph, 9, lps=lps)
+        assert verdict.status == "violation"
+        assert verdict.witness["member_indices"] == H_LEAST_VIOLATION
+        assert verdict.witness["f"] == 1
+        verdict = check_conjecture(h_graph, 10, lps=lps)
+        assert verdict.witness["member_indices"] == [0] + H_LEAST_VIOLATION
+
+    def test_node_cap_gives_incomplete(self, h_graph):
+        verdict = check_conjecture(h_graph, 9, subset_cap=100)
+        assert verdict.status == "incomplete"
+        assert 0 < verdict.subsets_checked <= 100
+        assert verdict.witness is None
+
+    def test_truncated_path_list(self, h_graph):
+        full = enumerate_longest_paths(h_graph)
+        # the first 38 paths hold the least violating 9-subset; the first 24 none
+        for count, expected in ((24, "incomplete"), (38, "violation")):
+            lps = LongestPathSet(full.length, full.paths[:count], truncated=True)
+            verdict = check_conjecture(h_graph, 9, lps=lps)
+            assert verdict.status == expected
+        assert verdict.witness["member_indices"] == H_LEAST_VIOLATION
+
     def test_k_guard(self, k13):
         with pytest.raises(UsageError):
             check_conjecture(k13, 1)
@@ -145,6 +200,23 @@ class TestScanStream:
         blob = report.to_json()
         assert "wall_time" not in json.dumps(blob)
         assert report.wall_time is not None
+
+    def test_merge_reads_n_from_records(self, monkeypatch, corpus_by_n):
+        # one parse in scan_stream and one in scan_one_graph per line; the
+        # merge takes n from the record instead of parsing a third time
+        calls = 0
+        parse = harness.parse_graph6
+
+        def counting(line):
+            nonlocal calls
+            calls += 1
+            return parse(line)
+
+        monkeypatch.setattr(harness, "parse_graph6", counting)
+        lines = [encode_graph6(g) for g in corpus_by_n[5]]
+        report = scan_stream(lines, ScanConfig(k=3, lemma_subset_cap=1))
+        assert report.graphs_scanned == 21
+        assert calls == 42
 
     def test_disconnected_skipped(self):
         lines = [encode_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))]

@@ -8,6 +8,7 @@ from lplab.longest import (
     Path,
     canonical_sequence,
     enumerate_longest_paths,
+    first_empty_intersection,
     is_path,
     longest_path_length,
     pairwise_intersection_holds,
@@ -141,3 +142,25 @@ class TestPairwiseIntersection:
                 lps = enumerate_longest_paths(g)
                 ok, pair = pairwise_intersection_holds(lps.paths)
                 assert ok and pair is None
+
+
+class TestFirstEmptyIntersection:
+    # vertex sets {0,1}, {1,2}, {0,2}, {0,1,2}: every pair meets, the first
+    # three have no common vertex
+    MASKS = (0b011, 0b110, 0b101, 0b111)
+
+    def test_least_subset(self):
+        assert first_empty_intersection(self.MASKS, 2)[0] is None
+        assert first_empty_intersection(self.MASKS, 3)[0] == (0, 1, 2)
+        assert first_empty_intersection(self.MASKS, 4)[0] == (0, 1, 2, 3)
+
+    def test_more_members_than_paths(self):
+        assert first_empty_intersection(self.MASKS, 5) == (None, 0, False)
+        assert first_empty_intersection((), 2) == (None, 0, False)
+
+    def test_node_cap(self):
+        subset, nodes, capped = first_empty_intersection(self.MASKS, 3, node_cap=1)
+        assert (subset, nodes, capped) == (None, 1, True)
+        subset, nodes, capped = first_empty_intersection(self.MASKS, 3)
+        assert subset == (0, 1, 2) and not capped
+        assert first_empty_intersection(self.MASKS, 3, node_cap=nodes)[0] == subset
