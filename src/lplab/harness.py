@@ -351,11 +351,17 @@ def _tally(tallies: dict, report: CheckReport) -> None:
     slot[report.status] += 1
 
 
-def scan_one_graph(g6: str, config: ScanConfig) -> dict:
-    """Analyze a single graph; the record merges associatively across graphs."""
-    g = parse_graph6(g6)
+def scan_one_graph(g6: str, config: ScanConfig, g: Optional[Graph] = None) -> dict:
+    """Analyze a single graph; the record merges associatively across graphs.
+
+    A caller that has already parsed g6 passes the graph as g; g6 must then
+    be its canonical graph6 string, as encode_graph6 writes it.
+    """
+    if g is None:
+        g = parse_graph6(g6)
+        g6 = encode_graph6(g)
     record: dict = {
-        "graph6": encode_graph6(g),
+        "graph6": g6,
         "n": g.n,
         "connected": is_connected(g),
         "tallies": {},
@@ -498,39 +504,53 @@ def _merge_records(report: SearchReport, records: Iterable[dict]) -> SearchRepor
     return report
 
 
-def scan_stream(source: Iterable[Graph | str], config: ScanConfig) -> SearchReport:
-    """Scan a stream of graphs (Graph objects or graph6/sparse6 lines)."""
-    import time
-
-    start = time.monotonic()
-    g6_lines = []
+def _normalised(
+    source: Iterable[Graph | str], config: ScanConfig
+) -> Iterator[tuple[Graph, str]]:
+    """(graph, canonical graph6) for each graph or nonblank line of source."""
     for lineno, item in enumerate(source, start=1):
         if isinstance(item, Graph):
-            g6_lines.append(encode_graph6(item))
+            yield item, encode_graph6(item)
             continue
         line = item.strip()
         if not line:
             continue
         try:
-            g6_lines.append(encode_graph6(parse_graph6(line)))
+            g = parse_graph6(line)
+            g6 = encode_graph6(g)
         except FormatError as exc:
             if config.strict:
                 raise FormatError(f"line {lineno}: {exc}") from exc
             import sys
 
             print(f"lplab: skipping malformed line {lineno}: {exc}", file=sys.stderr)
+            continue
+        yield g, g6
 
-    if config.jobs > 1 and len(g6_lines) > 1:
-        import multiprocessing as mp
 
-        with mp.Pool(config.jobs) as pool:
-            records = pool.starmap(
-                scan_one_graph,
-                ((g6, config) for g6 in g6_lines),
-                chunksize=max(1, len(g6_lines) // (config.jobs * 8)),
-            )
+def scan_stream(source: Iterable[Graph | str], config: ScanConfig) -> SearchReport:
+    """Scan a stream of graphs (Graph objects or graph6/sparse6 lines)."""
+    import time
+
+    start = time.monotonic()
+    graphs = _normalised(source, config)
+    if config.jobs > 1:
+        # workers get canonical graph6 strings and parse them themselves
+        g6_lines = [g6 for _, g6 in graphs]
+        if len(g6_lines) > 1:
+            import multiprocessing as mp
+
+            with mp.Pool(config.jobs) as pool:
+                records = pool.starmap(
+                    scan_one_graph,
+                    ((g6, config) for g6 in g6_lines),
+                    chunksize=max(1, len(g6_lines) // (config.jobs * 8)),
+                )
+        else:
+            records = [scan_one_graph(g6, config) for g6 in g6_lines]
     else:
-        records = [scan_one_graph(g6, config) for g6 in g6_lines]
+        # one graph at a time, parsed once, so a long stream holds no graphs
+        records = [scan_one_graph(g6, config, g) for g, g6 in graphs]
     report = _merge_records(SearchReport(config=config), records)
     report.wall_time = time.monotonic() - start
     return report

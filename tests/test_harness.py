@@ -202,8 +202,8 @@ class TestScanStream:
         assert report.wall_time is not None
 
     def test_merge_reads_n_from_records(self, monkeypatch, corpus_by_n):
-        # one parse in scan_stream and one in scan_one_graph per line; the
-        # merge takes n from the record instead of parsing a third time
+        # one parse per line: a jobs=1 scan hands the parsed graph to the
+        # per-graph scan, and the merge takes n from the record
         calls = 0
         parse = harness.parse_graph6
 
@@ -216,7 +216,7 @@ class TestScanStream:
         lines = [encode_graph6(g) for g in corpus_by_n[5]]
         report = scan_stream(lines, ScanConfig(k=3, lemma_subset_cap=1))
         assert report.graphs_scanned == 21
-        assert calls == 42
+        assert calls == 21
 
     def test_disconnected_skipped(self):
         lines = [encode_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))]

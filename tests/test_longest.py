@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
+from lplab.construct import build_gt
 from lplab.errors import UsageError
 from lplab.graphs import Graph
 from lplab.longest import (
+    DEFAULT_PATH_CAP,
     Path,
     canonical_sequence,
     enumerate_longest_paths,
@@ -13,7 +18,38 @@ from lplab.longest import (
     longest_path_length,
     pairwise_intersection_holds,
 )
+from lplab.systems import make_path_system
+from conftest import H_SYSTEM
 from oracles import enumerate_longest_paths_oracle
+
+
+def random_labelled_graph(rng: random.Random, max_n: int) -> Graph:
+    """A random connected graph grown by pendants and subdivided edges, with
+    its vertices relabelled at random.
+
+    The enumeration walks each path from its smaller end and skips the reach
+    test along degree-2 chains, so both labels and chains vary here.
+    """
+    n = rng.randint(1, max_n - 2)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if (u, v) not in edges and rng.random() < 0.4
+    ]
+    while n < max_n and rng.random() < 0.7:
+        if edges and rng.random() < 0.5:
+            u, v = edges.pop(rng.randrange(len(edges)))
+            edges += [(u, n), (n, v)]
+        else:
+            edges.append((rng.randrange(n), n))
+        n += 1
+    label = list(range(n))
+    rng.shuffle(label)
+    return relabel(Graph.from_edges(n, edges), label)
+
+
+def relabel(g: Graph, label: list[int]) -> Graph:
+    return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
 
 
 class TestPath:
@@ -118,6 +154,56 @@ class TestEnumerate:
     def test_length_matches_enumeration(self, corpus_by_n):
         for g in corpus_by_n[6]:
             assert longest_path_length(g) == enumerate_longest_paths(g).length
+
+    def test_matches_oracle_random_labels(self):
+        rng = random.Random(20261018)
+        sizes = set()
+        for i in range(200):
+            g = random_labelled_graph(rng, 9 if i % 20 == 0 else 8)
+            sizes.add(g.n)
+            slow = enumerate_longest_paths_oracle(g)
+            fast = enumerate_longest_paths(g)
+            assert (fast.length, fast.paths, fast.truncated) == (
+                slow.length, slow.paths, False
+            )
+            assert all(p.mask == Path(p.vertices).mask for p in fast.paths)
+            assert longest_path_length(g) == slow.length
+            cap = rng.randint(1, 4)
+            capped = enumerate_longest_paths(g, cap=cap)
+            assert capped.paths == slow.paths[:cap]
+            assert capped.truncated == (len(slow.paths) > cap)
+        assert sizes == set(range(1, 10))
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_gt_of_h_under_relabelling(self, h_graph, t):
+        ps = make_path_system(h_graph, H_SYSTEM, require_longest=True)
+        gt = build_gt(h_graph, ps, t).graph
+        lps = enumerate_longest_paths(gt)
+        assert lps.length == 11 * (t + 1) and len(lps.paths) == 18
+        assert not lps.truncated
+        assert longest_path_length(gt) == lps.length
+        rng = random.Random(t)
+        for _ in range(10):
+            label = list(range(gt.n))
+            rng.shuffle(label)
+            moved = enumerate_longest_paths(relabel(gt, label))
+            expected = sorted(
+                canonical_sequence([label[v] for v in p.vertices]) for p in lps.paths
+            )
+            assert moved.length == lps.length
+            assert [p.vertices for p in moved.paths] == expected
+
+    def test_k9_beyond_default_cap(self):
+        # 9!/2 = 181,440 Hamiltonian paths; the canonical ones in
+        # lexicographic order are the permutations with p[0] < p[-1]
+        k9 = Graph.from_edges(9, itertools.combinations(range(9), 2))
+        lps = enumerate_longest_paths(k9)
+        assert lps.length == 8 and lps.truncated
+        expected = itertools.islice(
+            (p for p in itertools.permutations(range(9)) if p[0] < p[-1]),
+            DEFAULT_PATH_CAP,
+        )
+        assert [p.vertices for p in lps.paths] == list(expected)
 
 
 class TestOracle:
