@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from typing import Optional, Sequence
 
@@ -60,7 +61,16 @@ def _emit(payload: dict | list, out: Optional[str]) -> None:
         print(text)
 
 
+def _check_k_and_subset_cap(args: argparse.Namespace, k_min: int) -> None:
+    """Reject a k or subset cap that would give an empty or partial answer."""
+    if args.k < k_min:
+        raise UsageError(f"k must be >= {k_min}, got {args.k}")
+    if args.subset_cap < 1:
+        raise UsageError(f"subset_cap must be >= 1, got {args.subset_cap}")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _check_k_and_subset_cap(args, 2)
     g = load_graph(args.graph)
     lps = enumerate_longest_paths(g, cap=args.path_cap)
     common = lps.common_mask()
@@ -105,6 +115,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_k_and_subset_cap(args, 3)
     g = load_graph(args.graph)
     checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
     unknown = set(checks) - set(DEFAULT_CHECKS)
@@ -147,7 +158,13 @@ def cmd_search(args: argparse.Namespace) -> int:
         with open(args.file) as fh:
             source = fh.read().splitlines()
     else:
+        start = time.monotonic()
         source = generate_connected_graphs(args.gen_n)
+        print(
+            f"lplab: generated {len(source)} connected graphs on {args.gen_n} "
+            f"vertices in {time.monotonic() - start:.2f}s",
+            file=sys.stderr,
+        )
     report = scan_stream(source, config)
     _emit(report.to_json(), args.out)
     print(

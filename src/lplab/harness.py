@@ -1,10 +1,29 @@
 """Small-graph corpus generation, conjecture checking, and corpus scanning.
 
 The generator builds every non-isomorphic graph on n vertices by one-vertex
-extension with invariant-bucketed isomorphism deduplication; counts are
-calibrated against the known sequence in the tests.  The scanner distributes
-independent graphs to workers and merges records in canonical graph6 order so
-its JSON output is schedule-independent.
+extension: each graph on n - 1 vertices (the base) gets a new vertex joined to
+each subset of its vertices in turn, and a candidate is kept iff no earlier
+candidate is isomorphic to it, so every class keeps its first-found labelled
+representative (the isomorph rejection of McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998, without his canonical choice).  Three things
+keep it cheap, none of which changes which candidate comes first:
+
+- twin pruning: a subset holding w but not its twin u < w (same neighbours
+  apart from each other) is skipped, since swapping u and w maps it onto a
+  smaller subset of the same base, tried before it;
+- vertex keys in O(1) per vertex: degree, twice the triangles and the sum of
+  neighbour degrees, packed into one int and updated from per-base arrays with
+  one popcount; the sorted keys bucket the candidates;
+- a bitmask isomorphism test against each representative in the bucket: a
+  vertex maps only onto vertices of its own key, rarest key first, and an
+  image is accepted with one mask compare.
+
+On one core of a 2-core VM (Python 3.11) n <= 8 takes about 1.3 s, and n = 9
+about 38 s at a 320 MB peak; the counts and a sha256 of the graph6 output per
+n are pinned in the tests.
+
+The scanner distributes independent graphs to workers and merges records in
+canonical graph6 order so its JSON output is schedule-independent.
 """
 
 from __future__ import annotations
@@ -43,88 +62,203 @@ GENERATOR_MAX_N = 9
 # exhaustive generation of small graphs
 
 
-def _popcounts(masks: Sequence[int]) -> list[int]:
-    return [m.bit_count() for m in masks]
+# Every vertex gets an isomorphism-invariant key: its degree, twice its
+# triangle count and the sum of its neighbours' degrees, packed into one int
+# (degree above bit 13, triangles in bits 7-12, neighbour degrees in bits 0-6;
+# n <= 9 keeps each field inside its bits).  A graph's bucket key is the sorted
+# tuple of its vertex keys.
+_TRI_SHIFT = 7
+_DEG_SHIFT = 13
 
 
-def _invariant(masks: Sequence[int]) -> tuple:
-    degs = _popcounts(masks)
-    per_vertex = []
-    for v, mv in enumerate(masks):
-        nbr_degs = []
-        tri = 0
+def _pack(deg: int, tri2: int, nbr_deg_sum: int) -> int:
+    return (deg << _DEG_SHIFT) | (tri2 << _TRI_SHIFT) | nbr_deg_sum
+
+
+def _vertex_keys(masks: Sequence[int]) -> list[int]:
+    """The packed key of every vertex, computed directly from the masks."""
+    degs = [m.bit_count() for m in masks]
+    keys = []
+    for deg, mv in zip(degs, masks):
+        tri2 = nbr_deg_sum = 0
         m = mv
         while m:
             low = m & -m
             w = low.bit_length() - 1
-            nbr_degs.append(degs[w])
-            tri += (mv & masks[w]).bit_count()
+            tri2 += (mv & masks[w]).bit_count()
+            nbr_deg_sum += degs[w]
             m ^= low
-        per_vertex.append((degs[v], tri // 2, tuple(sorted(nbr_degs))))
-    return tuple(sorted(per_vertex))
+        keys.append(_pack(deg, tri2, nbr_deg_sum))
+    return keys
 
 
-def _isomorphic(masks1: Sequence[int], masks2: Sequence[int]) -> bool:
-    """Backtracking isomorphism test for graphs already known to share an invariant."""
-    n = len(masks1)
-    degs1, degs2 = _popcounts(masks1), _popcounts(masks2)
-    classes1 = {}
-    for v in range(n):
-        classes1.setdefault(degs1[v], []).append(v)
-    # map rarest degree classes first
-    order = sorted(range(n), key=lambda v: (len(classes1[degs1[v]]), v))
-    mapped_to = [-1] * n  # g1 vertex -> g2 vertex
-    used = [False] * n
+def _extensions(base: Sequence[int]) -> Iterator[tuple[list[int], list[int]]]:
+    """(masks, vertex keys) of base plus a new vertex joined to each subset.
 
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
-        a = order[pos]
-        for b in range(n):
-            if used[b] or degs2[b] != degs1[a]:
-                continue
-            ok = True
-            for prev in order[:pos]:
-                if (masks1[a] >> prev & 1) != (masks2[b] >> mapped_to[prev] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapped_to[a] = b
-                used[b] = True
-                if extend(pos + 1):
-                    return True
-                used[b] = False
-        return False
+    Subsets come in ascending order.  A subset that holds w but not its twin
+    u < w (N(u) - w == N(w) - u) is skipped: swapping u and w is an
+    automorphism of base that maps it to a smaller subset, tried before it.
+    The keys are updated from per-base arrays with one popcount per vertex.
+    """
+    m = len(base)
+    newbit = 1 << m
+    bdeg = [b.bit_count() for b in base]
+    keys = _vertex_keys(base)
+    # a vertex joined to the new one gains a degree, c triangles and c + |S|
+    # in neighbour degrees, c = |N(u) & S|; any other vertex gains c in the
+    # last field only
+    key_in = [k + (1 << _DEG_SHIFT) for k in keys]
+    twins = []
+    for u in range(m):
+        for w in range(u + 1, m):
+            if base[u] & ~(1 << w) == base[w] & ~(1 << u):
+                twins.append(((1 << u) | (1 << w), 1 << w))
+    tri_step = (2 << _TRI_SHIFT) + 1
+    for subset in range(1 << m):
+        if any(subset & pair == high for pair, high in twins):
+            continue
+        size = subset.bit_count()
+        masks = []
+        vkeys = []
+        tri2 = nbr_deg_sum = 0
+        for u in range(m):
+            b = base[u]
+            c = (b & subset).bit_count()
+            if subset >> u & 1:
+                masks.append(b | newbit)
+                vkeys.append(key_in[u] + c * tri_step + size)
+                tri2 += c
+                nbr_deg_sum += bdeg[u] + 1
+            else:
+                masks.append(b)
+                vkeys.append(keys[u] + c)
+        masks.append(subset)
+        vkeys.append(_pack(size, tri2, nbr_deg_sum))
+        yield masks, vkeys
 
-    return extend(0)
+
+def _key_order(keys: Sequence[int]) -> list[int]:
+    """Vertices sorted by key, ties by label."""
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def _relabel(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """masks with vertex order[i] renamed i."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    out = []
+    for v in order:
+        m = masks[v]
+        r = 0
+        while m:
+            low = m & -m
+            r |= 1 << pos[low.bit_length() - 1]
+            m ^= low
+        out.append(r)
+    return tuple(out)
+
+
+def _search_plan(
+    masks: Sequence[int], order: Sequence[int], sorted_keys: Sequence[int]
+) -> list[tuple[int, int, int, list[int]]]:
+    """Steps (vertex, lo, hi, earlier) that map each vertex of masks onto a
+    graph stored in key order (see _relabel) with the same sorted keys.
+
+    A vertex may go only to positions lo..hi-1, those of its own key.  Rarest
+    keys go first; earlier lists the neighbours mapped before the vertex.
+    """
+    steps = []
+    for i, k in enumerate(sorted_keys):
+        size = sorted_keys.count(k)
+        lo = sorted_keys.index(k)
+        steps.append((size, i, lo, lo + size))
+    steps.sort()
+    plan = []
+    before = 0
+    for _, i, lo, hi in steps:
+        a = order[i]
+        m = masks[a] & before
+        earlier = []
+        while m:
+            low = m & -m
+            earlier.append(low.bit_length() - 1)
+            m ^= low
+        plan.append((a, lo, hi, earlier))
+        before |= 1 << a
+    return plan
+
+
+def _maps_onto(
+    plan: Sequence[tuple[int, int, int, list[int]]], target: Sequence[int]
+) -> bool:
+    """Does plan's graph map isomorphically onto target (in key order)?
+
+    Image b is accepted for a step iff b is unused and its neighbours among
+    the used images are exactly the images of the step's earlier neighbours.
+    """
+    n = len(plan)
+    image = [0] * n  # image bit of each mapped vertex
+    choice = [0] * n  # next position to try at each step
+    used = 0
+    s = 0
+    choice[0] = plan[0][1]
+    while True:
+        a, _, hi, earlier = plan[s]
+        want = 0
+        for v in earlier:
+            want |= image[v]
+        b = choice[s]
+        while b < hi:
+            if not used >> b & 1 and target[b] & used == want:
+                break
+            b += 1
+        if b < hi:
+            choice[s] = b + 1
+            image[a] = 1 << b
+            used |= 1 << b
+            s += 1
+            if s == n:
+                return True
+            choice[s] = plan[s][1]
+        else:
+            s -= 1
+            if s < 0:
+                return False
+            used ^= image[plan[s][0]]
 
 
 _GRAPH_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
 
 def _all_graph_masks(n: int) -> list[tuple[int, ...]]:
-    """Neighbor-mask tuples of every non-isomorphic simple graph on n vertices."""
+    """Neighbor-mask tuples of every non-isomorphic simple graph on n vertices.
+
+    Each class is represented by its first candidate: bases in the order of
+    _all_graph_masks(n - 1), then subsets of the new vertex's neighbours in
+    ascending order.  Buckets keep each representative relabelled in key
+    order, so a candidate's key classes are position ranges in it.
+    """
     if n in _GRAPH_CACHE:
         return _GRAPH_CACHE[n]
     if n == 1:
         reps = [(0,)]
     else:
-        buckets: dict[tuple, list[tuple[int, ...]]] = {}
+        buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         reps = []
-        newbit = 1 << (n - 1)
         for base in _all_graph_masks(n - 1):
-            for subset in range(1 << (n - 1)):
-                masks = [
-                    base[v] | newbit if subset >> v & 1 else base[v]
-                    for v in range(n - 1)
-                ]
-                masks.append(subset)
-                key = _invariant(masks)
-                bucket = buckets.setdefault(key, [])
-                if not any(_isomorphic(masks, rep) for rep in bucket):
-                    tm = tuple(masks)
-                    bucket.append(tm)
-                    reps.append(tm)
+            for masks, keys in _extensions(base):
+                order = _key_order(keys)
+                bucket_key = tuple([keys[v] for v in order])
+                bucket = buckets.get(bucket_key)
+                if bucket is None:
+                    bucket = buckets[bucket_key] = []
+                else:
+                    plan = _search_plan(masks, order, bucket_key)
+                    if any(_maps_onto(plan, rep) for rep in bucket):
+                        continue
+                bucket.append(_relabel(masks, order))
+                reps.append(tuple(masks))
     _GRAPH_CACHE[n] = reps
     return reps
 

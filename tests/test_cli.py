@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from lplab import cli as cli_module
 from lplab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, cli, load_graph
 from lplab.errors import FormatError
 from lplab.graphs import encode_graph6
@@ -84,6 +85,42 @@ class TestAnalyze:
         assert '"member_indices": [24, 25, 26, 27, 29, 31, 32, 33, 37]' in out
 
 
+def _no_enumeration(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerated before the arguments were checked")
+
+    monkeypatch.setattr(cli_module, "enumerate_longest_paths", fail)
+
+
+class TestBadArguments:
+    # a k or subset cap that gives no answer or a partial one is refused
+    # before any enumeration and before anything reaches stdout
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "C~", "--k", "0"], "k must be >= 2, got 0"),
+            (["analyze", "C~", "--k", "1"], "k must be >= 2, got 1"),
+            (["analyze", "C~", "--subset-cap", "0"], "subset_cap must be >= 1, got 0"),
+            (["verify", "C~", "--k", "0"], "k must be >= 3, got 0"),
+            (["verify", "C~", "--k", "1"], "k must be >= 3, got 1"),
+            (["verify", "C~", "--k", "2"], "k must be >= 3, got 2"),
+            (["verify", "C~", "--subset-cap", "0"], "subset_cap must be >= 1, got 0"),
+        ],
+    )
+    def test_rejected(self, argv, message, capsys, monkeypatch):
+        _no_enumeration(monkeypatch)
+        assert cli(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_verify_k_wording_matches_bounds(self, capsys):
+        assert cli(["bounds", "--k", "2", "--n", "5"]) == EXIT_USAGE
+        bounds_err = capsys.readouterr().err
+        assert cli(["verify", "C~", "--k", "2"]) == EXIT_USAGE
+        assert capsys.readouterr().err == bounds_err
+
+
 class TestVerify:
     def test_star_reports(self, capsys):
         assert cli(["verify", "Cs"]) == EXIT_OK
@@ -115,6 +152,16 @@ class TestSearch:
         assert report["conjecture"]["status"] == "no-violation"
         assert report["failures"] == []
         assert "wall_time" not in report
+
+    def test_generation_line(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli(["search", "--gen-n", "5", "--out", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert re.fullmatch(
+            r"lplab: generated 21 connected graphs on 5 vertices in \d+\.\d\ds", lines[0]
+        )
+        assert lines[1].startswith("lplab: scanned 21 graphs")
 
     def test_file_input(self, capsys, tmp_path, corpus_by_n):
         path = tmp_path / "corpus.g6"

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import random
+
+import networkx as nx
 
 import pytest
 
@@ -23,13 +27,85 @@ from oracles import canonical_code, conjecture_oracle, labeled_scan_canonical_co
 H_LEAST_VIOLATION = [24, 25, 26, 27, 29, 31, 32, 33, 37]
 
 
-KNOWN_TOTAL = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-KNOWN_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+KNOWN_TOTAL = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+KNOWN_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+# sha256 of the graph6 lines ("<graph6>\n" each) of generate_graphs(n): the
+# exact labelled representatives, which key the golden reports and the
+# benchmark reference
+GENERATOR_SHA256 = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
+    3: "aefbaa12a956ed1f415fa897c455185134275a89a57ce1ef7d38f771c0d9129e",
+    4: "c98e9d5ed38843ff55effb40b3ccc33e348027626268109e4811b64f4d7455ff",
+    5: "56286371a37b47e30f9d07d82c51cea8a926ca75bafb69a7c899fa01587e8502",
+    6: "0d7169693ecae6cb03922ecd075c3d36acedb22f69a3a3ca18e828602f99fdc8",
+    7: "7a3723d2e7557cd2b564c1e75d21c49ceacecc45ec76f6c514be3c4722e54005",
+    8: "9f1ce8b573409d30f489861409e63f6922c06f829560cb4fec0fa64beb71eb13",
+}
+
+
+def _random_graph_masks(rng: random.Random, n: int) -> list[int]:
+    masks = [0] * n
+    p = rng.uniform(0.2, 0.8)
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return masks
+
+
+def _relabelled(rng: random.Random, masks: list[int]) -> list[int]:
+    perm = list(range(len(masks)))
+    rng.shuffle(perm)
+    out = [0] * len(masks)
+    for u, m in enumerate(masks):
+        for v in range(len(masks)):
+            if m >> v & 1:
+                out[perm[u]] |= 1 << perm[v]
+    return out
+
+
+def _double_edge_swaps(rng: random.Random, masks: list[int], swaps: int) -> list[int]:
+    """Replace edges ab, cd by ac, bd, where possible: same degree sequence."""
+    out = list(masks)
+    n = len(out)
+    for _ in range(20 * swaps):
+        edges = [(u, v) for u in range(n) for v in range(n) if out[u] >> v & 1]
+        if swaps == 0 or len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) == 4 and not out[a] >> c & 1 and not out[b] >> d & 1:
+            out[a] ^= (1 << b) | (1 << c)
+            out[b] ^= (1 << a) | (1 << d)
+            out[c] ^= (1 << d) | (1 << a)
+            out[d] ^= (1 << c) | (1 << b)
+            swaps -= 1
+    return out
+
+
+def _isomorphic(masks1, masks2) -> bool:
+    """The generator's test: equal sorted vertex keys, then the bitmask search
+    from the first graph onto the second relabelled in key order."""
+    keys1, keys2 = harness._vertex_keys(masks1), harness._vertex_keys(masks2)
+    order1, order2 = harness._key_order(keys1), harness._key_order(keys2)
+    sorted_keys = [keys1[v] for v in order1]
+    if sorted_keys != [keys2[v] for v in order2]:
+        return False
+    plan = harness._search_plan(masks1, order1, sorted_keys)
+    return harness._maps_onto(plan, harness._relabel(masks2, order2))
+
+
+def _nx_graph(masks: list[int]) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(range(len(masks)))
+    g.add_edges_from((u, v) for u, m in enumerate(masks) for v in range(u) if m >> v & 1)
+    return g
 
 
 class TestGenerator:
     def test_counts(self):
-        for n in range(1, 8):
+        for n in KNOWN_TOTAL:
             assert len(generate_graphs(n)) == KNOWN_TOTAL[n]
             assert len(generate_connected_graphs(n)) == KNOWN_CONNECTED[n]
 
@@ -48,9 +124,68 @@ class TestGenerator:
     def test_matches_labeled_scan_oracle(self):
         # an independent full scan of labeled graphs yields the same set of
         # isomorphism classes for each small order
-        for n in range(1, 6):
+        for n in range(1, 7):
             ours = {canonical_code(g) for g in generate_graphs(n)}
             assert ours == labeled_scan_canonical_codes(n)
+
+    @pytest.mark.parametrize("n", sorted(GENERATOR_SHA256))
+    def test_same_representatives(self, n):
+        lines = "".join(encode_graph6(g) + "\n" for g in generate_graphs(n))
+        assert hashlib.sha256(lines.encode()).hexdigest() == GENERATOR_SHA256[n]
+
+    def test_extension_keys_and_twin_pruning(self):
+        # the per-vertex keys updated in O(1) equal the keys computed directly,
+        # and exactly the twin-dominated subsets are skipped
+        for base in harness._all_graph_masks(5):
+            m = len(base)
+            twins = [
+                (u, w) for u, w in itertools.combinations(range(m), 2)
+                if base[u] & ~(1 << w) == base[w] & ~(1 << u)
+            ]
+            expected = [
+                s for s in range(1 << m)
+                if not any(s >> w & 1 and not s >> u & 1 for u, w in twins)
+            ]
+            seen = []
+            for masks, keys in harness._extensions(base):
+                assert masks[:m] == [b | (1 << m) if masks[m] >> v & 1 else b
+                                     for v, b in enumerate(base)]
+                assert keys == harness._vertex_keys(masks)
+                seen.append(masks[m])
+            assert seen == expected
+
+    def test_isomorphic_matches_networkx(self):
+        # positives are random relabellings; the others are one to three
+        # double-edge swaps, which keep the degree sequence
+        rng = random.Random(1998)
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            g1 = _random_graph_masks(rng, n)
+            g2 = _relabelled(rng, g1)
+            if rng.random() < 0.75:
+                g2 = _double_edge_swaps(rng, g2, rng.randint(1, 3))
+            expected = nx.is_isomorphic(_nx_graph(g1), _nx_graph(g2))
+            assert _isomorphic(g1, g2) == expected
+            outcomes[expected] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_isomorphic_on_colliding_keys(self):
+        # n = 8 classes whose sorted vertex keys collide: only the search can
+        # tell them apart
+        rng = random.Random(8)
+        groups: dict[tuple, list] = {}
+        for masks in harness._all_graph_masks(8):
+            groups.setdefault(tuple(sorted(harness._vertex_keys(masks))), []).append(masks)
+        colliding = [g for g in groups.values() if len(g) > 1]
+        assert len(colliding) == 86
+        for group in colliding:
+            for g1, g2 in itertools.combinations(group, 2):
+                g2 = _relabelled(rng, list(g2))
+                assert not nx.is_isomorphic(_nx_graph(list(g1)), _nx_graph(g2))
+                assert not _isomorphic(g1, g2)
+            for g1 in group:
+                assert _isomorphic(g1, _relabelled(rng, list(g1)))
 
 
 class TestIterKsubsets:
