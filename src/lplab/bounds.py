@@ -1,7 +1,9 @@
 """Exact-rational bound formulas, instance-level lemma/theorem checks, and
 replay of the proof surgery (paths R, S1, S2, S3 and the (*) / (**) totals).
 
-All comparisons use fractions.Fraction; no floating point touches a verdict.
+Verdicts are exact; no floating point touches one.  The Lemma 3 / Corollary 1
+checker compares integers and builds Fractions only for its report fields;
+the other checks compare fractions.Fraction values.
 """
 
 from __future__ import annotations
@@ -219,51 +221,53 @@ def _check_good_path_bounds(
     ps: PathSystem, c: Fraction, id_i: str, id_ii: str
 ) -> list[CheckReport]:
     """(i) f <= c(|V(Q)| - 1) for every good Q on every host, and
-    (ii) |X^1 u ... u X^{k-2}| >= t'(f/c - 1) for every host."""
+    (ii) |X^1 u ... u X^{k-2}| >= t'(f/c - 1) for every host.
+
+    With c = cn/cd and cn > 0 both verdicts compare integers: (i) is
+    f*cd <= cn*m with m = |V(Q)| - 1, and (ii) is gap >= 0 with
+    gap = |X|*cn - t'(f*cd - cn), which is cn times lhs - rhs.  Fractions are
+    built only for the report fields.
+    """
     k = ps.k
     inst = instance_id(ps)
     f, _ = ps.path_distance
-    ff = Fraction(f)
+    cn, cd = c.numerator, c.denominator
+    fcd = f * cd
     goods_by_host = ps.good_paths
 
-    rep_i: Optional[CheckReport] = None
     if not any(goods_by_host):
         rep_i = CheckReport(id_i, inst, "vacuous")
     else:
-        min_rhs: Optional[Fraction] = None
-        for h, goods in enumerate(goods_by_host):
-            for q in goods:
-                rhs = (q.n_vertices - 1) * c
-                if min_rhs is None or rhs < min_rhs:
-                    min_rhs = rhs
-                if ff > rhs:
-                    rep_i = CheckReport(
-                        id_i, inst, "fail", ff, rhs,
-                        witness={"host": h, "subpath": [q.start, q.end]},
-                    )
-                    break
-            if rep_i is not None:
-                break
-        if rep_i is None:
-            rep_i = CheckReport(id_i, inst, "pass", ff, min_rhs)
-
-    rep_ii: Optional[CheckReport] = None
-    worst: Optional[tuple[Fraction, Fraction]] = None
-    for h in range(k):
-        union = frozenset().union(*ps.profile.x_sets[h][: k - 2])
-        lhs = Fraction(len(union))
-        tp = ps.t_primes[h]
-        rhs = tp * (ff / c - 1)
-        if worst is None or lhs - rhs < worst[0] - worst[1]:
-            worst = (lhs, rhs)
-        if lhs < rhs:
-            rep_ii = CheckReport(
-                id_ii, inst, "fail", lhs, rhs,
-                witness={"host": h, "t_prime": tp, "f": f},
+        min_m = min(q.n_vertices for goods in goods_by_host for q in goods) - 1
+        if fcd <= cn * min_m:
+            rep_i = CheckReport(id_i, inst, "pass", Fraction(f), min_m * c)
+        else:
+            # the first failing Q in host order, then subpath order
+            h, q = next(
+                (h, q)
+                for h, goods in enumerate(goods_by_host)
+                for q in goods
+                if fcd > cn * (q.n_vertices - 1)
             )
-            break
-    if rep_ii is None:
-        rep_ii = CheckReport(id_ii, inst, "pass", *worst)
+            rep_i = CheckReport(
+                id_i, inst, "fail", Fraction(f), (q.n_vertices - 1) * c,
+                witness={"host": h, "subpath": [q.start, q.end]},
+            )
+
+    sizes = [len(frozenset().union(*xs[: k - 2])) for xs in ps.profile.x_sets]
+    tps = ps.t_primes
+    gaps = [size * cn - tp * (fcd - cn) for size, tp in zip(sizes, tps)]
+    # a failure names the first failing host; a pass, the first with least gap
+    h_fail = next((h for h in range(k) if gaps[h] < 0), None)
+    h = min(range(k), key=gaps.__getitem__) if h_fail is None else h_fail
+    lhs, rhs = Fraction(sizes[h]), Fraction(tps[h] * (fcd - cn), cn)
+    if h_fail is None:
+        rep_ii = CheckReport(id_ii, inst, "pass", lhs, rhs)
+    else:
+        rep_ii = CheckReport(
+            id_ii, inst, "fail", lhs, rhs,
+            witness={"host": h, "t_prime": tps[h], "f": f},
+        )
     return [rep_i, rep_ii]
 
 

@@ -143,6 +143,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_FINDING if failed else EXIT_OK
 
 
+def _jobs_from_env() -> int:
+    """Worker count from LPLAB_JOBS, 1 when it is unset."""
+    raw = os.environ.get("LPLAB_JOBS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"LPLAB_JOBS must be an integer, got {raw!r}") from None
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     config = ScanConfig(
         k=args.k,
@@ -151,7 +160,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         lemma_subset_cap=args.lemma_subset_cap,
         seed=args.seed,
         checks=tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS,
-        jobs=args.jobs,
+        jobs=_jobs_from_env() if args.jobs is None else args.jobs,
         strict=args.strict,
     )
     if args.file:
@@ -172,7 +181,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         f"({report.graphs_skipped_disconnected} disconnected skipped), "
         f"conjecture: {report.conjecture_status}, "
         f"max f = {report.max_f}, max ratio = {frac_str(report.max_ratio)}, "
-        f"{len(report.failures)} failures, {report.wall_time:.2f}s",
+        f"{len(report.failures)} failures, "
+        f"{report.lemma_systems} lemma systems checked, {report.wall_time:.2f}s",
         file=sys.stderr,
     )
     return EXIT_FINDING if report.has_findings else EXIT_OK
@@ -244,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gen-n", type=int, default=None, help="built-in connected corpus on N vertices")
     p.add_argument("--checks", default=None)
     p.add_argument("--lemma-subset-cap", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=int(os.environ.get("LPLAB_JOBS", "1")))
+    p.add_argument(
+        "--jobs", type=int, default=None, help="worker processes (default: $LPLAB_JOBS, else 1)"
+    )
     p.add_argument("--strict", action="store_true")
     common(p)
     p.set_defaults(func=cmd_search)

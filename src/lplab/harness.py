@@ -415,6 +415,7 @@ class ScanConfig:
             ("subset_cap", self.subset_cap),
             ("conjecture_subset_cap", self.conjecture_subset_cap),
             ("lemma_subset_cap", self.lemma_subset_cap),
+            ("jobs", self.jobs),
         ):
             if val < 1:
                 raise UsageError(f"{name} must be >= 1, got {val}")
@@ -448,7 +449,9 @@ class SearchReport:
     extremal_witness: Optional[dict] = None
     failures: list = field(default_factory=list)
     halted: bool = False
-    wall_time: Optional[float] = None  # reported on stderr only, never in JSON
+    # reported on stderr only, never in JSON
+    lemma_systems: int = 0  # path systems run through the lemma checks
+    wall_time: Optional[float] = None
 
     def to_json(self) -> dict:
         return {
@@ -501,6 +504,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Optional[Graph] = None) -> di
         "tallies": {},
         "failures": [],
         "max_f": 0,
+        "lemma_systems": 0,
     }
     if not record["connected"]:
         return record
@@ -566,7 +570,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Optional[Graph] = None) -> di
                 if f > record["max_f"]:
                     record["max_f"] = f
                     record["max_f_subset"] = list(subset)
-                if Fraction(f) <= bound:
+                if f * bound.denominator <= bound.numerator:
                     slot["pass"] += 1
                 else:
                     slot["fail"] += 1
@@ -593,6 +597,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Optional[Graph] = None) -> di
                 ps = certified_system(
                     g, [lps.paths[idx] for idx in subset], lps.length
                 )
+                record["lemma_systems"] += 1
                 for rep in run_checks(ps, lemma_checks):
                     _tally(tallies, rep)
                     if rep.status == "fail":
@@ -606,6 +611,7 @@ def _merge_records(report: SearchReport, records: Iterable[dict]) -> SearchRepor
             report.graphs_skipped_disconnected += 1
             continue
         report.graphs_scanned += 1
+        report.lemma_systems += rec["lemma_systems"]
         for check_id, slot in rec["tallies"].items():
             agg = report.tallies.setdefault(
                 check_id, {"pass": 0, "fail": 0, "vacuous": 0}

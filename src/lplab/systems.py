@@ -3,7 +3,9 @@
 Covers the path-distance-function f, common vertices, per-host multiplicity
 classes X^i with the global counts n_i, good subpaths, and the count t'.
 A PathSystem computes each of these at most once, on first use, so every
-check run on the same system reads the same facts.
+check run on the same system reads the same facts.  The good-subpath scan
+keeps sets of members as bit masks and leaves a start position as soon as no
+member can begin a witnessing pair.
 """
 
 from __future__ import annotations
@@ -199,48 +201,61 @@ def enumerate_good_paths(ps: PathSystem, host_index: int) -> list[GoodPath]:
     pair (i, j) of other members when u lies on path i, v lies on path j,
     no int-vertex of Q lies on path i or j, and V(Q) meets every member
     other than the host.  Single-vertex subpaths are admitted.
+
+    Subpaths come by start a, then end b, ascending, with pairs in member
+    order.  For each a, member sets kept as bit masks are updated by the one
+    vertex each step adds.  The interior only grows with b, so once no member
+    can start a pair no later b gives one, and the scan goes to the next a:
+    it skips only ends that give no subpath, which keeps the order.
     """
     _check_host(ps, host_index)
+    seq = ps.paths[host_index].vertices
+    # sets of members as bit masks: bit i of on[v] is set iff member i, not
+    # the host, holds v
+    on = [0] * ps.graph.n
+    for i, p in enumerate(ps.paths):
+        if i != host_index:
+            for v in p.vertices:
+                on[v] |= 1 << i
     k = ps.k
-    host = ps.paths[host_index]
-    seq = host.vertices
-    others = [i for i in range(k) if i != host_index]
-    omask = {i: ps.paths[i].mask for i in others}
-    # prefix[i] = OR of bits of seq[:i]; vertex sets of intervals via XOR
-    prefix = [0]
-    acc = 0
-    for v in seq:
-        acc |= 1 << v
-        prefix.append(acc)
+    others = ((1 << k) - 1) ^ (1 << host_index)
+    pairs_of: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     goods = []
-    L = len(seq)
-    for a in range(L):
-        for b in range(a, L):
-            qmask = prefix[b + 1] ^ prefix[a]
-            if any(not qmask & omask[m] for m in others):
+    for a, u in enumerate(seq):
+        starts = on[u]  # members that hold u and miss the interior seq[a+1..b-1]
+        clear = others  # members that miss the interior
+        unmet = others  # members that miss seq[a..b]
+        for b in range(a, len(seq)):
+            if b - a >= 2:
+                hit = on[seq[b - 1]]
+                starts &= ~hit
+                clear &= ~hit
+            if not starts:
+                break
+            at_v = on[seq[b]]
+            unmet &= ~at_v
+            if unmet:
                 continue
-            imask = (prefix[b] ^ prefix[a + 1]) if b - a >= 2 else 0
-            ubit = 1 << seq[a]
-            vbit = 1 << seq[b]
-            pairs = []
-            for i in others:
-                if not omask[i] & ubit or omask[i] & imask:
-                    continue
-                for j in others:
-                    if j == i:
-                        continue
-                    if omask[j] & vbit and not omask[j] & imask:
-                        pairs.append((i, j))
-            if pairs:
-                goods.append(
-                    GoodPath(
-                        host_index=host_index,
-                        start=a,
-                        end=b,
-                        witness_pairs=tuple(pairs),
-                        n_vertices=b - a + 1,
-                    )
+            ends = clear & at_v
+            pairs = pairs_of.get((starts, ends))
+            if pairs is None:
+                pairs = pairs_of[starts, ends] = tuple(
+                    (i, j)
+                    for i in range(k) if starts >> i & 1
+                    for j in range(k) if ends >> j & 1 and j != i
                 )
+            if pairs:
+                # skips the frozen dataclass __init__, which costs about
+                # three times as much per object
+                q = object.__new__(GoodPath)
+                q.__dict__.update(
+                    host_index=host_index,
+                    start=a,
+                    end=b,
+                    witness_pairs=pairs,
+                    n_vertices=b - a + 1,
+                )
+                goods.append(q)
     return goods
 
 

@@ -1,19 +1,24 @@
-"""Independent brute-force oracles used only by the tests.
+"""Independent oracles used only by the tests.
 
 Each oracle deliberately uses a different algorithm (or a different library)
-than the code path it cross-checks.
+than the code path it cross-checks: brute force, or the simpler code that a
+faster runtime path replaced (good_paths_oracle, good_path_bounds_oracle).
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from typing import Optional
 
 import networkx as nx
 import numpy as np
 
+from lplab.bounds import CheckReport, instance_id
 from lplab.errors import UsageError
 from lplab.graphs import GRAPH6_SMALL_MAX, Graph, DistanceVector, encode_graph6, is_connected
 from lplab.longest import LongestPathSet, Path, canonical_sequence
+from lplab.systems import GoodPath, PathSystem
 
 ORACLE_MAX_N = 10
 
@@ -178,3 +183,103 @@ def conjecture_oracle(g: Graph, k: int, lps: LongestPathSet) -> tuple[str, dict 
                 "minimizers": [v for v in range(g.n) if sums[v] == f],
             }
     return ("incomplete" if lps.truncated else "no-violation"), None
+
+
+def good_paths_oracle(ps: PathSystem, host_index: int) -> list[GoodPath]:
+    """Good subpaths of the host by testing every interval (a, b) in full.
+
+    The quadratic scan that enumerate_good_paths replaced: no early exit, the
+    meet test and both endpoint tests recomputed from interval masks.
+    """
+    k = ps.k
+    seq = ps.paths[host_index].vertices
+    others = [i for i in range(k) if i != host_index]
+    omask = {i: ps.paths[i].mask for i in others}
+    # prefix[i] = OR of bits of seq[:i]; vertex sets of intervals via XOR
+    prefix = [0]
+    acc = 0
+    for v in seq:
+        acc |= 1 << v
+        prefix.append(acc)
+    goods = []
+    L = len(seq)
+    for a in range(L):
+        for b in range(a, L):
+            qmask = prefix[b + 1] ^ prefix[a]
+            if any(not qmask & omask[m] for m in others):
+                continue
+            imask = (prefix[b] ^ prefix[a + 1]) if b - a >= 2 else 0
+            ubit = 1 << seq[a]
+            vbit = 1 << seq[b]
+            pairs = []
+            for i in others:
+                if not omask[i] & ubit or omask[i] & imask:
+                    continue
+                for j in others:
+                    if j == i:
+                        continue
+                    if omask[j] & vbit and not omask[j] & imask:
+                        pairs.append((i, j))
+            if pairs:
+                goods.append(
+                    GoodPath(
+                        host_index=host_index,
+                        start=a,
+                        end=b,
+                        witness_pairs=tuple(pairs),
+                        n_vertices=b - a + 1,
+                    )
+                )
+    return goods
+
+
+def good_path_bounds_oracle(
+    ps: PathSystem, c: Fraction, id_i: str, id_ii: str
+) -> list[CheckReport]:
+    """The Lemma 3 / Corollary 1 parts (i) and (ii) with every quantity a
+    Fraction, compared as Fractions, in one loop per part."""
+    k = ps.k
+    inst = instance_id(ps)
+    f, _ = ps.path_distance
+    ff = Fraction(f)
+    goods_by_host = ps.good_paths
+
+    rep_i: Optional[CheckReport] = None
+    if not any(goods_by_host):
+        rep_i = CheckReport(id_i, inst, "vacuous")
+    else:
+        min_rhs: Optional[Fraction] = None
+        for h, goods in enumerate(goods_by_host):
+            for q in goods:
+                rhs = (q.n_vertices - 1) * c
+                if min_rhs is None or rhs < min_rhs:
+                    min_rhs = rhs
+                if ff > rhs:
+                    rep_i = CheckReport(
+                        id_i, inst, "fail", ff, rhs,
+                        witness={"host": h, "subpath": [q.start, q.end]},
+                    )
+                    break
+            if rep_i is not None:
+                break
+        if rep_i is None:
+            rep_i = CheckReport(id_i, inst, "pass", ff, min_rhs)
+
+    rep_ii: Optional[CheckReport] = None
+    worst: Optional[tuple[Fraction, Fraction]] = None
+    for h in range(k):
+        union = frozenset().union(*ps.profile.x_sets[h][: k - 2])
+        lhs = Fraction(len(union))
+        tp = ps.t_primes[h]
+        rhs = tp * (ff / c - 1)
+        if worst is None or lhs - rhs < worst[0] - worst[1]:
+            worst = (lhs, rhs)
+        if lhs < rhs:
+            rep_ii = CheckReport(
+                id_ii, inst, "fail", lhs, rhs,
+                witness={"host": h, "t_prime": tp, "f": f},
+            )
+            break
+    if rep_ii is None:
+        rep_ii = CheckReport(id_ii, inst, "pass", *worst)
+    return [rep_i, rep_ii]

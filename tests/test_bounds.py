@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,12 +28,13 @@ from lplab.bounds import (
     theorem_bound,
     theorem_bound_parts,
 )
-from lplab import systems
+from lplab import bounds, systems
 from lplab.errors import UsageError
 from lplab.graphs import Graph
 from lplab.longest import enumerate_longest_paths, is_path
 from lplab.systems import certified_system, make_path_system
 from conftest import H_GRAPH6, H_SYSTEM
+from oracles import good_path_bounds_oracle, good_paths_oracle
 
 
 @pytest.fixture
@@ -227,6 +230,77 @@ class TestSharedFacts:
         assert len(reports) == 8
         assert all(r.instance["graph6"] == H_GRAPH6 for r in reports)
         assert calls == 1
+
+
+def _random_connected(rng: random.Random, n: int) -> Graph:
+    """A random spanning tree on n vertices plus random extra edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    p = rng.uniform(0.05, 0.4)
+    edges |= {e for e in itertools.combinations(range(n), 2) if rng.random() < p}
+    return Graph.from_edges(n, sorted(edges))
+
+
+# f values stored over the computed one (None keeps it), so that systems of
+# small graphs reach the f > 0 verdicts, passing and failing
+FORCED_F = (None, 0, 1, 2, 3, 5, 9)
+
+
+def _forced_systems(seed: int, count: int):
+    """(graph, members, ell, forced f) of count random certified systems:
+    n = 4..14, k = 3..6, up to five systems per graph."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        g = _random_connected(rng, rng.randint(4, 14))
+        lps = enumerate_longest_paths(g, cap=30)
+        for _ in range(5):
+            k = rng.randint(3, 6)
+            if len(lps.paths) < k or made == count:
+                continue
+            picked = sorted(rng.sample(range(len(lps.paths)), k))
+            yield g, [lps.paths[i] for i in picked], lps.length, rng.choice(FORCED_F)
+            made += 1
+
+
+class TestAgainstOracles:
+    """The good-subpath scan and the integer Lemma 3 / Corollary 1 checker
+    against the quadratic scan and the Fraction checker they replaced."""
+
+    @staticmethod
+    def _system(g, members, ell, forced):
+        ps = certified_system(g, members, ell)
+        if forced is not None:
+            ps.__dict__["path_distance"] = (forced, ps.path_distance[1])
+        return ps
+
+    @staticmethod
+    def _suite(ps) -> tuple[str, list]:
+        reports = run_checks(ps, DEFAULT_CHECKS)
+        trace, surgery = surgery_trace(ps)
+        payload = {
+            "reports": [r.to_json() for r in reports + [surgery]],
+            "surgery_trace": trace.to_json() if trace else None,
+        }
+        return json.dumps(payload, sort_keys=True), reports
+
+    def test_random_forced_systems(self, monkeypatch):
+        verdicts = collections.Counter()
+        for g, members, ell, forced in _forced_systems(2024, 1500):
+            ps = self._system(g, members, ell, forced)
+            ref = self._system(g, members, ell, forced)
+            ref.__dict__["good_paths"] = tuple(
+                tuple(good_paths_oracle(ref, h)) for h in range(ref.k)
+            )
+            assert ps.good_paths == ref.good_paths
+            got, reports = self._suite(ps)
+            with monkeypatch.context() as m:
+                m.setattr(bounds, "_check_good_path_bounds", good_path_bounds_oracle)
+                want, _ = self._suite(ref)
+            assert got == want
+            verdicts.update((r.check_id, r.status) for r in reports)
+        for check_id in ("lemma3i", "lemma3ii", "cor1i", "cor1ii"):
+            for status in ("pass", "fail"):
+                assert verdicts[check_id, status] >= 30, (check_id, status, verdicts)
 
 
 class TestSurgery:

@@ -114,6 +114,36 @@ class TestBadArguments:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "jobs_flag, env, message",
+        [
+            (["--jobs", "0"], None, "jobs must be >= 1, got 0"),
+            (["--jobs", "-3"], None, "jobs must be >= 1, got -3"),
+            ([], "abc", "LPLAB_JOBS must be an integer, got 'abc'"),
+        ],
+    )
+    def test_search_jobs_rejected(self, jobs_flag, env, message, capsys, monkeypatch):
+        # refused before the corpus is generated, never run on one worker
+        def fail(*args, **kwargs):
+            raise AssertionError("generated a corpus before the arguments were checked")
+
+        monkeypatch.setattr(cli_module, "generate_connected_graphs", fail)
+        if env is None:
+            monkeypatch.delenv("LPLAB_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("LPLAB_JOBS", env)
+        assert cli(["search", "--gen-n", "4", *jobs_flag]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lplab: error: {message}\n"
+
+    def test_jobs_env_read_only_by_search_without_flag(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("LPLAB_JOBS", "abc")
+        assert cli(["bounds", "--n", "5"]) == EXIT_OK
+        out = tmp_path / "report.json"
+        assert cli(["search", "--gen-n", "4", "--jobs", "1", "--out", str(out)]) == EXIT_OK
+        assert "scanned 6 graphs" in capsys.readouterr().err
+
     def test_verify_k_wording_matches_bounds(self, capsys):
         assert cli(["bounds", "--k", "2", "--n", "5"]) == EXIT_USAGE
         bounds_err = capsys.readouterr().err
@@ -162,6 +192,7 @@ class TestSearch:
             r"lplab: generated 21 connected graphs on 5 vertices in \d+\.\d\ds", lines[0]
         )
         assert lines[1].startswith("lplab: scanned 21 graphs")
+        assert re.search(r", 132 lemma systems checked, \d+\.\d\ds$", lines[1])
 
     def test_file_input(self, capsys, tmp_path, corpus_by_n):
         path = tmp_path / "corpus.g6"

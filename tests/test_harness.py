@@ -310,6 +310,8 @@ class TestScanConfig:
             {"subset_cap": 0},
             {"lemma_subset_cap": 0},
             {"checks": ("lemma1", "bogus")},
+            {"jobs": 0},
+            {"jobs": -3},
         ],
     )
     def test_validation(self, kwargs):
@@ -378,6 +380,19 @@ class TestScanStream:
         seq = json.dumps(scan_stream(corpus_by_n[6], cfg1).to_json(), sort_keys=True)
         par = json.dumps(scan_stream(corpus_by_n[6], cfg2).to_json(), sort_keys=True)
         assert seq == par
+
+    def test_lemma_systems_counted(self, corpus_by_n):
+        # the count is summed from the records, so it cannot depend on the
+        # worker count, and it stays out of the report JSON
+        reports = [
+            scan_stream(corpus_by_n[5], ScanConfig(k=3, jobs=jobs)) for jobs in (1, 2)
+        ]
+        assert [r.lemma_systems for r in reports] == [132, 132]
+        blobs = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
+        assert blobs[0] == blobs[1]
+        assert "lemma_systems" not in blobs[0]
+        theorem_only = scan_stream(corpus_by_n[5], ScanConfig(k=3, checks=("theorem",)))
+        assert theorem_only.lemma_systems == 0
 
     def test_k4_runs_corollary(self, corpus_by_n):
         report = scan_stream(corpus_by_n[5], ScanConfig(k=4, lemma_subset_cap=3))
