@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -19,7 +20,7 @@ from .bounds import (
     theorem_bound_parts,
 )
 from .construct import build_gt
-from .errors import FormatError, LplabError, UsageError
+from .errors import LplabError, UsageError
 from .graphs import Graph, parse_edge_list, parse_graph6
 from .harness import (
     ScanConfig,
@@ -103,13 +104,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_FINDING
     if len(lps.paths) >= k:
         max_f = 0
-        subsets, checked, _ = iter_ksubsets(
-            len(lps.paths), k, args.subset_cap, args.seed, f"analyze:{k}"
-        )
-        for subset in subsets:
-            ps = certified_system(g, [lps.paths[i] for i in subset], lps.length)
-            f, _ = path_distance_value(ps)
-            max_f = max(max_f, f)
+        if verdict.status == "no-violation":
+            # every k longest paths share a vertex, so f = 0 on every k-subset
+            checked = min(math.comb(len(lps.paths), k), args.subset_cap)
+        else:
+            subsets, checked, _ = iter_ksubsets(
+                len(lps.paths), k, args.subset_cap, args.seed, f"analyze:{k}"
+            )
+            for subset in subsets:
+                ps = certified_system(g, [lps.paths[i] for i in subset], lps.length)
+                f, _ = path_distance_value(ps)
+                max_f = max(max_f, f)
         print(f"max f over {checked} {k}-subsets: {max_f}")
     return EXIT_OK
 
@@ -230,12 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, k_default: Optional[int] = 3) -> None:
-        p.add_argument("--k", type=int, default=k_default)
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--k", type=int, default=3)
         p.add_argument("--path-cap", type=int, default=100_000)
         p.add_argument("--subset-cap", type=int, default=10_000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
 
     p = sub.add_parser("analyze", help="summarize longest paths and f of one graph")
     p.add_argument("graph")
@@ -245,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run lemma/theorem checkers on one graph")
     p.add_argument("graph")
     p.add_argument("--checks", default=None, help="comma list: " + ",".join(DEFAULT_CHECKS))
+    p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -258,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, help="worker processes (default: $LPLAB_JOBS, else 1)"
     )
     p.add_argument("--strict", action="store_true")
+    p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=cmd_search)
 
@@ -282,10 +288,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, FormatError, json.JSONDecodeError, OSError) as exc:
-        print(f"lplab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except LplabError as exc:
+    except (LplabError, json.JSONDecodeError, OSError) as exc:
         print(f"lplab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,14 +1,13 @@
 """Immutable undirected simple graphs, hop distances, and graph6/sparse6 I/O.
 
-Vertices are dense 0-based integers.  Adjacency is kept twice: as sorted
-neighbor lists (for ordered traversal) and as per-vertex bit-vectors (for
-fast set algebra in the scanners).
+Vertices are dense 0-based integers.  A graph is its per-vertex neighbour
+bit masks: bit v of nbr_masks[u] is set iff uv is an edge.  Edges, degrees
+and distances are all read from the masks.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import FormatError, UsageError
@@ -24,8 +23,7 @@ class Graph:
     """Undirected simple graph on vertices 0..n-1."""
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
-    nbr_masks: tuple[int, ...] = field(repr=False)
+    nbr_masks: tuple[int, ...]
     m: int
 
     @staticmethod
@@ -45,17 +43,16 @@ class Graph:
             seen.add(key)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        adj = tuple(tuple(_bits(mask)) for mask in masks)
-        return Graph(n=n, adj=adj, nbr_masks=tuple(masks), m=len(seen))
+        return Graph(n=n, nbr_masks=tuple(masks), m=len(seen))
 
     def edges(self) -> Iterator[tuple[int, int]]:
+        """Each edge once as (u, v) with u < v, by u then v ascending."""
         for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+            for v in _bits(self.nbr_masks[u] >> (u + 1)):
+                yield (u, u + 1 + v)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.nbr_masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.nbr_masks[u] >> v & 1)
@@ -243,24 +240,32 @@ def encode_graph6(g: Graph) -> str:
 
 def bfs_distances(g: Graph, sources: Iterable[int]) -> DistanceVector:
     """Multi-source BFS: entry v is min over s in sources of d_G(v, s)."""
-    src = list(sources)
-    if not src:
-        raise UsageError("source set must be nonempty")
     dist: list[Optional[int]] = [None] * g.n
-    queue: deque[int] = deque()
-    for s in src:
+    masks = g.nbr_masks
+    seen = reach = 0
+    for s in sources:
         if not 0 <= s < g.n:
             raise UsageError(f"source vertex {s} out of range")
-        if dist[s] is None:
-            dist[s] = 0
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        du = dist[u]  # set before u was queued
-        for w in g.adj[u]:
-            if dist[w] is None:
-                dist[w] = du + 1  # type: ignore[operator]
-                queue.append(w)
+        dist[s] = 0
+        seen |= 1 << s
+        reach |= masks[s]
+    if not seen:
+        raise UsageError("source set must be nonempty")
+    # layer by layer: reach is the union of the last layer's neighbour
+    # masks, and its unseen part is the next layer
+    d = 1
+    frontier = reach & ~seen
+    while frontier:
+        seen |= frontier
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            v = low.bit_length() - 1
+            dist[v] = d
+            reach |= masks[v]
+            frontier ^= low
+        frontier = reach & ~seen
+        d += 1
     return dist
 
 

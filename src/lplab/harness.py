@@ -264,15 +264,8 @@ def _all_graph_masks(n: int) -> list[tuple[int, ...]]:
 
 
 def _graph_from_masks(masks: Sequence[int]) -> Graph:
-    n = len(masks)
-    edges = []
-    for u in range(n):
-        m = masks[u] >> (u + 1)
-        while m:
-            low = m & -m
-            edges.append((u, u + 1 + low.bit_length() - 1))
-            m ^= low
-    return Graph.from_edges(n, edges)
+    # no from_edges checks: generated masks are symmetric and loop-free
+    return Graph(len(masks), tuple(masks), sum(m.bit_count() for m in masks) // 2)
 
 
 def generate_graphs(n: int) -> list[Graph]:
@@ -488,15 +481,11 @@ def _tally(tallies: dict, report: CheckReport) -> None:
     slot[report.status] += 1
 
 
-def scan_one_graph(g6: str, config: ScanConfig, g: Optional[Graph] = None) -> dict:
-    """Analyze a single graph; the record merges associatively across graphs.
+def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
+    """Analyze graph g, whose canonical graph6 string is g6.
 
-    A caller that has already parsed g6 passes the graph as g; g6 must then
-    be its canonical graph6 string, as encode_graph6 writes it.
+    The record merges associatively across graphs.
     """
-    if g is None:
-        g = parse_graph6(g6)
-        g6 = encode_graph6(g)
     record: dict = {
         "graph6": g6,
         "n": g.n,
@@ -509,9 +498,6 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Optional[Graph] = None) -> di
     if not record["connected"]:
         return record
     lps = enumerate_longest_paths(g, cap=config.path_cap)
-    record["ell"] = lps.length
-    record["n_longest"] = len(lps.paths)
-    record["paths_truncated"] = lps.truncated
     k = config.k
     tallies = record["tallies"]
 
@@ -534,6 +520,11 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Optional[Graph] = None) -> di
         g, k, path_cap=config.path_cap, subset_cap=config.conjecture_subset_cap, lps=lps
     )
     record["conjecture"] = verdict.to_json()
+    if verdict.witness:
+        # the witness is a k-subset with f > 0, so it is an extremal candidate
+        # even when the sampled sweep below misses every such subset
+        record["max_f"] = verdict.witness["f"]
+        record["max_f_subset"] = list(verdict.witness["member_indices"])
 
     if len(lps.paths) >= k:
         # theorem-bound sweep over (sampled) k-subsets; exact shortcut: a
@@ -544,9 +535,9 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Optional[Graph] = None) -> di
             # bound formulas are nonnegative from n = 2 on
             bound = theorem_bound(k, g.n)
             slot = tallies.setdefault(thm_id, {"pass": 0, "fail": 0, "vacuous": 0})
-            if common:
-                # a vertex on every longest path gives f = 0 for every subset,
-                # and the bound is nonnegative: all sampled subsets pass
+            if common or verdict.status == "no-violation":
+                # every k longest paths share a vertex, so f = 0 on every
+                # subset, and the bound is nonnegative: all sampled subsets pass
                 planned = min(math.comb(len(lps.paths), k), config.subset_cap)
                 slot["pass"] += planned
                 subsets = ()
@@ -675,21 +666,21 @@ def scan_stream(source: Iterable[Graph | str], config: ScanConfig) -> SearchRepo
     start = time.monotonic()
     graphs = _normalised(source, config)
     if config.jobs > 1:
-        # workers get canonical graph6 strings and parse them themselves
-        g6_lines = [g6 for _, g6 in graphs]
-        if len(g6_lines) > 1:
+        # every line is parsed and encoded once, here; workers get the graph
+        tasks = [(g6, config, g) for g, g6 in graphs]
+        if len(tasks) > 1:
             import multiprocessing as mp
 
             with mp.Pool(config.jobs) as pool:
                 records = pool.starmap(
                     scan_one_graph,
-                    ((g6, config) for g6 in g6_lines),
-                    chunksize=max(1, len(g6_lines) // (config.jobs * 8)),
+                    tasks,
+                    chunksize=max(1, len(tasks) // (config.jobs * 8)),
                 )
         else:
-            records = [scan_one_graph(g6, config) for g6 in g6_lines]
+            records = [scan_one_graph(*task) for task in tasks]
     else:
-        # one graph at a time, parsed once, so a long stream holds no graphs
+        # one graph at a time, so a long stream holds no graphs
         records = [scan_one_graph(g6, config, g) for g, g6 in graphs]
     report = _merge_records(SearchReport(config=config), records)
     report.wall_time = time.monotonic() - start

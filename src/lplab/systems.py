@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import UsageError
 from .graphs import GRAPH6_SMALL_MAX, Graph, bfs_distances, encode_graph6, is_connected
@@ -68,8 +68,7 @@ class PathSystem:
         }
 
 
-@dataclass(frozen=True)
-class GoodPath:
+class GoodPath(NamedTuple):
     """A good subpath of a host path, as a position interval on the host."""
 
     host_index: int
@@ -245,17 +244,7 @@ def enumerate_good_paths(ps: PathSystem, host_index: int) -> list[GoodPath]:
                     for j in range(k) if ends >> j & 1 and j != i
                 )
             if pairs:
-                # skips the frozen dataclass __init__, which costs about
-                # three times as much per object
-                q = object.__new__(GoodPath)
-                q.__dict__.update(
-                    host_index=host_index,
-                    start=a,
-                    end=b,
-                    witness_pairs=pairs,
-                    n_vertices=b - a + 1,
-                )
-                goods.append(q)
+                goods.append(GoodPath(host_index, a, b, pairs, b - a + 1))
     return goods
 
 

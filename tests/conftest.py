@@ -7,8 +7,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from lplab.construct import build_gt
 from lplab.graphs import Graph, parse_graph6
 from lplab.harness import generate_connected_graphs
+from lplab.systems import make_path_system
 
 
 @pytest.fixture
@@ -62,6 +64,13 @@ H_SYSTEM = (
 @pytest.fixture
 def h_graph() -> Graph:
     return parse_graph6(H_GRAPH6)
+
+
+@pytest.fixture(scope="session")
+def h_g1() -> Graph:
+    """G_1 built from H and H_SYSTEM: 33 vertices."""
+    h = parse_graph6(H_GRAPH6)
+    return build_gt(h, make_path_system(h, H_SYSTEM, require_longest=True), 1).graph
 
 
 @pytest.fixture(scope="session")

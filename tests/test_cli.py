@@ -84,6 +84,25 @@ class TestAnalyze:
         assert re.search(r"k = 9: violation \(\d+ search nodes\)\n", out)
         assert '"member_indices": [24, 25, 26, 27, 29, 31, 32, 33, 37]' in out
 
+    def test_no_violation_settles_max_f(self, capsys, monkeypatch):
+        # every 3 of H's 42 longest paths meet, so no system is built to find f
+        def fail(*args, **kwargs):
+            raise AssertionError("built a path system")
+
+        monkeypatch.setattr(cli_module, "certified_system", fail)
+        assert cli(["analyze", H_GRAPH6, "--k", "3"]) == EXIT_OK
+        assert "max f over 10000 3-subsets: 0\n" in capsys.readouterr().out
+        assert cli(["analyze", "Cs"]) == EXIT_OK
+        assert "max f over 1 3-subsets: 0\n" in capsys.readouterr().out
+
+    def test_out_rejected(self, tmp_path, capsys):
+        # analyze prints its summary and has no file output
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            cli(["analyze", "Cs", "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert not out.exists()
+
 
 def _no_enumeration(monkeypatch):
     def fail(*args, **kwargs):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -125,6 +127,26 @@ class TestSparse6:
         assert g.n == 4
 
 
+class TestMasks:
+    def test_fields(self, p4):
+        assert [f.name for f in dataclasses.fields(Graph)] == ["n", "nbr_masks", "m"]
+        assert repr(p4) == "Graph(n=4, nbr_masks=(2, 5, 10, 4), m=3)"
+
+    def test_edges_in_order(self, p4, k13, h_graph):
+        # by u, then v, ascending; construct.subdivide numbers fresh vertices
+        # in this order
+        assert list(p4.edges()) == [(0, 1), (1, 2), (2, 3)]
+        assert list(k13.edges()) == [(0, 1), (0, 2), (0, 3)]
+        assert list(h_graph.edges()) == [
+            (0, 1), (0, 5), (0, 9), (1, 2), (1, 6), (2, 3), (2, 7), (3, 8),
+            (3, 10), (4, 6), (4, 7), (4, 11), (5, 7), (5, 8), (6, 8),
+        ]
+
+    def test_degree(self, k13, h_graph):
+        assert [k13.degree(v) for v in range(4)] == [3, 1, 1, 1]
+        assert [h_graph.degree(v) for v in range(12)] == [3] * 9 + [1] * 3
+
+
 class TestDistances:
     def test_bfs_p4_single(self, p4):
         assert bfs_distances(p4, {0}) == [0, 1, 2, 3]
@@ -138,6 +160,25 @@ class TestDistances:
     def test_bfs_empty_sources(self, p4):
         with pytest.raises(UsageError):
             bfs_distances(p4, set())
+
+    def test_bfs_source_out_of_range(self, p4):
+        for bad in (-1, 4):
+            with pytest.raises(UsageError, match="out of range"):
+                bfs_distances(p4, {0, bad})
+
+    def test_bfs_is_min_over_sources(self, corpus_by_n, h_g1):
+        rng = random.Random(2026)
+        disconnected = Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        graphs = [g for gs in corpus_by_n.values() for g in gs] + [disconnected, h_g1]
+        for g in graphs:
+            d = all_pairs_distances(g)
+            for _ in range(3):
+                src = rng.sample(range(g.n), rng.randint(1, g.n))
+                want = [
+                    min((d[s][v] for s in src if d[s][v] is not None), default=None)
+                    for v in range(g.n)
+                ]
+                assert bfs_distances(g, src) == want
 
     def test_bfs_unreachable(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])

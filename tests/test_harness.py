@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import multiprocessing
+import os
 import random
 
 import networkx as nx
@@ -25,6 +27,8 @@ from oracles import canonical_code, conjecture_oracle, labeled_scan_canonical_co
 
 # H's least violating 9-subset of its 42 longest paths, in enumeration order
 H_LEAST_VIOLATION = [24, 25, 26, 27, 29, 31, 32, 33, 37]
+# the same for G_1 of H, whose nine members have f = 2
+G1_LEAST_VIOLATION = [0, 1, 2, 3, 5, 7, 8, 9, 13]
 
 
 KNOWN_TOTAL = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -399,3 +403,58 @@ class TestScanStream:
         assert "cor1i" in report.tallies and "cor1ii" in report.tallies
         assert report.tallies["cor1i"]["fail"] == 0
         assert report.tallies["thm2"]["fail"] == 0
+
+    def test_workers_neither_parse_nor_encode(self, monkeypatch, corpus_by_n):
+        # the calling process parses and encodes each line once; workers get
+        # the parsed graph
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched functions reach the workers only by fork")
+        pid = os.getpid()
+        for name in ("parse_graph6", "encode_graph6"):
+
+            def in_caller_only(arg, real=getattr(harness, name), name=name):
+                if os.getpid() != pid:
+                    raise RuntimeError(f"{name} called in a worker")
+                return real(arg)
+
+            monkeypatch.setattr(harness, name, in_caller_only)
+        lines = [encode_graph6(g) for g in corpus_by_n[5]]
+        report = scan_stream(lines, ScanConfig(k=3, lemma_subset_cap=1, jobs=2))
+        assert report.graphs_scanned == 21
+
+
+class TestScanWithoutCommonVertex:
+    """Scans of graphs whose longest paths share no vertex (no n <= 8 graph)."""
+
+    @pytest.mark.parametrize(
+        "fixture, k, status, f, members",
+        [
+            ("h_graph", 3, "no-violation", 0, None),
+            ("h_graph", 9, "violation", 1, H_LEAST_VIOLATION),
+            # the sweep computes f here: some sampled 9-subsets of G_1's
+            # longest paths have no common vertex
+            ("h_g1", 9, "violation", 2, G1_LEAST_VIOLATION),
+        ],
+    )
+    def test_pinned_reports(self, request, fixture, k, status, f, members):
+        g = request.getfixturevalue(fixture)
+        reports = [scan_stream([g], ScanConfig(k=k, jobs=jobs)) for jobs in (1, 2)]
+        blob = json.dumps(reports[0].to_json(), sort_keys=True)
+        assert json.dumps(reports[1].to_json(), sort_keys=True) == blob
+        report = reports[0].to_json()
+        assert report["conjecture"]["status"] == status
+        witness = report["conjecture"]["witness"]
+        if members is None:
+            assert witness is None
+        else:
+            assert (witness["f"], witness["member_indices"]) == (f, members)
+        assert report["tallies"]["thm3"] == {"pass": 10_000, "fail": 0, "vacuous": 0}
+        # a conjecture witness is an extremal candidate even when no sampled
+        # subset lacks a common vertex (H at k = 9)
+        assert report["extremal"] == {
+            "max_f": f,
+            "max_ratio": f"{f}/{g.n}" if f else "0/1",
+            "witness": None if members is None else {
+                "graph6": encode_graph6(g), "f": f, "member_indices": members,
+            },
+        }
