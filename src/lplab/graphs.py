@@ -8,7 +8,7 @@ and distances are all read from the masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import FormatError, UsageError
 
@@ -270,13 +270,17 @@ def bfs_distances(g: Graph, sources: Iterable[int]) -> DistanceVector:
 
 
 def is_connected(g: Graph) -> bool:
+    return masks_connected(g.nbr_masks)
+
+
+def masks_connected(masks: Sequence[int]) -> bool:
+    """True iff the graph with these neighbour masks is connected."""
     seen = 1
     frontier = 1
-    full = g.vertex_mask()
     while frontier:
         nxt = 0
         for v in _bits(frontier):
-            nxt |= g.nbr_masks[v]
+            nxt |= masks[v]
         frontier = nxt & ~seen
         seen |= frontier
-    return seen == full
+    return seen == (1 << len(masks)) - 1

@@ -45,7 +45,14 @@ from .bounds import (
     theorem_bound,
 )
 from .errors import FormatError, UsageError
-from .graphs import Graph, bfs_distances, encode_graph6, is_connected, parse_graph6
+from .graphs import (
+    Graph,
+    bfs_distances,
+    encode_graph6,
+    is_connected,
+    masks_connected,
+    parse_graph6,
+)
 from .longest import (
     DEFAULT_PATH_CAP,
     LongestPathSet,
@@ -268,18 +275,27 @@ def _graph_from_masks(masks: Sequence[int]) -> Graph:
     return Graph(len(masks), tuple(masks), sum(m.bit_count() for m in masks) // 2)
 
 
-def generate_graphs(n: int) -> list[Graph]:
-    """Every non-isomorphic simple graph on n vertices, in graph6 order."""
+def _generate(n: int, connected_only: bool) -> list[Graph]:
     if not 1 <= n <= GENERATOR_MAX_N:
         raise UsageError(f"generator supports 1 <= n <= {GENERATOR_MAX_N}, got {n}")
-    graphs = [_graph_from_masks(m) for m in _all_graph_masks(n)]
+    graphs = [
+        _graph_from_masks(m) for m in _all_graph_masks(n)
+        if not connected_only or masks_connected(m)
+    ]
     graphs.sort(key=encode_graph6)
     return graphs
 
 
+def generate_graphs(n: int) -> list[Graph]:
+    """Every non-isomorphic simple graph on n vertices, in graph6 order."""
+    return _generate(n, connected_only=False)
+
+
 def generate_connected_graphs(n: int) -> list[Graph]:
-    """Every connected graph on n unlabeled vertices exactly once."""
-    return [g for g in generate_graphs(n) if is_connected(g)]
+    """Every connected graph on n unlabeled vertices exactly once, in graph6
+    order.  Connectivity is read from the neighbour masks, so only the
+    connected graphs are built and encoded."""
+    return _generate(n, connected_only=True)
 
 
 # ---------------------------------------------------------------------------

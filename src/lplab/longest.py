@@ -2,14 +2,17 @@
 
 Paths are undirected objects: the two orientations of a vertex sequence are
 the same path, kept in canonical form (first vertex numerically smaller than
-the last).  Both searches are depth-first with a reachability bound and
-walk each path once, from its smaller end; the enumeration fixes the target
-length ell first.  The tests cross-check them against an independent
-permutation-prefix oracle.
+the last).  One depth-first walk with a reachability bound, which walks each
+path once from its smaller end, gives ell and, when no spanning path exists,
+the longest paths too.  Once it finds a spanning path, ell = n - 1 is known
+and a search with that target fixed enumerates the paths; only that route
+can stop at the cap.  The tests cross-check both routes against an
+independent permutation-prefix oracle.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -117,80 +120,110 @@ def _reaches(g: Graph, v: int, unvisited: int, need: int) -> bool:
     return seen.bit_count() >= need
 
 
-def longest_path_length(g: Graph) -> int:
-    """Maximum edge-length over all simple paths of a connected graph.
-
-    From start s the search goes on only while an unvisited vertex above s
-    is left: any extension would end below s, and was walked from that end.
-    A child is cut when the vertices it can still reach cannot beat the best
-    length; after a forced step (one way on) that test is skipped, since the
-    child reaches exactly what its parent did, less itself.
-    """
-    if not is_connected(g):
-        raise UsageError("longest_path_length requires a connected graph")
-    best = 0
-    masks = g.nbr_masks
-    full = g.vertex_mask()
-
-    def dfs(v: int, vis: int, length: int) -> None:
-        nonlocal best
-        nxt = masks[v] & ~vis
-        forced = not nxt & (nxt - 1)
-        while nxt:
-            low = nxt & -nxt
-            nxt ^= low
-            w = low.bit_length() - 1
-            if length >= best:
-                best = length + 1
-            vis_w = vis | low
-            rem = full & ~vis_w
-            # the child, at length + 1, beats best only by reaching
-            # best - length more vertices
-            need = best - length
-            if rem & high and rem.bit_count() >= need and (
-                forced or _reaches(g, w, rem, need)
-            ):
-                dfs(w, vis_w, length + 1)
-
-    # from every start all n - 1 other vertices are reachable, so the
-    # search ends once a spanning path is known
-    for s in range(g.n):
-        if best == g.n - 1:
-            break
-        high = full & ~((2 << s) - 1)
-        dfs(s, 1 << s, 0)
-    return best
-
-
 class _CapReached(Exception):
     """A search reached its cap: paths found or search nodes."""
 
 
-def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> LongestPathSet:
-    """All longest paths of g, canonical and deduplicated, in lexicographic order.
+class _SpanningPath(Exception):
+    """The walk found a path through every vertex."""
 
-    If more than cap paths exist, the lexicographically first cap of them are
-    returned with the truncation flag set.
 
-    ell comes first, from longest_path_length, and the search then looks only
-    for paths of exactly that length, walking each one once from its smaller
-    end (start ascending, neighbours ascending, which is lexicographic order).
-    A child is cut unless an unvisited vertex above the start is left and the
-    child reaches enough unvisited vertices to finish; the reach test is
-    skipped after a forced step.  The last two edges are added in the parent's
-    loop, and the search stops as soon as more than cap paths are found.
+def _walk(g: Graph, keep: int) -> tuple[int, list[Path] | None]:
+    """ell(g) and the lexicographically first keep canonical paths of that
+    length, from one depth-first walk; keep = 0 asks for ell alone.
+
+    Each path is walked once, from its smaller end (start ascending,
+    neighbours ascending, which is lexicographic order): from start s the
+    walk goes on only while an unvisited vertex above s is left.  The walk
+    tracks the best length found so far and records the paths that tie it,
+    in DFS order, dropping them when a longer one appears.
+
+    A child is cut when the vertices it can still reach cannot bring it up
+    to the best length, or, once keep paths of that length are held, cannot
+    take it past.  After a forced step (one way on) the reach test is
+    skipped, since the child reaches exactly what its parent did, less
+    itself.  The walk stops at the first spanning path and returns
+    (n - 1, None): the paths are then left to _spanning_paths.
     """
-    if cap is not None and cap < 1:
-        raise UsageError(f"cap must be >= 1, got {cap}")
-    if not is_connected(g):
-        raise UsageError("enumerate_longest_paths requires a connected graph")
-    ell = longest_path_length(g)
-    if ell <= 1:
-        # K1 and K2 are the only connected graphs with ell <= 1
-        return LongestPathSet(length=ell, paths=(Path(tuple(range(g.n))),), truncated=False)
     masks = g.nbr_masks
     full = g.vertex_mask()
-    limit = None if cap is None else cap + 1
+    spanning = g.n - 1
+    best = 0
+    slack = not keep  # 1 once keep paths of the best length are held
+    found: list[Path] = []
+    path: list[int] = []
+
+    def dfs(v: int, vis: int, length: int) -> None:
+        """Walk every extension of path, which ends at v at this length."""
+        nonlocal best, slack, found
+        nxt = masks[v] & ~vis
+        forced = not nxt & (nxt - 1)
+        length += 1
+        while nxt:
+            low = nxt & -nxt
+            nxt ^= low
+            w = low.bit_length() - 1
+            vis_w = vis | low
+            # only ends above the start are recorded, and that is enough: a
+            # path longer than the best always ends above its start, since
+            # had it ended below, it would already have been walked from that
+            # smaller end, and the best would be at least its length
+            if low & high and length >= best:
+                if length > best:
+                    if length == spanning:
+                        raise _SpanningPath
+                    best = length
+                    found = []
+                if len(found) < keep:
+                    found.append(_path((*path, w), vis_w))
+                slack = len(found) >= keep
+            rem = full & ~vis_w
+            # with r more vertices the child ends at length + r: it needs
+            # best - length of them to tie, one more to beat, and one at
+            # least to be worth a visit
+            need = best - length + slack or 1
+            if rem & high and rem.bit_count() >= need and (
+                forced or _reaches(g, w, rem, need)
+            ):
+                path.append(w)
+                dfs(w, vis_w, length)
+                path.pop()
+
+    try:
+        for s in range(g.n - 1):
+            high = full & ~((2 << s) - 1)
+            path.append(s)
+            dfs(s, 1 << s, 0)
+            path.pop()
+    except _SpanningPath:
+        return spanning, None
+    return best, found
+
+
+def longest_path_length(g: Graph) -> int:
+    """Maximum edge-length over all simple paths of a connected graph.
+
+    The walk of enumerate_longest_paths, keeping no paths: a child goes on
+    only if it can beat the best length, and the walk stops at the first
+    spanning path.
+    """
+    if not is_connected(g):
+        raise UsageError("longest_path_length requires a connected graph")
+    return _walk(g, 0)[0]
+
+
+def _spanning_paths(g: Graph, keep: int) -> list[Path]:
+    """The lexicographically first keep canonical spanning paths of g.
+
+    The search looks only for paths of length ell = n - 1, walking each one
+    once from its smaller end (start ascending, neighbours ascending).  A
+    child is cut unless an unvisited vertex above the start is left and the
+    child reaches every unvisited vertex; the reach test is skipped after a
+    forced step.  The last two edges are added in the parent's loop, and the
+    search stops as soon as keep paths are found.
+    """
+    masks = g.nbr_masks
+    full = g.vertex_mask()
     found: list[Path] = []
     path: list[int] = []
 
@@ -208,7 +241,7 @@ def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> Lon
                     seq = (*path, w, end.bit_length() - 1)
                     found.append(_path(seq, vis | low | end))
                     ends ^= end
-            if limit is not None and len(found) >= limit:
+            if len(found) >= keep:
                 raise _CapReached
             return
         forced = not nxt & (nxt - 1)
@@ -219,24 +252,53 @@ def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> Lon
             w = low.bit_length() - 1
             vis_w = vis | low
             rem = full & ~vis_w
-            # rem always holds n - 1 - ell vertices more than need, so only
-            # their reach can fall short
+            # rem holds exactly need vertices, so only their reach can fall
+            # short
             if rem & high and (forced or _reaches(g, w, rem, need)):
                 path.append(w)
                 dfs(w, vis_w, need)
                 path.pop()
 
-    # from every start all n - 1 >= ell other vertices are reachable, so the
-    # roots need no reach test
+    # from every start all n - 1 other vertices are reachable, so the roots
+    # need no reach test
     try:
         for s in range(g.n):
             high = full & ~((2 << s) - 1)
             path.append(s)
-            dfs(s, 1 << s, ell)
+            dfs(s, 1 << s, g.n - 1)
             path.pop()
     except _CapReached:
         pass
-    truncated = limit is not None and len(found) >= limit
+    return found
+
+
+def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> LongestPathSet:
+    """All longest paths of g, canonical and deduplicated, in lexicographic order.
+
+    If more than cap paths exist, the lexicographically first cap of them are
+    returned with the truncation flag set.
+
+    There are two routes.  One depth-first walk (_walk) finds ell and records
+    the paths of the best length so far, at most cap + 1 of them; it cannot
+    stop at cap + 1, since a longer path may still come, so without a
+    spanning path it always walks to the end (once cap + 1 paths are held it
+    prunes as longest_path_length does).  At the first spanning path the
+    walk stops, ell = n - 1 is known, and a fixed-target search
+    (_spanning_paths) enumerates the spanning paths, stopping as soon as
+    more than cap are found.
+    """
+    if cap is not None and cap < 1:
+        raise UsageError(f"cap must be >= 1, got {cap}")
+    if not is_connected(g):
+        raise UsageError("enumerate_longest_paths requires a connected graph")
+    keep = sys.maxsize if cap is None else cap + 1
+    ell, found = _walk(g, keep)
+    if ell <= 1:
+        # K1 and K2 are the only connected graphs with ell <= 1
+        return LongestPathSet(length=ell, paths=(Path(tuple(range(g.n))),), truncated=False)
+    if found is None:
+        found = _spanning_paths(g, keep)
+    truncated = len(found) >= keep
     return LongestPathSet(
         length=ell,
         paths=tuple(found[:cap]) if truncated else tuple(found),

@@ -20,7 +20,7 @@ from lplab.graphs import GRAPH6_SMALL_MAX, Graph, DistanceVector, encode_graph6,
 from lplab.longest import LongestPathSet, Path, canonical_sequence
 from lplab.systems import GoodPath, PathSystem
 
-ORACLE_MAX_N = 10
+ORACLE_MAX_N = 14
 
 
 def all_pairs_distances(g: Graph) -> list[DistanceVector]:
@@ -45,32 +45,37 @@ def all_pairs_distances(g: Graph) -> list[DistanceVector]:
 
 
 def enumerate_longest_paths_oracle(g: Graph) -> LongestPathSet:
-    """Brute-force oracle: scan every vertex permutation prefix.
+    """Brute-force oracle: scan every vertex permutation prefix that is a path.
 
-    Deliberately independent of the DFS route; guarded to n <= 10.
+    A prefix is grown one vertex at a time, and only while it is a simple
+    path, so the scan costs the number of simple paths, not n!.  There is no
+    reach bound, no orientation rule and no target length: every path is
+    kept as a canonical sequence, and the longest are sorted at the end.
+    Deliberately independent of the DFS route; guarded to n <= 14.
     """
     if g.n > ORACLE_MAX_N:
         raise UsageError(f"oracle limited to n <= {ORACLE_MAX_N}, got {g.n}")
     if not is_connected(g):
         raise UsageError("oracle requires a connected graph")
-    verts = range(g.n)
-    for size in range(g.n, 0, -1):
-        found: set[tuple[int, ...]] = set()
-        for perm in itertools.permutations(verts, size):
-            ok = True
-            for a, b in zip(perm, perm[1:]):
-                if not g.nbr_masks[a] >> b & 1:
-                    ok = False
-                    break
-            if ok:
-                found.add(canonical_sequence(perm))
-        if found:
-            return LongestPathSet(
-                length=size - 1,
-                paths=tuple(Path(t) for t in sorted(found)),
-                truncated=False,
-            )
-    raise AssertionError("unreachable: single vertices are always paths")
+    found: set[tuple[int, ...]] = set()
+    size = 0
+    prefixes = [(v,) for v in range(g.n)]
+    while prefixes:
+        perm = prefixes.pop()
+        if len(perm) > size:
+            found, size = set(), len(perm)
+        if len(perm) == size:
+            found.add(canonical_sequence(perm))
+        last = perm[-1]
+        prefixes.extend(
+            perm + (v,) for v in range(g.n)
+            if v not in perm and g.nbr_masks[last] >> v & 1
+        )
+    return LongestPathSet(
+        length=size - 1,
+        paths=tuple(Path(t) for t in sorted(found)),
+        truncated=False,
+    )
 
 
 def to_networkx(g: Graph) -> nx.Graph:

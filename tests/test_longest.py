@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import lplab.longest
 from lplab.construct import build_gt
 from lplab.errors import UsageError
 from lplab.graphs import Graph
@@ -20,23 +21,27 @@ from lplab.longest import (
 )
 from lplab.systems import make_path_system
 from conftest import H_SYSTEM
-from oracles import enumerate_longest_paths_oracle
+from oracles import ORACLE_MAX_N, enumerate_longest_paths_oracle
 
 
-def random_labelled_graph(rng: random.Random, max_n: int) -> Graph:
+def random_labelled_graph(
+    rng: random.Random, max_n: int, base_max: int | None = None, grow: float = 0.7
+) -> Graph:
     """A random connected graph grown by pendants and subdivided edges, with
     its vertices relabelled at random.
 
-    The enumeration walks each path from its smaller end and skips the reach
-    test along degree-2 chains, so both labels and chains vary here.
+    The base has at most base_max vertices (max_n - 2 by default), and each
+    growth step is taken with probability grow.  The enumeration walks each
+    path from its smaller end and skips the reach test along degree-2 chains,
+    so both labels and chains vary here.
     """
-    n = rng.randint(1, max_n - 2)
+    n = rng.randint(1, base_max or max_n - 2)
     edges = [(rng.randrange(v), v) for v in range(1, n)]
     edges += [
         (u, v) for u in range(n) for v in range(u + 1, n)
         if (u, v) not in edges and rng.random() < 0.4
     ]
-    while n < max_n and rng.random() < 0.7:
+    while n < max_n and rng.random() < grow:
         if edges and rng.random() < 0.5:
             u, v = edges.pop(rng.randrange(len(edges)))
             edges += [(u, n), (n, v)]
@@ -174,6 +179,50 @@ class TestEnumerate:
             assert capped.truncated == (len(slow.paths) > cap)
         assert sizes == set(range(1, 10))
 
+    def test_no_spanning_path_matches_oracle_under_caps(self):
+        # the one-walk route: ell and the paths come from a single walk
+        rng = random.Random(20261019)
+        sizes = []
+        while len(sizes) < 300:
+            g = random_labelled_graph(rng, rng.randint(4, 14), base_max=6, grow=0.9)
+            slow = enumerate_longest_paths_oracle(g)
+            if slow.length == g.n - 1:
+                continue
+            sizes.append(g.n)
+            assert longest_path_length(g) == slow.length
+            for cap in (None, 1, 2, 3, 7):
+                fast = enumerate_longest_paths(g, cap=cap)
+                expected = slow.paths if cap is None else slow.paths[:cap]
+                assert fast.length == slow.length
+                assert [p.vertices for p in fast.paths] == [p.vertices for p in expected]
+                assert [p.mask for p in fast.paths] == [p.mask for p in expected]
+                assert fast.truncated == (cap is not None and len(slow.paths) > cap)
+        assert max(sizes) == 14 and sum(n > 10 for n in sizes) >= 50
+
+    def test_shorter_paths_past_the_cap_are_dropped(self):
+        # from start 0 the walk first records the four length-1 paths
+        # (0, 1)..(0, 4), more than any cap below 4 keeps, before the tail
+        # 0-5-6-7-8 and then the longest paths i-0-5-6-7-8 (i = 1..4) appear
+        g = Graph.from_edges(9, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (6, 7), (7, 8)])
+        longest = [(i, 0, 5, 6, 7, 8) for i in range(1, 5)]
+        assert [p.vertices for p in enumerate_longest_paths_oracle(g).paths] == longest
+        for cap in (1, 2, 3, 4, 5):
+            lps = enumerate_longest_paths(g, cap=cap)
+            assert lps.length == 5
+            assert [p.vertices for p in lps.paths] == longest[:cap]
+            assert lps.truncated == (cap < 4)
+
+    def test_one_walk_without_spanning_path(self, h_g1, monkeypatch):
+        # G_1 of H has no spanning path, so ell comes from the same walk as
+        # the paths, never from a separate longest_path_length call
+        def refuse(g):
+            raise AssertionError("longest_path_length called")
+
+        monkeypatch.setattr(lplab.longest, "longest_path_length", refuse)
+        lps = enumerate_longest_paths(h_g1)
+        assert lps.length == 22 < h_g1.n - 1
+        assert len(lps.paths) == 18 and not lps.truncated
+
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_gt_of_h_under_relabelling(self, h_graph, t):
         ps = make_path_system(h_graph, H_SYSTEM, require_longest=True)
@@ -208,7 +257,7 @@ class TestEnumerate:
 
 class TestOracle:
     def test_guard(self):
-        big = Graph.from_edges(11, [(i, i + 1) for i in range(10)])
+        big = Graph.from_edges(ORACLE_MAX_N + 1, [(i, i + 1) for i in range(ORACLE_MAX_N)])
         with pytest.raises(UsageError):
             enumerate_longest_paths_oracle(big)
 
