@@ -18,6 +18,8 @@ from .graphs import (
 from .longest import (
     LongestPathSet,
     Path,
+    SpanningPathCount,
+    count_longest_paths,
     enumerate_longest_paths,
     is_path,
     longest_path_length,

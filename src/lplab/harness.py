@@ -56,6 +56,8 @@ from .graphs import (
 from .longest import (
     DEFAULT_PATH_CAP,
     LongestPathSet,
+    SpanningPathCount,
+    count_longest_paths,
     enumerate_longest_paths,
     first_empty_intersection,
     pairwise_intersection_holds,
@@ -307,8 +309,9 @@ def iter_ksubsets(
 ) -> tuple[Iterator[tuple[int, ...]], int, bool]:
     """Deterministic iterator over k-subsets of range(n_items), capped.
 
-    Beyond the cap, a seeded sample of cap distinct subsets is drawn and
-    yielded in sorted order.  Returns (iterator, yield count, truncated flag).
+    Beyond the cap, a seeded sample of exactly cap distinct subsets is drawn
+    and yielded in sorted order.  Returns (iterator, yield count, truncated
+    flag).
     """
     total = math.comb(n_items, k)
     if cap is None or total <= cap:
@@ -316,11 +319,10 @@ def iter_ksubsets(
     rng = random.Random(seed ^ zlib.crc32(salt.encode()))
     population = range(n_items)
     seen: set[tuple[int, ...]] = set()
-    attempts = 0
-    limit = cap * 20
-    while len(seen) < cap and attempts < limit:
+    # total > cap, so this ends; the expected number of draws is largest at
+    # total = cap + 1, where it is (cap + 1)(H(cap + 1) - 1) (coupon collector)
+    while len(seen) < cap:
         seen.add(tuple(sorted(rng.sample(population, k))))
-        attempts += 1
     sample = sorted(seen)
     return iter(sample), len(sample), True
 
@@ -354,7 +356,7 @@ def check_conjecture(
     k: int,
     path_cap: Optional[int] = DEFAULT_PATH_CAP,
     subset_cap: Optional[int] = 100_000,
-    lps: Optional[LongestPathSet] = None,
+    lps: LongestPathSet | SpanningPathCount | None = None,
 ) -> ConjectureVerdict:
     """Do every k of the longest paths of g share a vertex?
 
@@ -371,7 +373,7 @@ def check_conjecture(
         raise UsageError("conjecture check requires a connected graph")
     if lps is None:
         lps = enumerate_longest_paths(g, cap=path_cap)
-    total = math.comb(len(lps.paths), k)
+    total = math.comb(len(lps), k)
     if lps.common_mask():
         status = "incomplete" if lps.truncated else "no-violation"
         return ConjectureVerdict(status, k, total, total, used_shortcut=True)
@@ -513,7 +515,11 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     }
     if not record["connected"]:
         return record
-    lps = enumerate_longest_paths(g, cap=config.path_cap)
+    # without a lemma check nothing reads the members of a spanning path set
+    # (they share every vertex), so those are counted rather than built
+    lemma_checks = [c for c in config.checks if c != "theorem"]
+    find = enumerate_longest_paths if lemma_checks else count_longest_paths
+    lps = find(g, cap=config.path_cap)
     k = config.k
     tallies = record["tallies"]
 
@@ -542,7 +548,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         record["max_f"] = verdict.witness["f"]
         record["max_f_subset"] = list(verdict.witness["member_indices"])
 
-    if len(lps.paths) >= k:
+    if len(lps) >= k:
         # theorem-bound sweep over (sampled) k-subsets; exact shortcut: a
         # subset with a common vertex has f = 0, and the bound is >= 0
         if "theorem" in config.checks and k >= 3:
@@ -554,16 +560,16 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
             if common or verdict.status == "no-violation":
                 # every k longest paths share a vertex, so f = 0 on every
                 # subset, and the bound is nonnegative: all sampled subsets pass
-                planned = min(math.comb(len(lps.paths), k), config.subset_cap)
+                planned = min(math.comb(len(lps), k), config.subset_cap)
                 slot["pass"] += planned
                 subsets = ()
             else:
-                dvecs = [bfs_distances(g, p.vertices) for p in lps.paths]
+                paths = lps.paths
+                dvecs = [bfs_distances(g, p.vertices) for p in paths]
                 subsets, _, _ = iter_ksubsets(
-                    len(lps.paths), k, config.subset_cap, config.seed,
+                    len(paths), k, config.subset_cap, config.seed,
                     f"thm:{record['graph6']}:{k}",
                 )
-            paths = lps.paths
             for subset in subsets:
                 acc = -1
                 for idx in subset:
@@ -594,7 +600,6 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
                     return record
 
         # full lemma machinery on a small deterministic sample of subsets
-        lemma_checks = [c for c in config.checks if c != "theorem"]
         if lemma_checks and k >= 3:
             subsets, _, _ = iter_ksubsets(
                 len(lps.paths), k, config.lemma_subset_cap, config.seed,

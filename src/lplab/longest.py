@@ -8,6 +8,11 @@ the longest paths too.  Once it finds a spanning path, ell = n - 1 is known
 and a search with that target fixed enumerates the paths; only that route
 can stop at the cap.  The tests cross-check both routes against an
 independent permutation-prefix oracle.
+
+A caller that reads only ell, the number of longest paths, the truncation
+flag and the common vertices can ask count_longest_paths instead: on the
+spanning route it counts the paths without building them, by a memoised walk
+over (visited set, end vertex) states (the Bellman / Held-Karp recurrence).
 """
 
 from __future__ import annotations
@@ -89,6 +94,33 @@ class LongestPathSet:
         for p in self.paths:
             acc &= p.mask
         return acc if acc != -1 else 0
+
+
+@dataclass(frozen=True)
+class SpanningPathCount:
+    """The facts of a LongestPathSet whose paths are all spanning (ell = n - 1),
+    with the paths themselves left unbuilt.
+
+    len() is the capped count, as for a LongestPathSet.  Every spanning path
+    holds every vertex, so the common mask is the full vertex mask.
+    """
+
+    length: int
+    count: int
+    truncated: bool
+
+    def __len__(self) -> int:
+        return self.count
+
+    def common_mask(self) -> int:
+        return (1 << (self.length + 1)) - 1
+
+    @property
+    def paths(self) -> tuple[Path, ...]:
+        raise UsageError(
+            "the spanning paths were counted, not built; "
+            "use enumerate_longest_paths to read them"
+        )
 
 
 def is_path(g: Graph, seq: Sequence[int]) -> bool:
@@ -272,6 +304,100 @@ def _spanning_paths(g: Graph, keep: int) -> list[Path]:
     return found
 
 
+# Below this many unvisited vertices the counter walks a child without a
+# reach test: a dead child is walked once and then cached, which costs less
+# than testing every child (on the spanning n <= 8 graphs and on random
+# n = 10..14 graphs the test cost about a quarter of the count's time),
+# while on sparse grids, where the dead branches are large, the test pays.
+_COUNT_REACH_MIN = 8
+
+
+def _count_spanning(g: Graph, stop: int) -> int:
+    """The number of directed spanning paths of g (n >= 3), or some number
+    >= stop once the count reaches stop.
+
+    The ways to complete a path depend only on its end vertex and its visited
+    set, so each (visited set, end) state is counted once and cached for the
+    rest of the call; directed paths are counted from every start.  A running
+    total grows by one per completed path and by the cached count at a cache
+    hit, and a state's count is the growth of the total while it is walked,
+    so the walk can stop as soon as the total reaches stop.  An uncached child
+    with at least _COUNT_REACH_MIN unvisited vertices is cut unless it reaches
+    every one of them; the reach test is skipped after a forced step, and the
+    last edge is added in the parent's loop.
+    """
+    masks = g.nbr_masks
+    full = g.vertex_mask()
+    memo: list[dict[int, int]] = [{} for _ in range(g.n)]
+    total = 0
+
+    def dfs(v: int, vis: int) -> None:
+        """Add the completions of a path that ends at v over vis to total;
+        at least two vertices are unvisited."""
+        nonlocal total
+        before = total
+        nxt = masks[v] & ~vis
+        forced = not nxt & (nxt - 1)
+        while nxt:
+            low = nxt & -nxt
+            nxt ^= low
+            w = low.bit_length() - 1
+            vis_w = vis | low
+            rem = full & ~vis_w
+            if not rem & (rem - 1):
+                # one vertex left: one completion iff it is w's neighbour
+                if masks[w] & rem:
+                    total += 1
+            else:
+                done = memo[w].get(vis_w)
+                if done is not None:
+                    total += done
+                elif (
+                    forced
+                    or (left := rem.bit_count()) < _COUNT_REACH_MIN
+                    or _reaches(g, w, rem, left)
+                ):
+                    dfs(w, vis_w)
+            if total >= stop:
+                raise _CapReached
+        memo[v][vis] = total - before
+
+    try:
+        for s in range(g.n):
+            dfs(s, 1 << s)
+    except _CapReached:
+        pass
+    finally:
+        # dfs refers to itself through its closure, a cycle that only the
+        # garbage collector frees; the cache goes now, with the call
+        memo.clear()
+    return total
+
+
+def _checked_walk(g: Graph, cap: int | None, caller: str) -> tuple[int, list[Path] | None, int]:
+    """(ell, the paths _walk found or None, keep = cap + 1) for a valid call."""
+    if cap is not None and cap < 1:
+        raise UsageError(f"cap must be >= 1, got {cap}")
+    if not is_connected(g):
+        raise UsageError(f"{caller} requires a connected graph")
+    keep = sys.maxsize if cap is None else cap + 1
+    ell, found = _walk(g, keep)
+    return ell, found, keep
+
+
+def _path_set(g: Graph, ell: int, found: list[Path] | None, keep: int) -> LongestPathSet:
+    """The paths found, cut to keep - 1 with the flag set if keep were found."""
+    if ell <= 1:
+        # K1 and K2 are the only connected graphs with ell <= 1
+        return LongestPathSet(length=ell, paths=(Path(tuple(range(g.n))),), truncated=False)
+    truncated = len(found) >= keep
+    return LongestPathSet(
+        length=ell,
+        paths=tuple(found[:keep - 1]) if truncated else tuple(found),
+        truncated=truncated,
+    )
+
+
 def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> LongestPathSet:
     """All longest paths of g, canonical and deduplicated, in lexicographic order.
 
@@ -287,23 +413,31 @@ def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> Lon
     (_spanning_paths) enumerates the spanning paths, stopping as soon as
     more than cap are found.
     """
-    if cap is not None and cap < 1:
-        raise UsageError(f"cap must be >= 1, got {cap}")
-    if not is_connected(g):
-        raise UsageError("enumerate_longest_paths requires a connected graph")
-    keep = sys.maxsize if cap is None else cap + 1
-    ell, found = _walk(g, keep)
-    if ell <= 1:
-        # K1 and K2 are the only connected graphs with ell <= 1
-        return LongestPathSet(length=ell, paths=(Path(tuple(range(g.n))),), truncated=False)
-    if found is None:
+    ell, found, keep = _checked_walk(g, cap, "enumerate_longest_paths")
+    if found is None and ell > 1:
         found = _spanning_paths(g, keep)
-    truncated = len(found) >= keep
-    return LongestPathSet(
-        length=ell,
-        paths=tuple(found[:cap]) if truncated else tuple(found),
-        truncated=truncated,
-    )
+    return _path_set(g, ell, found, keep)
+
+
+def count_longest_paths(
+    g: Graph, cap: int | None = DEFAULT_PATH_CAP
+) -> LongestPathSet | SpanningPathCount:
+    """ell, the capped number of longest paths, the truncation flag and the
+    common mask, as enumerate_longest_paths gives them.
+
+    Without a spanning path the walk that finds ell holds the paths already,
+    and they are returned as a LongestPathSet.  Otherwise the spanning paths
+    are counted, not built (_count_spanning), and a SpanningPathCount is
+    returned.  Each undirected path is counted once per direction, so the
+    count stops once the directed total reaches 2 (cap + 1), which keeps the
+    truncation flag exact.
+    """
+    ell, found, keep = _checked_walk(g, cap, "count_longest_paths")
+    if found is None and ell > 1:
+        count = _count_spanning(g, 2 * keep) // 2
+        truncated = count >= keep
+        return SpanningPathCount(ell, keep - 1 if truncated else count, truncated)
+    return _path_set(g, ell, found, keep)
 
 
 def pairwise_intersection_holds(paths: Iterable[Path]) -> tuple[bool, tuple[int, int] | None]:

@@ -1,5 +1,7 @@
 """Report bytes pinned against files recorded before the path-system facts
-were cached and the Lemma 3 / Corollary 1 checkers merged."""
+were cached and the Lemma 3 / Corollary 1 checkers merged, and (the
+theorem-only scans) before the scanner counted spanning paths instead of
+building them."""
 
 from __future__ import annotations
 
@@ -25,6 +27,14 @@ def test_scan_report_n_le_6(corpus_by_n, k):
     corpus = [g for n in range(1, 7) for g in corpus_by_n[n]]
     report = scan_stream(corpus, ScanConfig(k=k))
     assert _dumps(report.to_json()) == (DATA / f"scan_n6_k{k}.json").read_text()
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_theorem_only_scan_report_n_le_6(corpus_by_n, k):
+    # no lemma check: the scanner counts the paths of spanning path sets
+    corpus = [g for n in range(1, 7) for g in corpus_by_n[n]]
+    report = scan_stream(corpus, ScanConfig(k=k, checks=("theorem",)))
+    assert _dumps(report.to_json()) == (DATA / f"scan_n6_k{k}_theorem.json").read_text()
 
 
 def test_h_system_suite(h_graph):

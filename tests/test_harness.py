@@ -3,9 +3,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import random
+import zlib
 
 import networkx as nx
 
@@ -214,6 +216,51 @@ class TestIterKsubsets:
         assert a == b
         assert a != c
 
+    def test_exactly_cap_when_one_subset_is_left_out(self):
+        # total = cap + 1: the sampler must find all but one subset
+        for n_items in range(3, 8):
+            for k in (1, 2, n_items - 1):
+                cap = math.comb(n_items, k) - 1
+                for seed in range(60):
+                    it, count, truncated = iter_ksubsets(n_items, k, cap, seed, "x")
+                    subsets = list(it)
+                    assert truncated and count == len(subsets) == cap
+                    assert len(set(subsets)) == cap
+                    assert all(len(set(s)) == k for s in subsets)
+
+    def test_exactly_cap_after_many_repeated_draws(self, monkeypatch):
+        # the sampler once gave up after 20 * cap draws and returned fewer
+        class Repeating(random.Random):
+            repeats = 100
+
+            def sample(self, population, k):
+                if self.repeats:
+                    self.repeats -= 1
+                    return list(population)[:k]
+                return super().sample(population, k)
+
+        monkeypatch.setattr(harness.random, "Random", Repeating)
+        it, count, _ = iter_ksubsets(10, 3, 3, seed=0, salt="x")
+        assert count == len(set(it)) == 3
+
+    def test_same_draws_as_the_bounded_loop(self):
+        # wherever the old loop (at most 20 * cap draws) reached the cap, the
+        # sample is the one it drew, so sampled reports keep their bytes
+        rng = random.Random(5)
+        for _ in range(300):
+            n_items = rng.randint(3, 12)
+            k = rng.randint(1, n_items - 1)
+            cap = rng.randint(1, math.comb(n_items, k) - 1)
+            seed = rng.randrange(1000)
+            old = random.Random(seed ^ zlib.crc32(b"salt"))
+            seen = set()
+            for _ in range(20 * cap):
+                if len(seen) == cap:
+                    break
+                seen.add(tuple(sorted(old.sample(range(n_items), k))))
+            assert len(seen) == cap
+            assert list(iter_ksubsets(n_items, k, cap, seed, "salt")[0]) == sorted(seen)
+
 
 class TestCheckConjecture:
     def test_star_shortcut(self, k13):
@@ -358,6 +405,30 @@ class TestScanStream:
         report = scan_stream(lines, ScanConfig(k=3, lemma_subset_cap=1))
         assert report.graphs_scanned == 21
         assert calls == 21
+
+    @pytest.mark.parametrize("checks, counted", [
+        (("theorem",), True),
+        (("lemma1", "theorem"), False),
+        (("lemma3",), False),
+    ])
+    def test_counts_only_without_lemma_checks(self, monkeypatch, corpus_by_n, checks, counted):
+        # each graph is either counted or enumerated, never both (the golden
+        # theorem-only reports pin that counting gives the same bytes)
+        calls = {"count": 0, "enumerate": 0}
+
+        def tracking(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(harness, "count_longest_paths",
+                            tracking("count", harness.count_longest_paths))
+        monkeypatch.setattr(harness, "enumerate_longest_paths",
+                            tracking("enumerate", harness.enumerate_longest_paths))
+        scan_stream(corpus_by_n[6], ScanConfig(k=3, checks=checks))
+        assert calls == ({"count": 112, "enumerate": 0} if counted
+                         else {"count": 0, "enumerate": 112})
 
     def test_disconnected_skipped(self):
         lines = [encode_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))]

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 import lplab.longest
 from lplab.construct import build_gt
 from lplab.errors import UsageError
-from lplab.graphs import Graph
+from lplab.graphs import Graph, encode_graph6
+from lplab.harness import generate_connected_graphs
 from lplab.longest import (
     DEFAULT_PATH_CAP,
     Path,
+    SpanningPathCount,
     canonical_sequence,
+    count_longest_paths,
     enumerate_longest_paths,
     first_empty_intersection,
     is_path,
@@ -253,6 +259,104 @@ class TestEnumerate:
             DEFAULT_PATH_CAP,
         )
         assert [p.vertices for p in lps.paths] == list(expected)
+
+
+def grid(rows: int, cols: int) -> Graph:
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def _facts(lps) -> tuple:
+    return lps.length, len(lps), lps.truncated, lps.common_mask()
+
+
+class TestCount:
+    CAPS = (1, 2, 3, 7, None)
+
+    def test_matches_enumeration_n_le_7(self, corpus_by_n):
+        spanning = 0
+        for n in range(1, 8):
+            for g in corpus_by_n[n] if n < 7 else generate_connected_graphs(7):
+                for cap in self.CAPS:
+                    counted = count_longest_paths(g, cap)
+                    assert _facts(counted) == _facts(enumerate_longest_paths(g, cap))
+                # K1 and K2 keep their one path
+                counts = isinstance(counted, SpanningPathCount)
+                assert counts == (n > 2 and counted.length == n - 1)
+                spanning += counts
+        assert spanning == 850
+
+    def test_matches_enumeration_random_labels(self):
+        rng = random.Random(20261018)
+        routes = {True: 0, False: 0}
+        for _ in range(200):
+            g = random_labelled_graph(rng, 14, base_max=10)
+            for cap in self.CAPS:
+                counted = count_longest_paths(g, cap)
+                assert _facts(counted) == _facts(enumerate_longest_paths(g, cap))
+            routes[isinstance(counted, SpanningPathCount)] += 1
+        assert min(routes.values()) >= 50, routes
+
+    def test_k20_stops_at_the_cap(self):
+        # 20!/2 spanning paths: the count stops once it passes the cap
+        counted = count_longest_paths(Graph.from_edges(20, itertools.combinations(range(20), 2)))
+        assert (counted.length, len(counted), counted.truncated) == (19, DEFAULT_PATH_CAP, True)
+        assert counted.common_mask() == (1 << 20) - 1
+
+    def test_grid(self):
+        counted = count_longest_paths(grid(5, 5))
+        assert (counted.length, len(counted), counted.truncated) == (24, 4324, False)
+        assert _facts(count_longest_paths(grid(5, 5), cap=4323))[1:3] == (4323, True)
+        assert _facts(count_longest_paths(grid(5, 5), cap=4324))[1:3] == (4324, False)
+
+    def test_cache_freed_on_return(self):
+        # with the collector off, only plain reference counting can free it
+        g = grid(4, 6)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(count_longest_paths(g)) == 3610
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak - before > 1_000_000
+        assert after - before < 50_000
+
+    def test_paths_of_a_count_raise(self, c5):
+        counted = count_longest_paths(c5)
+        assert isinstance(counted, SpanningPathCount)
+        assert len(counted) == 5
+        with pytest.raises(UsageError):
+            counted.paths
+
+    def test_without_spanning_path_the_paths_are_kept(self, k13, h_graph):
+        for g in (k13, h_graph):
+            assert count_longest_paths(g) == enumerate_longest_paths(g)
+
+    def test_validation(self, c5):
+        with pytest.raises(UsageError):
+            count_longest_paths(c5, cap=0)
+        with pytest.raises(UsageError):
+            count_longest_paths(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+# sha256 over f"{graph6}\t{ell}\t{len(paths)}\t{truncated}\n", one line per
+# connected graph with n <= 7, n ascending, each n in graph6 order
+CORPUS_LE7_SHA256 = "e5610c5b599a753e2f40e8c3e9f943958c78129ff16abe8148d855b779972383"
+
+
+@pytest.mark.parametrize("find", [enumerate_longest_paths, count_longest_paths])
+def test_corpus_digest(corpus_by_n, find):
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for g in corpus_by_n[n] if n < 7 else generate_connected_graphs(7):
+            lps = find(g)
+            digest.update(f"{encode_graph6(g)}\t{lps.length}\t{len(lps)}\t{lps.truncated}\n".encode())
+    assert digest.hexdigest() == CORPUS_LE7_SHA256
 
 
 class TestOracle:
