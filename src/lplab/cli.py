@@ -29,7 +29,7 @@ from .harness import (
     iter_ksubsets,
     scan_stream,
 )
-from .longest import enumerate_longest_paths, pairwise_intersection_holds
+from .longest import count_longest_paths, enumerate_longest_paths, pairwise_intersection_holds
 from .systems import certified_system, make_path_system, path_distance_value
 
 EXIT_OK = 0
@@ -73,11 +73,13 @@ def _check_k_and_subset_cap(args: argparse.Namespace, k_min: int) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     _check_k_and_subset_cap(args, 2)
     g = load_graph(args.graph)
-    lps = enumerate_longest_paths(g, cap=args.path_cap)
+    # the members are read only where they share no vertex, and then the
+    # walk that found ell holds them: spanning paths are only counted
+    lps = count_longest_paths(g, cap=args.path_cap)
     common = lps.common_mask()
     print(f"n = {g.n}, m = {g.m}")
     print(f"ell(G) = {lps.length}")
-    print(f"|L(G)| = {len(lps.paths)}{' (truncated)' if lps.truncated else ''}")
+    print(f"|L(G)| = {len(lps)}{' (truncated)' if lps.truncated else ''}")
     holds, pair = (True, None) if common else pairwise_intersection_holds(lps.paths)
     if holds:
         print("pairwise intersection: holds")
@@ -102,11 +104,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if verdict.witness:
         print(f"witness: {json.dumps(verdict.witness)}")
         return EXIT_FINDING
-    if len(lps.paths) >= k:
+    if len(lps) >= k:
         max_f = 0
         if verdict.status == "no-violation":
             # every k longest paths share a vertex, so f = 0 on every k-subset
-            checked = min(math.comb(len(lps.paths), k), args.subset_cap)
+            checked = min(math.comb(len(lps), k), args.subset_cap)
         else:
             subsets, checked, _ = iter_ksubsets(
                 len(lps.paths), k, args.subset_cap, args.seed, f"analyze:{k}"

@@ -351,11 +351,16 @@ class ConjectureVerdict:
         }
 
 
+# search nodes the exact conjecture check may spend before it answers
+# "incomplete"; scans report it as "conjecture_subset_cap"
+CONJECTURE_SUBSET_CAP = 100_000
+
+
 def check_conjecture(
     g: Graph,
     k: int,
     path_cap: Optional[int] = DEFAULT_PATH_CAP,
-    subset_cap: Optional[int] = 100_000,
+    subset_cap: Optional[int] = CONJECTURE_SUBSET_CAP,
     lps: LongestPathSet | SpanningPathCount | None = None,
 ) -> ConjectureVerdict:
     """Do every k of the longest paths of g share a vertex?
@@ -365,7 +370,9 @@ def check_conjecture(
     exact search finds the lexicographically least k-subset with no common
     vertex, or proves there is none.  subsets_checked then counts its search
     nodes, and subset_cap bounds them: a search cut by the cap, or a
-    truncated path list without a violation, gives "incomplete".
+    truncated path list without a violation, gives "incomplete".  A
+    truncated list of spanning paths (ell = n - 1) is the exception: every
+    longest path then holds every vertex, the ones past the cap too.
     """
     if k < 2:
         raise UsageError(f"k must be >= 2, got {k}")
@@ -375,7 +382,8 @@ def check_conjecture(
         lps = enumerate_longest_paths(g, cap=path_cap)
     total = math.comb(len(lps), k)
     if lps.common_mask():
-        status = "incomplete" if lps.truncated else "no-violation"
+        exact = not lps.truncated or lps.length == g.n - 1
+        status = "no-violation" if exact else "incomplete"
         return ConjectureVerdict(status, k, total, total, used_shortcut=True)
     subset, nodes, capped = first_empty_intersection(
         [p.mask for p in lps.paths], k, subset_cap
@@ -411,7 +419,6 @@ class ScanConfig:
     k: int = 3
     path_cap: int = DEFAULT_PATH_CAP
     subset_cap: int = 10_000
-    conjecture_subset_cap: int = 100_000
     lemma_subset_cap: int = 10
     seed: int = 0
     checks: tuple[str, ...] = DEFAULT_CHECKS
@@ -424,7 +431,6 @@ class ScanConfig:
         for name, val in (
             ("path_cap", self.path_cap),
             ("subset_cap", self.subset_cap),
-            ("conjecture_subset_cap", self.conjecture_subset_cap),
             ("lemma_subset_cap", self.lemma_subset_cap),
             ("jobs", self.jobs),
         ):
@@ -439,7 +445,7 @@ class ScanConfig:
             "k": self.k,
             "path_cap": self.path_cap,
             "subset_cap": self.subset_cap,
-            "conjecture_subset_cap": self.conjecture_subset_cap,
+            "conjecture_subset_cap": CONJECTURE_SUBSET_CAP,
             "lemma_subset_cap": self.lemma_subset_cap,
             "seed": self.seed,
             "checks": list(self.checks),
@@ -538,9 +544,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         )
     tallies["pairwise"] = {"pass": int(holds), "fail": int(not holds), "vacuous": 0}
 
-    verdict = check_conjecture(
-        g, k, path_cap=config.path_cap, subset_cap=config.conjecture_subset_cap, lps=lps
-    )
+    verdict = check_conjecture(g, k, path_cap=config.path_cap, lps=lps)
     record["conjecture"] = verdict.to_json()
     if verdict.witness:
         # the witness is a k-subset with f > 0, so it is an extremal candidate

@@ -3,15 +3,14 @@
 Paths are undirected objects: the two orientations of a vertex sequence are
 the same path, kept in canonical form (first vertex numerically smaller than
 the last).  One depth-first walk with a reachability bound, which walks each
-path once from its smaller end, gives ell and, when no spanning path exists,
-the longest paths too.  Once it finds a spanning path, ell = n - 1 is known
-and a search with that target fixed enumerates the paths; only that route
-can stop at the cap.  The tests cross-check both routes against an
-independent permutation-prefix oracle.
+path once from its smaller end, gives ell and the longest paths together;
+once it finds a spanning path, ell = n - 1 is known, and it stops at the
+cap.  The tests cross-check it against an independent permutation-prefix
+oracle.
 
 A caller that reads only ell, the number of longest paths, the truncation
-flag and the common vertices can ask count_longest_paths instead: on the
-spanning route it counts the paths without building them, by a memoised walk
+flag and the common vertices can ask count_longest_paths instead: when
+ell = n - 1 it counts the paths without building them, by a memoised walk
 over (visited set, end vertex) states (the Bellman / Held-Karp recurrence).
 """
 
@@ -56,9 +55,6 @@ class Path:
         return frozenset(
             (a, b) if a < b else (b, a) for a, b in zip(seq, seq[1:])
         )
-
-    def reversed(self) -> "Path":
-        return Path(self.vertices[::-1])
 
 
 def _path(vertices: tuple[int, ...], mask: int) -> Path:
@@ -160,7 +156,7 @@ class _SpanningPath(Exception):
     """The walk found a path through every vertex."""
 
 
-def _walk(g: Graph, keep: int) -> tuple[int, list[Path] | None]:
+def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, list[Path] | None]:
     """ell(g) and the lexicographically first keep canonical paths of that
     length, from one depth-first walk; keep = 0 asks for ell alone.
 
@@ -174,23 +170,47 @@ def _walk(g: Graph, keep: int) -> tuple[int, list[Path] | None]:
     to the best length, or, once keep paths of that length are held, cannot
     take it past.  After a forced step (one way on) the reach test is
     skipped, since the child reaches exactly what its parent did, less
-    itself.  The walk stops at the first spanning path and returns
-    (n - 1, None): the paths are then left to _spanning_paths.
+    itself.  After the first spanning path nothing is longer: the walk adds
+    the last two vertices of a path in the parent's loop, which may take the
+    list past keep, and stops once it holds keep paths (at once for
+    keep = 0).  With stop_at_spanning it stops at the first spanning path
+    instead and returns (n - 1, None).
     """
     masks = g.nbr_masks
     full = g.vertex_mask()
     spanning = g.n - 1
     best = 0
+    fold = -1  # once best = spanning, the length with two vertices left
     slack = not keep  # 1 once keep paths of the best length are held
     found: list[Path] = []
     path: list[int] = []
 
     def dfs(v: int, vis: int, length: int) -> None:
         """Walk every extension of path, which ends at v at this length."""
-        nonlocal best, slack, found
+        nonlocal best, fold, slack, found
         nxt = masks[v] & ~vis
+        if length == fold:
+            # two vertices left, and any path through both ties ell: take
+            # each neighbour w of v, then the other one if it is w's
+            # neighbour and lies above the start
+            while nxt:
+                low = nxt & -nxt
+                nxt ^= low
+                w = low.bit_length() - 1
+                end = masks[w] & ~vis & ~low & high
+                if end:
+                    found.append(_path((*path, w, end.bit_length() - 1), full))
+            if len(found) >= keep:
+                raise _CapReached
+            return
         forced = not nxt & (nxt - 1)
         length += 1
+        # with r more vertices the child ends at length + r: it needs
+        # best - length of them to tie, one more to beat, and one at least
+        # to be worth a visit; this changes only with a record or a visit.
+        # Once best = n - 1, need is the number of unvisited vertices, so
+        # only their reach can fall short
+        need = best - length + slack or 1
         while nxt:
             low = nxt & -nxt
             nxt ^= low
@@ -200,27 +220,31 @@ def _walk(g: Graph, keep: int) -> tuple[int, list[Path] | None]:
             # path longer than the best always ends above its start, since
             # had it ended below, it would already have been walked from that
             # smaller end, and the best would be at least its length
-            if low & high and length >= best:
+            if length >= best and low & high:
                 if length > best:
-                    if length == spanning:
+                    if length == spanning and stop_at_spanning:
                         raise _SpanningPath
                     best = length
                     found = []
+                    if best == spanning:
+                        fold = spanning - 2
                 if len(found) < keep:
                     found.append(_path((*path, w), vis_w))
                 slack = len(found) >= keep
+                if slack and best == spanning:
+                    raise _CapReached
+                need = best - length + slack or 1
             rem = full & ~vis_w
-            # with r more vertices the child ends at length + r: it needs
-            # best - length of them to tie, one more to beat, and one at
-            # least to be worth a visit
-            need = best - length + slack or 1
             if rem & high and rem.bit_count() >= need and (
                 forced or _reaches(g, w, rem, need)
             ):
                 path.append(w)
                 dfs(w, vis_w, length)
                 path.pop()
+                need = best - length + slack or 1
 
+    # g is connected, so a root reaches every other vertex and needs no
+    # reach test
     try:
         for s in range(g.n - 1):
             high = full & ~((2 << s) - 1)
@@ -229,6 +253,8 @@ def _walk(g: Graph, keep: int) -> tuple[int, list[Path] | None]:
             path.pop()
     except _SpanningPath:
         return spanning, None
+    except _CapReached:
+        pass
     return best, found
 
 
@@ -242,66 +268,6 @@ def longest_path_length(g: Graph) -> int:
     if not is_connected(g):
         raise UsageError("longest_path_length requires a connected graph")
     return _walk(g, 0)[0]
-
-
-def _spanning_paths(g: Graph, keep: int) -> list[Path]:
-    """The lexicographically first keep canonical spanning paths of g.
-
-    The search looks only for paths of length ell = n - 1, walking each one
-    once from its smaller end (start ascending, neighbours ascending).  A
-    child is cut unless an unvisited vertex above the start is left and the
-    child reaches every unvisited vertex; the reach test is skipped after a
-    forced step.  The last two edges are added in the parent's loop, and the
-    search stops as soon as keep paths are found.
-    """
-    masks = g.nbr_masks
-    full = g.vertex_mask()
-    found: list[Path] = []
-    path: list[int] = []
-
-    def dfs(v: int, vis: int, need: int) -> None:
-        """Extend path, which ends at v, by need >= 2 edges."""
-        nxt = masks[v] & ~vis
-        if need == 2:
-            while nxt:
-                low = nxt & -nxt
-                nxt ^= low
-                w = low.bit_length() - 1
-                ends = masks[w] & ~vis & ~low & high
-                while ends:
-                    end = ends & -ends
-                    seq = (*path, w, end.bit_length() - 1)
-                    found.append(_path(seq, vis | low | end))
-                    ends ^= end
-            if len(found) >= keep:
-                raise _CapReached
-            return
-        forced = not nxt & (nxt - 1)
-        need -= 1
-        while nxt:
-            low = nxt & -nxt
-            nxt ^= low
-            w = low.bit_length() - 1
-            vis_w = vis | low
-            rem = full & ~vis_w
-            # rem holds exactly need vertices, so only their reach can fall
-            # short
-            if rem & high and (forced or _reaches(g, w, rem, need)):
-                path.append(w)
-                dfs(w, vis_w, need)
-                path.pop()
-
-    # from every start all n - 1 other vertices are reachable, so the roots
-    # need no reach test
-    try:
-        for s in range(g.n):
-            high = full & ~((2 << s) - 1)
-            path.append(s)
-            dfs(s, 1 << s, g.n - 1)
-            path.pop()
-    except _CapReached:
-        pass
-    return found
 
 
 # Below this many unvisited vertices the counter walks a child without a
@@ -374,15 +340,13 @@ def _count_spanning(g: Graph, stop: int) -> int:
     return total
 
 
-def _checked_walk(g: Graph, cap: int | None, caller: str) -> tuple[int, list[Path] | None, int]:
-    """(ell, the paths _walk found or None, keep = cap + 1) for a valid call."""
+def _keep(g: Graph, cap: int | None, caller: str) -> int:
+    """The number of paths a walk keeps, cap + 1, once the call is checked."""
     if cap is not None and cap < 1:
         raise UsageError(f"cap must be >= 1, got {cap}")
     if not is_connected(g):
         raise UsageError(f"{caller} requires a connected graph")
-    keep = sys.maxsize if cap is None else cap + 1
-    ell, found = _walk(g, keep)
-    return ell, found, keep
+    return sys.maxsize if cap is None else cap + 1
 
 
 def _path_set(g: Graph, ell: int, found: list[Path] | None, keep: int) -> LongestPathSet:
@@ -404,19 +368,15 @@ def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> Lon
     If more than cap paths exist, the lexicographically first cap of them are
     returned with the truncation flag set.
 
-    There are two routes.  One depth-first walk (_walk) finds ell and records
-    the paths of the best length so far, at most cap + 1 of them; it cannot
-    stop at cap + 1, since a longer path may still come, so without a
-    spanning path it always walks to the end (once cap + 1 paths are held it
-    prunes as longest_path_length does).  At the first spanning path the
-    walk stops, ell = n - 1 is known, and a fixed-target search
-    (_spanning_paths) enumerates the spanning paths, stopping as soon as
-    more than cap are found.
+    One depth-first walk (_walk) finds ell and records the paths of the
+    best length so far, at most cap + 1 of them.  It cannot stop at cap + 1
+    while a longer path may still come, so without a spanning path it walks
+    to the end (once cap + 1 paths are held it prunes as longest_path_length
+    does); once it has found a spanning path, nothing is longer, and it stops
+    as soon as it holds more than cap of them.
     """
-    ell, found, keep = _checked_walk(g, cap, "enumerate_longest_paths")
-    if found is None and ell > 1:
-        found = _spanning_paths(g, keep)
-    return _path_set(g, ell, found, keep)
+    keep = _keep(g, cap, "enumerate_longest_paths")
+    return _path_set(g, *_walk(g, keep), keep)
 
 
 def count_longest_paths(
@@ -432,7 +392,8 @@ def count_longest_paths(
     count stops once the directed total reaches 2 (cap + 1), which keeps the
     truncation flag exact.
     """
-    ell, found, keep = _checked_walk(g, cap, "count_longest_paths")
+    keep = _keep(g, cap, "count_longest_paths")
+    ell, found = _walk(g, keep, stop_at_spanning=True)
     if found is None and ell > 1:
         count = _count_spanning(g, 2 * keep) // 2
         truncated = count >= keep

@@ -60,13 +60,6 @@ class PathSystem:
         """t' per host, in host order."""
         return tuple(_max_edge_disjoint(goods) for goods in self.good_paths)
 
-    def to_json(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "members": [list(p.vertices) for p in self.paths],
-            "longest_certified": self.longest_certified,
-        }
-
 
 class GoodPath(NamedTuple):
     """A good subpath of a host path, as a position interval on the host."""

@@ -168,7 +168,8 @@ def conjecture_oracle(g: Graph, k: int, lps: LongestPathSet) -> tuple[str, dict 
     Uncapped, so only for small path families.
     """
     if lps.common_mask():
-        return ("incomplete" if lps.truncated else "no-violation"), None
+        exact = not lps.truncated or lps.length == g.n - 1
+        return ("no-violation" if exact else "incomplete"), None
     for subset in itertools.combinations(range(len(lps.paths)), k):
         acc = -1
         for idx in subset:

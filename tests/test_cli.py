@@ -95,6 +95,19 @@ class TestAnalyze:
         assert cli(["analyze", "Cs"]) == EXIT_OK
         assert "max f over 1 3-subsets: 0\n" in capsys.readouterr().out
 
+    def test_spanning_paths_counted_not_built(self, capsys, monkeypatch):
+        # K11's longest paths are all spanning: analyze counts them, and the
+        # truncated count still settles every 3-subset
+        def fail(*args, **kwargs):
+            raise AssertionError("enumerated the longest paths")
+
+        monkeypatch.setattr(cli_module, "enumerate_longest_paths", fail)
+        assert cli(["analyze", "J~~~~~~~~~_", "--k", "3"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "|L(G)| = 100000 (truncated)" in lines
+        assert any(line.startswith("k = 3: no-violation (") for line in lines)
+        assert "max f over 10000 3-subsets: 0" in lines
+
     def test_out_rejected(self, tmp_path, capsys):
         # analyze prints its summary and has no file output
         out = tmp_path / "x.json"
@@ -109,6 +122,7 @@ def _no_enumeration(monkeypatch):
         raise AssertionError("enumerated before the arguments were checked")
 
     monkeypatch.setattr(cli_module, "enumerate_longest_paths", fail)
+    monkeypatch.setattr(cli_module, "count_longest_paths", fail)
 
 
 class TestBadArguments:

@@ -15,9 +15,10 @@ import pytest
 
 from lplab import harness
 from lplab.errors import FormatError, UsageError
-from lplab.graphs import Graph, encode_graph6
-from lplab.longest import LongestPathSet, Path, enumerate_longest_paths
+from lplab.graphs import Graph, encode_graph6, parse_graph6
+from lplab.longest import LongestPathSet, Path, count_longest_paths, enumerate_longest_paths
 from lplab.harness import (
+    CONJECTURE_SUBSET_CAP,
     ScanConfig,
     check_conjecture,
     generate_connected_graphs,
@@ -339,6 +340,27 @@ class TestCheckConjecture:
             assert verdict.status == expected
         assert verdict.witness["member_indices"] == H_LEAST_VIOLATION
 
+    def test_truncated_spanning_set_is_exact(self):
+        # K11: each of the 11!/2 longest paths, past the cap too, is spanning
+        # and so holds every vertex
+        k11 = parse_graph6("J~~~~~~~~~_")
+        for lps in (enumerate_longest_paths(k11), count_longest_paths(k11)):
+            assert lps.truncated and lps.length == k11.n - 1
+            verdict = check_conjecture(k11, 3, lps=lps)
+            assert verdict.status == "no-violation" and verdict.used_shortcut
+
+    def test_truncated_set_below_spanning_stays_incomplete(self):
+        # three K5 blocks sharing vertex 0: ell = 8 < 12, and all 1,728
+        # longest paths pass through vertex 0, but the first 10 cannot show
+        # that the paths past the cap do
+        g = parse_graph6("L~}CKMF_C?oB_F")
+        full = enumerate_longest_paths(g)
+        assert (full.length, len(full), full.common_mask()) == (8, 1728, 1)
+        lps = enumerate_longest_paths(g, cap=10)
+        assert lps.truncated and lps.common_mask()
+        for verdict in (check_conjecture(g, 3, lps=lps), check_conjecture(g, 3, path_cap=10)):
+            assert verdict.status == "incomplete" and verdict.used_shortcut
+
     def test_k_guard(self, k13):
         with pytest.raises(UsageError):
             check_conjecture(k13, 1)
@@ -352,6 +374,12 @@ class TestScanConfig:
     def test_defaults(self):
         cfg = ScanConfig()
         assert cfg.k == 3 and cfg.jobs == 1 and not cfg.strict
+
+    def test_conjecture_subset_cap_is_fixed(self):
+        # one value, reported for the record, not a setting
+        with pytest.raises(TypeError):
+            ScanConfig(conjecture_subset_cap=5)
+        assert ScanConfig().to_json()["conjecture_subset_cap"] == CONJECTURE_SUBSET_CAP == 100_000
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -205,6 +205,40 @@ class TestEnumerate:
                 assert fast.truncated == (cap is not None and len(slow.paths) > cap)
         assert max(sizes) == 14 and sum(n > 10 for n in sizes) >= 50
 
+    def test_spanning_path_matches_oracle_under_caps(self):
+        # the walk goes on past its first spanning path and stops at the cap
+        rng = random.Random(20261020)
+        sizes = []
+        while len(sizes) < 200:
+            g = random_labelled_graph(rng, rng.randint(6, 11), base_max=10, grow=0.3)
+            slow = enumerate_longest_paths_oracle(g)
+            if slow.length != g.n - 1:
+                continue
+            sizes.append(g.n)
+            assert longest_path_length(g) == slow.length
+            for cap in (None, 1, 2, 3, 7):
+                fast = enumerate_longest_paths(g, cap=cap)
+                expected = slow.paths if cap is None else slow.paths[:cap]
+                assert fast.length == slow.length
+                assert [p.vertices for p in fast.paths] == [p.vertices for p in expected]
+                assert [p.mask for p in fast.paths] == [p.mask for p in expected]
+                assert fast.truncated == (cap is not None and len(slow.paths) > cap)
+        assert max(sizes) == 11 and sum(n >= 9 for n in sizes) >= 40
+
+    def test_shorter_paths_before_the_first_spanning_path_are_dropped(self):
+        # K_{2,3} with parts {0, 1} and {2, 3, 4}: a spanning path starts and
+        # ends in the larger part, so from starts 0 and 1 the walk records
+        # twelve paths of length 3, more than any cap below keeps, before its
+        # first spanning path 2-0-3-1-4
+        g = Graph.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+        spanning = [p.vertices for p in enumerate_longest_paths_oracle(g).paths]
+        assert len(spanning) == 6 and spanning[0] == (2, 0, 3, 1, 4)
+        for cap in (1, 2, 3, 4, 5, None):
+            lps = enumerate_longest_paths(g, cap=cap)
+            assert lps.length == 4
+            assert [p.vertices for p in lps.paths] == spanning[:cap]
+            assert lps.truncated == (cap is not None)
+
     def test_shorter_paths_past_the_cap_are_dropped(self):
         # from start 0 the walk first records the four length-1 paths
         # (0, 1)..(0, 4), more than any cap below 4 keeps, before the tail
