@@ -56,7 +56,6 @@ from .harness import (
     SearchReport,
     check_conjecture,
     generate_connected_graphs,
-    generate_graphs,
     scan_stream,
 )
 

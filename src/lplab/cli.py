@@ -29,7 +29,7 @@ from .harness import (
     iter_ksubsets,
     scan_stream,
 )
-from .longest import count_longest_paths, enumerate_longest_paths, pairwise_intersection_holds
+from .longest import count_longest_paths, enumerate_longest_paths, first_empty_intersection
 from .systems import certified_system, make_path_system, path_distance_value
 
 EXIT_OK = 0
@@ -80,8 +80,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"n = {g.n}, m = {g.m}")
     print(f"ell(G) = {lps.length}")
     print(f"|L(G)| = {len(lps)}{' (truncated)' if lps.truncated else ''}")
-    holds, pair = (True, None) if common else pairwise_intersection_holds(lps.paths)
-    if holds:
+    # the conjecture search at k = 2, uncapped
+    pair = None if common else first_empty_intersection([p.mask for p in lps.paths], 2)[0]
+    if pair is None:
         print("pairwise intersection: holds")
     else:
         i, j = pair
@@ -93,13 +94,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"common vertices of all longest paths: {common_verts}")
     k = args.k
     verdict = check_conjecture(g, k, path_cap=args.path_cap, lps=lps)
-    if verdict.used_shortcut:
+    if not verdict.used_shortcut:
+        work = f"{verdict.subsets_checked} search nodes"
+    elif not lps.truncated:
         work = (
             f"{verdict.subsets_checked}/{verdict.total_subsets} subsets, "
             "via common-vertex shortcut"
         )
+    elif verdict.status == "no-violation":
+        # the cap cut the list, so C(len(lps), k) is not the subset total
+        work = (
+            f"every {k}-subset of more than {len(lps)} longest paths, "
+            "via common-vertex shortcut"
+        )
     else:
-        work = f"{verdict.subsets_checked} search nodes"
+        work = (
+            f"{verdict.subsets_checked} subsets of the first {len(lps)} longest paths, "
+            "via common-vertex shortcut"
+        )
     print(f"k = {k}: {verdict.status} ({work})")
     if verdict.witness:
         print(f"witness: {json.dumps(verdict.witness)}")

@@ -8,7 +8,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import UsageError
+from .errors import LplabError, UsageError
 from .graphs import GRAPH6_SMALL_MAX, Graph, encode_graph6
 from .longest import longest_path_length
 from .systems import PathSystem, common_vertices, make_path_system
@@ -124,7 +124,7 @@ def build_gt(g: Graph, ps: PathSystem, t: int) -> ConstructionResult:
     expected_len = (ps.paths[0].length + 2) * (t + 1)
     for idx, member in enumerate(ps2.paths):
         if g.n > 1 and member.length != expected_len:
-            raise AssertionError(
+            raise LplabError(
                 f"member {idx} has length {member.length}, expected {expected_len}"
             )
 

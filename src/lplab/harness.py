@@ -60,7 +60,6 @@ from .longest import (
     count_longest_paths,
     enumerate_longest_paths,
     first_empty_intersection,
-    pairwise_intersection_holds,
 )
 from .systems import certified_system
 
@@ -277,27 +276,15 @@ def _graph_from_masks(masks: Sequence[int]) -> Graph:
     return Graph(len(masks), tuple(masks), sum(m.bit_count() for m in masks) // 2)
 
 
-def _generate(n: int, connected_only: bool) -> list[Graph]:
-    if not 1 <= n <= GENERATOR_MAX_N:
-        raise UsageError(f"generator supports 1 <= n <= {GENERATOR_MAX_N}, got {n}")
-    graphs = [
-        _graph_from_masks(m) for m in _all_graph_masks(n)
-        if not connected_only or masks_connected(m)
-    ]
-    graphs.sort(key=encode_graph6)
-    return graphs
-
-
-def generate_graphs(n: int) -> list[Graph]:
-    """Every non-isomorphic simple graph on n vertices, in graph6 order."""
-    return _generate(n, connected_only=False)
-
-
 def generate_connected_graphs(n: int) -> list[Graph]:
     """Every connected graph on n unlabeled vertices exactly once, in graph6
     order.  Connectivity is read from the neighbour masks, so only the
     connected graphs are built and encoded."""
-    return _generate(n, connected_only=True)
+    if not 1 <= n <= GENERATOR_MAX_N:
+        raise UsageError(f"generator supports 1 <= n <= {GENERATOR_MAX_N}, got {n}")
+    graphs = [_graph_from_masks(m) for m in _all_graph_masks(n) if masks_connected(m)]
+    graphs.sort(key=encode_graph6)
+    return graphs
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +323,8 @@ class ConjectureVerdict:
     status: str  # "no-violation" | "violation" | "incomplete"
     k: int
     subsets_checked: int  # search nodes, or total_subsets via the shortcut
+    # C(len(lps), k): a lower bound on the true total when the path list is
+    # truncated
     total_subsets: int
     used_shortcut: bool
     witness: Optional[dict] = None
@@ -366,13 +355,16 @@ def check_conjecture(
     """Do every k of the longest paths of g share a vertex?
 
     When all longest paths share a vertex, every k-subset trivially does, so
-    the whole subset space is covered without searching it.  Otherwise an
-    exact search finds the lexicographically least k-subset with no common
-    vertex, or proves there is none.  subsets_checked then counts its search
-    nodes, and subset_cap bounds them: a search cut by the cap, or a
-    truncated path list without a violation, gives "incomplete".  A
-    truncated list of spanning paths (ell = n - 1) is the exception: every
-    longest path then holds every vertex, the ones past the cap too.
+    the whole subset space is covered without searching it.  Otherwise one
+    exact cover search (first_empty_intersection) either proves that every
+    k of them meet or finds at most k paths with no common vertex; the
+    witness is that cover padded with the least unused indices up to k.
+    subsets_checked then counts its search nodes, and subset_cap bounds
+    them: a search cut by the cap, or a truncated path list without a
+    violation, gives "incomplete".  A truncated list of spanning paths
+    (ell = n - 1) is the exception: every longest path then holds every
+    vertex, the ones past the cap too.  total_subsets is C(len(lps), k),
+    which a truncated list only bounds from below.
     """
     if k < 2:
         raise UsageError(f"k must be >= 2, got {k}")
@@ -529,9 +521,11 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     k = config.k
     tallies = record["tallies"]
 
-    # pairwise intersection; a global common vertex covers every pair exactly
+    # pairwise intersection: the conjecture search at k = 2, uncapped; a
+    # global common vertex covers every pair exactly
     common = lps.common_mask()
-    holds, pair = (True, None) if common else pairwise_intersection_holds(lps.paths)
+    pair = None if common else first_empty_intersection([p.mask for p in lps.paths], 2)[0]
+    holds = pair is None
     if not holds:
         i, j = pair
         record["failures"].append(

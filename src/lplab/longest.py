@@ -16,9 +16,10 @@ over (visited set, end vertex) states (the Bellman / Held-Karp recurrence).
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import UsageError
 from .graphs import Graph, is_connected
@@ -47,15 +48,6 @@ class Path:
         """Edge count."""
         return len(self.vertices) - 1
 
-    def canonical(self) -> "Path":
-        return Path(canonical_sequence(self.vertices))
-
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        seq = self.vertices
-        return frozenset(
-            (a, b) if a < b else (b, a) for a, b in zip(seq, seq[1:])
-        )
-
 
 def _path(vertices: tuple[int, ...], mask: int) -> Path:
     """Path(vertices) for a caller that already holds its mask.
@@ -67,11 +59,6 @@ def _path(vertices: tuple[int, ...], mask: int) -> Path:
     object.__setattr__(p, "vertices", vertices)
     object.__setattr__(p, "mask", mask)
     return p
-
-
-def canonical_sequence(seq: Sequence[int]) -> tuple[int, ...]:
-    t = tuple(seq)
-    return t if t[0] <= t[-1] else t[::-1]
 
 
 @dataclass(frozen=True)
@@ -401,19 +388,10 @@ def count_longest_paths(
     return _path_set(g, ell, found, keep)
 
 
-def pairwise_intersection_holds(paths: Iterable[Path]) -> tuple[bool, tuple[int, int] | None]:
-    """Check that every pair of paths shares a vertex.
-
-    Returns (True, None) or (False, (i, j)) with the first offending pair.
-    """
-    pair, _, _ = first_empty_intersection([p.mask for p in paths], 2)
-    return (True, None) if pair is None else (False, pair)
-
-
 def first_empty_intersection(
     masks: Sequence[int], k: int, node_cap: int | None = None
 ) -> tuple[tuple[int, ...] | None, int, bool]:
-    """Lexicographically least k-subset of indices whose masks have an empty AND.
+    """A k-subset of indices whose masks have an empty AND, if one exists.
 
     An exact cover-style search (Knuth's Algorithm X with the
     minimum-remaining-values rule): a subset has an empty AND iff every
@@ -422,12 +400,15 @@ def first_empty_intersection(
     only shrinks the AND, so a subset exists iff at most k masks have an
     empty AND and k <= len(masks).
 
+    The witness is the first cover the search finds, at most k indices,
+    padded with the least unused indices up to k and sorted; it need not be
+    the lexicographically least such subset.
+
     Returns (subset or None, search nodes, capped).  With node_cap set, the
     search stops before its node count would pass the cap and reports
     (None, node_cap, True): no answer either way.
     """
     n_items = len(masks)
-    everyone = (1 << n_items) - 1
     universe = 0
     for m in masks:
         universe |= m
@@ -440,6 +421,7 @@ def first_empty_intersection(
             missed_by[low.bit_length() - 1] |= 1 << i
             miss ^= low
     nodes = 0
+    cover: list[int] = []  # the indices taken on the current branch
 
     def cover_at_most(alive: int, allowed: int, limit: int) -> bool:
         """Can at most limit indices of allowed together miss every vertex of alive?"""
@@ -469,24 +451,21 @@ def first_empty_intersection(
         while branch:
             low = branch & -branch
             allowed ^= low
-            if cover_at_most(alive & masks[low.bit_length() - 1], allowed, limit - 1):
+            i = low.bit_length() - 1
+            cover.append(i)
+            if cover_at_most(alive & masks[i], allowed, limit - 1):
                 return True
+            cover.pop()
             branch ^= low
         return False
 
     try:
-        if k > n_items or not cover_at_most(universe, everyone, k):
+        if k > n_items or not cover_at_most(universe, (1 << n_items) - 1, k):
             return None, nodes, False
-        # greedy: each position takes the least index whose suffix can still
-        # be completed from larger indices; the first decision guarantees one
-        chosen: list[int] = []
-        alive, i = universe, 0
-        for slots in range(k, 0, -1):
-            while not cover_at_most(alive & masks[i], everyone >> (i + 1) << (i + 1), slots - 1):
-                i += 1
-            chosen.append(i)
-            alive &= masks[i]
-            i += 1
     except _CapReached:
         return None, nodes, True
-    return tuple(chosen), nodes, False
+    # any superset of a cover has an empty AND too
+    taken = set(cover)
+    unused = (i for i in range(n_items) if i not in taken)
+    cover.extend(itertools.islice(unused, k - len(cover)))
+    return tuple(sorted(cover)), nodes, False

@@ -3,24 +3,58 @@
 Each oracle deliberately uses a different algorithm (or a different library)
 than the code path it cross-checks: brute force, or the simpler code that a
 faster runtime path replaced (good_paths_oracle, good_path_bounds_oracle).
+The small helpers that only the tests need (canonical forms, edge lists, the
+corpus with its disconnected graphs) live here too.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import networkx as nx
 import numpy as np
 
+from lplab import harness
 from lplab.bounds import CheckReport, instance_id
 from lplab.errors import UsageError
-from lplab.graphs import GRAPH6_SMALL_MAX, Graph, DistanceVector, encode_graph6, is_connected
-from lplab.longest import LongestPathSet, Path, canonical_sequence
+from lplab.graphs import Graph, DistanceVector, encode_graph6, is_connected
+from lplab.longest import LongestPathSet, Path
 from lplab.systems import GoodPath, PathSystem
 
 ORACLE_MAX_N = 14
+
+
+def canonical_sequence(seq: Sequence[int]) -> tuple[int, ...]:
+    """seq or its reverse, whichever starts at the smaller end."""
+    t = tuple(seq)
+    return t if t[0] <= t[-1] else t[::-1]
+
+
+def canonical(p: Path) -> Path:
+    return Path(canonical_sequence(p.vertices))
+
+
+def edge_set(p: Path) -> frozenset[tuple[int, int]]:
+    seq = p.vertices
+    return frozenset((a, b) if a < b else (b, a) for a, b in zip(seq, seq[1:]))
+
+
+def format_edge_list(g: Graph) -> str:
+    """g in the 'n m' edge-list format that parse_edge_list reads."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines)
+
+
+def generate_graphs(n: int) -> list[Graph]:
+    """Every non-isomorphic simple graph on n vertices, disconnected ones
+    too, in graph6 order: the generator's representatives, for calibrating
+    its counts."""
+    graphs = [harness._graph_from_masks(m) for m in harness._all_graph_masks(n)]
+    graphs.sort(key=encode_graph6)
+    return graphs
 
 
 def all_pairs_distances(g: Graph) -> list[DistanceVector]:
@@ -131,17 +165,17 @@ def graph_from_code(n: int, code: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def f_oracle(g: Graph, member_vertex_sets) -> int:
-    """Path-distance-function by Floyd-Warshall plus explicit min-of-min sums."""
+def f_and_minimizers_oracle(g: Graph, member_vertex_sets) -> tuple[int, list[int]]:
+    """Path-distance-function and its minimizers by Floyd-Warshall plus
+    explicit min-of-min sums."""
     d = all_pairs_distances(g)
-    best = None
-    for v in range(g.n):
-        total = 0
-        for vs in member_vertex_sets:
-            total += min(d[v][u] for u in vs)
-        if best is None or total < best:
-            best = total
-    return best
+    sums = [sum(min(d[v][u] for u in vs) for vs in member_vertex_sets) for v in range(g.n)]
+    f = min(sums)
+    return f, [v for v in range(g.n) if sums[v] == f]
+
+
+def f_oracle(g: Graph, member_vertex_sets) -> int:
+    return f_and_minimizers_oracle(g, member_vertex_sets)[0]
 
 
 def max_edge_disjoint_oracle(goods) -> int:
@@ -160,35 +194,22 @@ def max_edge_disjoint_oracle(goods) -> int:
     return best
 
 
-def conjecture_oracle(g: Graph, k: int, lps: LongestPathSet) -> tuple[str, dict | None]:
-    """(status, witness) of check_conjecture by exhaustive k-subset iteration.
+def conjecture_oracle(g: Graph, k: int, lps: LongestPathSet) -> str:
+    """The status of check_conjecture by exhaustive k-subset iteration.
 
-    Walks itertools.combinations in order and stops at the first subset with
-    no common vertex, with f and its minimizers from Floyd-Warshall distances.
-    Uncapped, so only for small path families.
+    Walks itertools.combinations and stops at the first subset with no
+    common vertex.  Uncapped, so only for small path families.
     """
     if lps.common_mask():
         exact = not lps.truncated or lps.length == g.n - 1
-        return ("no-violation" if exact else "incomplete"), None
+        return "no-violation" if exact else "incomplete"
     for subset in itertools.combinations(range(len(lps.paths)), k):
         acc = -1
         for idx in subset:
             acc &= lps.paths[idx].mask
         if not acc:
-            members = [lps.paths[idx] for idx in subset]
-            d = all_pairs_distances(g)
-            sums = [
-                sum(min(d[v][u] for u in p.vertices) for p in members) for v in range(g.n)
-            ]
-            f = min(sums)
-            return "violation", {
-                "graph6": encode_graph6(g) if g.n <= GRAPH6_SMALL_MAX else None,
-                "member_indices": list(subset),
-                "members": [list(p.vertices) for p in members],
-                "f": f,
-                "minimizers": [v for v in range(g.n) if sums[v] == f],
-            }
-    return ("incomplete" if lps.truncated else "no-violation"), None
+            return "violation"
+    return "incomplete" if lps.truncated else "no-violation"
 
 
 def good_paths_oracle(ps: PathSystem, host_index: int) -> list[GoodPath]:

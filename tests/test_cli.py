@@ -83,6 +83,13 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert re.search(r"k = 9: violation \(\d+ search nodes\)\n", out)
         assert '"member_indices": [24, 25, 26, 27, 29, 31, 32, 33, 37]' in out
+        # a truncated list that shares a vertex settles only its own subsets
+        # (three K5 blocks on a cut vertex, ell = 8 < n - 1)
+        assert cli(["analyze", "L~}CKMF_C?oB_F", "--path-cap", "10"]) == EXIT_OK
+        assert (
+            "k = 3: incomplete (120 subsets of the first 10 longest paths, "
+            "via common-vertex shortcut)\n"
+        ) in capsys.readouterr().out
 
     def test_no_violation_settles_max_f(self, capsys, monkeypatch):
         # every 3 of H's 42 longest paths meet, so no system is built to find f
@@ -105,7 +112,11 @@ class TestAnalyze:
         assert cli(["analyze", "J~~~~~~~~~_", "--k", "3"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert "|L(G)| = 100000 (truncated)" in lines
-        assert any(line.startswith("k = 3: no-violation (") for line in lines)
+        # C(100000, 3) is not the subset total: K11 has 11!/2 longest paths
+        assert (
+            "k = 3: no-violation (every 3-subset of more than 100000 longest paths, "
+            "via common-vertex shortcut)"
+        ) in lines
         assert "max f over 10000 3-subsets: 0" in lines
 
     def test_out_rejected(self, tmp_path, capsys):

@@ -14,12 +14,11 @@ from lplab.graphs import (
     Graph,
     bfs_distances,
     encode_graph6,
-    format_edge_list,
     is_connected,
     parse_edge_list,
     parse_graph6,
 )
-from oracles import all_pairs_distances, from_networkx, to_networkx
+from oracles import all_pairs_distances, format_edge_list, from_networkx, to_networkx
 
 
 def small_graphs(max_n=7):

@@ -22,16 +22,29 @@ from lplab.harness import (
     ScanConfig,
     check_conjecture,
     generate_connected_graphs,
-    generate_graphs,
     iter_ksubsets,
     scan_stream,
 )
-from oracles import canonical_code, conjecture_oracle, labeled_scan_canonical_codes
+from lplab.systems import common_vertices, make_path_system
+from oracles import (
+    canonical_sequence,
+    canonical_code,
+    conjecture_oracle,
+    f_and_minimizers_oracle,
+    generate_graphs,
+    labeled_scan_canonical_codes,
+)
 
-# H's least violating 9-subset of its 42 longest paths, in enumeration order
+# H's least violating 9-subset of its 42 longest paths, in enumeration order;
+# the cover search finds these nine
 H_LEAST_VIOLATION = [24, 25, 26, 27, 29, 31, 32, 33, 37]
 # the same for G_1 of H, whose nine members have f = 2
 G1_LEAST_VIOLATION = [0, 1, 2, 3, 5, 7, 8, 9, 13]
+# H': H with a second pendant at vertex 0 (13 vertices, 62 longest paths of
+# length 9), and its twins with the second pendant at vertex 3 or 4
+H_PRIME_GRAPH6 = "LhAAPWU_?_@?_?"
+H_PRIME_TWINS = ("LhAAPWU_?_@?C?", "LhAAPWU_?_@?A?")
+H_PRIME_WITNESS = [32, 33, 34, 35, 37, 39, 40, 41, 46]
 
 
 KNOWN_TOTAL = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -118,9 +131,9 @@ class TestGenerator:
 
     def test_range_guard(self):
         with pytest.raises(UsageError):
-            generate_graphs(0)
+            generate_connected_graphs(0)
         with pytest.raises(UsageError):
-            generate_graphs(10)
+            generate_connected_graphs(10)
 
     def test_sorted_and_distinct(self, corpus_by_n):
         for gs in corpus_by_n.values():
@@ -292,7 +305,8 @@ class TestCheckConjecture:
 
     def test_matches_exhaustive_oracle(self):
         # random families of equal-length paths on K_n, injected as the
-        # longest paths; every k from 2 to one past the family size
+        # longest paths; every k from 2 to one past the family size.  Any k
+        # of the paths with no common vertex is a valid witness
         rng = random.Random(20161)
         searched = {"violation": 0, "no-violation": 0, "incomplete": 0}
         for _ in range(400):
@@ -300,16 +314,28 @@ class TestCheckConjecture:
             g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
             length = rng.randint(0, n - 2)
             family = {
-                Path(tuple(rng.sample(range(n), length + 1))).canonical()
+                canonical_sequence(rng.sample(range(n), length + 1))
                 for _ in range(rng.randint(1, 12))
             }
-            lps = LongestPathSet(length, tuple(sorted(family, key=lambda p: p.vertices)),
+            lps = LongestPathSet(length, tuple(Path(t) for t in sorted(family)),
                                  truncated=rng.random() < 0.2)
             for k in range(2, len(lps.paths) + 2):
                 verdict = check_conjecture(g, k, lps=lps)
-                assert (verdict.status, verdict.witness) == conjecture_oracle(g, k, lps)
+                assert verdict.status == conjecture_oracle(g, k, lps)
                 if not verdict.used_shortcut:
                     searched[verdict.status] += 1
+                if verdict.status != "violation":
+                    assert verdict.witness is None
+                    continue
+                witness = verdict.witness
+                indices = witness["member_indices"]
+                assert indices == sorted(set(indices)) and len(indices) == k
+                assert 0 <= indices[0] and indices[-1] < len(lps.paths)
+                members = [lps.paths[i].vertices for i in indices]
+                assert witness["members"] == [list(m) for m in members]
+                assert not set.intersection(*map(set, members))
+                assert witness["graph6"] == encode_graph6(g)
+                assert (witness["f"], witness["minimizers"]) == f_and_minimizers_oracle(g, members)
         assert min(searched.values()) >= 50, searched
 
     def test_h_least_violating_k(self, h_graph):
@@ -322,14 +348,36 @@ class TestCheckConjecture:
         assert verdict.status == "violation"
         assert verdict.witness["member_indices"] == H_LEAST_VIOLATION
         assert verdict.witness["f"] == 1
+        # the witness is the cover that the decision search found
+        assert verdict.subsets_checked == 10
         verdict = check_conjecture(h_graph, 10, lps=lps)
         assert verdict.witness["member_indices"] == [0] + H_LEAST_VIOLATION
 
     def test_node_cap_gives_incomplete(self, h_graph):
-        verdict = check_conjecture(h_graph, 9, subset_cap=100)
+        # proving that every 8 of H's longest paths meet takes 511 nodes
+        assert check_conjecture(h_graph, 8).subsets_checked == 511
+        verdict = check_conjecture(h_graph, 8, subset_cap=100)
         assert verdict.status == "incomplete"
         assert 0 < verdict.subsets_checked <= 100
         assert verdict.witness is None
+
+    @pytest.mark.parametrize("g6", (H_PRIME_GRAPH6,) + H_PRIME_TWINS)
+    def test_h_prime_under_default_cap(self, g6):
+        # every 8 longest paths meet, some 9 do not, and one cover search
+        # shows it well inside the default node cap
+        g = parse_graph6(g6)
+        lps = enumerate_longest_paths(g)
+        assert (g.n, lps.length, len(lps), lps.truncated) == (13, 9, 62, False)
+        for k in range(3, 9):
+            assert check_conjecture(g, k, lps=lps).status == "no-violation"
+        verdict = check_conjecture(g, 9, lps=lps)
+        assert verdict.status == "violation"
+        witness = verdict.witness
+        assert witness["f"] == 1
+        if g6 == H_PRIME_GRAPH6:
+            assert witness["member_indices"] == H_PRIME_WITNESS
+        ps = make_path_system(g, witness["members"], require_longest=True)
+        assert ps.k == 9 and not common_vertices(ps)
 
     def test_truncated_path_list(self, h_graph):
         full = enumerate_longest_paths(h_graph)

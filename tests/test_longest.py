@@ -17,17 +17,21 @@ from lplab.longest import (
     DEFAULT_PATH_CAP,
     Path,
     SpanningPathCount,
-    canonical_sequence,
     count_longest_paths,
     enumerate_longest_paths,
     first_empty_intersection,
     is_path,
     longest_path_length,
-    pairwise_intersection_holds,
 )
 from lplab.systems import make_path_system
 from conftest import H_SYSTEM
-from oracles import ORACLE_MAX_N, enumerate_longest_paths_oracle
+from oracles import (
+    ORACLE_MAX_N,
+    canonical,
+    canonical_sequence,
+    edge_set,
+    enumerate_longest_paths_oracle,
+)
 
 
 def random_labelled_graph(
@@ -71,13 +75,13 @@ class TestPath:
         assert len(p) == 3
 
     def test_canonical(self):
-        assert Path((3, 1, 0)).canonical() == Path((0, 1, 3))
-        assert Path((0, 1, 3)).canonical() == Path((0, 1, 3))
+        assert canonical(Path((3, 1, 0))) == Path((0, 1, 3))
+        assert canonical(Path((0, 1, 3))) == Path((0, 1, 3))
         assert canonical_sequence((5,)) == (5,)
 
     def test_edge_set(self):
-        assert Path((2, 0, 1)).edge_set() == {(0, 2), (0, 1)}
-        assert Path((4,)).edge_set() == frozenset()
+        assert edge_set(Path((2, 0, 1))) == {(0, 2), (0, 1)}
+        assert edge_set(Path((4,))) == frozenset()
 
 
 class TestIsPath:
@@ -401,20 +405,23 @@ class TestOracle:
 
 
 class TestPairwiseIntersection:
+    # every two paths meet iff the cover search finds no pair at k = 2
+
+    @staticmethod
+    def disjoint_pair(paths):
+        return first_empty_intersection([p.mask for p in paths], 2)[0]
+
     def test_holds(self, k13):
-        lps = enumerate_longest_paths(k13)
-        assert pairwise_intersection_holds(lps.paths) == (True, None)
+        assert self.disjoint_pair(enumerate_longest_paths(k13).paths) is None
 
     def test_first_violation_reported(self):
         paths = [Path((0, 1)), Path((1, 2)), Path((3, 4))]
-        assert pairwise_intersection_holds(paths) == (False, (0, 2))
+        assert self.disjoint_pair(paths) == (0, 2)
 
     def test_corpus(self, corpus_by_n):
         for n in range(1, 7):
             for g in corpus_by_n[n]:
-                lps = enumerate_longest_paths(g)
-                ok, pair = pairwise_intersection_holds(lps.paths)
-                assert ok and pair is None
+                assert self.disjoint_pair(enumerate_longest_paths(g).paths) is None
 
 
 class TestFirstEmptyIntersection:
@@ -426,6 +433,16 @@ class TestFirstEmptyIntersection:
         assert first_empty_intersection(self.MASKS, 2)[0] is None
         assert first_empty_intersection(self.MASKS, 3)[0] == (0, 1, 2)
         assert first_empty_intersection(self.MASKS, 4)[0] == (0, 1, 2, 3)
+
+    def test_witness_is_the_cover_found(self):
+        # vertex sets {0,1}, {0}, {1}, {2}: the search branches on vertex 0,
+        # takes path 2, then path 1 for vertex 1.  (0, 3) is the least pair,
+        # but the witness is the cover found, padded with the least unused
+        # indices up to k
+        masks = (0b011, 0b001, 0b010, 0b100)
+        assert first_empty_intersection(masks, 2) == ((1, 2), 3, False)
+        assert first_empty_intersection(masks, 3) == ((0, 1, 2), 3, False)
+        assert first_empty_intersection(masks, 4) == ((0, 1, 2, 3), 3, False)
 
     def test_more_members_than_paths(self):
         assert first_empty_intersection(self.MASKS, 5) == (None, 0, False)
