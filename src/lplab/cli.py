@@ -201,6 +201,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         f"conjecture: {report.conjecture_status}, "
         f"max f = {report.max_f}, max ratio = {frac_str(report.max_ratio)}, "
         f"{len(report.failures)} failures, "
+        f"{report.counts_stopped} spanning path counts stopped at the subset cap, "
         f"{report.lemma_systems} lemma systems checked, {report.wall_time:.2f}s",
         file=sys.stderr,
     )

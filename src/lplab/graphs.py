@@ -161,6 +161,12 @@ def parse_graph6(line: str) -> Graph:
         )
     if len(s) - off > need:
         raise FormatError(f"trailing bytes after graph6 data at offset {off + need}")
+    # the bit-stream is padded with zeros to a multiple of 6 bits; a set
+    # padding bit would be dropped, and the line read as another graph's
+    if need and (ord(s[off + need - 1]) - 63) & ((1 << (6 * need - nbits)) - 1):
+        raise FormatError(
+            f"nonzero padding bits in the last graph6 data byte at offset {off + need - 1}"
+        )
     edges = []
     bit = 0
     for x in range(1, n):

@@ -460,6 +460,7 @@ class SearchReport:
     halted: bool = False
     # reported on stderr only, never in JSON
     lemma_systems: int = 0  # path systems run through the lemma checks
+    counts_stopped: int = 0  # spanning counts stopped at _sweep_count_cap
     wall_time: Optional[float] = None
 
     def to_json(self) -> dict:
@@ -492,6 +493,27 @@ class SearchReport:
         )
 
 
+def _sweep_count_cap(k: int, subset_cap: int) -> int:
+    """c*, the least c >= k with C(c, k) >= subset_cap.
+
+    A theorem sweep over the k-subsets of c >= c* paths draws subset_cap of
+    them whatever c is, so a count that stops at c* gives the same tally.
+    Found by doubling and then bisection on math.comb, so even a cap of
+    10**15 costs a graph a few dozen comb calls.
+    """
+    lo = hi = k
+    while math.comb(hi, k) < subset_cap:
+        lo, hi = hi + 1, 2 * hi
+    # C(c, k) grows with c >= k; C(lo - 1, k) < subset_cap <= C(hi, k)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.comb(mid, k) < subset_cap:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _tally(tallies: dict, report: CheckReport) -> None:
     slot = tallies.setdefault(report.check_id, {"pass": 0, "fail": 0, "vacuous": 0})
     slot[report.status] += 1
@@ -510,14 +532,27 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         "failures": [],
         "max_f": 0,
         "lemma_systems": 0,
+        "counts_stopped": 0,
     }
     if not record["connected"]:
         return record
-    # without a lemma check nothing reads the members of a spanning path set
-    # (they share every vertex), so those are counted rather than built
     lemma_checks = [c for c in config.checks if c != "theorem"]
-    find = enumerate_longest_paths if lemma_checks else count_longest_paths
-    lps = find(g, cap=config.path_cap)
+    if lemma_checks:
+        lps = enumerate_longest_paths(g, cap=config.path_cap)
+    else:
+        # without a lemma check nothing reads the members of a spanning path
+        # set (they share every vertex), so those are counted rather than
+        # built; and the count is read only through the theorem sweep's
+        # min(C(count, k), subset_cap), which is subset_cap from c* on, so
+        # the count stops at c* (flagged truncated; check_conjecture takes a
+        # truncated spanning set as exact)
+        count_cap = _sweep_count_cap(config.k, config.subset_cap)
+        lps = count_longest_paths(g, cap=config.path_cap, count_cap=count_cap)
+        record["counts_stopped"] = int(
+            isinstance(lps, SpanningPathCount)
+            and lps.truncated
+            and count_cap < config.path_cap
+        )
     k = config.k
     tallies = record["tallies"]
 
@@ -622,6 +657,7 @@ def _merge_records(report: SearchReport, records: Iterable[dict]) -> SearchRepor
             continue
         report.graphs_scanned += 1
         report.lemma_systems += rec["lemma_systems"]
+        report.counts_stopped += rec["counts_stopped"]
         for check_id, slot in rec["tallies"].items():
             agg = report.tallies.setdefault(
                 check_id, {"pass": 0, "fail": 0, "vacuous": 0}

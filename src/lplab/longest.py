@@ -12,6 +12,8 @@ A caller that reads only ell, the number of longest paths, the truncation
 flag and the common vertices can ask count_longest_paths instead: when
 ell = n - 1 it counts the paths without building them, by a memoised walk
 over (visited set, end vertex) states (the Bellman / Held-Karp recurrence).
+A caller that reads the count only up to some size can stop that count
+there (count_cap); the truncation flag then says that more paths exist.
 """
 
 from __future__ import annotations
@@ -367,7 +369,7 @@ def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> Lon
 
 
 def count_longest_paths(
-    g: Graph, cap: int | None = DEFAULT_PATH_CAP
+    g: Graph, cap: int | None = DEFAULT_PATH_CAP, *, count_cap: int | None = None
 ) -> LongestPathSet | SpanningPathCount:
     """ell, the capped number of longest paths, the truncation flag and the
     common mask, as enumerate_longest_paths gives them.
@@ -378,10 +380,19 @@ def count_longest_paths(
     returned.  Each undirected path is counted once per direction, so the
     count stops once the directed total reaches 2 (cap + 1), which keeps the
     truncation flag exact.
+
+    count_cap, if set, caps the count of spanning paths alone at
+    min(cap, count_cap), with the flag set when more exist; the paths kept
+    without a spanning path are capped at cap as before.  It serves a caller
+    that reads the count only up to some size.
     """
     keep = _keep(g, cap, "count_longest_paths")
+    if count_cap is not None and count_cap < 1:
+        raise UsageError(f"count_cap must be >= 1, got {count_cap}")
     ell, found = _walk(g, keep, stop_at_spanning=True)
     if found is None and ell > 1:
+        if count_cap is not None:
+            keep = min(keep, count_cap + 1)
         count = _count_spanning(g, 2 * keep) // 2
         truncated = count >= keep
         return SpanningPathCount(ell, keep - 1 if truncated else count, truncated)

@@ -77,3 +77,12 @@ def h_g1() -> Graph:
 def corpus_by_n() -> dict[int, list[Graph]]:
     """Connected graphs for n = 1..6, shared across the unit tests."""
     return {n: generate_connected_graphs(n) for n in range(1, 7)}
+
+
+@pytest.fixture(scope="session")
+def corpus8() -> list[Graph]:
+    """Every connected graph with n <= 8 (12,113 graphs)."""
+    graphs = []
+    for n in range(1, 9):
+        graphs.extend(generate_connected_graphs(n))
+    return graphs

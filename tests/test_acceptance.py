@@ -42,14 +42,6 @@ def _print_verdicts(request):
 
 
 @pytest.fixture(scope="session")
-def corpus8() -> list:
-    graphs = []
-    for n in range(1, 9):
-        graphs.extend(generate_connected_graphs(n))
-    return graphs
-
-
-@pytest.fixture(scope="session")
 def scan_k3(corpus8):
     return scan_stream(corpus8, ScanConfig(k=3, lemma_subset_cap=3))
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -237,6 +238,21 @@ class TestSearch:
         )
         assert lines[1].startswith("lplab: scanned 21 graphs")
         assert re.search(r", 132 lemma systems checked, \d+\.\d\ds$", lines[1])
+
+    def test_theorem_only_summary_counts_stopped(self, capsys, tmp_path):
+        # the 293 graphs with more than c* = 41 spanning paths (the least c
+        # with C(c, 3) >= 10,000) stop their count there; the report bytes
+        # are those recorded when every spanning path was counted
+        out = tmp_path / "report.json"
+        argv = ["search", "--gen-n", "7", "--k", "3", "--checks", "theorem", "--out", str(out)]
+        assert cli(argv) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3291ac0a59c5bc2356b28fdf57d72e6cf82623f3cfd0028f4019b070f6d9e5ee"
+        )
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert summary.startswith("lplab: scanned 853 graphs")
+        assert ", 0 failures, 293 spanning path counts stopped at the subset cap, " in summary
+        assert "counts_stopped" not in out.read_text()
 
     def test_file_input(self, capsys, tmp_path, corpus_by_n):
         path = tmp_path / "corpus.g6"

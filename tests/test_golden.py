@@ -1,10 +1,12 @@
 """Report bytes pinned against files recorded before the path-system facts
 were cached and the Lemma 3 / Corollary 1 checkers merged, and (the
 theorem-only scans) before the scanner counted spanning paths instead of
-building them."""
+building them.  The theorem-only n <= 8 reports are pinned by hash, recorded
+before those counts stopped at the theorem sweep's subset cap."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -35,6 +37,20 @@ def test_theorem_only_scan_report_n_le_6(corpus_by_n, k):
     corpus = [g for n in range(1, 7) for g in corpus_by_n[n]]
     report = scan_stream(corpus, ScanConfig(k=k, checks=("theorem",)))
     assert _dumps(report.to_json()) == (DATA / f"scan_n6_k{k}_theorem.json").read_text()
+
+
+# sha256 of json.dumps(report.to_json(), sort_keys=True)
+THEOREM_ONLY_N_LE_8_SHA256 = {
+    3: "7dd15c7a85a6777c56f4e1e54172802f8493a6817273891e226e5719a12ec023",
+    4: "e8c0a4bc81d7b37871f0eb13ab047591e1def1996934286b40d76f881aaaf87a",
+}
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_theorem_only_scan_report_n_le_8(corpus8, k):
+    report = scan_stream(corpus8, ScanConfig(k=k, checks=("theorem",)))
+    blob = json.dumps(report.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == THEOREM_ONLY_N_LE_8_SHA256[k]
 
 
 def test_h_system_suite(h_graph):

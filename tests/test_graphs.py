@@ -92,6 +92,23 @@ class TestGraph6:
         with pytest.raises(FormatError):
             parse_graph6(line)
 
+    @pytest.mark.parametrize("line, offset", [
+        ("B~", 1),  # K3 is Bw: its 3 edge bits leave 3 padding bits
+        ("Bx", 1),
+        ("A`", 1),  # K2 is A_: 5 padding bits
+        ("D?A", 2),  # order 5: 10 edge bits, 2 padding bits in the second byte
+        (">>graph6<<B~", 1),
+    ])
+    def test_nonzero_padding(self, line, offset):
+        with pytest.raises(FormatError, match=f"nonzero padding bits .* at offset {offset}$"):
+            parse_graph6(line)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 64])
+    def test_complete_graphs_pad_with_zeros(self, n):
+        # the complete graph sets every edge bit; the padding stays zero
+        g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i)])
+        assert parse_graph6(encode_graph6(g)).m == g.m
+
     def test_round_trip_corpus(self, corpus_by_n):
         for gs in corpus_by_n.values():
             for g in gs:

@@ -521,6 +521,18 @@ class TestScanStream:
         with pytest.raises(FormatError, match="line 2"):
             scan_stream(["Ch", "not-a-graph6-!!"], ScanConfig(strict=True))
 
+    def test_nonzero_padding_skipped_by_default(self, capsys):
+        # B~ would otherwise be scanned as K3, whose graph6 is Bw
+        report = scan_stream(["Ch", "B~"], ScanConfig())
+        assert report.graphs_scanned == 1
+        err = capsys.readouterr().err
+        assert "skipping malformed line 2: nonzero padding bits" in err
+        assert "at offset 1" in err
+
+    def test_nonzero_padding_strict(self):
+        with pytest.raises(FormatError, match="line 2: nonzero padding bits .* offset 1"):
+            scan_stream(["Ch", "Bx"], ScanConfig(strict=True))
+
     def test_blank_lines_ignored(self):
         report = scan_stream(["", "Ch", "   "], ScanConfig())
         assert report.graphs_scanned == 1
@@ -568,6 +580,73 @@ class TestScanStream:
         lines = [encode_graph6(g) for g in corpus_by_n[5]]
         report = scan_stream(lines, ScanConfig(k=3, lemma_subset_cap=1, jobs=2))
         assert report.graphs_scanned == 21
+
+
+class TestSpanningCountStop:
+    """A count-route scan stops each spanning count at c* = the least c >= k
+    with C(c, k) >= subset_cap; the report must not show it."""
+
+    def test_count_cap_brute_force(self):
+        caps = range(1, 5001)
+        for k in range(2, 9):
+            want, c = [], k
+            for cap in caps:
+                while math.comb(c, k) < cap:
+                    c += 1
+                want.append(c)
+            assert [harness._sweep_count_cap(k, cap) for cap in caps] == want
+            c = harness._sweep_count_cap(k, 10**15)
+            assert math.comb(c, k) >= 10**15 > math.comb(c - 1, k)
+
+    @staticmethod
+    def _unstopped(monkeypatch):
+        real = harness.count_longest_paths
+
+        def count(g, cap, **kwargs):
+            kwargs.pop("count_cap")
+            return real(g, cap, **kwargs)
+
+        monkeypatch.setattr(harness, "count_longest_paths", count)
+
+    def test_reports_match_unstopped_counts(self, monkeypatch, corpus_by_n):
+        complete = [
+            Graph.from_edges(n, itertools.combinations(range(n), 2)) for n in (7, 8)
+        ]
+        corpus = [g for n in range(1, 7) for g in corpus_by_n[n]] + complete
+        configs = []
+        for k in range(2, 6):
+            for c in sorted({k, k + 1, k + 2, 9, 13, 24, 41}):
+                for subset_cap in (math.comb(c, k) - 1, math.comb(c, k), math.comb(c, k) + 1):
+                    if subset_cap >= 1:
+                        configs.append(ScanConfig(k=k, subset_cap=subset_cap, checks=("theorem",)))
+            # a path cap below c* caps the count as before
+            configs.append(ScanConfig(k=k, path_cap=5, checks=("theorem",)))
+        stopped = [scan_stream(corpus, cfg) for cfg in configs]
+        self._unstopped(monkeypatch)
+        for cfg, report in zip(configs, stopped):
+            unstopped = scan_stream(corpus, cfg)
+            assert unstopped.counts_stopped == 0
+            assert json.dumps(report.to_json(), sort_keys=True) == json.dumps(
+                unstopped.to_json(), sort_keys=True
+            ), cfg
+        # every config but the path-capped one stops K7 and K8 at least
+        assert all(r.counts_stopped >= 2 for cfg, r in zip(configs, stopped) if cfg.path_cap > 5)
+        assert all(r.counts_stopped == 0 for cfg, r in zip(configs, stopped) if cfg.path_cap == 5)
+        assert max(r.counts_stopped for r in stopped) > 50
+
+    def test_lemma_route_enumerates_in_full(self, monkeypatch, corpus_by_n):
+        lengths = []
+        real = harness.enumerate_longest_paths
+
+        def enumerate_(g, **kwargs):
+            lps = real(g, **kwargs)
+            lengths.append(len(lps))
+            return lps
+
+        monkeypatch.setattr(harness, "enumerate_longest_paths", enumerate_)
+        report = scan_stream(corpus_by_n[6], ScanConfig(k=3, lemma_subset_cap=1))
+        assert report.counts_stopped == 0
+        assert max(lengths) == 360  # K6: 6!/2 paths, past c* = 41
 
 
 class TestScanWithoutCommonVertex:

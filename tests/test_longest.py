@@ -348,6 +348,25 @@ class TestCount:
         assert _facts(count_longest_paths(grid(5, 5), cap=4323))[1:3] == (4323, True)
         assert _facts(count_longest_paths(grid(5, 5), cap=4324))[1:3] == (4324, False)
 
+    def test_count_cap_stops_spanning_counts_only(self, h_graph):
+        g = grid(5, 5)  # 4324 spanning paths
+        for count_cap, cap, want in (
+            (4323, DEFAULT_PATH_CAP, (4323, True)),
+            (4324, DEFAULT_PATH_CAP, (4324, False)),
+            (41, DEFAULT_PATH_CAP, (41, True)),
+            (41, 40, (40, True)),
+            (41, None, (41, True)),
+            (10**15, None, (4324, False)),
+        ):
+            counted = count_longest_paths(g, cap, count_cap=count_cap)
+            assert (counted.length, len(counted), counted.truncated) == (24, *want)
+        # without a spanning path the walk's paths are kept up to cap alone
+        assert count_longest_paths(h_graph, count_cap=1) == enumerate_longest_paths(h_graph)
+        with pytest.raises(TypeError):
+            count_longest_paths(g, 10, 5)
+        with pytest.raises(UsageError):
+            count_longest_paths(g, count_cap=0)
+
     def test_cache_freed_on_return(self):
         # with the collector off, only plain reference counting can free it
         g = grid(4, 6)
