@@ -21,7 +21,7 @@ from .bounds import (
 )
 from .construct import build_gt
 from .errors import LplabError, UsageError
-from .graphs import Graph, parse_edge_list, parse_graph6
+from .graphs import Graph, is_connected, parse_edge_list, parse_graph6
 from .harness import (
     ScanConfig,
     check_conjecture,
@@ -38,19 +38,25 @@ EXIT_USAGE = 2
 
 
 def load_graph(spec: str) -> Graph:
-    """Load a graph from an inline graph6/sparse6 string or a file path.
+    """Load a connected graph from an inline graph6/sparse6 string or a file path.
 
     Files holding an 'n m' header parse as edge lists; otherwise the first
-    nonempty line is taken as graph6/sparse6.
+    nonempty line is taken as graph6/sparse6.  A disconnected graph is
+    refused here, before any command works on it.
     """
     if os.path.exists(spec):
         with open(spec) as fh:
             text = fh.read()
         first = next((ln for ln in text.splitlines() if ln.strip()), "")
         if len(first.split()) == 2 and all(p.isdigit() for p in first.split()):
-            return parse_edge_list(text)
-        return parse_graph6(first)
-    return parse_graph6(spec)
+            g = parse_edge_list(text)
+        else:
+            g = parse_graph6(first)
+    else:
+        g = parse_graph6(spec)
+    if not is_connected(g):
+        raise UsageError("the graph is disconnected; lplab needs a connected graph")
+    return g
 
 
 def _emit(payload: dict | list, out: Optional[str]) -> None:

@@ -5,8 +5,11 @@ the same path, kept in canonical form (first vertex numerically smaller than
 the last).  One depth-first walk with a reachability bound, which walks each
 path once from its smaller end, gives ell and the longest paths together;
 once it finds a spanning path, ell = n - 1 is known, and it stops at the
-cap.  The tests cross-check it against an independent permutation-prefix
-oracle.
+cap.  Until then the reach test also applies the endpoint rule: every
+neighbour of an end of a longest path lies on the path, or the path would
+extend, so a branch that can no longer reach every unvisited neighbour of
+its start holds no longest path.  The tests cross-check the walk against an
+independent permutation-prefix oracle.
 
 A caller that reads only ell, the number of longest paths, the truncation
 flag and the common vertices can ask count_longest_paths instead: when
@@ -120,13 +123,16 @@ def is_path(g: Graph, seq: Sequence[int]) -> bool:
     return all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
 
 
-def _reaches(g: Graph, v: int, unvisited: int, need: int) -> bool:
-    """True iff at least need unvisited vertices are reachable from v through
-    unvisited vertices; the search stops as soon as need of them are seen."""
+def _reaches(g: Graph, v: int, unvisited: int, need: int, must: int = 0) -> bool:
+    """True iff at least need unvisited vertices, every vertex of must among
+    them, are reachable from v through unvisited vertices; the search stops
+    as soon as it has seen need of them and all of must."""
     masks = g.nbr_masks
     seen = masks[v] & unvisited
     frontier = seen
-    while frontier and seen.bit_count() < need:
+    while seen.bit_count() < need or must & ~seen:
+        if not frontier:
+            return False
         nxt = 0
         while frontier:
             low = frontier & -frontier
@@ -134,7 +140,7 @@ def _reaches(g: Graph, v: int, unvisited: int, need: int) -> bool:
             frontier ^= low
         frontier = nxt & unvisited & ~seen
         seen |= frontier
-    return seen.bit_count() >= need
+    return True
 
 
 class _CapReached(Exception):
@@ -157,9 +163,18 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
 
     A child is cut when the vertices it can still reach cannot bring it up
     to the best length, or, once keep paths of that length are held, cannot
-    take it past.  After a forced step (one way on) the reach test is
-    skipped, since the child reaches exactly what its parent did, less
-    itself.  After the first spanning path nothing is longer: the walk adds
+    take it past.  It is also cut when it cannot reach every unvisited
+    neighbour of its start s (the endpoint rule).  This is exact: a longest
+    path P holds every neighbour of s, or a neighbour of s would extend it,
+    so on P's branch the unvisited neighbours of s lie on the rest of P and
+    are reached; every path in a cut branch misses some neighbour u of s,
+    and u + P is longer.  A cut can only lower the best length held at some
+    moment, or the number of paths of it, so need only falls and nothing
+    else is cut.  Once best = n - 1, need asks for every unvisited vertex
+    anyway, and the rule is dropped.  After a forced step (one way on) the
+    reach test is skipped, since the child reaches exactly what its parent
+    did, less itself, and the parent's test covered the start's neighbours
+    too.  After the first spanning path nothing is longer: the walk adds
     the last two vertices of a path in the parent's loop, which may take the
     list past keep, and stops once it holds keep paths (at once for
     keep = 0).  With stop_at_spanning it stops at the first spanning path
@@ -171,12 +186,13 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
     best = 0
     fold = -1  # once best = spanning, the length with two vertices left
     slack = not keep  # 1 once keep paths of the best length are held
+    own = 0  # the start's neighbours, all on any longest path; 0 once best = n - 1
     found: list[Path] = []
     path: list[int] = []
 
     def dfs(v: int, vis: int, length: int) -> None:
         """Walk every extension of path, which ends at v at this length."""
-        nonlocal best, fold, slack, found
+        nonlocal best, fold, slack, own, found
         nxt = masks[v] & ~vis
         if length == fold:
             # two vertices left, and any path through both ties ell: take
@@ -217,6 +233,7 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
                     found = []
                     if best == spanning:
                         fold = spanning - 2
+                        own = 0
                 if len(found) < keep:
                     found.append(_path((*path, w), vis_w))
                 slack = len(found) >= keep
@@ -225,7 +242,7 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
                 need = best - length + slack or 1
             rem = full & ~vis_w
             if rem & high and rem.bit_count() >= need and (
-                forced or _reaches(g, w, rem, need)
+                forced or _reaches(g, w, rem, need, own & rem)
             ):
                 path.append(w)
                 dfs(w, vis_w, length)
@@ -237,6 +254,8 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
     try:
         for s in range(g.n - 1):
             high = full & ~((2 << s) - 1)
+            if best < spanning:
+                own = masks[s]
             path.append(s)
             dfs(s, 1 << s, 0)
             path.pop()

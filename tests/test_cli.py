@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import lplab.systems
 from lplab import cli as cli_module
 from lplab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, cli, load_graph
 from lplab.errors import FormatError
@@ -135,6 +136,7 @@ def _no_enumeration(monkeypatch):
 
     monkeypatch.setattr(cli_module, "enumerate_longest_paths", fail)
     monkeypatch.setattr(cli_module, "count_longest_paths", fail)
+    monkeypatch.setattr(lplab.systems, "longest_path_length", fail)
 
 
 class TestBadArguments:
@@ -188,6 +190,31 @@ class TestBadArguments:
         out = tmp_path / "report.json"
         assert cli(["search", "--gen-n", "4", "--jobs", "1", "--out", str(out)]) == EXIT_OK
         assert "scanned 6 graphs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "A?"],
+            ["verify", "A?", "--k", "3"],
+            ["construct", "A?", "--paths", "longest", "--t", "1"],
+            ["construct", "A?", "--paths", "[[0], [1]]", "--t", "1"],
+        ],
+    )
+    def test_disconnected_graph_rejected(self, argv, capsys, monkeypatch):
+        # refused when the graph is loaded, in words that name no function
+        _no_enumeration(monkeypatch)
+        assert cli(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "lplab: error: the graph is disconnected; lplab needs a connected graph\n"
+        )
+
+    def test_disconnected_edge_list_rejected(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("4 2\n0 1\n2 3\n")
+        assert cli(["analyze", str(path)]) == EXIT_USAGE
+        assert "disconnected" in capsys.readouterr().err
 
     def test_verify_k_wording_matches_bounds(self, capsys):
         assert cli(["bounds", "--k", "2", "--n", "5"]) == EXIT_USAGE
@@ -259,6 +286,12 @@ class TestSearch:
         path.write_text("".join(encode_graph6(g) + "\n" for g in corpus_by_n[4]))
         assert cli(["search", "--file", str(path)]) == EXIT_OK
         assert "scanned 6 graphs" in capsys.readouterr().err
+
+    def test_file_skips_disconnected_lines(self, tmp_path, capsys):
+        path = tmp_path / "corpus.g6"
+        path.write_text("A?\nCh\n")
+        assert cli(["search", "--file", str(path), "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert "scanned 1 graphs (1 disconnected skipped)" in capsys.readouterr().err
 
     def test_strict_malformed(self, tmp_path, capsys):
         path = tmp_path / "bad.g6"

@@ -67,6 +67,37 @@ def relabel(g: Graph, label: list[int]) -> Graph:
     return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
 
 
+def sparse_labelled_graph(rng: random.Random, n: int, extra: int) -> Graph:
+    """A random tree on n vertices plus up to extra more edges, with its
+    vertices relabelled at random."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    absent = [(u, v) for u, v in itertools.combinations(range(n), 2) if (u, v) not in edges]
+    edges.update(rng.sample(absent, min(extra, len(absent))))
+    label = list(range(n))
+    rng.shuffle(label)
+    return relabel(Graph.from_edges(n, sorted(edges)), label)
+
+
+def gt_of_h(h_graph: Graph, t: int) -> Graph:
+    return build_gt(h_graph, make_path_system(h_graph, H_SYSTEM, require_longest=True), t).graph
+
+
+# sha256 of repr(tuple(p.vertices for p in paths)) over the longest paths of
+# G_t of H, recorded before the walk cut branches by the endpoint rule
+GT_OF_H_PATHS_SHA256 = {
+    1: "b8ea90ab69da6ece010259fd25ed9ca137afccb26bf979813abfb62c2296a137",
+    2: "45464248061943c5092cb6182d8927d5d3f8314c85d48b72cc825f026392a687",
+    3: "d3733e5c441368269b636a3af20710d312166c216b3f7876e6ea185719226e89",
+    4: "6b0bae1d88079bfe1909627254bd8b611ec1fa35c086492681b32cf6fb3216ee",
+}
+
+# reach tests made on G_t of H, t = 1..4, before the endpoint rule: by the
+# walks of enumerate_longest_paths (and count_longest_paths, the same walk
+# there) and of longest_path_length
+GT_OF_H_REACH_TESTS = {1: 4301, 2: 6976, 3: 9652, 4: 12328}
+GT_OF_H_LENGTH_REACH_TESTS = {1: 3937, 2: 6664, 3: 9364, 4: 12040}
+
+
 class TestPath:
     def test_mask_and_length(self):
         p = Path((2, 0, 1))
@@ -267,13 +298,37 @@ class TestEnumerate:
         assert lps.length == 22 < h_g1.n - 1
         assert len(lps.paths) == 18 and not lps.truncated
 
-    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_sparse_graphs_match_oracle_under_caps(self):
+        # a tree plus at most three edges: few have a spanning path, so the
+        # walk mostly runs to its end, cutting by the endpoint rule
+        rng = random.Random(20261021)
+        sizes = []
+        without_spanning = 0
+        for _ in range(320):
+            n = rng.randint(2, 14)
+            g = sparse_labelled_graph(rng, n, rng.randint(0, 3))
+            slow = enumerate_longest_paths_oracle(g)
+            sizes.append(n)
+            without_spanning += slow.length < n - 1
+            assert longest_path_length(g) == slow.length
+            for cap in (None, 1, 2, 3, 7):
+                fast = enumerate_longest_paths(g, cap=cap)
+                expected = slow.paths if cap is None else slow.paths[:cap]
+                assert fast.length == slow.length
+                assert [p.vertices for p in fast.paths] == [p.vertices for p in expected]
+                assert [p.mask for p in fast.paths] == [p.mask for p in expected]
+                assert fast.truncated == (cap is not None and len(slow.paths) > cap)
+                assert _facts(count_longest_paths(g, cap)) == _facts(fast)
+        assert without_spanning >= 100 and sum(n >= 12 for n in sizes) >= 50
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_gt_of_h_under_relabelling(self, h_graph, t):
-        ps = make_path_system(h_graph, H_SYSTEM, require_longest=True)
-        gt = build_gt(h_graph, ps, t).graph
+        gt = gt_of_h(h_graph, t)
         lps = enumerate_longest_paths(gt)
         assert lps.length == 11 * (t + 1) and len(lps.paths) == 18
         assert not lps.truncated
+        paths = repr(tuple(p.vertices for p in lps.paths)).encode()
+        assert hashlib.sha256(paths).hexdigest() == GT_OF_H_PATHS_SHA256[t]
         assert longest_path_length(gt) == lps.length
         rng = random.Random(t)
         for _ in range(10):
@@ -285,6 +340,28 @@ class TestEnumerate:
             )
             assert moved.length == lps.length
             assert [p.vertices for p in moved.paths] == expected
+
+    def test_endpoint_rule_cuts_reach_tests_on_gt_of_h(self, h_graph, monkeypatch):
+        # the walk looks _reaches up as a module global at each call
+        calls = 0
+        reaches = lplab.longest._reaches
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return reaches(*args)
+
+        monkeypatch.setattr(lplab.longest, "_reaches", counted)
+        for t, before in GT_OF_H_REACH_TESTS.items():
+            gt = gt_of_h(h_graph, t)
+            for find, limit in (
+                (enumerate_longest_paths, before),
+                (count_longest_paths, before),
+                (longest_path_length, GT_OF_H_LENGTH_REACH_TESTS[t]),
+            ):
+                calls = 0
+                find(gt)
+                assert calls <= 0.6 * limit, (t, find.__name__, calls)
 
     def test_k9_beyond_default_cap(self):
         # 9!/2 = 181,440 Hamiltonian paths; the canonical ones in
