@@ -5,7 +5,7 @@ extension: each graph on n - 1 vertices (the base) gets a new vertex joined to
 each subset of its vertices in turn, and a candidate is kept iff no earlier
 candidate is isomorphic to it, so every class keeps its first-found labelled
 representative (the isomorph rejection of McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 1998, without his canonical choice).  Three things
+generation", J. Algorithms 1998, without his canonical choice).  Four things
 keep it cheap, none of which changes which candidate comes first:
 
 - twin pruning: a subset holding w but not its twin u < w (same neighbours
@@ -14,13 +14,20 @@ keep it cheap, none of which changes which candidate comes first:
 - vertex keys in O(1) per vertex: degree, twice the triangles and the sum of
   neighbour degrees, packed into one int and updated from per-base arrays with
   one popcount; the sorted keys bucket the candidates;
-- a bitmask isomorphism test against each representative in the bucket: a
-  vertex maps only onto vertices of its own key, rarest key first, and an
-  image is accepted with one mask compare.
+- an equality shortcut: each bucket keeps its representatives relabelled in
+  key order (ties by label), and a candidate relabelled the same way that
+  equals one of those tuples is that representative under a relabelling, so
+  it is dropped with one tuple compare (at n = 8, 65,744 of the 82,702
+  candidates that land in an existing bucket);
+- for the rest, a bitmask isomorphism test against each representative in
+  the bucket: a vertex maps only onto vertices of its own key, rarest key
+  first, and an image is accepted with one mask compare.
 
-On one core of a 2-core VM (Python 3.11) n <= 8 takes about 1.3 s, and n = 9
-about 38 s at a 320 MB peak; the counts and a sha256 of the graph6 output per
-n are pinned in the tests.
+On one core of a 2-core VM (Python 3.11.7) _all_graph_masks(8) takes about
+1.4 s from an empty cache, and generate_connected_graphs(9) about 45-48 s at
+a 340 MB peak (the commands are in the README).  Tier-1 pins the counts and a
+sha256 of the graph6 output for n <= 8; a CI step pins the n = 9 counts and
+the sha256 of its connected graph6 lines.
 
 The scanner distributes independent graphs to workers and merges records in
 canonical graph6 order so its JSON output is schedule-independent.
@@ -78,6 +85,12 @@ GENERATOR_MAX_N = 9
 _TRI_SHIFT = 7
 _DEG_SHIFT = 13
 
+# the vertices of every neighbour mask on at most GENERATOR_MAX_N vertices
+_MEMBERS = tuple(
+    tuple(w for w in range(GENERATOR_MAX_N) if m >> w & 1)
+    for m in range(1 << GENERATOR_MAX_N)
+)
+
 
 def _pack(deg: int, tri2: int, nbr_deg_sum: int) -> int:
     return (deg << _DEG_SHIFT) | (tri2 << _TRI_SHIFT) | nbr_deg_sum
@@ -89,13 +102,9 @@ def _vertex_keys(masks: Sequence[int]) -> list[int]:
     keys = []
     for deg, mv in zip(degs, masks):
         tri2 = nbr_deg_sum = 0
-        m = mv
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
+        for w in _MEMBERS[mv]:
             tri2 += (mv & masks[w]).bit_count()
             nbr_deg_sum += degs[w]
-            m ^= low
         keys.append(_pack(deg, tri2, nbr_deg_sum))
     return keys
 
@@ -152,17 +161,14 @@ def _key_order(keys: Sequence[int]) -> list[int]:
 
 def _relabel(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     """masks with vertex order[i] renamed i."""
-    pos = [0] * len(order)
+    bit = [0] * len(order)  # bit[v]: the new label of v, as a mask
     for i, v in enumerate(order):
-        pos[v] = i
+        bit[v] = 1 << i
     out = []
     for v in order:
-        m = masks[v]
         r = 0
-        while m:
-            low = m & -m
-            r |= 1 << pos[low.bit_length() - 1]
-            m ^= low
+        for w in _MEMBERS[masks[v]]:
+            r |= bit[w]
         out.append(r)
     return tuple(out)
 
@@ -174,26 +180,24 @@ def _search_plan(
     graph stored in key order (see _relabel) with the same sorted keys.
 
     A vertex may go only to positions lo..hi-1, those of its own key.  Rarest
-    keys go first; earlier lists the neighbours mapped before the vertex.
+    keys go first, ties by position; earlier lists the neighbours mapped
+    before the vertex.
     """
-    steps = []
-    for i, k in enumerate(sorted_keys):
-        size = sorted_keys.count(k)
-        lo = sorted_keys.index(k)
-        steps.append((size, i, lo, lo + size))
-    steps.sort()
+    runs = []  # (size, start) of each run of equal keys
+    lo = 0
+    for _, run in itertools.groupby(sorted_keys):
+        size = len(list(run))
+        runs.append((size, lo))
+        lo += size
+    runs.sort()
     plan = []
     before = 0
-    for _, i, lo, hi in steps:
-        a = order[i]
-        m = masks[a] & before
-        earlier = []
-        while m:
-            low = m & -m
-            earlier.append(low.bit_length() - 1)
-            m ^= low
-        plan.append((a, lo, hi, earlier))
-        before |= 1 << a
+    for size, lo in runs:
+        hi = lo + size
+        for i in range(lo, hi):
+            a = order[i]
+            plan.append((a, lo, hi, list(_MEMBERS[masks[a] & before])))
+            before |= 1 << a
     return plan
 
 
@@ -245,7 +249,9 @@ def _all_graph_masks(n: int) -> list[tuple[int, ...]]:
     Each class is represented by its first candidate: bases in the order of
     _all_graph_masks(n - 1), then subsets of the new vertex's neighbours in
     ascending order.  Buckets keep each representative relabelled in key
-    order, so a candidate's key classes are position ranges in it.
+    order, so a candidate relabelled the same way that equals one of them is
+    a duplicate with no search, and otherwise its key classes are position
+    ranges in each of them.
     """
     if n in _GRAPH_CACHE:
         return _GRAPH_CACHE[n]
@@ -258,14 +264,17 @@ def _all_graph_masks(n: int) -> list[tuple[int, ...]]:
             for masks, keys in _extensions(base):
                 order = _key_order(keys)
                 bucket_key = tuple([keys[v] for v in order])
+                relabelled = _relabel(masks, order)
                 bucket = buckets.get(bucket_key)
                 if bucket is None:
                     bucket = buckets[bucket_key] = []
+                elif relabelled in bucket:
+                    continue
                 else:
                     plan = _search_plan(masks, order, bucket_key)
                     if any(_maps_onto(plan, rep) for rep in bucket):
                         continue
-                bucket.append(_relabel(masks, order))
+                bucket.append(relabelled)
                 reps.append(tuple(masks))
     _GRAPH_CACHE[n] = reps
     return reps

@@ -57,6 +57,32 @@ def generate_graphs(n: int) -> list[Graph]:
     return graphs
 
 
+def search_plan_oracle(
+    masks: Sequence[int], order: Sequence[int], sorted_keys: Sequence[int]
+) -> list[tuple[int, int, int, list[int]]]:
+    """harness._search_plan as it was before its one-pass run scan: one
+    count and one index per vertex, then a sort of (run size, position)."""
+    steps = []
+    for i, k in enumerate(sorted_keys):
+        size = sorted_keys.count(k)
+        lo = sorted_keys.index(k)
+        steps.append((size, i, lo, lo + size))
+    steps.sort()
+    plan = []
+    before = 0
+    for _, i, lo, hi in steps:
+        a = order[i]
+        m = masks[a] & before
+        earlier = []
+        while m:
+            low = m & -m
+            earlier.append(low.bit_length() - 1)
+            m ^= low
+        plan.append((a, lo, hi, earlier))
+        before |= 1 << a
+    return plan
+
+
 def all_pairs_distances(g: Graph) -> list[DistanceVector]:
     """All-pairs hop distances by Floyd-Warshall (independent of the BFS route)."""
     inf = float("inf")

@@ -33,6 +33,7 @@ from oracles import (
     f_and_minimizers_oracle,
     generate_graphs,
     labeled_scan_canonical_codes,
+    search_plan_oracle,
 )
 
 # H's least violating 9-subset of its 42 longest paths, in enumeration order;
@@ -63,6 +64,10 @@ GENERATOR_SHA256 = {
     7: "7a3723d2e7557cd2b564c1e75d21c49ceacecc45ec76f6c514be3c4722e54005",
     8: "9f1ce8b573409d30f489861409e63f6922c06f829560cb4fec0fa64beb71eb13",
 }
+
+# _maps_onto calls made generating n = 1..7 when every candidate that lands
+# in a bucket is searched (before the relabelled-tuple equality check)
+SEARCHES_WITHOUT_EQUALITY_N7 = 5943
 
 
 def _random_graph_masks(rng: random.Random, n: int) -> list[int]:
@@ -173,6 +178,44 @@ class TestGenerator:
                 assert keys == harness._vertex_keys(masks)
                 seen.append(masks[m])
             assert seen == expected
+
+    def test_search_plan_matches_quadratic_oracle(self):
+        # the one-pass run scan builds the plan of the count/index version,
+        # from the generator's tuple and from _isomorphic's list alike
+        candidates = 0
+        for n in range(1, 7):
+            for base in harness._all_graph_masks(n):
+                for masks, keys in harness._extensions(base):
+                    order = harness._key_order(keys)
+                    sorted_keys = [keys[v] for v in order]
+                    for arg in (tuple(sorted_keys), sorted_keys):
+                        assert harness._search_plan(masks, order, arg) == \
+                            search_plan_oracle(masks, order, arg)
+                    candidates += 1
+        assert candidates == 7194
+
+    def test_equal_relabellings_skip_the_search(self, monkeypatch):
+        # most candidates that land in a bucket relabel in key order to a
+        # stored tuple and need no search; regenerating n <= 7 must stay
+        # under 0.3 of the searches the generator made without that check
+        calls = 0
+        maps_onto = harness._maps_onto
+
+        def counted(plan, target):
+            nonlocal calls
+            calls += 1
+            return maps_onto(plan, target)
+
+        monkeypatch.setattr(harness, "_maps_onto", counted)
+        saved = dict(harness._GRAPH_CACHE)
+        harness._GRAPH_CACHE.clear()
+        try:
+            fresh = harness._all_graph_masks(7)
+        finally:
+            harness._GRAPH_CACHE.clear()
+            harness._GRAPH_CACHE.update(saved)
+        assert fresh == harness._all_graph_masks(7)
+        assert calls <= 0.3 * SEARCHES_WITHOUT_EQUALITY_N7, calls
 
     def test_isomorphic_matches_networkx(self):
         # positives are random relabellings; the others are one to three
