@@ -29,7 +29,12 @@ from .harness import (
     iter_ksubsets,
     scan_stream,
 )
-from .longest import count_longest_paths, enumerate_longest_paths, first_empty_intersection
+from .longest import (
+    DEFAULT_PATH_CAP,
+    count_longest_paths,
+    enumerate_longest_paths,
+    first_empty_intersection,
+)
 from .systems import certified_system, make_path_system, path_distance_value
 
 EXIT_OK = 0
@@ -147,6 +152,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if unknown:
         raise UsageError(f"unknown checks: {sorted(unknown)}")
     lps = enumerate_longest_paths(g, cap=args.path_cap)
+    if lps.truncated:
+        print(
+            f"lplab: --path-cap {args.path_cap} truncated the longest paths; "
+            f"subsets are drawn from the first {len(lps.paths)}",
+            file=sys.stderr,
+        )
     if len(lps.paths) < args.k:
         print(
             f"lplab: only {len(lps.paths)} longest paths, no {args.k}-subsets",
@@ -168,15 +179,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_FINDING if failed else EXIT_OK
 
 
-def _jobs_from_env() -> int:
-    """Worker count from LPLAB_JOBS, 1 when it is unset."""
-    raw = os.environ.get("LPLAB_JOBS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"LPLAB_JOBS must be an integer, got {raw!r}") from None
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     config = ScanConfig(
         k=args.k,
@@ -185,7 +187,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         lemma_subset_cap=args.lemma_subset_cap,
         seed=args.seed,
         checks=tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS,
-        jobs=_jobs_from_env() if args.jobs is None else args.jobs,
+        jobs=args.jobs,
         strict=args.strict,
     )
     if args.file:
@@ -258,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--k", type=int, default=3)
-        p.add_argument("--path-cap", type=int, default=100_000)
-        p.add_argument("--subset-cap", type=int, default=10_000)
+        p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
+        p.add_argument("--subset-cap", type=int, default=ScanConfig.subset_cap)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("analyze", help="summarize longest paths and f of one graph")
@@ -279,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--file", default=None, help="graph6/sparse6 file, one graph per line")
     src.add_argument("--gen-n", type=int, default=None, help="built-in connected corpus on N vertices")
     p.add_argument("--checks", default=None)
-    p.add_argument("--lemma-subset-cap", type=int, default=10)
+    p.add_argument("--lemma-subset-cap", type=int, default=ScanConfig.lemma_subset_cap)
     p.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default: $LPLAB_JOBS, else 1)"
+        "--jobs", type=int, default=ScanConfig.jobs, help="worker processes (default: %(default)s)"
     )
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", default=None)

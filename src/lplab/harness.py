@@ -338,16 +338,6 @@ class ConjectureVerdict:
     used_shortcut: bool
     witness: Optional[dict] = None
 
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "k": self.k,
-            "subsets_checked": self.subsets_checked,
-            "total_subsets": self.total_subsets,
-            "used_shortcut": self.used_shortcut,
-            "witness": self.witness,
-        }
-
 
 # search nodes the exact conjecture check may spend before it answers
 # "incomplete"; scans report it as "conjecture_subset_cap"
@@ -583,7 +573,8 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     tallies["pairwise"] = {"pass": int(holds), "fail": int(not holds), "vacuous": 0}
 
     verdict = check_conjecture(g, k, path_cap=config.path_cap, lps=lps)
-    record["conjecture"] = verdict.to_json()
+    # the merge reads only these two
+    record["conjecture"] = {"status": verdict.status, "witness": verdict.witness}
     if verdict.witness:
         # the witness is a k-subset with f > 0, so it is an extremal candidate
         # even when the sampled sweep below misses every such subset

@@ -166,7 +166,8 @@ class TestBadArguments:
         [
             (["--jobs", "0"], None, "jobs must be >= 1, got 0"),
             (["--jobs", "-3"], None, "jobs must be >= 1, got -3"),
-            ([], "abc", "LPLAB_JOBS must be an integer, got 'abc'"),
+            # an LPLAB_JOBS in the environment is not read
+            (["--jobs", "0"], "abc", "jobs must be >= 1, got 0"),
         ],
     )
     def test_search_jobs_rejected(self, jobs_flag, env, message, capsys, monkeypatch):
@@ -184,11 +185,12 @@ class TestBadArguments:
         assert captured.out == ""
         assert captured.err == f"lplab: error: {message}\n"
 
-    def test_jobs_env_read_only_by_search_without_flag(self, capsys, monkeypatch, tmp_path):
+    def test_jobs_env_ignored(self, capsys, monkeypatch, tmp_path):
+        # --jobs is the one way to set the worker count
         monkeypatch.setenv("LPLAB_JOBS", "abc")
         assert cli(["bounds", "--n", "5"]) == EXIT_OK
         out = tmp_path / "report.json"
-        assert cli(["search", "--gen-n", "4", "--jobs", "1", "--out", str(out)]) == EXIT_OK
+        assert cli(["search", "--gen-n", "4", "--out", str(out)]) == EXIT_OK
         assert "scanned 6 graphs" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -239,6 +241,22 @@ class TestVerify:
 
     def test_unknown_check(self, capsys):
         assert cli(["verify", "Cs", "--checks", "bogus"]) == EXIT_USAGE
+
+    def test_truncated_path_list_named_on_stderr(self, capsys):
+        # K5 has 60 longest paths; the subsets come from the first 5
+        assert cli(["verify", "D~{", "--k", "3", "--path-cap", "5"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)
+        assert captured.err == (
+            "lplab: --path-cap 5 truncated the longest paths; "
+            "subsets are drawn from the first 5\n"
+        )
+
+    def test_full_path_list_quiet_on_stderr(self, capsys):
+        assert cli(["verify", "D~{", "--k", "3"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)
+        assert captured.err == ""
 
 
 class TestSearch:

@@ -8,12 +8,14 @@ import multiprocessing
 import os
 import random
 import zlib
+from fractions import Fraction
 
 import networkx as nx
 
 import pytest
 
 from lplab import harness
+from lplab.construct import build_gt
 from lplab.errors import FormatError, UsageError
 from lplab.graphs import Graph, encode_graph6, parse_graph6
 from lplab.longest import LongestPathSet, Path, count_longest_paths, enumerate_longest_paths
@@ -26,6 +28,7 @@ from lplab.harness import (
     scan_stream,
 )
 from lplab.systems import common_vertices, make_path_system
+from conftest import H_SYSTEM
 from oracles import (
     canonical_sequence,
     canonical_code,
@@ -727,3 +730,32 @@ class TestScanWithoutCommonVertex:
                 "graph6": encode_graph6(g), "f": f, "member_indices": members,
             },
         }
+
+    def test_theorem_sweep_halts_on_failure(self, h_graph):
+        # no graph breaks the theorem bound, so it is forced to 0 here: the
+        # first sampled subset with f > 0 fails and ends the scan; records
+        # merge in graph6 order, so G_2 of H comes after G_1's halt and is
+        # not counted
+        system = make_path_system(h_graph, H_SYSTEM, require_longest=True)
+        graphs = [h_graph] + [build_gt(h_graph, system, t).graph for t in (1, 2)]
+        # the patched bound reaches pool workers only by fork
+        jobs_list = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
+        real = harness.theorem_bound
+        harness.theorem_bound = lambda k, n: Fraction(0)
+        try:
+            reports = [
+                json.dumps(
+                    scan_stream(graphs, ScanConfig(k=9, jobs=jobs)).to_json(), sort_keys=True
+                )
+                for jobs in jobs_list
+            ]
+        finally:
+            harness.theorem_bound = real
+        assert len(set(reports)) == 1
+        report = json.loads(reports[0])
+        assert report["graphs_scanned"] == 2
+        assert report["halted"] is True
+        assert report["tallies"]["thm3"] == {"pass": 10_174, "fail": 1, "vacuous": 0}
+        [failure] = report["failures"]
+        assert (failure["check"], failure["f"], failure["bound"]) == ("thm3", 2, "0/1")
+        assert failure["graph6"] == encode_graph6(graphs[1])
