@@ -37,7 +37,6 @@ from .systems import (
 )
 from .bounds import (
     CheckReport,
-    Rational,
     SurgeryTrace,
     check_corollary1,
     check_lemma1,

@@ -16,8 +16,6 @@ from .errors import UsageError
 from .longest import Path, is_path
 from .systems import PathSystem
 
-Rational = Fraction
-
 REPORT_SCHEMA = "lplab-report/1"
 
 DEFAULT_CHECKS = ("lemma1", "lemma2", "lemma3", "cor1", "theorem")

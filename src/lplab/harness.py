@@ -331,10 +331,9 @@ def iter_ksubsets(
 class ConjectureVerdict:
     status: str  # "no-violation" | "violation" | "incomplete"
     k: int
-    subsets_checked: int  # search nodes, or total_subsets via the shortcut
-    # C(len(lps), k): a lower bound on the true total when the path list is
-    # truncated
-    total_subsets: int
+    # search nodes, or C(len(lps), k) via the shortcut: a lower bound on
+    # the true subset total when the path list is truncated
+    subsets_checked: int
     used_shortcut: bool
     witness: Optional[dict] = None
 
@@ -354,16 +353,17 @@ def check_conjecture(
     """Do every k of the longest paths of g share a vertex?
 
     When all longest paths share a vertex, every k-subset trivially does, so
-    the whole subset space is covered without searching it.  Otherwise one
-    exact cover search (first_empty_intersection) either proves that every
-    k of them meet or finds at most k paths with no common vertex; the
-    witness is that cover padded with the least unused indices up to k.
-    subsets_checked then counts its search nodes, and subset_cap bounds
-    them: a search cut by the cap, or a truncated path list without a
-    violation, gives "incomplete".  A truncated list of spanning paths
-    (ell = n - 1) is the exception: every longest path then holds every
-    vertex, the ones past the cap too.  total_subsets is C(len(lps), k),
-    which a truncated list only bounds from below.
+    the whole subset space is covered without searching it, and
+    subsets_checked is C(len(lps), k), which a truncated list only bounds
+    from below.  Otherwise one exact cover search (first_empty_intersection)
+    either proves that every k of them meet or finds at most k paths with no
+    common vertex; the witness is that cover padded with the least unused
+    indices up to k.  subsets_checked then counts its search nodes, and
+    subset_cap bounds them: a search cut by the cap, or a truncated path list
+    without a violation, gives "incomplete".  A truncated list of spanning
+    paths (ell = n - 1) is the exception: every longest path then holds every
+    vertex, the ones past the cap too.  path_cap is read only when lps is
+    not given.
     """
     if k < 2:
         raise UsageError(f"k must be >= 2, got {k}")
@@ -371,17 +371,16 @@ def check_conjecture(
         raise UsageError("conjecture check requires a connected graph")
     if lps is None:
         lps = enumerate_longest_paths(g, cap=path_cap)
-    total = math.comb(len(lps), k)
     if lps.common_mask():
         exact = not lps.truncated or lps.length == g.n - 1
         status = "no-violation" if exact else "incomplete"
-        return ConjectureVerdict(status, k, total, total, used_shortcut=True)
+        return ConjectureVerdict(status, k, math.comb(len(lps), k), used_shortcut=True)
     subset, nodes, capped = first_empty_intersection(
         [p.mask for p in lps.paths], k, subset_cap
     )
     if subset is None:
         status = "incomplete" if capped or lps.truncated else "no-violation"
-        return ConjectureVerdict(status, k, nodes, total, used_shortcut=False)
+        return ConjectureVerdict(status, k, nodes, used_shortcut=False)
     members = [lps.paths[idx] for idx in subset]
     ps = certified_system(g, members, lps.length)
     f, minimizers = ps.path_distance
@@ -389,7 +388,6 @@ def check_conjecture(
         "violation",
         k,
         nodes,
-        total,
         used_shortcut=False,
         witness={
             "graph6": ps.graph6,
@@ -572,7 +570,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         )
     tallies["pairwise"] = {"pass": int(holds), "fail": int(not holds), "vacuous": 0}
 
-    verdict = check_conjecture(g, k, path_cap=config.path_cap, lps=lps)
+    verdict = check_conjecture(g, k, lps=lps)
     # the merge reads only these two
     record["conjecture"] = {"status": verdict.status, "witness": verdict.witness}
     if verdict.witness:

@@ -3,9 +3,12 @@
 Covers the path-distance-function f, common vertices, per-host multiplicity
 classes X^i with the global counts n_i, good subpaths, and the count t'.
 A PathSystem computes each of these at most once, on first use, so every
-check run on the same system reads the same facts.  The good-subpath scan
-keeps sets of members as bit masks and leaves a start position as soon as no
-member can begin a witnessing pair.
+check run on the same system reads the same facts.  Both constructors share
+one builder that counts each vertex's multiplicity.  The common vertices are
+those of multiplicity k; when there are any, f = 0 and they are its
+minimizers, so f runs BFS only on members with no common vertex.  The
+good-subpath scan keeps sets of members as bit masks and leaves a start
+position as soon as no member can begin a witnessing pair.
 """
 
 from __future__ import annotations
@@ -91,34 +94,15 @@ def make_path_system(
     paths: Sequence[Sequence[int] | Path],
     require_longest: bool,
 ) -> PathSystem:
-    if not paths:
-        raise UsageError("a path system needs at least one member")
     members = []
     for idx, p in enumerate(paths):
         seq = tuple(p.vertices if isinstance(p, Path) else p)
         if not is_path(g, seq):
             raise UsageError(f"member {idx} is not a path: {list(seq)}")
         members.append(Path(seq))
-    certified = False
     if require_longest:
-        ell = longest_path_length(g)
-        for idx, p in enumerate(members):
-            if p.length != ell:
-                raise UsageError(
-                    f"member {idx} is not a longest path "
-                    f"(length {p.length}, ell = {ell}): {list(p.vertices)}"
-                )
-        certified = True
-    mult = [0] * g.n
-    for p in members:
-        for v in p.vertices:
-            mult[v] += 1
-    return PathSystem(
-        graph=g,
-        paths=tuple(members),
-        multiplicity=tuple(mult),
-        longest_certified=certified,
-    )
+        return certified_system(g, members, longest_path_length(g))
+    return _build(g, members, certified=False)
 
 
 def certified_system(g: Graph, paths: Sequence[Path], ell: int) -> PathSystem:
@@ -127,28 +111,44 @@ def certified_system(g: Graph, paths: Sequence[Path], ell: int) -> PathSystem:
     Scanners use this to avoid recomputing ell(G) per subset; callers are
     responsible for ell being correct.
     """
+    for idx, p in enumerate(paths):
+        if p.length != ell:
+            raise UsageError(
+                f"member {idx} is not a longest path "
+                f"(length {p.length}, ell = {ell}): {list(p.vertices)}"
+            )
+    return _build(g, paths, certified=True)
+
+
+def _build(g: Graph, paths: Sequence[Path], certified: bool) -> PathSystem:
+    if not paths:
+        raise UsageError("a path system needs at least one member")
     mult = [0] * g.n
     for p in paths:
-        if p.length != ell:
-            raise UsageError(f"member of length {p.length} is not longest (ell = {ell})")
         for v in p.vertices:
             mult[v] += 1
     return PathSystem(
         graph=g,
         paths=tuple(paths),
         multiplicity=tuple(mult),
-        longest_certified=True,
+        longest_certified=certified,
     )
 
 
 def path_distance_value(ps: PathSystem) -> tuple[int, frozenset[int]]:
     """f(G, P): min over vertices v of the sum of distances to each member.
 
-    Returns the value and the full set of minimizing vertices.
+    Returns the value and the full set of minimizing vertices.  A vertex's
+    distance sum is 0 exactly when every member holds it, so when the members
+    share a vertex, f = 0 and its minimizers are the common vertices, read
+    from the multiplicity with no BFS.
     """
     g = ps.graph
     if not is_connected(g):
         raise UsageError("path-distance-function requires a connected graph")
+    common = common_vertices(ps)
+    if common:
+        return 0, common
     sums = [0] * g.n
     for p in ps.paths:
         dist = bfs_distances(g, p.vertices)
@@ -159,15 +159,9 @@ def path_distance_value(ps: PathSystem) -> tuple[int, frozenset[int]]:
 
 
 def common_vertices(ps: PathSystem) -> frozenset[int]:
-    acc = -1
-    for p in ps.paths:
-        acc &= p.mask
-    verts = []
-    while acc:
-        low = acc & -acc
-        verts.append(low.bit_length() - 1)
-        acc ^= low
-    return frozenset(verts)
+    """The vertices that every member holds: those of multiplicity k."""
+    k = ps.k
+    return frozenset(v for v, c in enumerate(ps.multiplicity) if c == k)
 
 
 def multiplicity_profile(ps: PathSystem) -> MultiplicityProfile:

@@ -200,10 +200,6 @@ def f_and_minimizers_oracle(g: Graph, member_vertex_sets) -> tuple[int, list[int
     return f, [v for v in range(g.n) if sums[v] == f]
 
 
-def f_oracle(g: Graph, member_vertex_sets) -> int:
-    return f_and_minimizers_oracle(g, member_vertex_sets)[0]
-
-
 def max_edge_disjoint_oracle(goods) -> int:
     """Exhaustive max subset of good paths with pairwise-disjoint host edges."""
     edge_sets = [frozenset(range(q.start, q.end)) for q in goods]

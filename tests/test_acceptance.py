@@ -8,6 +8,7 @@ plain `pytest -v` run.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -49,6 +50,19 @@ def scan_k3(corpus8):
 @pytest.fixture(scope="session")
 def scan_k4(corpus8):
     return scan_stream(corpus8, ScanConfig(k=4, lemma_subset_cap=3))
+
+
+# sha256 of json.dumps(report.to_json(), sort_keys=True) for the two scans above
+SCAN_SHA256 = {
+    3: "973a73cb018fe33579456c499cfbcd08a43722a9b428be6d933366a7e5f1ef4d",
+    4: "e9de051f1bbc2318272e0cc06278e121ea1be9edbc65d5963f3272acd59c75cd",
+}
+
+
+def test_scan_report_bytes_pinned(scan_k3, scan_k4):
+    for k, report in ((3, scan_k3), (4, scan_k4)):
+        blob = json.dumps(report.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == SCAN_SHA256[k]
 
 
 def test_criterion_1_pairwise_intersection(scan_k3):

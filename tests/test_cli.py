@@ -13,6 +13,9 @@ from lplab.errors import FormatError
 from lplab.graphs import encode_graph6
 from conftest import H_GRAPH6
 
+# sha256 of the bytes that `lplab verify H --k 4 --subset-cap 40` writes
+VERIFY_H_K4_SHA256 = "e4e9f8b5817073f944ec489f7d12025efb2cb61d73fca909440548f74e41505d"
+
 
 class TestLoadGraph:
     def test_inline_graph6(self):
@@ -251,6 +254,14 @@ class TestVerify:
             "lplab: --path-cap 5 truncated the longest paths; "
             "subsets are drawn from the first 5\n"
         )
+
+    def test_h_report_bytes_pinned(self, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        argv = ["verify", H_GRAPH6, "--k", "4", "--subset-cap", "40"]
+        assert cli(argv + ["--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_H_K4_SHA256
+        assert cli(argv) == EXIT_OK
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_full_path_list_quiet_on_stderr(self, capsys):
         assert cli(["verify", "D~{", "--k", "3"]) == EXIT_OK

@@ -4,8 +4,11 @@ import itertools
 
 import pytest
 
+import lplab.systems
+from lplab.construct import build_gt
 from lplab.errors import UsageError
 from lplab.graphs import Graph
+from lplab.harness import ScanConfig, scan_stream
 from lplab.longest import enumerate_longest_paths
 from lplab.systems import (
     certified_system,
@@ -16,7 +19,8 @@ from lplab.systems import (
     path_distance_value,
     t_prime,
 )
-from oracles import f_oracle, max_edge_disjoint_oracle
+from conftest import H_SYSTEM
+from oracles import f_and_minimizers_oracle, max_edge_disjoint_oracle
 
 
 @pytest.fixture
@@ -55,14 +59,19 @@ class TestMakePathSystem:
             make_path_system(p4, [[0, 1]], require_longest=True)
 
     def test_rejects_empty(self, p4):
-        with pytest.raises(UsageError):
-            make_path_system(p4, [], require_longest=False)
+        for build in (
+            lambda: make_path_system(p4, [], require_longest=False),
+            lambda: make_path_system(p4, [], require_longest=True),
+            lambda: certified_system(p4, [], 3),
+        ):
+            with pytest.raises(UsageError, match="at least one member"):
+                build()
 
     def test_certified_system_checks_length(self, p4):
         lps = enumerate_longest_paths(p4)
         ps = certified_system(p4, lps.paths, lps.length)
         assert ps.longest_certified
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="member 0 is not a longest path"):
             certified_system(p4, lps.paths, lps.length + 1)
 
 
@@ -74,19 +83,24 @@ class TestPathDistanceValue:
         ps = make_path_system(p7, [[0, 1], [2, 3], [5, 6]], require_longest=False)
         assert path_distance_value(ps) == (4, frozenset({2, 3}))
 
-    def test_matches_oracle_on_corpus(self, corpus_by_n):
-        checked = 0
+    def test_matches_oracle_on_corpus(self, corpus_by_n, h_graph):
+        systems = []
         for n in (4, 5):
             for g in corpus_by_n[n]:
                 lps = enumerate_longest_paths(g)
                 for combo in itertools.combinations(lps.paths, min(3, len(lps.paths))):
-                    ps = certified_system(g, combo, lps.length)
-                    f, mins = path_distance_value(ps)
-                    sets = [p.vertices for p in combo]
-                    assert f == f_oracle(g, sets)
-                    assert mins
-                    checked += 1
-        assert checked > 50
+                    systems.append(certified_system(g, combo, lps.length))
+        assert len(systems) > 50
+        # the nine members of H and of G_1 share no vertex, so their f comes
+        # from BFS: f = 1 and f = 2
+        h_system = make_path_system(h_graph, H_SYSTEM, require_longest=True)
+        systems += [h_system, build_gt(h_graph, h_system, 1).system]
+        for ps in systems:
+            f, mins = path_distance_value(ps)
+            assert (f, sorted(mins)) == f_and_minimizers_oracle(
+                ps.graph, [p.vertices for p in ps.paths]
+            )
+        assert [ps.path_distance[0] for ps in systems[-2:]] == [1, 2]
 
     def test_zero_iff_common_vertex(self, corpus_by_n):
         for g in corpus_by_n[5]:
@@ -95,6 +109,35 @@ class TestPathDistanceValue:
                 ps = certified_system(g, combo, lps.length)
                 f, _ = path_distance_value(ps)
                 assert (f == 0) == bool(common_vertices(ps))
+
+
+class TestDistanceWork:
+    """f runs BFS only on members with no common vertex."""
+
+    @pytest.fixture
+    def bfs_calls(self, monkeypatch):
+        calls = []
+        bfs = lplab.systems.bfs_distances
+
+        def counted(g, sources):
+            calls.append(sources)
+            return bfs(g, sources)
+
+        monkeypatch.setattr(lplab.systems, "bfs_distances", counted)
+        return calls
+
+    def test_no_bfs_in_default_check_scans(self, corpus_by_n, bfs_calls):
+        # every n <= 6 graph has a vertex common to all its longest paths,
+        # so every lemma system has f = 0
+        corpus = [g for n in range(1, 7) for g in corpus_by_n[n]]
+        systems = {k: scan_stream(corpus, ScanConfig(k=k)).lemma_systems for k in (3, 4)}
+        assert systems == {3: 988, 4: 923}
+        assert bfs_calls == []
+
+    def test_one_bfs_per_member_without_common_vertex(self, h_graph, bfs_calls):
+        ps = make_path_system(h_graph, H_SYSTEM, require_longest=True)
+        assert path_distance_value(ps) == (1, frozenset(range(9)))
+        assert len(bfs_calls) == 9
 
 
 class TestCommonVertices:
