@@ -14,7 +14,9 @@ independent permutation-prefix oracle.
 A caller that reads only ell, the number of longest paths, the truncation
 flag and the common vertices can ask count_longest_paths instead: when
 ell = n - 1 it counts the paths without building them, by a memoised walk
-over (visited set, end vertex) states (the Bellman / Held-Karp recurrence).
+over (visited set, end vertex) states (the Bellman / Held-Karp recurrence)
+that walks each path once, in the direction from a vertex of least degree
+to one of greatest degree.
 A caller that reads the count only up to some size can stop that count
 there (count_cap); the truncation flag then says that more paths exist.
 """
@@ -287,41 +289,64 @@ _COUNT_REACH_MIN = 8
 
 
 def _count_spanning(g: Graph, stop: int) -> int:
-    """The number of directed spanning paths of g (n >= 3), or some number
-    >= stop once the count reaches stop.
+    """The number of spanning paths of g (n >= 3), or some number >= stop
+    once the count reaches stop.
 
-    The ways to complete a path depend only on its end vertex and its visited
-    set, so each (visited set, end) state is counted once and cached for the
-    rest of the call; directed paths are counted from every start.  A running
-    total grows by one per completed path and by the cached count at a cache
-    hit, and a state's count is the growth of the total while it is walked,
-    so the walk can stop as soon as the total reaches stop.  An uncached child
-    with at least _COUNT_REACH_MIN unvisited vertices is cut unless it reaches
-    every one of them; the reach test is skipped after a forced step, and the
-    last edge is added in the parent's loop.
+    Each path is counted once, in the direction that visits a before b: a is
+    a vertex of least degree and b one of greatest degree other than a
+    (ties to the lowest label).  A spanning path holds both, so exactly one
+    of its two directions does.  The walk never starts at b and, while a is
+    unvisited, never steps to b; whether a step is allowed depends only on
+    the visited set and the next vertex, so the ways to complete a path
+    still depend only on its end vertex and its visited set.  Each
+    (visited set, end) state is counted once and cached for the rest of the
+    call.  A running total grows by the completions of the last two vertices
+    and by the cached count at a cache hit, and a state's count is the
+    growth of the total while it is walked, so the walk can stop as soon as
+    the total reaches stop.  An uncached child with at least
+    _COUNT_REACH_MIN unvisited vertices is cut unless it reaches every one
+    of them; the reach test is skipped after a forced step, and the last
+    two vertices are added in the parent's loop.
     """
     masks = g.nbr_masks
+    if g.n == 3:
+        # every two edges of a connected graph on three vertices form one
+        return g.m * (g.m - 1) // 2
     full = g.vertex_mask()
+    # min and max keep the first of equals, the lowest label
+    a = min(range(g.n), key=g.degree)
+    b = max((v for v in range(g.n) if v != a), key=g.degree)
+    a_bit = 1 << a
+    not_b = ~(1 << b)
     memo: list[dict[int, int]] = [{} for _ in range(g.n)]
     total = 0
 
     def dfs(v: int, vis: int) -> None:
         """Add the completions of a path that ends at v over vis to total;
-        at least two vertices are unvisited."""
+        at least three vertices are unvisited."""
         nonlocal total
         before = total
         nxt = masks[v] & ~vis
+        # taken before b leaves nxt: the child of a forced step reaches
+        # what v reaches, less itself
         forced = not nxt & (nxt - 1)
+        if not vis & a_bit:
+            nxt &= not_b
         while nxt:
             low = nxt & -nxt
             nxt ^= low
             w = low.bit_length() - 1
             vis_w = vis | low
             rem = full & ~vis_w
-            if not rem & (rem - 1):
-                # one vertex left: one completion iff it is w's neighbour
-                if masks[w] & rem:
-                    total += 1
+            last = rem & (rem - 1)
+            if not last & (last - 1):
+                # two vertices left: if they are joined, one completion
+                # for each neighbour of w among them that may come first
+                if masks[last.bit_length() - 1] & rem:
+                    first = masks[w] & rem
+                    if not vis_w & a_bit:
+                        first &= not_b
+                    total += first.bit_count()
             else:
                 done = memo[w].get(vis_w)
                 if done is not None:
@@ -337,7 +362,7 @@ def _count_spanning(g: Graph, stop: int) -> int:
         memo[v][vis] = total - before
 
     try:
-        for s in range(g.n):
+        for s in (a, *(v for v in range(g.n) if v != a and v != b)):
             dfs(s, 1 << s)
     except _CapReached:
         pass
@@ -396,9 +421,8 @@ def count_longest_paths(
     Without a spanning path the walk that finds ell holds the paths already,
     and they are returned as a LongestPathSet.  Otherwise the spanning paths
     are counted, not built (_count_spanning), and a SpanningPathCount is
-    returned.  Each undirected path is counted once per direction, so the
-    count stops once the directed total reaches 2 (cap + 1), which keeps the
-    truncation flag exact.
+    returned.  Each path is counted once, in one direction, and the count
+    stops once it reaches cap + 1, which keeps the truncation flag exact.
 
     count_cap, if set, caps the count of spanning paths alone at
     min(cap, count_cap), with the flag set when more exist; the paths kept
@@ -412,7 +436,7 @@ def count_longest_paths(
     if found is None and ell > 1:
         if count_cap is not None:
             keep = min(keep, count_cap + 1)
-        count = _count_spanning(g, 2 * keep) // 2
+        count = _count_spanning(g, keep)
         truncated = count >= keep
         return SpanningPathCount(ell, keep - 1 if truncated else count, truncated)
     return _path_set(g, ell, found, keep)

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -386,6 +387,21 @@ def _facts(lps) -> tuple:
     return lps.length, len(lps), lps.truncated, lps.common_mask()
 
 
+def cycle(n: int) -> Graph:
+    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def cube() -> Graph:
+    """Q3: vertices 0..7, joined when their labels differ in one bit."""
+    return Graph.from_edges(8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1])
+
+
+# calls of _count_spanning's nested dfs over the connected n <= 7 corpus at
+# count_cap=41, made while each spanning path was counted in both directions
+# and only the last edge was added in the parent's loop
+SPANNING_DFS_CALLS_BOTH_DIRECTIONS_N7 = 117_460
+
+
 class TestCount:
     CAPS = (1, 2, 3, 7, None)
 
@@ -412,6 +428,102 @@ class TestCount:
                 assert _facts(counted) == _facts(enumerate_longest_paths(g, cap))
             routes[isinstance(counted, SpanningPathCount)] += 1
         assert min(routes.values()) >= 50, routes
+
+    def test_count_caps_match_enumeration_n_le_7(self, corpus_by_n):
+        graphs = [g for n in range(1, 7) for g in corpus_by_n[n]]
+        self._check_count_caps(graphs + generate_connected_graphs(7))
+
+    def test_count_caps_match_enumeration_random_labels(self):
+        rng = random.Random(20261019)
+        graphs = [
+            sparse_labelled_graph(rng, n, rng.randint(1, n))
+            for n in range(8, 12) for _ in range(30)
+        ]
+        spanning = self._check_count_caps(graphs)
+        assert min(spanning, len(graphs) - spanning) >= 30, spanning
+
+    @staticmethod
+    def _check_count_caps(graphs: list[Graph]) -> int:
+        """Each count under count_cap c against the enumeration: capped at
+        min(cap, c) with a spanning path, at cap without one.  Returns the
+        number of graphs with a spanning path."""
+        spanning = 0
+        for g in graphs:
+            for cap in (None, 41):
+                kept = enumerate_longest_paths(g, cap)
+                counts = g.n > 2 and kept.length == g.n - 1
+                for c in (1, 2, 41, 42):
+                    want = enumerate_longest_paths(g, min(cap or c, c)) if counts else kept
+                    assert _facts(count_longest_paths(g, cap, count_cap=c)) == _facts(want)
+            spanning += counts
+        return spanning
+
+    @pytest.mark.parametrize("g, count", [
+        # regular: every degree ties, so a = 0 and b = 1; on C_n some paths
+        # end in a, b, and others in b
+        *(pytest.param(cycle(n), n, id=f"C{n}") for n in range(3, 10)),
+        pytest.param(Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)]), 36, id="K33"),
+        pytest.param(cube(), 72, id="Q3"),
+        pytest.param(None, 120, id="Petersen"),
+        # a = 4, a pendant of b = 3: K4 plus a pendant
+        pytest.param(Graph.from_edges(5, [*itertools.combinations(range(4), 2), (3, 4)]), 6, id="K4+pendant"),
+        # a = 0, a pendant two steps from b = 1: K5 on 1..5 and the path 0, 6, 1
+        pytest.param(
+            Graph.from_edges(7, [*itertools.combinations(range(1, 6), 2), (0, 6), (6, 1)]), 24, id="K5+tail"
+        ),
+        # a = 4 and 5 are pendants of b = 0 and of 1: the paths run 4, 0, .., 1, 5
+        pytest.param(
+            Graph.from_edges(6, [*itertools.combinations(range(4), 2), (0, 4), (1, 5)]), 2, id="K4+2pendants"
+        ),
+        # a = 0 ends the one spanning path and b = 1 follows it
+        pytest.param(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 1, id="P4"),
+        # a = 0 and b = 3 opposite on C6 with the chords 1-3 and 3-5
+        pytest.param(Graph.from_edges(6, [*cycle(6).edges(), (1, 3), (3, 5)]), None, id="C6+chords"),
+    ])
+    def test_pick_of_a_and_b(self, g, count, petersen):
+        g = g or petersen
+        want = enumerate_longest_paths(g, None)
+        if g.n <= ORACLE_MAX_N:
+            assert _facts(want) == _facts(enumerate_longest_paths_oracle(g))
+        assert want.length == g.n - 1
+        assert count is None or len(want) == count
+        for cap in (None, *range(max(1, len(want) - 1), len(want) + 2)):
+            assert _facts(count_longest_paths(g, cap)) == _facts(enumerate_longest_paths(g, cap))
+
+    @pytest.mark.parametrize("g, count", [
+        pytest.param(grid(4, 5), 1006, id="grid4x5"), pytest.param(cube(), 72, id="Q3"),
+    ])
+    def test_count_under_relabelling(self, g, count):
+        # the pick of a and b follows the labels; the count must not
+        rng = random.Random(count)
+        for _ in range(20):
+            label = list(range(g.n))
+            rng.shuffle(label)
+            counted = count_longest_paths(relabel(g, label), None)
+            assert (counted.length, len(counted), counted.truncated) == (g.n - 1, count, False)
+
+    def test_each_path_walked_once(self, corpus_by_n):
+        # the walk's states over the connected n <= 7 corpus at count_cap=41
+        # fall to under 0.4 of what the count of both directions took
+        dfs = next(
+            c for c in lplab.longest._count_spanning.__code__.co_consts
+            if getattr(c, "co_name", None) == "dfs"
+        )
+        graphs = [g for n in range(1, 7) for g in corpus_by_n[n]] + generate_connected_graphs(7)
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is dfs:
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            for g in graphs:
+                count_longest_paths(g, count_cap=41)
+        finally:
+            sys.setprofile(None)
+        assert 0 < calls <= 0.4 * SPANNING_DFS_CALLS_BOTH_DIRECTIONS_N7, calls
 
     def test_k20_stops_at_the_cap(self):
         # 20!/2 spanning paths: the count stops once it passes the cap
