@@ -84,22 +84,25 @@ def _check_k_and_subset_cap(args: argparse.Namespace, k_min: int) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     _check_k_and_subset_cap(args, 2)
     g = load_graph(args.graph)
-    # the members are read only where they share no vertex, and then the
-    # walk that found ell holds them: spanning paths are only counted
+    # the members are read, through path(i), only where they share no
+    # vertex, and then the walk that found ell holds them: spanning paths
+    # are only counted
     lps = count_longest_paths(g, cap=args.path_cap)
     common = lps.common_mask()
     print(f"n = {g.n}, m = {g.m}")
     print(f"ell(G) = {lps.length}")
     print(f"|L(G)| = {len(lps)}{' (truncated)' if lps.truncated else ''}")
     # the conjecture search at k = 2, uncapped
-    pair = None if common else first_empty_intersection([p.mask for p in lps.paths], 2)[0]
+    pair = None if common else first_empty_intersection(
+        [lps.path(i).mask for i in range(len(lps))], 2
+    )[0]
     if pair is None:
         print("pairwise intersection: holds")
     else:
         i, j = pair
         print(
             f"pairwise intersection: fails, longest paths {i} and {j} are disjoint: "
-            f"{list(lps.paths[i].vertices)} {list(lps.paths[j].vertices)}"
+            f"{list(lps.path(i).vertices)} {list(lps.path(j).vertices)}"
         )
     common_verts = [v for v in range(g.n) if common >> v & 1]
     print(f"common vertices of all longest paths: {common_verts}")
@@ -134,10 +137,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             checked = min(math.comb(len(lps), k), args.subset_cap)
         else:
             subsets, checked, _ = iter_ksubsets(
-                len(lps.paths), k, args.subset_cap, args.seed, f"analyze:{k}"
+                len(lps), k, args.subset_cap, args.seed, f"analyze:{k}"
             )
             for subset in subsets:
-                ps = certified_system(g, [lps.paths[i] for i in subset], lps.length)
+                ps = certified_system(g, [lps.path(i) for i in subset], lps.length)
                 f, _ = path_distance_value(ps)
                 max_f = max(max_f, f)
         print(f"max f over {checked} {k}-subsets: {max_f}")
@@ -151,27 +154,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     unknown = set(checks) - set(DEFAULT_CHECKS)
     if unknown:
         raise UsageError(f"unknown checks: {sorted(unknown)}")
-    lps = enumerate_longest_paths(g, cap=args.path_cap)
+    # spanning paths are counted, and only the sampled members are built
+    lps = count_longest_paths(g, cap=args.path_cap)
     if lps.truncated:
         print(
             f"lplab: --path-cap {args.path_cap} truncated the longest paths; "
-            f"subsets are drawn from the first {len(lps.paths)}",
+            f"subsets are drawn from the first {len(lps)}",
             file=sys.stderr,
         )
-    if len(lps.paths) < args.k:
+    if len(lps) < args.k:
         print(
-            f"lplab: only {len(lps.paths)} longest paths, no {args.k}-subsets",
+            f"lplab: only {len(lps)} longest paths, no {args.k}-subsets",
             file=sys.stderr,
         )
         _emit([], args.out)
         return EXIT_OK
     subsets, _, _ = iter_ksubsets(
-        len(lps.paths), args.k, args.subset_cap, args.seed, f"verify:{args.k}"
+        len(lps), args.k, args.subset_cap, args.seed, f"verify:{args.k}"
     )
     reports = []
     failed = False
     for subset in subsets:
-        ps = certified_system(g, [lps.paths[i] for i in subset], lps.length)
+        ps = certified_system(g, [lps.path(i) for i in subset], lps.length)
         for rep in run_checks(ps, checks):
             reports.append(rep.to_json())
             failed = failed or rep.status == "fail"

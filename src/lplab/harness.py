@@ -63,9 +63,7 @@ from .graphs import (
 from .longest import (
     DEFAULT_PATH_CAP,
     LongestPathSet,
-    SpanningPathCount,
     count_longest_paths,
-    enumerate_longest_paths,
     first_empty_intersection,
 )
 from .systems import certified_system
@@ -348,7 +346,7 @@ def check_conjecture(
     k: int,
     path_cap: Optional[int] = DEFAULT_PATH_CAP,
     subset_cap: Optional[int] = CONJECTURE_SUBSET_CAP,
-    lps: LongestPathSet | SpanningPathCount | None = None,
+    lps: LongestPathSet | None = None,
 ) -> ConjectureVerdict:
     """Do every k of the longest paths of g share a vertex?
 
@@ -362,26 +360,28 @@ def check_conjecture(
     subset_cap bounds them: a search cut by the cap, or a truncated path list
     without a violation, gives "incomplete".  A truncated list of spanning
     paths (ell = n - 1) is the exception: every longest path then holds every
-    vertex, the ones past the cap too.  path_cap is read only when lps is
-    not given.
+    vertex, the ones past the cap too.  When lps is not given it is
+    count_longest_paths(g, path_cap).  The members are read through
+    lps.path(i), and only where no vertex is common to all of them, so a
+    set of spanning paths is never built.
     """
     if k < 2:
         raise UsageError(f"k must be >= 2, got {k}")
     if not is_connected(g):
         raise UsageError("conjecture check requires a connected graph")
     if lps is None:
-        lps = enumerate_longest_paths(g, cap=path_cap)
+        lps = count_longest_paths(g, cap=path_cap)
     if lps.common_mask():
         exact = not lps.truncated or lps.length == g.n - 1
         status = "no-violation" if exact else "incomplete"
         return ConjectureVerdict(status, k, math.comb(len(lps), k), used_shortcut=True)
     subset, nodes, capped = first_empty_intersection(
-        [p.mask for p in lps.paths], k, subset_cap
+        [lps.path(i).mask for i in range(len(lps))], k, subset_cap
     )
     if subset is None:
         status = "incomplete" if capped or lps.truncated else "no-violation"
         return ConjectureVerdict(status, k, nodes, used_shortcut=False)
-    members = [lps.paths[idx] for idx in subset]
+    members = [lps.path(idx) for idx in subset]
     ps = certified_system(g, members, lps.length)
     f, minimizers = ps.path_distance
     return ConjectureVerdict(
@@ -534,29 +534,29 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     if not record["connected"]:
         return record
     lemma_checks = [c for c in config.checks if c != "theorem"]
-    if lemma_checks:
-        lps = enumerate_longest_paths(g, cap=config.path_cap)
-    else:
-        # without a lemma check nothing reads the members of a spanning path
-        # set (they share every vertex), so those are counted rather than
-        # built; and the count is read only through the theorem sweep's
-        # min(C(count, k), subset_cap), which is subset_cap from c* on, so
-        # the count stops at c* (flagged truncated; check_conjecture takes a
-        # truncated spanning set as exact)
-        count_cap = _sweep_count_cap(config.k, config.subset_cap)
-        lps = count_longest_paths(g, cap=config.path_cap, count_cap=count_cap)
-        record["counts_stopped"] = int(
-            isinstance(lps, SpanningPathCount)
-            and lps.truncated
-            and count_cap < config.path_cap
-        )
+    # only the lemma sample reads the members of a spanning path set (they
+    # share every vertex), through path(i), which builds each one it reads.
+    # Without a lemma check the count is read only through the theorem
+    # sweep's min(C(count, k), subset_cap), which is subset_cap from c* on,
+    # so the count stops at c* (flagged truncated; check_conjecture takes a
+    # truncated spanning set as exact)
+    count_cap = None if lemma_checks else _sweep_count_cap(config.k, config.subset_cap)
+    lps = count_longest_paths(g, cap=config.path_cap, count_cap=count_cap)
+    record["counts_stopped"] = int(
+        count_cap is not None
+        and count_cap < config.path_cap
+        and lps.truncated
+        and lps.length == g.n - 1
+    )
     k = config.k
     tallies = record["tallies"]
 
     # pairwise intersection: the conjecture search at k = 2, uncapped; a
     # global common vertex covers every pair exactly
     common = lps.common_mask()
-    pair = None if common else first_empty_intersection([p.mask for p in lps.paths], 2)[0]
+    pair = None if common else first_empty_intersection(
+        [lps.path(i).mask for i in range(len(lps))], 2
+    )[0]
     holds = pair is None
     if not holds:
         i, j = pair
@@ -565,7 +565,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
                 "check": "pairwise",
                 "graph6": record["graph6"],
                 "pair": [i, j],
-                "members": [list(lps.paths[i].vertices), list(lps.paths[j].vertices)],
+                "members": [list(lps.path(i).vertices), list(lps.path(j).vertices)],
             }
         )
     tallies["pairwise"] = {"pass": int(holds), "fail": int(not holds), "vacuous": 0}
@@ -595,7 +595,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
                 slot["pass"] += planned
                 subsets = ()
             else:
-                paths = lps.paths
+                paths = [lps.path(i) for i in range(len(lps))]
                 dvecs = [bfs_distances(g, p.vertices) for p in paths]
                 subsets, _, _ = iter_ksubsets(
                     len(paths), k, config.subset_cap, config.seed,
@@ -633,13 +633,11 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         # full lemma machinery on a small deterministic sample of subsets
         if lemma_checks and k >= 3:
             subsets, _, _ = iter_ksubsets(
-                len(lps.paths), k, config.lemma_subset_cap, config.seed,
+                len(lps), k, config.lemma_subset_cap, config.seed,
                 f"lemma:{record['graph6']}:{k}",
             )
             for subset in subsets:
-                ps = certified_system(
-                    g, [lps.paths[idx] for idx in subset], lps.length
-                )
+                ps = certified_system(g, [lps.path(idx) for idx in subset], lps.length)
                 record["lemma_systems"] += 1
                 for rep in run_checks(ps, lemma_checks):
                     _tally(tallies, rep)

@@ -11,14 +11,16 @@ extend, so a branch that can no longer reach every unvisited neighbour of
 its start holds no longest path.  The tests cross-check the walk against an
 independent permutation-prefix oracle.
 
-A caller that reads only ell, the number of longest paths, the truncation
-flag and the common vertices can ask count_longest_paths instead: when
-ell = n - 1 it counts the paths without building them, by a memoised walk
-over (visited set, end vertex) states (the Bellman / Held-Karp recurrence)
-that walks each path once, in the direction from a vertex of least degree
-to one of greatest degree.
-A caller that reads the count only up to some size can stop that count
-there (count_cap); the truncation flag then says that more paths exist.
+count_longest_paths gives the same facts and the same paths, read one at a
+time through path(i), but when ell = n - 1 it counts the paths first, by a
+memoised walk over (visited set, end vertex) states (the Bellman /
+Held-Karp recurrence) that walks each path once, in the direction from a
+vertex of least degree to one of greatest degree, and builds a path only
+when it is read: it unranks it from a second memo, in the counting form
+of the same recurrence, or, when the count was truncated, takes it from
+the walk's first cap paths.  A caller that reads the count only up to some
+size can stop that count there (count_cap); the truncation flag then says
+that more paths exist.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import UsageError
 from .graphs import Graph, is_connected
@@ -70,47 +72,32 @@ def _path(vertices: tuple[int, ...], mask: int) -> Path:
 
 @dataclass(frozen=True)
 class LongestPathSet:
-    """ell(G) plus the (possibly truncated) list of longest paths."""
+    """ell(G) plus the (possibly truncated) list of longest paths.
+
+    paths is a tuple when the paths were built.  For the spanning paths that
+    count_longest_paths counts it is a _SpanningPaths, which builds the i-th
+    path when it is read; path(i) reads either.
+    """
 
     length: int
-    paths: tuple[Path, ...]
+    paths: Sequence[Path]
     truncated: bool
 
     def __len__(self) -> int:
         return len(self.paths)
 
+    def path(self, i: int) -> Path:
+        """The i-th canonical path in lexicographic order."""
+        return self.paths[i]
+
     def common_mask(self) -> int:
+        if isinstance(self.paths, _SpanningPaths):
+            # every spanning path holds every vertex
+            return (1 << (self.length + 1)) - 1
         acc = -1
         for p in self.paths:
             acc &= p.mask
         return acc if acc != -1 else 0
-
-
-@dataclass(frozen=True)
-class SpanningPathCount:
-    """The facts of a LongestPathSet whose paths are all spanning (ell = n - 1),
-    with the paths themselves left unbuilt.
-
-    len() is the capped count, as for a LongestPathSet.  Every spanning path
-    holds every vertex, so the common mask is the full vertex mask.
-    """
-
-    length: int
-    count: int
-    truncated: bool
-
-    def __len__(self) -> int:
-        return self.count
-
-    def common_mask(self) -> int:
-        return (1 << (self.length + 1)) - 1
-
-    @property
-    def paths(self) -> tuple[Path, ...]:
-        raise UsageError(
-            "the spanning paths were counted, not built; "
-            "use enumerate_longest_paths to read them"
-        )
 
 
 def is_path(g: Graph, seq: Sequence[int]) -> bool:
@@ -161,7 +148,9 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
     neighbours ascending, which is lexicographic order): from start s the
     walk goes on only while an unvisited vertex above s is left.  The walk
     tracks the best length found so far and records the paths that tie it,
-    in DFS order, dropping them when a longer one appears.
+    in DFS order, dropping them when a longer one appears; they are built
+    (as Path) only on return, so paths dropped for a longer one, or for the
+    first spanning path under stop_at_spanning, are never built.
 
     A child is cut when the vertices it can still reach cannot bring it up
     to the best length, or, once keep paths of that length are held, cannot
@@ -189,7 +178,7 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
     fold = -1  # once best = spanning, the length with two vertices left
     slack = not keep  # 1 once keep paths of the best length are held
     own = 0  # the start's neighbours, all on any longest path; 0 once best = n - 1
-    found: list[Path] = []
+    found: list[tuple[tuple[int, ...], int]] = []  # (vertices, mask) of each
     path: list[int] = []
 
     def dfs(v: int, vis: int, length: int) -> None:
@@ -206,7 +195,7 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
                 w = low.bit_length() - 1
                 end = masks[w] & ~vis & ~low & high
                 if end:
-                    found.append(_path((*path, w, end.bit_length() - 1), full))
+                    found.append(((*path, w, end.bit_length() - 1), full))
             if len(found) >= keep:
                 raise _CapReached
             return
@@ -237,7 +226,7 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
                         fold = spanning - 2
                         own = 0
                 if len(found) < keep:
-                    found.append(_path((*path, w), vis_w))
+                    found.append(((*path, w), vis_w))
                 slack = len(found) >= keep
                 if slack and best == spanning:
                     raise _CapReached
@@ -265,7 +254,7 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
         return spanning, None
     except _CapReached:
         pass
-    return best, found
+    return best, [_path(vertices, mask) for vertices, mask in found]
 
 
 def longest_path_length(g: Graph) -> int:
@@ -373,6 +362,161 @@ def _count_spanning(g: Graph, stop: int) -> int:
     return total
 
 
+def _completions(g: Graph, width: int) -> list[dict[int, int]]:
+    """memo[v][vis]: the completions of every walked state (visited set vis,
+    end v) with at least three unvisited vertices, by the vertex they end
+    at, packed into one int.
+
+    Field t, width bits wide, counts the completions that end at a vertex
+    >= t, so a state's int is the sum of its children's, and the canonical
+    paths from start s through it are field s + 1.  The completions of a
+    reachable state are distinct directed spanning paths, so a width whose
+    fields hold twice the count of spanning paths never carries into the
+    next field.  Every start but the last is walked, and the states are
+    shared by all starts.  A child with one or two unvisited vertices is
+    added in its parent's loop, and one with at least _COUNT_REACH_MIN is
+    cut, as in _count_spanning, unless its end reaches them all; a cut state
+    has no completion and is left out of the memo.
+    """
+    masks = g.nbr_masks
+    full = g.vertex_mask()
+    # ends_at[v]: the one completion of a path through every vertex, at v
+    ends_at = list(itertools.accumulate(1 << (width * t) for t in range(g.n)))
+    memo: list[dict[int, int]] = [{} for _ in range(g.n)]
+
+    def dfs(v: int, vis: int) -> int:
+        nxt = masks[v] & ~vis
+        forced = not nxt & (nxt - 1)
+        vec = 0
+        while nxt:
+            low = nxt & -nxt
+            nxt ^= low
+            w = low.bit_length() - 1
+            vis_w = vis | low
+            rem = full ^ vis_w
+            last = rem & (rem - 1)
+            if last & (last - 1):
+                done = memo[w].get(vis_w)
+                if done is None:
+                    if (
+                        forced
+                        or (left := rem.bit_count()) < _COUNT_REACH_MIN
+                        or _reaches(g, w, rem, left)
+                    ):
+                        done = dfs(w, vis_w)
+                    else:
+                        continue
+                vec += done
+            elif last:
+                # two left, x below y: w x y if w ~ x, w y x if w ~ y
+                y = last.bit_length() - 1
+                if masks[y] & rem:
+                    if masks[w] & last:
+                        vec += ends_at[(rem ^ last).bit_length() - 1]
+                    if masks[w] & rem & ~last:
+                        vec += ends_at[y]
+            elif masks[w] & rem:
+                vec += ends_at[rem.bit_length() - 1]
+        memo[v][vis] = vec
+        return vec
+
+    for s in range(g.n - 1):
+        dfs(s, 1 << s)
+    # dfs refers to itself through its closure; emptying the cell breaks
+    # the cycle, so the memo goes with its last reader, not with the
+    # garbage collector
+    del dfs
+    return memo
+
+
+class _SpanningPaths(Sequence):
+    """The first count canonical spanning paths of g in lexicographic order,
+    each built when it is first read and kept.
+
+    An exact count (truncated false) unranks: _completions, built on the
+    first read, gives for each state the number of canonical paths through
+    it from the start, and the i-th path follows the child whose paths hold
+    index i, one pass from the start down.  A truncated count does not: its
+    states could number n * 2**n (K20 under the default cap), so the first
+    read walks out the first count paths (_walk) and keeps them all.
+    """
+
+    def __init__(self, g: Graph, count: int, truncated: bool) -> None:
+        self._g = g
+        self._count = count
+        self._truncated = truncated
+        self._memo: list[dict[int, int]] | None = None
+        self._built: dict[int, Path] = {}
+        # fields hold up to twice count, the directed paths
+        self._width = (2 * count).bit_length() + 1
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        picked = range(self._count)[i]
+        if isinstance(picked, range):
+            return tuple(self[j] for j in picked)
+        path = self._built.get(picked)
+        if path is None:
+            if self._truncated:
+                self._built = dict(enumerate(_walk(self._g, self._count)[1]))
+                return self._built[picked]
+            if self._memo is None:
+                self._memo = _completions(self._g, self._width)
+            path = self._built[picked] = self._unrank(picked)
+        return path
+
+    def _unrank(self, i: int) -> Path:
+        g = self._g
+        masks = g.nbr_masks
+        memo = self._memo
+        width = self._width
+        field = (1 << width) - 1
+        for s in range(g.n - 1):
+            # the canonical paths from s end above it
+            shift = width * (s + 1)
+            here = memo[s][1 << s] >> shift & field
+            if i < here:
+                break
+            i -= here
+        above = g.vertex_mask() & ~((2 << s) - 1)
+        seq = [s]
+        v, vis = s, 1 << s
+        rest = g.vertex_mask() ^ vis
+        while rest:
+            nxt = masks[v] & rest
+            while nxt:
+                low = nxt & -nxt
+                nxt ^= low
+                w = low.bit_length() - 1
+                rem = rest ^ low
+                last = rem & (rem - 1)
+                if last & (last - 1):
+                    # three or more left: in the memo, or cut
+                    here = memo[w].get(vis | low, 0) >> shift & field
+                elif last:
+                    # two left, x below y: w x y ends at y, w y x at x
+                    x = rem ^ last
+                    here = 0
+                    if masks[x.bit_length() - 1] & last:
+                        here = bool(masks[w] & x and last & above) + bool(
+                            masks[w] & last and x & above
+                        )
+                elif rem:
+                    here = bool(masks[w] & rem and rem & above)
+                else:
+                    here = bool(low & above)
+                if i < here:
+                    break
+                i -= here
+            v = w
+            seq.append(v)
+            vis |= low
+            rest ^= low
+        return _path(tuple(seq), vis)
+
+
 def _keep(g: Graph, cap: int | None, caller: str) -> int:
     """The number of paths a walk keeps, cap + 1, once the call is checked."""
     if cap is not None and cap < 1:
@@ -414,15 +558,15 @@ def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> Lon
 
 def count_longest_paths(
     g: Graph, cap: int | None = DEFAULT_PATH_CAP, *, count_cap: int | None = None
-) -> LongestPathSet | SpanningPathCount:
-    """ell, the capped number of longest paths, the truncation flag and the
-    common mask, as enumerate_longest_paths gives them.
+) -> LongestPathSet:
+    """The longest paths of g as enumerate_longest_paths gives them, with
+    spanning paths counted first and each built only when it is read.
 
     Without a spanning path the walk that finds ell holds the paths already,
-    and they are returned as a LongestPathSet.  Otherwise the spanning paths
-    are counted, not built (_count_spanning), and a SpanningPathCount is
-    returned.  Each path is counted once, in one direction, and the count
-    stops once it reaches cap + 1, which keeps the truncation flag exact.
+    and they are returned as a tuple.  Otherwise the spanning paths are
+    counted (_count_spanning), each once, in one direction, and the count
+    stops once it reaches cap + 1, which keeps the truncation flag exact;
+    path(i) then builds the i-th path on demand (_SpanningPaths).
 
     count_cap, if set, caps the count of spanning paths alone at
     min(cap, count_cap), with the flag set when more exist; the paths kept
@@ -438,7 +582,9 @@ def count_longest_paths(
             keep = min(keep, count_cap + 1)
         count = _count_spanning(g, keep)
         truncated = count >= keep
-        return SpanningPathCount(ell, keep - 1 if truncated else count, truncated)
+        if truncated:
+            count = keep - 1
+        return LongestPathSet(ell, _SpanningPaths(g, count, truncated), truncated)
     return _path_set(g, ell, found, keep)
 
 

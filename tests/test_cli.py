@@ -13,8 +13,15 @@ from lplab.errors import FormatError
 from lplab.graphs import encode_graph6
 from conftest import H_GRAPH6
 
-# sha256 of the bytes that `lplab verify H --k 4 --subset-cap 40` writes
+# sha256 of the bytes that `lplab verify G --k 4 --subset-cap 40` writes: for
+# H, which has no spanning path, and for two graphs whose 120 and 20,160
+# longest paths are spanning and whose sampled members are unranked (both
+# recorded while verify still built every longest path)
 VERIFY_H_K4_SHA256 = "e4e9f8b5817073f944ec489f7d12025efb2cb61d73fca909440548f74e41505d"
+VERIFY_K4_SHA256 = {
+    "IheA@GUAo": "adf4e731bec88ea10097d9105ad8154a3724dfd57a0e70d107b35601247e17d8",  # Petersen
+    "G~~~~{": "bfa3a03a9db6b08b2d92b6a50f692604fe1e439d718632e9cdfad91b2ead05e2",  # K8
+}
 
 
 class TestLoadGraph:
@@ -262,6 +269,14 @@ class TestVerify:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_H_K4_SHA256
         assert cli(argv) == EXIT_OK
         assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    @pytest.mark.parametrize("g6", sorted(VERIFY_K4_SHA256))
+    def test_spanning_report_bytes_pinned(self, g6, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        argv = ["verify", g6, "--k", "4", "--subset-cap", "40", "--out", str(out)]
+        assert cli(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_K4_SHA256[g6]
 
     def test_full_path_list_quiet_on_stderr(self, capsys):
         assert cli(["verify", "D~{", "--k", "3"]) == EXIT_OK

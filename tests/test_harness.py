@@ -14,11 +14,18 @@ import networkx as nx
 
 import pytest
 
+import lplab.longest
 from lplab import harness
 from lplab.construct import build_gt
 from lplab.errors import FormatError, UsageError
 from lplab.graphs import Graph, encode_graph6, parse_graph6
-from lplab.longest import LongestPathSet, Path, count_longest_paths, enumerate_longest_paths
+from lplab.longest import (
+    LongestPathSet,
+    Path,
+    count_longest_paths,
+    enumerate_longest_paths,
+    longest_path_length,
+)
 from lplab.harness import (
     CONJECTURE_SUBSET_CAP,
     ScanConfig,
@@ -71,6 +78,11 @@ GENERATOR_SHA256 = {
 # _maps_onto calls made generating n = 1..7 when every candidate that lands
 # in a bucket is searched (before the relabelled-tuple equality check)
 SEARCHES_WITHOUT_EQUALITY_N7 = 5943
+
+# Path objects built by a default-check scan of the connected n <= 6 corpus,
+# over the 118 graphs with a spanning path, while the scan enumerated every
+# longest path of a graph that runs a lemma check
+PATHS_BUILT_ENUMERATING_N6 = 3555
 
 
 def _random_graph_masks(rng: random.Random, n: int) -> list[int]:
@@ -534,23 +546,44 @@ class TestScanStream:
         (("lemma3",), False),
     ])
     def test_counts_only_without_lemma_checks(self, monkeypatch, corpus_by_n, checks, counted):
-        # each graph is either counted or enumerated, never both (the golden
-        # theorem-only reports pin that counting gives the same bytes)
-        calls = {"count": 0, "enumerate": 0}
+        # every graph is counted once; the count stops at c* = 41 only when
+        # no lemma check reads the members (the golden theorem-only reports
+        # pin that stopping gives the same bytes)
+        count_caps = []
+        real = harness.count_longest_paths
 
-        def tracking(name, real):
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return call
+        def count(g, **kwargs):
+            count_caps.append(kwargs["count_cap"])
+            return real(g, **kwargs)
 
-        monkeypatch.setattr(harness, "count_longest_paths",
-                            tracking("count", harness.count_longest_paths))
-        monkeypatch.setattr(harness, "enumerate_longest_paths",
-                            tracking("enumerate", harness.enumerate_longest_paths))
+        monkeypatch.setattr(harness, "count_longest_paths", count)
         scan_stream(corpus_by_n[6], ScanConfig(k=3, checks=checks))
-        assert calls == ({"count": 112, "enumerate": 0} if counted
-                         else {"count": 0, "enumerate": 112})
+        assert count_caps == [41 if counted else None] * 112
+
+    def test_builds_only_the_sampled_spanning_paths(self, monkeypatch, corpus_by_n):
+        # a graph with a spanning path builds only the members its lemma
+        # sample reads, each once, and no path its walk dropped
+        built = 0
+        real = lplab.longest._path
+
+        def counted(vertices, mask):
+            nonlocal built
+            built += 1
+            return real(vertices, mask)
+
+        monkeypatch.setattr(lplab.longest, "_path", counted)
+        config = ScanConfig()
+        total = spanning = 0
+        for g in (g for n in range(1, 7) for g in corpus_by_n[n]):
+            if longest_path_length(g) < g.n - 1:
+                continue
+            before = built
+            scan_stream([g], config)
+            assert built - before <= config.k * config.lemma_subset_cap, encode_graph6(g)
+            total += built - before
+            spanning += 1
+        assert spanning == 118
+        assert total <= 0.4 * PATHS_BUILT_ENUMERATING_N6, total
 
     def test_disconnected_skipped(self):
         lines = [encode_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))]
@@ -680,16 +713,16 @@ class TestSpanningCountStop:
         assert all(r.counts_stopped == 0 for cfg, r in zip(configs, stopped) if cfg.path_cap == 5)
         assert max(r.counts_stopped for r in stopped) > 50
 
-    def test_lemma_route_enumerates_in_full(self, monkeypatch, corpus_by_n):
+    def test_lemma_route_counts_in_full(self, monkeypatch, corpus_by_n):
         lengths = []
-        real = harness.enumerate_longest_paths
+        real = harness.count_longest_paths
 
-        def enumerate_(g, **kwargs):
+        def count(g, **kwargs):
             lps = real(g, **kwargs)
             lengths.append(len(lps))
             return lps
 
-        monkeypatch.setattr(harness, "enumerate_longest_paths", enumerate_)
+        monkeypatch.setattr(harness, "count_longest_paths", count)
         report = scan_stream(corpus_by_n[6], ScanConfig(k=3, lemma_subset_cap=1))
         assert report.counts_stopped == 0
         assert max(lengths) == 360  # K6: 6!/2 paths, past c* = 41

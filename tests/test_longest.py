@@ -17,7 +17,6 @@ from lplab.harness import generate_connected_graphs
 from lplab.longest import (
     DEFAULT_PATH_CAP,
     Path,
-    SpanningPathCount,
     count_longest_paths,
     enumerate_longest_paths,
     first_empty_intersection,
@@ -413,7 +412,7 @@ class TestCount:
                     counted = count_longest_paths(g, cap)
                     assert _facts(counted) == _facts(enumerate_longest_paths(g, cap))
                 # K1 and K2 keep their one path
-                counts = isinstance(counted, SpanningPathCount)
+                counts = not isinstance(counted.paths, tuple)
                 assert counts == (n > 2 and counted.length == n - 1)
                 spanning += counts
         assert spanning == 850
@@ -426,7 +425,7 @@ class TestCount:
             for cap in self.CAPS:
                 counted = count_longest_paths(g, cap)
                 assert _facts(counted) == _facts(enumerate_longest_paths(g, cap))
-            routes[isinstance(counted, SpanningPathCount)] += 1
+            routes[not isinstance(counted.paths, tuple)] += 1
         assert min(routes.values()) >= 50, routes
 
     def test_count_caps_match_enumeration_n_le_7(self, corpus_by_n):
@@ -572,12 +571,16 @@ class TestCount:
         assert peak - before > 1_000_000
         assert after - before < 50_000
 
-    def test_paths_of_a_count_raise(self, c5):
+    def test_paths_of_a_count_are_built_when_read(self, c5):
         counted = count_longest_paths(c5)
-        assert isinstance(counted, SpanningPathCount)
+        assert not isinstance(counted.paths, tuple)
         assert len(counted) == 5
-        with pytest.raises(UsageError):
-            counted.paths
+        want = enumerate_longest_paths(c5).paths
+        assert counted.paths[1:4] == want[1:4]
+        assert counted.paths[-1] == counted.path(4) == want[4]
+        assert tuple(counted.paths) == want
+        with pytest.raises(IndexError):
+            counted.path(5)
 
     def test_without_spanning_path_the_paths_are_kept(self, k13, h_graph):
         for g in (k13, h_graph):
@@ -588,6 +591,88 @@ class TestCount:
             count_longest_paths(c5, cap=0)
         with pytest.raises(UsageError):
             count_longest_paths(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def spanning_labelled_graph(rng: random.Random, n: int) -> Graph:
+    """A path through all n vertices plus up to n chords, with its vertices
+    relabelled at random."""
+    edges = {(v, v + 1) for v in range(n - 1)}
+    absent = [(u, v) for u, v in itertools.combinations(range(n), 2) if (u, v) not in edges]
+    edges.update(rng.sample(absent, rng.randint(0, n)))
+    label = list(range(n))
+    rng.shuffle(label)
+    return relabel(Graph.from_edges(n, sorted(edges)), label)
+
+
+# _completions keeps one int per (visited set, end) state it walks, up to
+# n * 2**n of them; a truncated count must not walk them (K11 has 22,528)
+MEMO_BOUND = 10_000
+
+
+class TestUnrank:
+    """path(i) of a count is the i-th path of the enumeration."""
+
+    @staticmethod
+    def _same_paths(g: Graph, cap: int | None) -> bool:
+        counted = count_longest_paths(g, cap)
+        want = enumerate_longest_paths(g, cap).paths
+        return len(counted) == len(want) and all(
+            counted.path(i) == p for i, p in enumerate(want)
+        )
+
+    def test_every_index_n_le_7(self, corpus_by_n):
+        graphs = [g for n in range(1, 7) for g in corpus_by_n[n]] + generate_connected_graphs(7)
+        for g in graphs:
+            for cap in (None, 1, 2, 3, 7):
+                assert self._same_paths(g, cap), (encode_graph6(g), cap)
+
+    def test_every_index_random_labels(self):
+        rng = random.Random(20261020)
+        for _ in range(200):
+            g = spanning_labelled_graph(rng, rng.randint(9, 12))
+            counted = count_longest_paths(g, None)
+            assert counted.length == g.n - 1 and not counted.truncated
+            assert self._same_paths(g, None), encode_graph6(g)
+
+    @pytest.mark.parametrize("cap", [4323, 4324])
+    def test_grid(self, cap):
+        # 4,324 spanning paths: the count is truncated at 4,323 and exact at 4,324
+        assert self._same_paths(grid(5, 5), cap)
+
+    def test_memo_freed_with_its_set(self):
+        # with the collector off, only plain reference counting can free it
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            counted = count_longest_paths(grid(4, 5))
+            path = counted.path(503)
+            held = tracemalloc.get_traced_memory()[0]
+            del counted
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert path == enumerate_longest_paths(grid(4, 5)).paths[503]
+        assert held - before > 1_000_000
+        assert after - before < 50_000
+
+    @pytest.mark.parametrize("n", [11, 20])
+    def test_truncated_count_walks_no_memo(self, n, monkeypatch):
+        real = lplab.longest._completions
+
+        def bounded(g, width):
+            assert g.n * 2**g.n <= MEMO_BOUND, f"a memo of up to {g.n * 2**g.n} states"
+            return real(g, width)
+
+        monkeypatch.setattr(lplab.longest, "_completions", bounded)
+        counted = count_longest_paths(Graph.from_edges(n, itertools.combinations(range(n), 2)))
+        assert (len(counted), counted.truncated) == (DEFAULT_PATH_CAP, True)
+        # K_n's first canonical paths are 0 and each order of 1..n-1
+        for i in (0, 1, DEFAULT_PATH_CAP - 1):
+            order = next(itertools.islice(itertools.permutations(range(1, n)), i, None))
+            assert counted.path(i).vertices == (0, *order)
 
 
 # sha256 over f"{graph6}\t{ell}\t{len(paths)}\t{truncated}\n", one line per
