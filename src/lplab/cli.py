@@ -84,9 +84,8 @@ def _check_k_and_subset_cap(args: argparse.Namespace, k_min: int) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     _check_k_and_subset_cap(args, 2)
     g = load_graph(args.graph)
-    # the members are read, through path(i), only where they share no
-    # vertex, and then the walk that found ell holds them: spanning paths
-    # are only counted
+    # the members are read only where they share no vertex, and then the
+    # walk that found ell holds them: spanning paths are only counted
     lps = count_longest_paths(g, cap=args.path_cap)
     common = lps.common_mask()
     print(f"n = {g.n}, m = {g.m}")
@@ -94,7 +93,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"|L(G)| = {len(lps)}{' (truncated)' if lps.truncated else ''}")
     # the conjecture search at k = 2, uncapped
     pair = None if common else first_empty_intersection(
-        [lps.path(i).mask for i in range(len(lps))], 2
+        [p.mask for p in lps.paths], 2
     )[0]
     if pair is None:
         print("pairwise intersection: holds")

@@ -456,6 +456,8 @@ class _SpanningPaths(Sequence):
     def __getitem__(self, i):
         picked = range(self._count)[i]
         if isinstance(picked, range):
+            # as a tuple would: a caller may drop members, as the
+            # benchmark's smoke tests do with lps.paths[1:]
             return tuple(self[j] for j in picked)
         path = self._built.get(picked)
         if path is None:

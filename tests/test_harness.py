@@ -560,6 +560,31 @@ class TestScanStream:
         scan_stream(corpus_by_n[6], ScanConfig(k=3, checks=checks))
         assert count_caps == [41 if counted else None] * 112
 
+    @pytest.mark.parametrize("checks, looked_up", [
+        (("theorem",), 0),
+        (("lemma1", "theorem"), 112),
+        (("lemma3",), 112),
+    ])
+    def test_member_reads_go_through_enumerate_longest_paths(
+        self, monkeypatch, corpus_by_n, checks, looked_up
+    ):
+        # the benchmark's gate wraps this one name to record ell and the
+        # path count of every graph whose members a scan reads
+        seen = []
+        real = harness.enumerate_longest_paths
+
+        def wrapped(g, **kwargs):
+            lps = real(g, **kwargs)
+            seen.append(lps)
+            return lps
+
+        monkeypatch.setattr(harness, "enumerate_longest_paths", wrapped)
+        scan_stream(corpus_by_n[6], ScanConfig(k=3, checks=checks))
+        assert len(seen) == looked_up
+        for lps in seen:
+            assert not lps.truncated
+        assert max((len(lps) for lps in seen), default=0) == (360 if looked_up else 0)
+
     def test_builds_only_the_sampled_spanning_paths(self, monkeypatch, corpus_by_n):
         # a graph with a spanning path builds only the members its lemma
         # sample reads, each once, and no path its walk dropped
