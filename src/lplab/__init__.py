@@ -32,6 +32,7 @@ from .systems import (
     make_path_system,
     multiplicity_profile,
     path_distance_value,
+    subset_distance,
     t_prime,
 )
 from .bounds import (

@@ -29,13 +29,8 @@ from .harness import (
     iter_ksubsets,
     scan_stream,
 )
-from .longest import (
-    DEFAULT_PATH_CAP,
-    count_longest_paths,
-    enumerate_longest_paths,
-    first_empty_intersection,
-)
-from .systems import certified_system, make_path_system, path_distance_value
+from .longest import DEFAULT_PATH_CAP, count_longest_paths, enumerate_longest_paths
+from .systems import certified_system, make_path_system, subset_distance
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -87,26 +82,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # the members are read only where they share no vertex, and then the
     # walk that found ell holds them: spanning paths are only counted
     lps = count_longest_paths(g, cap=args.path_cap)
-    common = lps.common_mask()
+    k = args.k
+    verdict = check_conjecture(g, k, lps=lps)
     print(f"n = {g.n}, m = {g.m}")
     print(f"ell(G) = {lps.length}")
     print(f"|L(G)| = {len(lps)}{' (truncated)' if lps.truncated else ''}")
-    # the conjecture search at k = 2, uncapped
-    pair = None if common else first_empty_intersection(
-        [p.mask for p in lps.paths], 2
-    )[0]
+    # the conjecture search at k = 2, uncapped; a global common vertex (the
+    # k verdict's shortcut) covers every pair
+    pair = None if verdict.used_shortcut else check_conjecture(
+        g, 2, lps=lps, subset_cap=None
+    ).witness
     if pair is None:
         print("pairwise intersection: holds")
     else:
-        i, j = pair
+        (i, j), (first, second) = pair["member_indices"], pair["members"]
         print(
             f"pairwise intersection: fails, longest paths {i} and {j} are disjoint: "
-            f"{list(lps.path(i).vertices)} {list(lps.path(j).vertices)}"
+            f"{first} {second}"
         )
+    common = lps.common_mask()
     common_verts = [v for v in range(g.n) if common >> v & 1]
     print(f"common vertices of all longest paths: {common_verts}")
-    k = args.k
-    verdict = check_conjecture(g, k, lps=lps)
     if not verdict.used_shortcut:
         work = f"{verdict.subsets_checked} search nodes"
     elif not lps.truncated:
@@ -131,17 +127,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_FINDING
     if len(lps) >= k:
         max_f = 0
-        if verdict.status == "no-violation":
-            # every k longest paths share a vertex, so f = 0 on every k-subset
+        if verdict.used_shortcut or verdict.status == "no-violation":
+            # every k listed longest paths share a vertex, so f = 0 on every k-subset
             checked = min(math.comb(len(lps), k), args.subset_cap)
         else:
             subsets, checked, _ = iter_ksubsets(
                 len(lps), k, args.subset_cap, args.seed, f"analyze:{k}"
             )
-            for subset in subsets:
-                ps = certified_system(g, [lps.path(i) for i in subset], lps.length)
-                f, _ = path_distance_value(ps)
-                max_f = max(max_f, f)
+            max_f = max(map(subset_distance(g, lps.paths), subsets))
         print(f"max f over {checked} {k}-subsets: {max_f}")
     return EXIT_OK
 
@@ -174,7 +167,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     failed = False
     for subset in subsets:
-        ps = certified_system(g, [lps.path(i) for i in subset], lps.length)
+        ps = certified_system(g, [lps.paths[i] for i in subset], lps.length)
         for rep in run_checks(ps, checks):
             reports.append(rep.to_json())
             failed = failed or rep.status == "fail"

@@ -54,7 +54,6 @@ from .bounds import (
 from .errors import FormatError, UsageError
 from .graphs import (
     Graph,
-    bfs_distances,
     encode_graph6,
     is_connected,
     masks_connected,
@@ -66,7 +65,7 @@ from .longest import (
     count_longest_paths,
     first_empty_intersection,
 )
-from .systems import certified_system
+from .systems import certified_system, subset_distance
 
 GENERATOR_MAX_N = 9
 
@@ -344,7 +343,6 @@ CONJECTURE_SUBSET_CAP = 100_000
 def check_conjecture(
     g: Graph,
     k: int,
-    path_cap: Optional[int] = DEFAULT_PATH_CAP,
     subset_cap: Optional[int] = CONJECTURE_SUBSET_CAP,
     lps: LongestPathSet | None = None,
 ) -> ConjectureVerdict:
@@ -361,7 +359,7 @@ def check_conjecture(
     without a violation, gives "incomplete".  A truncated list of spanning
     paths (ell = n - 1) is the exception: every longest path then holds every
     vertex, the ones past the cap too.  When lps is not given it is
-    count_longest_paths(g, path_cap).  The members are read only where no
+    count_longest_paths(g).  The members are read only where no
     vertex is common to all of them, so a set of spanning paths is never
     built.
     """
@@ -370,7 +368,7 @@ def check_conjecture(
     if not is_connected(g):
         raise UsageError("conjecture check requires a connected graph")
     if lps is None:
-        lps = count_longest_paths(g, cap=path_cap)
+        lps = count_longest_paths(g)
     if lps.common_mask():
         exact = not lps.truncated or lps.length == g.n - 1
         status = "no-violation" if exact else "incomplete"
@@ -381,7 +379,7 @@ def check_conjecture(
     if subset is None:
         status = "incomplete" if capped or lps.truncated else "no-violation"
         return ConjectureVerdict(status, k, nodes, used_shortcut=False)
-    members = [lps.path(idx) for idx in subset]
+    members = [lps.paths[idx] for idx in subset]
     ps = certified_system(g, members, lps.length)
     f, minimizers = ps.path_distance
     return ConjectureVerdict(
@@ -548,7 +546,8 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         return record
     lemma_checks = [c for c in config.checks if c != "theorem"]
     # only the lemma sample reads the members of a spanning path set (they
-    # share every vertex), through path(i), which builds each one it reads.
+    # share every vertex), through lps.paths[i], which builds each one it
+    # reads.
     # Without a lemma check the count is read only through the theorem
     # sweep's min(C(count, k), subset_cap), which is subset_cap from c* on,
     # so the count stops at c* (flagged truncated; check_conjecture takes a
@@ -568,29 +567,26 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     )
     k = config.k
     tallies = record["tallies"]
+    verdict = check_conjecture(g, k, lps=lps)
+    # the merge reads only these two
+    record["conjecture"] = {"status": verdict.status, "witness": verdict.witness}
 
     # pairwise intersection: the conjecture search at k = 2, uncapped; a
-    # global common vertex covers every pair exactly
-    common = lps.common_mask()
-    pair = None if common else first_empty_intersection(
-        [p.mask for p in lps.paths], 2
-    )[0]
-    holds = pair is None
-    if not holds:
-        i, j = pair
+    # global common vertex (the k verdict's shortcut) covers every pair
+    pair = None if verdict.used_shortcut else check_conjecture(
+        g, 2, lps=lps, subset_cap=None
+    ).witness
+    if pair is not None:
         record["failures"].append(
             {
                 "check": "pairwise",
                 "graph6": record["graph6"],
-                "pair": [i, j],
-                "members": [list(lps.path(i).vertices), list(lps.path(j).vertices)],
+                "pair": pair["member_indices"],
+                "members": pair["members"],
             }
         )
-    tallies["pairwise"] = {"pass": int(holds), "fail": int(not holds), "vacuous": 0}
+    tallies["pairwise"] = {"pass": int(pair is None), "fail": int(pair is not None), "vacuous": 0}
 
-    verdict = check_conjecture(g, k, lps=lps)
-    # the merge reads only these two
-    record["conjecture"] = {"status": verdict.status, "witness": verdict.witness}
     if verdict.witness:
         # the witness is a k-subset with f > 0, so it is an extremal candidate
         # even when the sampled sweep below misses every such subset
@@ -598,43 +594,32 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         record["max_f_subset"] = list(verdict.witness["member_indices"])
 
     if len(lps) >= k:
-        # theorem-bound sweep over (sampled) k-subsets; exact shortcut: a
-        # subset with a common vertex has f = 0, and the bound is >= 0
+        # theorem-bound sweep over (sampled) k-subsets
         if "theorem" in config.checks and k >= 3:
             thm_id = "thm2" if k == 4 else "thm3"
             # bound >= 0 here: k >= 3 longest paths need n >= 2, and both
             # bound formulas are nonnegative from n = 2 on
             bound = theorem_bound(k, g.n)
             slot = tallies.setdefault(thm_id, {"pass": 0, "fail": 0, "vacuous": 0})
-            if common or verdict.status == "no-violation":
-                # every k longest paths share a vertex, so f = 0 on every
-                # subset, and the bound is nonnegative: all sampled subsets pass
-                planned = min(math.comb(len(lps), k), config.subset_cap)
-                slot["pass"] += planned
-                subsets = ()
+            if verdict.used_shortcut or verdict.status == "no-violation":
+                # every k listed longest paths share a vertex, so f = 0 on
+                # every subset, and the bound is nonnegative: all sampled
+                # subsets pass
+                slot["pass"] += min(math.comb(len(lps), k), config.subset_cap)
             else:
-                paths = lps.paths
-                dvecs = [bfs_distances(g, p.vertices) for p in paths]
+                f_of = subset_distance(g, lps.paths)
                 subsets, _, _ = iter_ksubsets(
-                    len(paths), k, config.subset_cap, config.seed,
+                    len(lps), k, config.subset_cap, config.seed,
                     f"thm:{record['graph6']}:{k}",
                 )
-            for subset in subsets:
-                acc = -1
-                for idx in subset:
-                    acc &= paths[idx].mask
-                if acc:
-                    slot["pass"] += 1
-                    continue
-                f = min(
-                    sum(col) for col in zip(*(dvecs[idx] for idx in subset))
-                )
-                if f > record["max_f"]:
-                    record["max_f"] = f
-                    record["max_f_subset"] = list(subset)
-                if f * bound.denominator <= bound.numerator:
-                    slot["pass"] += 1
-                else:
+                for subset in subsets:
+                    f = f_of(subset)
+                    if f > record["max_f"]:
+                        record["max_f"] = f
+                        record["max_f_subset"] = list(subset)
+                    if f * bound.denominator <= bound.numerator:
+                        slot["pass"] += 1
+                        continue
                     slot["fail"] += 1
                     record["failures"].append(
                         {
@@ -655,7 +640,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
                 f"lemma:{record['graph6']}:{k}",
             )
             for subset in subsets:
-                ps = certified_system(g, [lps.path(idx) for idx in subset], lps.length)
+                ps = certified_system(g, [lps.paths[idx] for idx in subset], lps.length)
                 record["lemma_systems"] += 1
                 for rep in run_checks(ps, lemma_checks):
                     _tally(tallies, rep)

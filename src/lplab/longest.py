@@ -12,7 +12,7 @@ its start holds no longest path.  The tests cross-check the walk against an
 independent permutation-prefix oracle.
 
 count_longest_paths gives the same facts and the same paths, read one at a
-time through path(i), but when ell = n - 1 it counts the paths first, by a
+time through paths[i], but when ell = n - 1 it counts the paths first, by a
 memoised walk over (visited set, end vertex) states (the Bellman /
 Held-Karp recurrence) that walks each path once, in the direction from a
 vertex of least degree to one of greatest degree, and builds a path only
@@ -76,7 +76,7 @@ class LongestPathSet:
 
     paths is a tuple when the paths were built.  For the spanning paths that
     count_longest_paths counts it is a _SpanningPaths, which builds the i-th
-    path when it is read; path(i) reads either.
+    path when it is read.
     """
 
     length: int
@@ -85,10 +85,6 @@ class LongestPathSet:
 
     def __len__(self) -> int:
         return len(self.paths)
-
-    def path(self, i: int) -> Path:
-        """The i-th canonical path in lexicographic order."""
-        return self.paths[i]
 
     def common_mask(self) -> int:
         if isinstance(self.paths, _SpanningPaths):
@@ -568,7 +564,7 @@ def count_longest_paths(
     and they are returned as a tuple.  Otherwise the spanning paths are
     counted (_count_spanning), each once, in one direction, and the count
     stops once it reaches cap + 1, which keeps the truncation flag exact;
-    path(i) then builds the i-th path on demand (_SpanningPaths).
+    paths[i] then builds the i-th path on demand (_SpanningPaths).
 
     count_cap, if set, caps the count of spanning paths alone at
     min(cap, count_cap), with the flag set when more exist; the paths kept

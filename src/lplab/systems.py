@@ -6,16 +6,17 @@ A PathSystem computes each of these at most once, on first use, so every
 check run on the same system reads the same facts.  Both constructors share
 one builder that counts each vertex's multiplicity.  The common vertices are
 those of multiplicity k; when there are any, f = 0 and they are its
-minimizers, so f runs BFS only on members with no common vertex.  The
-good-subpath scan keeps sets of members as bit masks and leaves a start
-position as soon as no member can begin a witnessing pair.
+minimizers, so f runs BFS only on members with no common vertex;
+subset_distance gives f of many subsets of one path list with at most one
+BFS per path.  The good-subpath scan keeps sets of members as bit masks and
+leaves a start position as soon as no member can begin a witnessing pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from functools import cache, cached_property
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import UsageError
 from .graphs import GRAPH6_SMALL_MAX, Graph, bfs_distances, encode_graph6, is_connected
@@ -156,6 +157,28 @@ def path_distance_value(ps: PathSystem) -> tuple[int, frozenset[int]]:
             sums[v] += dist[v]  # type: ignore[operator]
     best = min(sums)
     return best, frozenset(v for v in range(g.n) if sums[v] == best)
+
+
+def subset_distance(g: Graph, paths: Sequence[Path]) -> Callable[[Sequence[int]], int]:
+    """f(G, P) of each subset P of paths, given by its indices: 0 when the
+    members' masks share a vertex, else the least column sum of their BFS
+    distance vectors, each run the first time a subset reads its path."""
+    if not is_connected(g):
+        raise UsageError("path-distance-function requires a connected graph")
+
+    @cache
+    def dist(i: int) -> list:
+        return bfs_distances(g, paths[i].vertices)
+
+    def f(subset: Sequence[int]) -> int:
+        common = -1
+        for i in subset:
+            common &= paths[i].mask
+        if common:
+            return 0
+        return min(map(sum, zip(*map(dist, subset))))
+
+    return f
 
 
 def common_vertices(ps: PathSystem) -> frozenset[int]:

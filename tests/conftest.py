@@ -10,6 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from lplab.construct import build_gt
 from lplab.graphs import Graph, parse_graph6
 from lplab.harness import generate_connected_graphs
+from lplab.longest import LongestPathSet
+from lplab.longest import Path as LPath
 from lplab.systems import make_path_system
 
 
@@ -47,6 +49,10 @@ def petersen() -> Graph:
 # no vertex common to all of them, yet every two meet.
 H_GRAPH6 = "KhAAPWU_?_@?"
 
+# H': H with a second pendant at vertex 0 (13 vertices, 62 longest paths of
+# length 9)
+H_PRIME_GRAPH6 = "LhAAPWU_?_@?_?"
+
 # Nine longest paths of H with no common vertex; f = 1.
 H_SYSTEM = (
     (10, 3, 2, 1, 6, 8, 5, 7, 4, 11),
@@ -58,6 +64,15 @@ H_SYSTEM = (
     (9, 0, 1, 2, 3, 8, 5, 7, 4, 11),
     (9, 0, 5, 8, 3, 2, 1, 6, 4, 11),
     (9, 0, 5, 7, 4, 6, 1, 2, 3, 10),
+)
+
+
+# A hand-built path set for C4 (graph6 "Cl"), injected as its longest paths:
+# its four edges, which share no vertex, and of which 1-2 and 0-3 are disjoint
+C4_EDGE_PATHS = LongestPathSet(
+    length=1,
+    paths=(LPath((0, 1)), LPath((1, 2)), LPath((2, 3)), LPath((0, 3))),
+    truncated=False,
 )
 
 

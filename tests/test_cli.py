@@ -11,7 +11,8 @@ from lplab import cli as cli_module
 from lplab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, cli, load_graph
 from lplab.errors import FormatError
 from lplab.graphs import encode_graph6
-from conftest import H_GRAPH6
+from lplab.harness import ConjectureVerdict
+from conftest import C4_EDGE_PATHS, H_GRAPH6
 
 # sha256 of the bytes that `lplab verify G --k 4 --subset-cap 40` writes: for
 # H, which has no spanning path, and for two graphs whose 120 and 20,160
@@ -103,16 +104,56 @@ class TestAnalyze:
             "via common-vertex shortcut)\n"
         ) in capsys.readouterr().out
 
-    def test_no_violation_settles_max_f(self, capsys, monkeypatch):
-        # every 3 of H's 42 longest paths meet, so no system is built to find f
-        def fail(*args, **kwargs):
-            raise AssertionError("built a path system")
+    def test_pairwise_failure(self, capsys, monkeypatch):
+        # C4_EDGE_PATHS as the longest paths of C4: edges 1-2 and 0-3 are
+        # disjoint (recorded before the pairwise check went through
+        # check_conjecture)
+        monkeypatch.setattr(
+            cli_module, "count_longest_paths", lambda *args, **kwargs: C4_EDGE_PATHS
+        )
+        assert cli(["analyze", "Cl"]) == EXIT_FINDING
+        assert (
+            "pairwise intersection: fails, longest paths 1 and 3 are disjoint: [1, 2] [0, 3]\n"
+        ) in capsys.readouterr().out
 
-        monkeypatch.setattr(cli_module, "certified_system", fail)
+    def test_no_violation_settles_max_f(self, capsys, monkeypatch):
+        # every 3 of H's 42 longest paths meet, so no subset's f is computed
+        def fail(*args, **kwargs):
+            raise AssertionError("computed f of a sampled subset")
+
+        monkeypatch.setattr(cli_module, "subset_distance", fail)
         assert cli(["analyze", H_GRAPH6, "--k", "3"]) == EXIT_OK
         assert "max f over 10000 3-subsets: 0\n" in capsys.readouterr().out
         assert cli(["analyze", "Cs"]) == EXIT_OK
         assert "max f over 1 3-subsets: 0\n" in capsys.readouterr().out
+
+    def test_unsettled_verdict_samples_max_f(self, capsys, monkeypatch, h_g1):
+        # a k = 9 verdict that settles nothing (forced: G_1 of H has a
+        # violation at k = 9) leaves max f to the sample, which reads f from
+        # subset_distance: 300 of G_1's 9-subsets reach its f = 2, with at
+        # most one BFS per longest path (18)
+        real = cli_module.check_conjecture
+
+        def unsettled(g, k, **kwargs):
+            if k == 9:
+                return ConjectureVerdict("incomplete", k, 10, used_shortcut=False)
+            return real(g, k, **kwargs)
+
+        calls = []
+        bfs = lplab.systems.bfs_distances
+
+        def counted(g, sources):
+            calls.append(tuple(sources))
+            return bfs(g, sources)
+
+        monkeypatch.setattr(cli_module, "check_conjecture", unsettled)
+        monkeypatch.setattr(lplab.systems, "bfs_distances", counted)
+        argv = ["analyze", encode_graph6(h_g1), "--k", "9", "--subset-cap", "300"]
+        assert cli(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "k = 9: incomplete (10 search nodes)\n" in out
+        assert "max f over 300 9-subsets: 2\n" in out
+        assert 0 < len(calls) == len(set(calls)) <= 18
 
     def test_spanning_paths_counted_not_built(self, capsys, monkeypatch):
         # K11's longest paths are all spanning: analyze counts them, and the

@@ -35,7 +35,7 @@ from lplab.harness import (
     scan_stream,
 )
 from lplab.systems import common_vertices, make_path_system
-from conftest import H_SYSTEM
+from conftest import C4_EDGE_PATHS, H_PRIME_GRAPH6, H_SYSTEM
 from oracles import (
     canonical_sequence,
     canonical_code,
@@ -51,9 +51,7 @@ from oracles import (
 H_LEAST_VIOLATION = [24, 25, 26, 27, 29, 31, 32, 33, 37]
 # the same for G_1 of H, whose nine members have f = 2
 G1_LEAST_VIOLATION = [0, 1, 2, 3, 5, 7, 8, 9, 13]
-# H': H with a second pendant at vertex 0 (13 vertices, 62 longest paths of
-# length 9), and its twins with the second pendant at vertex 3 or 4
-H_PRIME_GRAPH6 = "LhAAPWU_?_@?_?"
+# the twins of H', with the second pendant at vertex 3 or 4
 H_PRIME_TWINS = ("LhAAPWU_?_@?C?", "LhAAPWU_?_@?A?")
 H_PRIME_WITNESS = [32, 33, 34, 35, 37, 39, 40, 41, 46]
 
@@ -344,13 +342,7 @@ class TestCheckConjecture:
     def test_violation_branch_with_injected_paths(self):
         # hand-built path set on C4 with no globally common vertex: the first
         # 3-subset already has an empty intersection
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        lps = LongestPathSet(
-            length=1,
-            paths=(Path((0, 1)), Path((1, 2)), Path((2, 3)), Path((0, 3))),
-            truncated=False,
-        )
-        verdict = check_conjecture(g, 3, lps=lps)
+        verdict = check_conjecture(parse_graph6("Cl"), 3, lps=C4_EDGE_PATHS)
         assert verdict.status == "violation"
         assert not verdict.used_shortcut
         assert verdict.witness["member_indices"] == [0, 1, 2]
@@ -464,7 +456,8 @@ class TestCheckConjecture:
         assert (full.length, len(full), full.common_mask()) == (8, 1728, 1)
         lps = enumerate_longest_paths(g, cap=10)
         assert lps.truncated and lps.common_mask()
-        for verdict in (check_conjecture(g, 3, lps=lps), check_conjecture(g, 3, path_cap=10)):
+        counted = count_longest_paths(g, cap=10)
+        for verdict in (check_conjecture(g, 3, lps=lps), check_conjecture(g, 3, lps=counted)):
             assert verdict.status == "incomplete" and verdict.used_shortcut
 
     def test_k_guard(self, k13):
@@ -787,6 +780,47 @@ class TestScanWithoutCommonVertex:
             "witness": None if members is None else {
                 "graph6": encode_graph6(g), "f": f, "member_indices": members,
             },
+        }
+
+    @pytest.mark.parametrize("checks", [("theorem",), ScanConfig.checks])
+    def test_pairwise_failure_with_injected_paths(self, monkeypatch, checks):
+        # C4_EDGE_PATHS as the longest paths of C4, through either name a
+        # scan reads them from: edges 1-2 and 0-3 are disjoint, and the
+        # first sampled 3-subset has f = 1 > 8/15, so the sweep halts there,
+        # before any lemma check (values recorded before the pairwise check
+        # went through check_conjecture)
+        for name in ("count_longest_paths", "enumerate_longest_paths"):
+            monkeypatch.setattr(harness, name, lambda *args, **kwargs: C4_EDGE_PATHS)
+        record = harness.scan_one_graph("Cl", ScanConfig(checks=checks), parse_graph6("Cl"))
+        assert record == {
+            "graph6": "Cl",
+            "n": 4,
+            "connected": True,
+            "tallies": {
+                "pairwise": {"pass": 0, "fail": 1, "vacuous": 0},
+                "thm3": {"pass": 0, "fail": 1, "vacuous": 0},
+            },
+            "failures": [
+                {"check": "pairwise", "graph6": "Cl", "pair": [1, 3],
+                 "members": [[1, 2], [0, 3]]},
+                {"check": "thm3", "graph6": "Cl", "member_indices": [0, 1, 2],
+                 "f": 1, "bound": "8/15"},
+            ],
+            "max_f": 1,
+            "max_f_subset": [0, 1, 2],
+            "lemma_systems": 0,
+            "counts_stopped": 0,
+            "conjecture": {
+                "status": "violation",
+                "witness": {
+                    "graph6": "Cl",
+                    "member_indices": [0, 1, 2],
+                    "members": [[0, 1], [1, 2], [2, 3]],
+                    "f": 1,
+                    "minimizers": [1, 2],
+                },
+            },
+            "halt": True,
         }
 
     def test_theorem_sweep_halts_on_failure(self, h_graph):

@@ -577,10 +577,10 @@ class TestCount:
         assert len(counted) == 5
         want = enumerate_longest_paths(c5).paths
         assert counted.paths[1:4] == want[1:4]
-        assert counted.paths[-1] == counted.path(4) == want[4]
+        assert counted.paths[-1] == counted.paths[4] == want[4]
         assert tuple(counted.paths) == want
         with pytest.raises(IndexError):
-            counted.path(5)
+            counted.paths[5]
 
     def test_without_spanning_path_the_paths_are_kept(self, k13, h_graph):
         for g in (k13, h_graph):
@@ -610,14 +610,14 @@ MEMO_BOUND = 10_000
 
 
 class TestUnrank:
-    """path(i) of a count is the i-th path of the enumeration."""
+    """paths[i] of a count is the i-th path of the enumeration."""
 
     @staticmethod
     def _same_paths(g: Graph, cap: int | None) -> bool:
         counted = count_longest_paths(g, cap)
         want = enumerate_longest_paths(g, cap).paths
         return len(counted) == len(want) and all(
-            counted.path(i) == p for i, p in enumerate(want)
+            counted.paths[i] == p for i, p in enumerate(want)
         )
 
     def test_every_index_n_le_7(self, corpus_by_n):
@@ -647,7 +647,7 @@ class TestUnrank:
         try:
             before = tracemalloc.get_traced_memory()[0]
             counted = count_longest_paths(grid(4, 5))
-            path = counted.path(503)
+            path = counted.paths[503]
             held = tracemalloc.get_traced_memory()[0]
             del counted
             after = tracemalloc.get_traced_memory()[0]
@@ -672,7 +672,7 @@ class TestUnrank:
         # K_n's first canonical paths are 0 and each order of 1..n-1
         for i in (0, 1, DEFAULT_PATH_CAP - 1):
             order = next(itertools.islice(itertools.permutations(range(1, n)), i, None))
-            assert counted.path(i).vertices == (0, *order)
+            assert counted.paths[i].vertices == (0, *order)
 
 
 # sha256 over f"{graph6}\t{ell}\t{len(paths)}\t{truncated}\n", one line per
