@@ -224,26 +224,28 @@ def _check_good_path_bounds(
     With c = cn/cd and cn > 0 both verdicts compare integers: (i) is
     f*cd <= cn*m with m = |V(Q)| - 1, and (ii) is gap >= 0 with
     gap = |X|*cn - t'(f*cd - cn), which is cn times lhs - rhs.  Fractions are
-    built only for the report fields.
+    built only for the report fields.  Both parts read the per-host
+    summaries (least |V(Q)|, t', |X|); the GoodPath lists are read only to
+    name the Q of a failing part (i).
     """
     k = ps.k
     inst = instance_id(ps)
     f, _ = ps.path_distance
     cn, cd = c.numerator, c.denominator
     fcd = f * cd
-    goods_by_host = ps.good_paths
+    least = [s.min_vertices for s in ps.good_summaries if s.min_vertices is not None]
 
-    if not any(goods_by_host):
+    if not least:
         rep_i = CheckReport(id_i, inst, "vacuous")
     else:
-        min_m = min(q.n_vertices for goods in goods_by_host for q in goods) - 1
+        min_m = min(least) - 1
         if fcd <= cn * min_m:
             rep_i = CheckReport(id_i, inst, "pass", Fraction(f), min_m * c)
         else:
             # the first failing Q in host order, then subpath order
             h, q = next(
                 (h, q)
-                for h, goods in enumerate(goods_by_host)
+                for h, goods in enumerate(ps.good_paths)
                 for q in goods
                 if fcd > cn * (q.n_vertices - 1)
             )
@@ -252,7 +254,7 @@ def _check_good_path_bounds(
                 witness={"host": h, "subpath": [q.start, q.end]},
             )
 
-    sizes = [len(frozenset().union(*xs[: k - 2])) for xs in ps.profile.x_sets]
+    sizes = ps.x_low_sizes
     tps = ps.t_primes
     gaps = [size * cn - tp * (fcd - cn) for size, tp in zip(sizes, tps)]
     # a failure names the first failing host; a pass, the first with least gap
@@ -412,9 +414,8 @@ def surgery_trace(
     if host_index is not None:
         host = host_index
     else:
-        x_sets = ps.profile.x_sets
-        host_sizes = [len(frozenset().union(*x_sets[h][: k - 2])) for h in range(k)]
-        host = min(range(k), key=lambda h: (host_sizes[h], h))
+        # the first host of least |X^1 u ... u X^{k-2}|
+        host = min(range(k), key=ps.x_low_sizes.__getitem__)
     host_path = ps.paths[host]
     goods = ps.good_paths[host]
 

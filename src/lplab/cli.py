@@ -27,6 +27,7 @@ from .harness import (
     check_conjecture,
     generate_connected_graphs,
     iter_ksubsets,
+    pairwise_witness,
     scan_stream,
 )
 from .longest import DEFAULT_PATH_CAP, count_longest_paths, enumerate_longest_paths
@@ -87,11 +88,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"n = {g.n}, m = {g.m}")
     print(f"ell(G) = {lps.length}")
     print(f"|L(G)| = {len(lps)}{' (truncated)' if lps.truncated else ''}")
-    # the conjecture search at k = 2, uncapped; a global common vertex (the
-    # k verdict's shortcut) covers every pair
-    pair = None if verdict.used_shortcut else check_conjecture(
-        g, 2, lps=lps, subset_cap=None
-    ).witness
+    pair = pairwise_witness(g, lps, verdict)
     if pair is None:
         print("pairwise intersection: holds")
     else:

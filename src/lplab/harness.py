@@ -397,6 +397,24 @@ def check_conjecture(
     )
 
 
+def pairwise_witness(
+    g: Graph, lps: LongestPathSet, verdict: ConjectureVerdict
+) -> Optional[dict]:
+    """The witness of two longest paths of g with no common vertex, or None
+    when every two of them meet.
+
+    verdict is check_conjecture's answer on the same lps.  A global common
+    vertex (its shortcut) covers every pair, and at k = 2 a verdict that is
+    not "incomplete" is the answer; otherwise the search runs at k = 2,
+    uncapped.
+    """
+    if verdict.used_shortcut:
+        return None
+    if verdict.k == 2 and verdict.status != "incomplete":
+        return verdict.witness
+    return check_conjecture(g, 2, lps=lps, subset_cap=None).witness
+
+
 # ---------------------------------------------------------------------------
 # corpus scanning
 
@@ -571,11 +589,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     # the merge reads only these two
     record["conjecture"] = {"status": verdict.status, "witness": verdict.witness}
 
-    # pairwise intersection: the conjecture search at k = 2, uncapped; a
-    # global common vertex (the k verdict's shortcut) covers every pair
-    pair = None if verdict.used_shortcut else check_conjecture(
-        g, 2, lps=lps, subset_cap=None
-    ).witness
+    pair = pairwise_witness(g, lps, verdict)
     if pair is not None:
         record["failures"].append(
             {

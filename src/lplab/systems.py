@@ -8,7 +8,15 @@ one builder that counts each vertex's multiplicity.  The common vertices are
 those of multiplicity k; when there are any, f = 0 and they are its
 minimizers, so f runs BFS only on members with no common vertex;
 subset_distance gives f of many subsets of one path list with at most one
-BFS per path.  The good-subpath scan keeps sets of members as bit masks and
+BFS per path.
+
+The lemma checks read per-host summaries, none of which builds a GoodPath:
+the least |V(Q)| and t' over the good subpaths Q of each host, from one
+pass over it, and |X^1 u ... u X^{k-2}|, read from the multiplicity.  The
+GoodPath lists, with their witnessing pairs, are built only where they are
+read: by the surgery replay, by a failing Lemma 3 / Corollary 1 part (i)
+witness, and by enumerate_good_paths.  Both the pass and the lists come
+from one scan of good spans, which keeps sets of members as bit masks and
 leaves a start position as soon as no member can begin a witnessing pair.
 """
 
@@ -16,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import UsageError
 from .graphs import GRAPH6_SMALL_MAX, Graph, bfs_distances, encode_graph6, is_connected
@@ -56,13 +64,26 @@ class PathSystem:
 
     @cached_property
     def good_paths(self) -> tuple[tuple[GoodPath, ...], ...]:
-        """Good subpaths per host, in host order."""
+        """Good subpaths per host, in host order, with their witnessing pairs."""
         return tuple(tuple(enumerate_good_paths(self, h)) for h in range(self.k))
+
+    @cached_property
+    def good_summaries(self) -> tuple[GoodSummary, ...]:
+        """Least |V(Q)| and t' per host, in host order, built with no GoodPath."""
+        return tuple(_good_summary(self, h) for h in range(self.k))
 
     @cached_property
     def t_primes(self) -> tuple[int, ...]:
         """t' per host, in host order."""
-        return tuple(_max_edge_disjoint(goods) for goods in self.good_paths)
+        return tuple(s.t_prime for s in self.good_summaries)
+
+    @cached_property
+    def x_low_sizes(self) -> tuple[int, ...]:
+        """|X^1 u ... u X^{k-2}| per host, in host order: the host vertices
+        that at most k - 2 members hold."""
+        top = self.k - 2
+        mult = self.multiplicity
+        return tuple(sum(mult[v] <= top for v in p.vertices) for p in self.paths)
 
 
 class GoodPath(NamedTuple):
@@ -77,6 +98,13 @@ class GoodPath(NamedTuple):
     @property
     def edge_count(self) -> int:
         return self.end - self.start
+
+
+class GoodSummary(NamedTuple):
+    """What the lemma checks read of one host's good subpaths."""
+
+    min_vertices: int | None  # least |V(Q)|, None when the host has none
+    t_prime: int  # most pairwise edge-disjoint good subpaths
 
 
 @dataclass(frozen=True)
@@ -203,21 +231,22 @@ def multiplicity_profile(ps: PathSystem) -> MultiplicityProfile:
     return MultiplicityProfile(x_sets=tuple(x_sets), n_counts=tuple(n_counts))
 
 
-def enumerate_good_paths(ps: PathSystem, host_index: int) -> list[GoodPath]:
-    """All good subpaths of the host, with their witnessing (i, j) pairs.
+def _good_spans(ps: PathSystem, host_index: int) -> Iterator[tuple[int, int, int, int]]:
+    """(a, b, starts, ends) of each good subpath seq[a..b] of the host.
 
     A subpath Q with endpoints u (start) and v (end) is good for the ordered
     pair (i, j) of other members when u lies on path i, v lies on path j,
     no int-vertex of Q lies on path i or j, and V(Q) meets every member
-    other than the host.  Single-vertex subpaths are admitted.
+    other than the host.  Single-vertex subpaths are admitted.  starts and
+    ends are the bit masks of the members that may be i and j; a span is
+    given only when some i in starts and j in ends differ.
 
-    Subpaths come by start a, then end b, ascending, with pairs in member
-    order.  For each a, member sets kept as bit masks are updated by the one
-    vertex each step adds.  The interior only grows with b, so once no member
-    can start a pair no later b gives one, and the scan goes to the next a:
-    it skips only ends that give no subpath, which keeps the order.
+    Spans come by start a, then end b, ascending.  For each a, the member
+    masks are updated by the one vertex each step adds.  The interior only
+    grows with b, so once no member can start a pair no later b gives one,
+    and the scan goes to the next a: it skips only ends that give no
+    subpath, which keeps the order.
     """
-    _check_host(ps, host_index)
     seq = ps.paths[host_index].vertices
     # sets of members as bit masks: bit i of on[v] is set iff member i, not
     # the host, holds v
@@ -226,10 +255,7 @@ def enumerate_good_paths(ps: PathSystem, host_index: int) -> list[GoodPath]:
         if i != host_index:
             for v in p.vertices:
                 on[v] |= 1 << i
-    k = ps.k
-    others = ((1 << k) - 1) ^ (1 << host_index)
-    pairs_of: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    goods = []
+    others = ((1 << ps.k) - 1) ^ (1 << host_index)
     for a, u in enumerate(seq):
         starts = on[u]  # members that hold u and miss the interior seq[a+1..b-1]
         clear = others  # members that miss the interior
@@ -246,16 +272,57 @@ def enumerate_good_paths(ps: PathSystem, host_index: int) -> list[GoodPath]:
             if unmet:
                 continue
             ends = clear & at_v
-            pairs = pairs_of.get((starts, ends))
-            if pairs is None:
-                pairs = pairs_of[starts, ends] = tuple(
-                    (i, j)
-                    for i in range(k) if starts >> i & 1
-                    for j in range(k) if ends >> j & 1 and j != i
-                )
-            if pairs:
-                goods.append(GoodPath(host_index, a, b, pairs, b - a + 1))
+            # two ends, or one that is not the only start, give a pair i != j
+            if ends & (ends - 1) or ends and starts & ~ends:
+                yield a, b, starts, ends
+
+
+def enumerate_good_paths(ps: PathSystem, host_index: int) -> list[GoodPath]:
+    """All good subpaths of the host (see _good_spans), with their
+    witnessing (i, j) pairs in member order, by start, then end, ascending."""
+    _check_host(ps, host_index)
+    k = ps.k
+    pairs_of: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    goods = []
+    for a, b, starts, ends in _good_spans(ps, host_index):
+        pairs = pairs_of.get((starts, ends))
+        if pairs is None:
+            pairs = pairs_of[starts, ends] = tuple(
+                (i, j)
+                for i in range(k) if starts >> i & 1
+                for j in range(k) if ends >> j & 1 and j != i
+            )
+        goods.append(GoodPath(host_index, a, b, pairs, b - a + 1))
     return goods
+
+
+def _good_summary(ps: PathSystem, host_index: int) -> GoodSummary:
+    """Least |V(Q)| and t' of the host's good subpaths Q, from one pass.
+
+    Zero-edge subpaths hold no edge and always count toward t'.  For the
+    rest, greedy interval scheduling over host-edge ranges by end is exact,
+    and of the subpaths that end at b it can take one only if the one with
+    the greatest start fits; that one is also the shortest to end at b.
+    """
+    latest = [-1] * len(ps.paths[host_index].vertices)  # greatest start a < b
+    singles = 0
+    for a, b, _, _ in _good_spans(ps, host_index):
+        if a == b:
+            singles += 1
+        else:
+            latest[b] = a  # starts ascend, so the last one is the greatest
+    count = singles
+    shortest = 0 if singles else None  # least edge count of a good subpath
+    free_from = 0
+    for b, a in enumerate(latest):
+        if a < 0:
+            continue
+        if shortest is None or b - a < shortest:
+            shortest = b - a
+        if a >= free_from:
+            count += 1
+            free_from = b
+    return GoodSummary(None if shortest is None else shortest + 1, count)
 
 
 def _check_host(ps: PathSystem, host_index: int) -> None:
@@ -269,19 +336,3 @@ def t_prime(ps: PathSystem, host_index: int) -> int:
     """Maximum number of pairwise edge-disjoint good subpaths of the host."""
     _check_host(ps, host_index)
     return ps.t_primes[host_index]
-
-
-def _max_edge_disjoint(goods: Sequence[GoodPath]) -> int:
-    """Zero-edge subpaths have no edges and always count; for the rest,
-    greedy interval scheduling over host-edge ranges is exact."""
-    count = sum(1 for q in goods if q.edge_count == 0)
-    intervals = sorted(
-        ((q.start, q.end) for q in goods if q.edge_count > 0),
-        key=lambda ab: ab[1],
-    )
-    free_from = -1
-    for a, b in intervals:
-        if a >= free_from:
-            count += 1
-            free_from = b
-    return count

@@ -9,6 +9,7 @@ corpus with its disconnected graphs) live here too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -201,19 +202,28 @@ def f_and_minimizers_oracle(g: Graph, member_vertex_sets) -> tuple[int, list[int
 
 
 def max_edge_disjoint_oracle(goods) -> int:
-    """Exhaustive max subset of good paths with pairwise-disjoint host edges."""
-    edge_sets = [frozenset(range(q.start, q.end)) for q in goods]
-    best = 0
-    for r in range(len(goods), 0, -1):
-        for combo in itertools.combinations(range(len(goods)), r):
-            union = set()
-            total = 0
-            for i in combo:
-                union |= edge_sets[i]
-                total += len(edge_sets[i])
-            if len(union) == total:
-                return r
-    return best
+    """Most good paths with pairwise-disjoint host edges, by trying each one
+    in and out in turn, by start.
+
+    The edges of Q are the host positions start..end - 1.  The search is
+    memoized on the next index and on the edges taken at or after that
+    path's start, since an edge taken before it meets no later path.
+    """
+    goods = sorted(goods, key=lambda q: q.start)
+    starts = [q.start for q in goods] + [0]
+    edges = [((1 << q.end) - 1) ^ ((1 << q.start) - 1) for q in goods]
+
+    @functools.cache
+    def best(idx: int, used: int) -> int:
+        if idx == len(goods):
+            return 0
+        later = ~((1 << starts[idx + 1]) - 1)
+        skip = best(idx + 1, used & later)
+        if edges[idx] & used:
+            return skip
+        return max(skip, 1 + best(idx + 1, (used | edges[idx]) & later))
+
+    return best(0, 0)
 
 
 def conjecture_oracle(g: Graph, k: int, lps: LongestPathSet) -> str:

@@ -28,13 +28,19 @@ from lplab.bounds import (
     theorem_bound,
     theorem_bound_parts,
 )
-from lplab import bounds, systems
+from lplab import bounds, harness, systems
 from lplab.errors import UsageError
 from lplab.graphs import Graph
 from lplab.longest import enumerate_longest_paths, is_path
-from lplab.systems import certified_system, make_path_system
+from lplab.harness import ScanConfig, scan_stream
+from lplab.systems import (
+    certified_system,
+    enumerate_good_paths,
+    make_path_system,
+    multiplicity_profile,
+)
 from conftest import H_GRAPH6, H_SYSTEM
-from oracles import good_path_bounds_oracle, good_paths_oracle
+from oracles import good_path_bounds_oracle, good_paths_oracle, max_edge_disjoint_oracle
 
 
 @pytest.fixture
@@ -190,7 +196,7 @@ class TestSharedFacts:
         else:
             lps = enumerate_longest_paths(h_graph)
             ps = certified_system(h_graph, lps.paths[:k], lps.length)
-        calls = {"goods": 0, "f": 0, "profile": 0}
+        calls = {"goods": 0, "summary": 0, "f": 0, "profile": 0}
 
         def counting(key, fn):
             def wrapper(*args):
@@ -202,6 +208,9 @@ class TestSharedFacts:
             systems, "enumerate_good_paths", counting("goods", systems.enumerate_good_paths)
         )
         monkeypatch.setattr(
+            systems, "_good_summary", counting("summary", systems._good_summary)
+        )
+        monkeypatch.setattr(
             systems, "path_distance_value", counting("f", systems.path_distance_value)
         )
         monkeypatch.setattr(
@@ -211,8 +220,14 @@ class TestSharedFacts:
         expected = {"lemma1", "lemma2", "lemma3i", "lemma3ii", "surgery"}
         expected |= {"cor1i", "cor1ii", "thm2"} if k == 4 else {"thm3"}
         assert {r.check_id for r in reports} == expected
-        assert calls == {"goods": k, "f": 1, "profile": 1}
-
+        # the lemmas read one summary per host; GoodPath lists are built only
+        # for the surgery, which at k = 4 is vacuous (f = 0), and the profile
+        # only for lemma1's n_i, which it reads only when f > 0
+        f = ps.path_distance[0]
+        assert (k, f) in ((4, 0), (9, 1))
+        assert calls == {
+            "goods": k if f else 0, "summary": k, "f": 1, "profile": int(f > 0)
+        }
 
     def test_graph6_encoded_once(self, monkeypatch, h_graph):
         lps = enumerate_longest_paths(h_graph)
@@ -262,6 +277,52 @@ def _forced_systems(seed: int, count: int):
             made += 1
 
 
+def _summary_oracle(goods) -> systems.GoodSummary:
+    """The least |V(Q)| and t' of one host's good subpaths, from their list."""
+    least = min((q.n_vertices for q in goods), default=None)
+    return systems.GoodSummary(least, max_edge_disjoint_oracle(goods))
+
+
+def _x_low_oracle(ps) -> list[int]:
+    """|X^1 u ... u X^{k-2}| per host, as the union of its classes."""
+    return [
+        len(frozenset().union(*xs[: ps.k - 2]))
+        for xs in multiplicity_profile(ps).x_sets
+    ]
+
+
+def _n_le_6_systems(corpus_by_n, monkeypatch) -> list:
+    """Every system the lemma checks of the n <= 6 scans read, k = 3..6."""
+    seen = []
+    corpus = [g for n in range(1, 7) for g in corpus_by_n[n]]
+    with monkeypatch.context() as m:
+        m.setattr(harness, "run_checks", lambda ps, checks: seen.append(ps) or [])
+        for k in range(3, 7):
+            scan_stream(corpus, ScanConfig(k=k, checks=("lemma2",)))
+    return seen
+
+
+class TestGoodSummaries:
+    """The one-pass per-host facts against the GoodPath lists, the
+    exhaustive t' and the union of the multiplicity classes."""
+
+    @staticmethod
+    def _assert_facts(ps):
+        goods = [enumerate_good_paths(ps, h) for h in range(ps.k)]
+        assert ps.good_summaries == tuple(map(_summary_oracle, goods))
+        assert ps.x_low_sizes == tuple(_x_low_oracle(ps))
+
+    def test_forced_systems(self):
+        for g, members, ell, _ in _forced_systems(7, 600):
+            self._assert_facts(certified_system(g, members, ell))
+
+    def test_n_le_6_scan_systems(self, corpus_by_n, monkeypatch):
+        found = _n_le_6_systems(corpus_by_n, monkeypatch)
+        assert {ps.k for ps in found} == {3, 4, 5, 6} and len(found) > 1000
+        for ps in found:
+            self._assert_facts(ps)
+
+
 class TestAgainstOracles:
     """The good-subpath scan and the integer Lemma 3 / Corollary 1 checker
     against the quadratic scan and the Fraction checker they replaced."""
@@ -288,11 +349,14 @@ class TestAgainstOracles:
         for g, members, ell, forced in _forced_systems(2024, 1500):
             ps = self._system(g, members, ell, forced)
             ref = self._system(g, members, ell, forced)
-            ref.__dict__["good_paths"] = tuple(
-                tuple(good_paths_oracle(ref, h)) for h in range(ref.k)
-            )
-            assert ps.good_paths == ref.good_paths
+            goods = tuple(tuple(good_paths_oracle(ref, h)) for h in range(ref.k))
+            ref.__dict__["good_paths"] = goods
+            ref.__dict__["good_summaries"] = tuple(map(_summary_oracle, goods))
+            ref.__dict__["x_low_sizes"] = tuple(_x_low_oracle(ref))
             got, reports = self._suite(ps)
+            assert ps.good_summaries == ref.good_summaries
+            assert ps.x_low_sizes == ref.x_low_sizes
+            assert ps.good_paths == ref.good_paths
             with monkeypatch.context() as m:
                 m.setattr(bounds, "_check_good_path_bounds", good_path_bounds_oracle)
                 want, _ = self._suite(ref)

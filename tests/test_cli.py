@@ -7,7 +7,7 @@ import re
 import pytest
 
 import lplab.systems
-from lplab import cli as cli_module
+from lplab import cli as cli_module, harness
 from lplab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, cli, load_graph
 from lplab.errors import FormatError
 from lplab.graphs import encode_graph6
@@ -115,6 +115,33 @@ class TestAnalyze:
         assert (
             "pairwise intersection: fails, longest paths 1 and 3 are disjoint: [1, 2] [0, 3]\n"
         ) in capsys.readouterr().out
+
+    def test_pairwise_at_k2_reads_the_k_verdict(self, capsys, monkeypatch):
+        # at k = 2 the k verdict is the pairwise answer: one cover search
+        calls = 0
+        search = harness.first_empty_intersection
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return search(*args)
+
+        monkeypatch.setattr(harness, "first_empty_intersection", counted)
+        assert cli(["analyze", H_GRAPH6, "--k", "2"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "pairwise intersection: holds\n" in out
+        assert "k = 2: no-violation (7 search nodes)\n" in out
+        assert calls == 1
+        monkeypatch.setattr(
+            cli_module, "count_longest_paths", lambda *args, **kwargs: C4_EDGE_PATHS
+        )
+        assert cli(["analyze", "Cl", "--k", "2"]) == EXIT_FINDING
+        out = capsys.readouterr().out
+        assert (
+            "pairwise intersection: fails, longest paths 1 and 3 are disjoint: [1, 2] [0, 3]\n"
+        ) in out
+        assert '"member_indices": [1, 3]' in out
+        assert calls == 2
 
     def test_no_violation_settles_max_f(self, capsys, monkeypatch):
         # every 3 of H's 42 longest paths meet, so no subset's f is computed

@@ -823,6 +823,49 @@ class TestScanWithoutCommonVertex:
             "halt": True,
         }
 
+    def test_pairwise_at_k2_reads_the_k_verdict(self, monkeypatch):
+        # C4_EDGE_PATHS as the longest paths of C4: the k = 2 verdict finds
+        # edges 1-2 and 0-3 and is the pairwise failure, with one cover
+        # search (record recorded when the pairwise check searched again)
+        calls = 0
+        search = harness.first_empty_intersection
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return search(*args)
+
+        monkeypatch.setattr(harness, "first_empty_intersection", counted)
+        monkeypatch.setattr(
+            harness, "enumerate_longest_paths", lambda *args, **kwargs: C4_EDGE_PATHS
+        )
+        record = harness.scan_one_graph("Cl", ScanConfig(k=2), parse_graph6("Cl"))
+        assert calls == 1
+        assert record == {
+            "graph6": "Cl",
+            "n": 4,
+            "connected": True,
+            "tallies": {"pairwise": {"pass": 0, "fail": 1, "vacuous": 0}},
+            "failures": [
+                {"check": "pairwise", "graph6": "Cl", "pair": [1, 3],
+                 "members": [[1, 2], [0, 3]]},
+            ],
+            "max_f": 1,
+            "max_f_subset": [1, 3],
+            "lemma_systems": 0,
+            "counts_stopped": 0,
+            "conjecture": {
+                "status": "violation",
+                "witness": {
+                    "graph6": "Cl",
+                    "member_indices": [1, 3],
+                    "members": [[1, 2], [0, 3]],
+                    "f": 1,
+                    "minimizers": [0, 1, 2, 3],
+                },
+            },
+        }
+
     def test_theorem_sweep_halts_on_failure(self, h_graph):
         # no graph breaks the theorem bound, so it is forced to 0 here: the
         # first sampled subset with f > 0 fails and ends the scan; records

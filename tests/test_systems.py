@@ -263,6 +263,7 @@ class TestGoodPaths:
         ps = make_path_system(p7, [[0, 1], [1, 2], [5, 6]], require_longest=False)
         assert enumerate_good_paths(ps, 0) == []
         assert t_prime(ps, 0) == 0
+        assert ps.good_summaries[0] == (None, 0)
 
     def test_requires_three_members(self, p4):
         ps = make_path_system(p4, [[0, 1], [1, 2]], require_longest=False)
