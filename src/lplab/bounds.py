@@ -319,6 +319,33 @@ def run_checks(ps: PathSystem, checks: Sequence[str]) -> list[CheckReport]:
     return reports
 
 
+def common_vertex_verdicts(k: int, checks: Sequence[str]) -> list[tuple[str, str]]:
+    """(check id, status) of each lemma check among checks that run_checks
+    reports on any certified system of k members with a common vertex, in
+    DEFAULT_CHECKS order; "theorem" is left to the caller.
+
+    Proof.  Let every member hold the vertex c.  Then c's distance sum is 0,
+    so f = 0: lemma1 is vacuous and lemma2 passes, by their definitions.  On
+    every host, the single vertex c is a good subpath: it lies on every
+    other member, and k >= 3 leaves two of them to serve as its ends i != j.
+    So each host's least |V(Q)| is 1, and part (i) of Lemma 3 and of
+    Corollary 1 reads f = 0 <= c(1 - 1) = 0.  With f = 0, part (ii)'s gap
+    |X|*cn - t'(f*cd - cn) is |X|*cn + t'*cn >= 0.  Both parts pass.
+    """
+    pairs: list[tuple[str, str]] = []
+    if k < 3:
+        return pairs
+    if "lemma1" in checks:
+        pairs.append(("lemma1", "vacuous"))
+    if "lemma2" in checks:
+        pairs.append(("lemma2", "pass"))
+    if "lemma3" in checks:
+        pairs += [("lemma3i", "pass"), ("lemma3ii", "pass")]
+    if "cor1" in checks and k == 4:
+        pairs += [("cor1i", "pass"), ("cor1ii", "pass")]
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # proof surgery
 

@@ -88,7 +88,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"n = {g.n}, m = {g.m}")
     print(f"ell(G) = {lps.length}")
     print(f"|L(G)| = {len(lps)}{' (truncated)' if lps.truncated else ''}")
-    pair = pairwise_witness(g, lps, verdict)
+    pair = pairwise_witness(lps, verdict)
     if pair is None:
         print("pairwise intersection: holds")
     else:
@@ -143,7 +143,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     unknown = set(checks) - set(DEFAULT_CHECKS)
     if unknown:
         raise UsageError(f"unknown checks: {sorted(unknown)}")
-    # spanning paths are counted, and only the sampled members are built
+    # spanning paths are counted, and built on the first read of a member
     lps = count_longest_paths(g, cap=args.path_cap)
     if lps.truncated:
         print(
@@ -203,7 +203,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         f"max f = {report.max_f}, max ratio = {frac_str(report.max_ratio)}, "
         f"{len(report.failures)} failures, "
         f"{report.counts_stopped} spanning path counts stopped at the subset cap, "
-        f"{report.lemma_systems} lemma systems checked, {report.wall_time:.2f}s",
+        f"{report.lemma_systems} lemma systems checked, "
+        f"{report.lemma_implied} implied by a common vertex, {report.wall_time:.2f}s",
         file=sys.stderr,
     )
     return EXIT_FINDING if report.has_findings else EXIT_OK

@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .bounds import (
     DEFAULT_CHECKS,
     REPORT_SCHEMA,
-    CheckReport,
+    common_vertex_verdicts,
     frac_str,
     run_checks,
     theorem_bound,
@@ -397,22 +397,26 @@ def check_conjecture(
     )
 
 
-def pairwise_witness(
-    g: Graph, lps: LongestPathSet, verdict: ConjectureVerdict
-) -> Optional[dict]:
-    """The witness of two longest paths of g with no common vertex, or None
-    when every two of them meet.
+def pairwise_witness(lps: LongestPathSet, verdict: ConjectureVerdict) -> Optional[dict]:
+    """The indices ("member_indices") and vertex lists ("members") of two
+    longest paths with no common vertex, or None when every two of them meet.
 
     verdict is check_conjecture's answer on the same lps.  A global common
     vertex (its shortcut) covers every pair, and at k = 2 a verdict that is
-    not "incomplete" is the answer; otherwise the search runs at k = 2,
-    uncapped.
+    not "incomplete" is the answer; otherwise one uncapped cover search
+    (first_empty_intersection) at k = 2 finds the pair, with no f.
     """
     if verdict.used_shortcut:
         return None
     if verdict.k == 2 and verdict.status != "incomplete":
         return verdict.witness
-    return check_conjecture(g, 2, lps=lps, subset_cap=None).witness
+    pair, _, _ = first_empty_intersection([p.mask for p in lps.paths], 2)
+    if pair is None:
+        return None
+    return {
+        "member_indices": list(pair),
+        "members": [list(lps.paths[i].vertices) for i in pair],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +477,7 @@ class SearchReport:
     halted: bool = False
     # reported on stderr only, never in JSON
     lemma_systems: int = 0  # path systems run through the lemma checks
+    lemma_implied: int = 0  # sampled subsets tallied from a common vertex
     counts_stopped: int = 0  # spanning counts stopped at _sweep_count_cap
     wall_time: Optional[float] = None
 
@@ -527,20 +532,20 @@ def _sweep_count_cap(k: int, subset_cap: int) -> int:
     return lo
 
 
-def _tally(tallies: dict, report: CheckReport) -> None:
-    slot = tallies.setdefault(report.check_id, {"pass": 0, "fail": 0, "vacuous": 0})
-    slot[report.status] += 1
+def _tally(tallies: dict, check_id: str, status: str, count: int = 1) -> None:
+    slot = tallies.setdefault(check_id, {"pass": 0, "fail": 0, "vacuous": 0})
+    slot[status] += count
 
 
 def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> LongestPathSet:
     """Every longest path of g up to cap, with the length, order and flag of
     longest.enumerate_longest_paths, from count_longest_paths: spanning
-    paths are counted, and each is built when it is read.
+    paths are counted in full, up to cap, and built only if read.
 
-    A scan that reads members looks its path set up here.  The benchmark's
-    correctness gate (perfbench/workloads.py) wraps this name to record ell
-    and the path count of every graph such a scan reads, and its smoke
-    tests wrap it to drop a path.
+    A scan that runs a lemma check looks its path set up here.  The
+    benchmark's correctness gate (perfbench/workloads.py) wraps this name to
+    record ell and the path count of every graph such a scan reads, and its
+    smoke tests wrap it to drop a path.
     """
     return count_longest_paths(g, cap=cap, count_cap=None)
 
@@ -558,19 +563,20 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         "failures": [],
         "max_f": 0,
         "lemma_systems": 0,
+        "lemma_implied": 0,
         "counts_stopped": 0,
     }
     if not record["connected"]:
         return record
     lemma_checks = [c for c in config.checks if c != "theorem"]
-    # only the lemma sample reads the members of a spanning path set (they
-    # share every vertex), through lps.paths[i], which builds each one it
-    # reads.
+    # no check reads the members of a spanning path set: they share every
+    # vertex, which settles the conjecture, the pairwise check, the theorem
+    # sweep and the lemma sample.
     # Without a lemma check the count is read only through the theorem
     # sweep's min(C(count, k), subset_cap), which is subset_cap from c* on,
     # so the count stops at c* (flagged truncated; check_conjecture takes a
-    # truncated spanning set as exact).  Both routes count; the one that reads
-    # members goes through enumerate_longest_paths, where a caller can wrap it
+    # truncated spanning set as exact).  With one, the count goes on to the
+    # path cap, through enumerate_longest_paths, where a caller can wrap it
     if lemma_checks:
         count_cap = None
         lps = enumerate_longest_paths(g, cap=config.path_cap)
@@ -589,7 +595,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     # the merge reads only these two
     record["conjecture"] = {"status": verdict.status, "witness": verdict.witness}
 
-    pair = pairwise_witness(g, lps, verdict)
+    pair = pairwise_witness(lps, verdict)
     if pair is not None:
         record["failures"].append(
             {
@@ -647,19 +653,36 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
                     record["halt"] = True
                     return record
 
-        # full lemma machinery on a small deterministic sample of subsets
+        # the lemma checks on a small deterministic sample of subsets; a
+        # subset whose members share a vertex gets the verdicts that
+        # common_vertex_verdicts proves, with no path system, and when all
+        # the listed paths share one, the sample is not even drawn
         if lemma_checks and k >= 3:
-            subsets, _, _ = iter_ksubsets(
-                len(lps), k, config.lemma_subset_cap, config.seed,
-                f"lemma:{record['graph6']}:{k}",
-            )
-            for subset in subsets:
-                ps = certified_system(g, [lps.paths[idx] for idx in subset], lps.length)
-                record["lemma_systems"] += 1
-                for rep in run_checks(ps, lemma_checks):
-                    _tally(tallies, rep)
-                    if rep.status == "fail":
-                        record["failures"].append(rep.to_json())
+            implied = 0
+            if lps.common_mask():
+                implied = min(math.comb(len(lps), k), config.lemma_subset_cap)
+            else:
+                subsets, _, _ = iter_ksubsets(
+                    len(lps), k, config.lemma_subset_cap, config.seed,
+                    f"lemma:{record['graph6']}:{k}",
+                )
+                for subset in subsets:
+                    members = [lps.paths[idx] for idx in subset]
+                    common = -1
+                    for p in members:
+                        common &= p.mask
+                    if common:
+                        implied += 1
+                        continue
+                    ps = certified_system(g, members, lps.length)
+                    record["lemma_systems"] += 1
+                    for rep in run_checks(ps, lemma_checks):
+                        _tally(tallies, rep.check_id, rep.status)
+                        if rep.status == "fail":
+                            record["failures"].append(rep.to_json())
+            record["lemma_implied"] = implied
+            for check_id, status in common_vertex_verdicts(k, lemma_checks):
+                _tally(tallies, check_id, status, implied)
     return record
 
 
@@ -670,6 +693,7 @@ def _merge_records(report: SearchReport, records: Iterable[dict]) -> SearchRepor
             continue
         report.graphs_scanned += 1
         report.lemma_systems += rec["lemma_systems"]
+        report.lemma_implied += rec["lemma_implied"]
         report.counts_stopped += rec["counts_stopped"]
         for check_id, slot in rec["tallies"].items():
             agg = report.tallies.setdefault(

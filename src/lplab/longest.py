@@ -11,16 +11,15 @@ extend, so a branch that can no longer reach every unvisited neighbour of
 its start holds no longest path.  The tests cross-check the walk against an
 independent permutation-prefix oracle.
 
-count_longest_paths gives the same facts and the same paths, read one at a
-time through paths[i], but when ell = n - 1 it counts the paths first, by a
-memoised walk over (visited set, end vertex) states (the Bellman /
-Held-Karp recurrence) that walks each path once, in the direction from a
-vertex of least degree to one of greatest degree, and builds a path only
-when it is read: it unranks it from a second memo, in the counting form
-of the same recurrence, or, when the count was truncated, takes it from
-the walk's first cap paths.  A caller that reads the count only up to some
-size can stop that count there (count_cap); the truncation flag then says
-that more paths exist.
+count_longest_paths gives the same facts and the same paths, but when
+ell = n - 1 it counts the paths first, by a memoised walk over (visited
+set, end vertex) states (the Bellman / Held-Karp recurrence) that walks
+each path once, in the direction from a vertex of least degree to one of
+greatest degree, and builds the paths only when one is read: the first
+read walks them out, as the enumeration does.  Spanning paths share every
+vertex, so a caller that needs no member never builds one.  A caller that
+reads the count only up to some size can stop that count there
+(count_cap); the truncation flag then says that more paths exist.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ class LongestPathSet:
     """ell(G) plus the (possibly truncated) list of longest paths.
 
     paths is a tuple when the paths were built.  For the spanning paths that
-    count_longest_paths counts it is a _SpanningPaths, which builds the i-th
-    path when it is read.
+    count_longest_paths counts it is a _SpanningPaths, which builds them on
+    its first read.
     """
 
     length: int
@@ -358,161 +357,29 @@ def _count_spanning(g: Graph, stop: int) -> int:
     return total
 
 
-def _completions(g: Graph, width: int) -> list[dict[int, int]]:
-    """memo[v][vis]: the completions of every walked state (visited set vis,
-    end v) with at least three unvisited vertices, by the vertex they end
-    at, packed into one int.
-
-    Field t, width bits wide, counts the completions that end at a vertex
-    >= t, so a state's int is the sum of its children's, and the canonical
-    paths from start s through it are field s + 1.  The completions of a
-    reachable state are distinct directed spanning paths, so a width whose
-    fields hold twice the count of spanning paths never carries into the
-    next field.  Every start but the last is walked, and the states are
-    shared by all starts.  A child with one or two unvisited vertices is
-    added in its parent's loop, and one with at least _COUNT_REACH_MIN is
-    cut, as in _count_spanning, unless its end reaches them all; a cut state
-    has no completion and is left out of the memo.
-    """
-    masks = g.nbr_masks
-    full = g.vertex_mask()
-    # ends_at[v]: the one completion of a path through every vertex, at v
-    ends_at = list(itertools.accumulate(1 << (width * t) for t in range(g.n)))
-    memo: list[dict[int, int]] = [{} for _ in range(g.n)]
-
-    def dfs(v: int, vis: int) -> int:
-        nxt = masks[v] & ~vis
-        forced = not nxt & (nxt - 1)
-        vec = 0
-        while nxt:
-            low = nxt & -nxt
-            nxt ^= low
-            w = low.bit_length() - 1
-            vis_w = vis | low
-            rem = full ^ vis_w
-            last = rem & (rem - 1)
-            if last & (last - 1):
-                done = memo[w].get(vis_w)
-                if done is None:
-                    if (
-                        forced
-                        or (left := rem.bit_count()) < _COUNT_REACH_MIN
-                        or _reaches(g, w, rem, left)
-                    ):
-                        done = dfs(w, vis_w)
-                    else:
-                        continue
-                vec += done
-            elif last:
-                # two left, x below y: w x y if w ~ x, w y x if w ~ y
-                y = last.bit_length() - 1
-                if masks[y] & rem:
-                    if masks[w] & last:
-                        vec += ends_at[(rem ^ last).bit_length() - 1]
-                    if masks[w] & rem & ~last:
-                        vec += ends_at[y]
-            elif masks[w] & rem:
-                vec += ends_at[rem.bit_length() - 1]
-        memo[v][vis] = vec
-        return vec
-
-    for s in range(g.n - 1):
-        dfs(s, 1 << s)
-    # dfs refers to itself through its closure; emptying the cell breaks
-    # the cycle, so the memo goes with its last reader, not with the
-    # garbage collector
-    del dfs
-    return memo
-
-
 class _SpanningPaths(Sequence):
-    """The first count canonical spanning paths of g in lexicographic order,
-    each built when it is first read and kept.
+    """The first count canonical spanning paths of g in lexicographic order.
 
-    An exact count (truncated false) unranks: _completions, built on the
-    first read, gives for each state the number of canonical paths through
-    it from the start, and the i-th path follows the child whose paths hold
-    index i, one pass from the start down.  A truncated count does not: its
-    states could number n * 2**n (K20 under the default cap), so the first
-    read walks out the first count paths (_walk) and keeps them all.
+    A scan needs the count of a spanning set and none of its members, so
+    the paths are built only when one is first read: that read walks out
+    the first count paths (_walk), and the set keeps them all.
     """
 
-    def __init__(self, g: Graph, count: int, truncated: bool) -> None:
+    def __init__(self, g: Graph, count: int) -> None:
         self._g = g
         self._count = count
-        self._truncated = truncated
-        self._memo: list[dict[int, int]] | None = None
-        self._built: dict[int, Path] = {}
-        # fields hold up to twice count, the directed paths
-        self._width = (2 * count).bit_length() + 1
+        self._paths: tuple[Path, ...] | None = None
 
     def __len__(self) -> int:
         return self._count
 
     def __getitem__(self, i):
-        picked = range(self._count)[i]
-        if isinstance(picked, range):
-            # as a tuple would: a caller may drop members, as the
-            # benchmark's smoke tests do with lps.paths[1:]
-            return tuple(self[j] for j in picked)
-        path = self._built.get(picked)
-        if path is None:
-            if self._truncated:
-                self._built = dict(enumerate(_walk(self._g, self._count)[1]))
-                return self._built[picked]
-            if self._memo is None:
-                self._memo = _completions(self._g, self._width)
-            path = self._built[picked] = self._unrank(picked)
-        return path
-
-    def _unrank(self, i: int) -> Path:
-        g = self._g
-        masks = g.nbr_masks
-        memo = self._memo
-        width = self._width
-        field = (1 << width) - 1
-        for s in range(g.n - 1):
-            # the canonical paths from s end above it
-            shift = width * (s + 1)
-            here = memo[s][1 << s] >> shift & field
-            if i < here:
-                break
-            i -= here
-        above = g.vertex_mask() & ~((2 << s) - 1)
-        seq = [s]
-        v, vis = s, 1 << s
-        rest = g.vertex_mask() ^ vis
-        while rest:
-            nxt = masks[v] & rest
-            while nxt:
-                low = nxt & -nxt
-                nxt ^= low
-                w = low.bit_length() - 1
-                rem = rest ^ low
-                last = rem & (rem - 1)
-                if last & (last - 1):
-                    # three or more left: in the memo, or cut
-                    here = memo[w].get(vis | low, 0) >> shift & field
-                elif last:
-                    # two left, x below y: w x y ends at y, w y x at x
-                    x = rem ^ last
-                    here = 0
-                    if masks[x.bit_length() - 1] & last:
-                        here = bool(masks[w] & x and last & above) + bool(
-                            masks[w] & last and x & above
-                        )
-                elif rem:
-                    here = bool(masks[w] & rem and rem & above)
-                else:
-                    here = bool(low & above)
-                if i < here:
-                    break
-                i -= here
-            v = w
-            seq.append(v)
-            vis |= low
-            rest ^= low
-        return _path(tuple(seq), vis)
+        if self._paths is None:
+            # the walk may add a few paths past count in its last step
+            self._paths = tuple(_walk(self._g, self._count)[1][: self._count])
+        # a slice is a tuple, as the enumeration's: a caller may drop
+        # members, as the benchmark's smoke tests do with lps.paths[1:]
+        return self._paths[i]
 
 
 def _keep(g: Graph, cap: int | None, caller: str) -> int:
@@ -558,13 +425,13 @@ def count_longest_paths(
     g: Graph, cap: int | None = DEFAULT_PATH_CAP, *, count_cap: int | None = None
 ) -> LongestPathSet:
     """The longest paths of g as enumerate_longest_paths gives them, with
-    spanning paths counted first and each built only when it is read.
+    spanning paths counted first and built only when one is read.
 
     Without a spanning path the walk that finds ell holds the paths already,
     and they are returned as a tuple.  Otherwise the spanning paths are
     counted (_count_spanning), each once, in one direction, and the count
     stops once it reaches cap + 1, which keeps the truncation flag exact;
-    paths[i] then builds the i-th path on demand (_SpanningPaths).
+    the first read of paths then walks out the counted paths (_SpanningPaths).
 
     count_cap, if set, caps the count of spanning paths alone at
     min(cap, count_cap), with the flag set when more exist; the paths kept
@@ -582,7 +449,7 @@ def count_longest_paths(
         truncated = count >= keep
         if truncated:
             count = keep - 1
-        return LongestPathSet(ell, _SpanningPaths(g, count, truncated), truncated)
+        return LongestPathSet(ell, _SpanningPaths(g, count), truncated)
     return _path_set(g, ell, found, keep)
 
 

@@ -28,11 +28,11 @@ from lplab.bounds import (
     theorem_bound,
     theorem_bound_parts,
 )
-from lplab import bounds, harness, systems
+from lplab import bounds, systems
 from lplab.errors import UsageError
-from lplab.graphs import Graph
+from lplab.graphs import Graph, encode_graph6
 from lplab.longest import enumerate_longest_paths, is_path
-from lplab.harness import ScanConfig, scan_stream
+from lplab.harness import ScanConfig, iter_ksubsets
 from lplab.systems import (
     certified_system,
     enumerate_good_paths,
@@ -291,14 +291,22 @@ def _x_low_oracle(ps) -> list[int]:
     ]
 
 
-def _n_le_6_systems(corpus_by_n, monkeypatch) -> list:
-    """Every system the lemma checks of the n <= 6 scans read, k = 3..6."""
+def _n_le_6_systems(corpus_by_n) -> list:
+    """Every system of the default lemma samples of the n <= 6 scans,
+    k = 3..6 (the scan itself tallies them from their common vertex)."""
     seen = []
-    corpus = [g for n in range(1, 7) for g in corpus_by_n[n]]
-    with monkeypatch.context() as m:
-        m.setattr(harness, "run_checks", lambda ps, checks: seen.append(ps) or [])
-        for k in range(3, 7):
-            scan_stream(corpus, ScanConfig(k=k, checks=("lemma2",)))
+    config = ScanConfig()
+    for k in range(3, 7):
+        for g in (g for n in range(1, 7) for g in corpus_by_n[n]):
+            lps = enumerate_longest_paths(g, cap=config.path_cap)
+            if len(lps) < k:
+                continue
+            subsets, _, _ = iter_ksubsets(
+                len(lps), k, config.lemma_subset_cap, config.seed,
+                f"lemma:{encode_graph6(g)}:{k}",
+            )
+            for subset in subsets:
+                seen.append(certified_system(g, [lps.paths[i] for i in subset], lps.length))
     return seen
 
 
@@ -316,8 +324,8 @@ class TestGoodSummaries:
         for g, members, ell, _ in _forced_systems(7, 600):
             self._assert_facts(certified_system(g, members, ell))
 
-    def test_n_le_6_scan_systems(self, corpus_by_n, monkeypatch):
-        found = _n_le_6_systems(corpus_by_n, monkeypatch)
+    def test_n_le_6_scan_systems(self, corpus_by_n):
+        found = _n_le_6_systems(corpus_by_n)
         assert {ps.k for ps in found} == {3, 4, 5, 6} and len(found) > 1000
         for ps in found:
             self._assert_facts(ps)

@@ -16,8 +16,8 @@ from conftest import C4_EDGE_PATHS, H_GRAPH6
 
 # sha256 of the bytes that `lplab verify G --k 4 --subset-cap 40` writes: for
 # H, which has no spanning path, and for two graphs whose 120 and 20,160
-# longest paths are spanning and whose sampled members are unranked (both
-# recorded while verify still built every longest path)
+# longest paths are spanning, counted and then walked out on the first read
+# (both recorded while verify still enumerated every longest path)
 VERIFY_H_K4_SHA256 = "e4e9f8b5817073f944ec489f7d12025efb2cb61d73fca909440548f74e41505d"
 VERIFY_K4_SHA256 = {
     "IheA@GUAo": "adf4e731bec88ea10097d9105ad8154a3724dfd57a0e70d107b35601247e17d8",  # Petersen
@@ -376,7 +376,10 @@ class TestSearch:
             r"lplab: generated 21 connected graphs on 5 vertices in \d+\.\d\ds", lines[0]
         )
         assert lines[1].startswith("lplab: scanned 21 graphs")
-        assert re.search(r", 132 lemma systems checked, \d+\.\d\ds$", lines[1])
+        assert re.search(
+            r", 0 lemma systems checked, 132 implied by a common vertex, \d+\.\d\ds$",
+            lines[1],
+        )
 
     def test_theorem_only_summary_counts_stopped(self, capsys, tmp_path):
         # the 293 graphs with more than c* = 41 spanning paths (the least c

@@ -15,7 +15,9 @@ import networkx as nx
 import pytest
 
 import lplab.longest
+import lplab.systems
 from lplab import harness
+from lplab.bounds import DEFAULT_CHECKS, common_vertex_verdicts, run_checks
 from lplab.construct import build_gt
 from lplab.errors import FormatError, UsageError
 from lplab.graphs import Graph, encode_graph6, parse_graph6
@@ -34,7 +36,7 @@ from lplab.harness import (
     iter_ksubsets,
     scan_stream,
 )
-from lplab.systems import common_vertices, make_path_system
+from lplab.systems import certified_system, common_vertices, make_path_system
 from conftest import C4_EDGE_PATHS, H_PRIME_GRAPH6, H_SYSTEM
 from oracles import (
     canonical_sequence,
@@ -76,12 +78,6 @@ GENERATOR_SHA256 = {
 # _maps_onto calls made generating n = 1..7 when every candidate that lands
 # in a bucket is searched (before the relabelled-tuple equality check)
 SEARCHES_WITHOUT_EQUALITY_N7 = 5943
-
-# Path objects built by a default-check scan of the connected n <= 6 corpus,
-# over the 118 graphs with a spanning path, while the scan enumerated every
-# longest path of a graph that runs a lemma check
-PATHS_BUILT_ENUMERATING_N6 = 3555
-
 
 def _random_graph_masks(rng: random.Random, n: int) -> list[int]:
     masks = [0] * n
@@ -579,8 +575,9 @@ class TestScanStream:
         assert max((len(lps) for lps in seen), default=0) == (360 if looked_up else 0)
 
     def test_builds_only_the_sampled_spanning_paths(self, monkeypatch, corpus_by_n):
-        # a graph with a spanning path builds only the members its lemma
-        # sample reads, each once, and no path its walk dropped
+        # a graph with a spanning path builds none: its longest paths share
+        # every vertex, which settles every check with no member read, and
+        # the walk that finds ell builds no path it dropped
         built = 0
         real = lplab.longest._path
 
@@ -590,18 +587,15 @@ class TestScanStream:
             return real(vertices, mask)
 
         monkeypatch.setattr(lplab.longest, "_path", counted)
-        config = ScanConfig()
-        total = spanning = 0
+        spanning = 0
         for g in (g for n in range(1, 7) for g in corpus_by_n[n]):
             if longest_path_length(g) < g.n - 1:
                 continue
             before = built
-            scan_stream([g], config)
-            assert built - before <= config.k * config.lemma_subset_cap, encode_graph6(g)
-            total += built - before
+            scan_stream([g], ScanConfig())
+            assert built == before, encode_graph6(g)
             spanning += 1
         assert spanning == 118
-        assert total <= 0.4 * PATHS_BUILT_ENUMERATING_N6, total
 
     def test_disconnected_skipped(self):
         lines = [encode_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))]
@@ -642,17 +636,20 @@ class TestScanStream:
         assert seq == par
 
     def test_lemma_systems_counted(self, corpus_by_n):
-        # the count is summed from the records, so it cannot depend on the
-        # worker count, and it stays out of the report JSON
+        # the counts are summed from the records, so they cannot depend on
+        # the worker count, and they stay out of the report JSON; every
+        # n = 5 graph has a vertex common to all its longest paths, so its
+        # 132 sampled subsets are all implied and no system is built
         reports = [
             scan_stream(corpus_by_n[5], ScanConfig(k=3, jobs=jobs)) for jobs in (1, 2)
         ]
-        assert [r.lemma_systems for r in reports] == [132, 132]
+        assert [r.lemma_systems for r in reports] == [0, 0]
+        assert [r.lemma_implied for r in reports] == [132, 132]
         blobs = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
         assert blobs[0] == blobs[1]
-        assert "lemma_systems" not in blobs[0]
+        assert "lemma_systems" not in blobs[0] and "lemma_implied" not in blobs[0]
         theorem_only = scan_stream(corpus_by_n[5], ScanConfig(k=3, checks=("theorem",)))
-        assert theorem_only.lemma_systems == 0
+        assert theorem_only.lemma_systems == theorem_only.lemma_implied == 0
 
     def test_k4_runs_corollary(self, corpus_by_n):
         report = scan_stream(corpus_by_n[5], ScanConfig(k=4, lemma_subset_cap=3))
@@ -677,6 +674,71 @@ class TestScanStream:
         lines = [encode_graph6(g) for g in corpus_by_n[5]]
         report = scan_stream(lines, ScanConfig(k=3, lemma_subset_cap=1, jobs=2))
         assert report.graphs_scanned == 21
+
+
+LEMMA_CHECKS = ("lemma1", "lemma2", "lemma3", "cor1")
+
+
+def _lemma_tallies_oracle(g: Graph, config: ScanConfig) -> dict:
+    """The tallies of run_checks on every subset of the scan's seeded lemma
+    sample of g, each built as a path system."""
+    lps = count_longest_paths(g, cap=config.path_cap)
+    tallies: dict = {}
+    if len(lps) < config.k:
+        return tallies
+    subsets, _, _ = iter_ksubsets(
+        len(lps), config.k, config.lemma_subset_cap, config.seed,
+        f"lemma:{encode_graph6(g)}:{config.k}",
+    )
+    for subset in subsets:
+        ps = certified_system(g, [lps.paths[i] for i in subset], lps.length)
+        for rep in run_checks(ps, config.checks):
+            slot = tallies.setdefault(rep.check_id, {"pass": 0, "fail": 0, "vacuous": 0})
+            slot[rep.status] += 1
+    return tallies
+
+
+def _scan_lemma_tallies(g: Graph, config: ScanConfig) -> tuple[dict, dict]:
+    """The lemma tallies of one graph's scan record, and the record."""
+    record = harness.scan_one_graph(encode_graph6(g), config, g)
+    tallies = {c: slot for c, slot in record["tallies"].items() if c != "pairwise"}
+    return tallies, record
+
+
+class TestImpliedLemmaVerdicts:
+    """A sampled subset whose members share a vertex is tallied from
+    common_vertex_verdicts; the tallies must be those of run_checks on
+    every sampled subset."""
+
+    def test_n_le_6_corpus(self, corpus_by_n):
+        implied = 0
+        for k in range(3, 7):
+            config = ScanConfig(k=k, checks=LEMMA_CHECKS)
+            for g in (g for n in range(1, 7) for g in corpus_by_n[n]):
+                tallies, record = _scan_lemma_tallies(g, config)
+                assert tallies == _lemma_tallies_oracle(g, config), (encode_graph6(g), k)
+                assert record["lemma_systems"] == 0
+                implied += record["lemma_implied"]
+        assert implied > 1000
+
+    def test_g1_at_k9_evaluates_and_implies(self, h_g1):
+        # 14 of the 2,000 sampled 9-subsets of G_1's longest paths share no
+        # vertex and are built and checked; the other 1,986 are implied
+        config = ScanConfig(k=9, lemma_subset_cap=2000, checks=LEMMA_CHECKS)
+        tallies, record = _scan_lemma_tallies(h_g1, config)
+        assert (record["lemma_systems"], record["lemma_implied"]) == (14, 1986)
+        assert tallies["lemma1"] == {"pass": 14, "fail": 0, "vacuous": 1986}
+        assert tallies["lemma2"] == {"pass": 1986, "fail": 0, "vacuous": 14}
+        assert tallies == _lemma_tallies_oracle(h_g1, config)
+
+    def test_verdicts(self):
+        assert common_vertex_verdicts(2, DEFAULT_CHECKS) == []
+        assert common_vertex_verdicts(3, ("theorem",)) == []
+        assert common_vertex_verdicts(4, DEFAULT_CHECKS) == [
+            ("lemma1", "vacuous"), ("lemma2", "pass"), ("lemma3i", "pass"),
+            ("lemma3ii", "pass"), ("cor1i", "pass"), ("cor1ii", "pass"),
+        ]
+        assert common_vertex_verdicts(5, ("cor1", "lemma2")) == [("lemma2", "pass")]
 
 
 class TestSpanningCountStop:
@@ -809,6 +871,7 @@ class TestScanWithoutCommonVertex:
             "max_f": 1,
             "max_f_subset": [0, 1, 2],
             "lemma_systems": 0,
+            "lemma_implied": 0,
             "counts_stopped": 0,
             "conjecture": {
                 "status": "violation",
@@ -853,6 +916,7 @@ class TestScanWithoutCommonVertex:
             "max_f": 1,
             "max_f_subset": [1, 3],
             "lemma_systems": 0,
+            "lemma_implied": 0,
             "counts_stopped": 0,
             "conjecture": {
                 "status": "violation",
@@ -864,6 +928,19 @@ class TestScanWithoutCommonVertex:
                     "minimizers": [0, 1, 2, 3],
                 },
             },
+        }
+
+    def test_pairwise_failure_runs_no_bfs(self, monkeypatch):
+        # C4_EDGE_PATHS as the longest paths of C4: the pair is read from
+        # one cover search, with no f and no minimizers
+        verdict = check_conjecture(parse_graph6("Cl"), 3, lps=C4_EDGE_PATHS)
+
+        def no_bfs(*args):
+            raise AssertionError("the pairwise check ran a BFS")
+
+        monkeypatch.setattr(lplab.systems, "bfs_distances", no_bfs)
+        assert harness.pairwise_witness(C4_EDGE_PATHS, verdict) == {
+            "member_indices": [1, 3], "members": [[1, 2], [0, 3]],
         }
 
     def test_theorem_sweep_halts_on_failure(self, h_graph):

@@ -129,10 +129,12 @@ class TestDistanceWork:
 
     def test_no_bfs_in_default_check_scans(self, corpus_by_n, bfs_calls):
         # every n <= 6 graph has a vertex common to all its longest paths,
-        # so every lemma system has f = 0
+        # so every sampled lemma subset has f = 0, and its verdicts are
+        # implied with no path system built
         corpus = [g for n in range(1, 7) for g in corpus_by_n[n]]
-        systems = {k: scan_stream(corpus, ScanConfig(k=k)).lemma_systems for k in (3, 4)}
-        assert systems == {3: 988, 4: 923}
+        reports = {k: scan_stream(corpus, ScanConfig(k=k)) for k in (3, 4)}
+        assert {k: r.lemma_systems for k, r in reports.items()} == {3: 0, 4: 0}
+        assert {k: r.lemma_implied for k, r in reports.items()} == {3: 988, 4: 923}
         assert bfs_calls == []
 
     def test_one_bfs_per_member_without_common_vertex(self, h_graph, bfs_calls):
