@@ -245,8 +245,8 @@ def _check_good_path_bounds(
             # the first failing Q in host order, then subpath order
             h, q = next(
                 (h, q)
-                for h, goods in enumerate(ps.good_paths)
-                for q in goods
+                for h in range(k)
+                for q in ps.good_paths(h)
                 if fcd > cn * (q.n_vertices - 1)
             )
             rep_i = CheckReport(
@@ -444,7 +444,7 @@ def surgery_trace(
         # the first host of least |X^1 u ... u X^{k-2}|
         host = min(range(k), key=ps.x_low_sizes.__getitem__)
     host_path = ps.paths[host]
-    goods = ps.good_paths[host]
+    goods = ps.good_paths(host)
 
     # unit = f/c, with Corollary 1's c = 1 at k = 4 and Lemma 3's c otherwise
     unit = Fraction(f) if k == 4 else f / _lemma3_constant(k)

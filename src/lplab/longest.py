@@ -8,8 +8,12 @@ once it finds a spanning path, ell = n - 1 is known, and it stops at the
 cap.  Until then the reach test also applies the endpoint rule: every
 neighbour of an end of a longest path lies on the path, or the path would
 extend, so a branch that can no longer reach every unvisited neighbour of
-its start holds no longest path.  The tests cross-check the walk against an
-independent permutation-prefix oracle.
+its start holds no longest path.  The thin-start rule cuts the first step:
+if x, of degree at most 2, is a neighbour of an end s of a longest path P,
+then x lies on P, so x is P's second vertex, or else P's other end, and
+then P + sx is a cycle and P is spanning (g is connected).  A first step
+from s that passes by such an x looks for spanning paths only.  The tests
+cross-check the walk against an independent permutation-prefix oracle.
 
 count_longest_paths gives the same facts and the same paths, but when
 ell = n - 1 it counts the paths first, by a memoised walk over (visited
@@ -154,31 +158,53 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
     path P holds every neighbour of s, or a neighbour of s would extend it,
     so on P's branch the unvisited neighbours of s lie on the rest of P and
     are reached; every path in a cut branch misses some neighbour u of s,
-    and u + P is longer.  A cut can only lower the best length held at some
-    moment, or the number of paths of it, so need only falls and nothing
-    else is cut.  Once best = n - 1, need asks for every unvisited vertex
-    anyway, and the rule is dropped.  After a forced step (one way on) the
-    reach test is skipped, since the child reaches exactly what its parent
-    did, less itself, and the parent's test covered the start's neighbours
-    too.  After the first spanning path nothing is longer: the walk adds
-    the last two vertices of a path in the parent's loop, which may take the
-    list past keep, and stops once it holds keep paths (at once for
-    keep = 0).  With stop_at_spanning it stops at the first spanning path
-    instead and returns (n - 1, None).
+    and u + P is longer.
+
+    The first step is cut by the thin-start rule; a vertex is thin if its
+    degree is at most 2.  Let x be a thin neighbour of s and P a longest
+    path that starts at s.  x lies on P, by the endpoint rule.  If x is
+    internal, its two path-neighbours are all of its neighbours, s among
+    them, so x is P's second vertex.  Otherwise x is P's other end, P + sx
+    is a cycle, and since g is connected, a vertex off the cycle would
+    extend it to a longer path, so P is spanning.  Hence a first step to w,
+    with a thin neighbour of s other than w, holds no longest path but a
+    spanning one, and below it the walk aims at length n - 1 instead of the
+    best, until it finds one.
+
+    Both cuts remove only branches that hold no longest path, so they can
+    only lower the best length held at some moment, or the number of paths
+    of it: need only falls and nothing else is cut.  Once best = n - 1,
+    need asks for every unvisited vertex anyway, and both rules are
+    dropped.  After a forced step (one way on) the reach test is skipped,
+    since the child reaches exactly what its parent did, less itself, and
+    the parent's test covered the start's neighbours too.  After the first
+    spanning path nothing is longer: the walk adds the last two vertices of
+    a path in the parent's loop, which may take the list past keep, and
+    stops once it holds keep paths (at once for keep = 0).  With
+    stop_at_spanning it stops at the first spanning path instead and
+    returns (n - 1, None).
     """
+    spanning = g.n - 1
+    if spanning < 2:
+        # K1 and K2: the walk records no path of one edge
+        return spanning, []
     masks = g.nbr_masks
     full = g.vertex_mask()
-    spanning = g.n - 1
+    thin = 0
+    for v, m in enumerate(masks):
+        if m.bit_count() <= 2:
+            thin |= 1 << v
     best = 0
+    aim = 0  # the length a path must reach to be recorded: best, or n - 1
     fold = -1  # once best = spanning, the length with two vertices left
-    slack = not keep  # 1 once keep paths of the best length are held
+    slack = not keep  # 1 once keep paths of the aim are held
     own = 0  # the start's neighbours, all on any longest path; 0 once best = n - 1
     found: list[tuple[tuple[int, ...], int]] = []  # (vertices, mask) of each
     path: list[int] = []
 
     def dfs(v: int, vis: int, length: int) -> None:
         """Walk every extension of path, which ends at v at this length."""
-        nonlocal best, fold, slack, own, found
+        nonlocal best, aim, fold, slack, own, found
         nxt = masks[v] & ~vis
         if length == fold:
             # two vertices left, and any path through both ties ell: take
@@ -197,11 +223,11 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
         forced = not nxt & (nxt - 1)
         length += 1
         # with r more vertices the child ends at length + r: it needs
-        # best - length of them to tie, one more to beat, and one at least
-        # to be worth a visit; this changes only with a record or a visit.
-        # Once best = n - 1, need is the number of unvisited vertices, so
-        # only their reach can fall short
-        need = best - length + slack or 1
+        # aim - length of them to tie, one more to beat, and one at least
+        # to be worth a visit; this changes only with a record, a visit or
+        # a first step.  Once aim = n - 1, need is the number of unvisited
+        # vertices, so only their reach can fall short
+        need = aim - length + slack or 1
         while nxt:
             low = nxt & -nxt
             nxt ^= low
@@ -211,11 +237,11 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
             # path longer than the best always ends above its start, since
             # had it ended below, it would already have been walked from that
             # smaller end, and the best would be at least its length
-            if length >= best and low & high:
+            if length >= aim and low & high:
                 if length > best:
                     if length == spanning and stop_at_spanning:
                         raise _SpanningPath
-                    best = length
+                    best = aim = length
                     found = []
                     if best == spanning:
                         fold = spanning - 2
@@ -225,7 +251,7 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
                 slack = len(found) >= keep
                 if slack and best == spanning:
                     raise _CapReached
-                need = best - length + slack or 1
+                need = aim - length + slack or 1
             rem = full & ~vis_w
             if rem & high and rem.bit_count() >= need and (
                 forced or _reaches(g, w, rem, need, own & rem)
@@ -233,17 +259,38 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
                 path.append(w)
                 dfs(w, vis_w, length)
                 path.pop()
-                need = best - length + slack or 1
+                need = aim - length + slack or 1
 
-    # g is connected, so a root reaches every other vertex and needs no
-    # reach test
+    # the first steps are taken here, not in dfs, since each sets the aim;
+    # g is connected, so a start reaches every other vertex and needs no
+    # reach test, and no path of one edge is longest (n >= 3)
     try:
-        for s in range(g.n - 1):
+        for s in range(spanning):
             high = full & ~((2 << s) - 1)
+            nxt = masks[s]
+            forced = not nxt & (nxt - 1)
             if best < spanning:
-                own = masks[s]
+                own = nxt
+            lone = nxt & thin  # a longest path from s steps first to each, or spans
             path.append(s)
-            dfs(s, 1 << s, 0)
+            while nxt:
+                low = nxt & -nxt
+                nxt ^= low
+                if lone & ~low and best < spanning:
+                    aim, slack = spanning, 0
+                elif aim != best:
+                    # back from a first step that found no spanning path
+                    aim, slack = best, len(found) >= keep
+                need = aim - 1 + slack or 1
+                w = low.bit_length() - 1
+                vis_w = 1 << s | low
+                rem = full & ~vis_w
+                if rem & high and rem.bit_count() >= need and (
+                    forced or _reaches(g, w, rem, need, own & rem)
+                ):
+                    path.append(w)
+                    dfs(w, vis_w, 1)
+                    path.pop()
             path.pop()
     except _SpanningPath:
         return spanning, None

@@ -14,8 +14,9 @@ The lemma checks read per-host summaries, none of which builds a GoodPath:
 the least |V(Q)| and t' over the good subpaths Q of each host, from one
 pass over it, and |X^1 u ... u X^{k-2}|, read from the multiplicity.  The
 GoodPath lists, with their witnessing pairs, are built only where they are
-read: by the surgery replay, by a failing Lemma 3 / Corollary 1 part (i)
-witness, and by enumerate_good_paths.  Both the pass and the lists come
+read, one host at a time: by the surgery replay (its host alone), by a
+failing Lemma 3 / Corollary 1 part (i) witness (the hosts up to the first
+failing one), and by enumerate_good_paths.  Both the pass and the lists come
 from one scan of good spans, which keeps sets of members as bit masks and
 leaves a start position as soon as no member can begin a witnessing pair.
 """
@@ -63,9 +64,17 @@ class PathSystem:
         return multiplicity_profile(self)
 
     @cached_property
-    def good_paths(self) -> tuple[tuple[GoodPath, ...], ...]:
-        """Good subpaths per host, in host order, with their witnessing pairs."""
-        return tuple(tuple(enumerate_good_paths(self, h)) for h in range(self.k))
+    def _good_paths(self) -> list[tuple[GoodPath, ...] | None]:
+        """Good subpaths per host, each list built on its host's first read."""
+        return [None] * self.k
+
+    def good_paths(self, host_index: int) -> tuple[GoodPath, ...]:
+        """The host's good subpaths with their witnessing pairs."""
+        goods = self._good_paths[host_index]
+        if goods is None:
+            goods = tuple(enumerate_good_paths(self, host_index))
+            self._good_paths[host_index] = goods
+        return goods
 
     @cached_property
     def good_summaries(self) -> tuple[GoodSummary, ...]:

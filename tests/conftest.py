@@ -4,8 +4,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every run draws the same examples, with no time limit per example, and
+# keeps no example database on disk
+settings.register_profile("lplab", derandomize=True, deadline=None, database=None)
+settings.load_profile("lplab")
 
 from lplab.construct import build_gt
 from lplab.graphs import Graph, parse_graph6

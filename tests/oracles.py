@@ -301,7 +301,7 @@ def good_path_bounds_oracle(
     inst = instance_id(ps)
     f, _ = ps.path_distance
     ff = Fraction(f)
-    goods_by_host = ps.good_paths
+    goods_by_host = [ps.good_paths(h) for h in range(k)]
 
     rep_i: Optional[CheckReport] = None
     if not any(goods_by_host):

@@ -220,13 +220,13 @@ class TestSharedFacts:
         expected = {"lemma1", "lemma2", "lemma3i", "lemma3ii", "surgery"}
         expected |= {"cor1i", "cor1ii", "thm2"} if k == 4 else {"thm3"}
         assert {r.check_id for r in reports} == expected
-        # the lemmas read one summary per host; GoodPath lists are built only
-        # for the surgery, which at k = 4 is vacuous (f = 0), and the profile
-        # only for lemma1's n_i, which it reads only when f > 0
+        # the lemmas read one summary per host; the surgery builds the GoodPath
+        # list of its own host only, and at k = 4 it is vacuous (f = 0); the
+        # profile is built only for lemma1's n_i, which it reads only when f > 0
         f = ps.path_distance[0]
         assert (k, f) in ((4, 0), (9, 1))
         assert calls == {
-            "goods": k if f else 0, "summary": k, "f": 1, "profile": int(f > 0)
+            "goods": int(f > 0), "summary": k, "f": 1, "profile": int(f > 0)
         }
 
     def test_graph6_encoded_once(self, monkeypatch, h_graph):
@@ -357,14 +357,14 @@ class TestAgainstOracles:
         for g, members, ell, forced in _forced_systems(2024, 1500):
             ps = self._system(g, members, ell, forced)
             ref = self._system(g, members, ell, forced)
-            goods = tuple(tuple(good_paths_oracle(ref, h)) for h in range(ref.k))
-            ref.__dict__["good_paths"] = goods
+            goods = [tuple(good_paths_oracle(ref, h)) for h in range(ref.k)]
+            ref.__dict__["_good_paths"] = goods
             ref.__dict__["good_summaries"] = tuple(map(_summary_oracle, goods))
             ref.__dict__["x_low_sizes"] = tuple(_x_low_oracle(ref))
             got, reports = self._suite(ps)
             assert ps.good_summaries == ref.good_summaries
             assert ps.x_low_sizes == ref.x_low_sizes
-            assert ps.good_paths == ref.good_paths
+            assert [ps.good_paths(h) for h in range(ps.k)] == goods
             with monkeypatch.context() as m:
                 m.setattr(bounds, "_check_good_path_bounds", good_path_bounds_oracle)
                 want, _ = self._suite(ref)

@@ -8,6 +8,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lplab.longest
 from lplab.construct import build_gt
@@ -96,6 +98,13 @@ GT_OF_H_PATHS_SHA256 = {
 # there) and of longest_path_length
 GT_OF_H_REACH_TESTS = {1: 4301, 2: 6976, 3: 9652, 4: 12328}
 GT_OF_H_LENGTH_REACH_TESTS = {1: 3937, 2: 6664, 3: 9364, 4: 12040}
+
+# (reach tests, calls of the walk's nested dfs) made by enumerate_longest_paths
+# on G_t of H, t = 1..4, under the thin-start rule; before it the walk made
+# 2,329 / 3,696 / 4,992 / 6,288 reach tests and 2,588 / 5,854 / 10,280 /
+# 15,942 dfs calls (one per start more, then: the first steps were taken in
+# dfs)
+GT_OF_H_THIN_START_WORK = {1: (2125, 2352), 2: (2544, 4076), 3: (2892, 6012), 4: (3240, 8236)}
 
 
 class TestPath:
@@ -363,6 +372,43 @@ class TestEnumerate:
                 find(gt)
                 assert calls <= 0.6 * limit, (t, find.__name__, calls)
 
+    def test_thin_start_rule_cuts_gt_of_h(self, h_graph, monkeypatch):
+        # all but three starts of G_t have two neighbours of degree <= 2, so
+        # below them the walk looks for spanning paths only, and G_t has none
+        calls = 0
+        reaches = lplab.longest._reaches
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return reaches(*args)
+
+        dfs = next(
+            c for c in lplab.longest._walk.__code__.co_consts
+            if getattr(c, "co_name", None) == "dfs"
+        )
+        nodes = 0
+
+        def profile(frame, event, arg):
+            nonlocal nodes
+            if event == "call" and frame.f_code is dfs:
+                nodes += 1
+
+        monkeypatch.setattr(lplab.longest, "_reaches", counted)
+        for t, (reach_limit, node_limit) in GT_OF_H_THIN_START_WORK.items():
+            gt = gt_of_h(h_graph, t)
+            calls = nodes = 0
+            sys.setprofile(profile)
+            try:
+                lps = enumerate_longest_paths(gt)
+            finally:
+                sys.setprofile(None)
+            assert (lps.length, len(lps.paths)) == (11 * (t + 1), 18)
+            assert calls <= reach_limit and nodes <= node_limit, (t, calls, nodes)
+        for t, ell in ((8, 99), (12, 143)):
+            lps = enumerate_longest_paths(gt_of_h(h_graph, t))
+            assert (lps.length, len(lps.paths), lps.truncated) == (ell, 18, False)
+
     def test_k9_beyond_default_cap(self):
         # 9!/2 = 181,440 Hamiltonian paths; the canonical ones in
         # lexicographic order are the permutations with p[0] < p[-1]
@@ -374,6 +420,51 @@ class TestEnumerate:
             DEFAULT_PATH_CAP,
         )
         assert [p.vertices for p in lps.paths] == list(expected)
+
+
+@st.composite
+def thin_graphs(draw) -> Graph:
+    """A connected graph on at most 12 vertices, most of degree <= 2: a tree
+    plus at most three edges, grown by subdivided edges and pendants, with
+    its vertices relabelled."""
+    n = draw(st.integers(1, 8))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    absent = [e for e in itertools.combinations(range(n), 2) if e not in edges]
+    if absent:
+        edges += draw(st.lists(st.sampled_from(absent), max_size=3, unique=True))
+    for subdivide in draw(st.lists(st.booleans(), max_size=12 - n)):
+        if subdivide and edges:
+            u, v = edges.pop(draw(st.integers(0, len(edges) - 1)))
+            edges += [(u, n), (n, v)]
+        else:
+            edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    return relabel(Graph.from_edges(n, edges), draw(st.permutations(range(n))))
+
+
+@given(thin_graphs())
+@settings(max_examples=150)
+def test_walk_on_thin_graphs(g):
+    slow = enumerate_longest_paths_oracle(g)
+    assert longest_path_length(g) == slow.length
+    for cap in (None, 1, 2, 3, 4):
+        fast = enumerate_longest_paths(g, cap=cap)
+        expected = slow.paths if cap is None else slow.paths[:cap]
+        assert fast.length == slow.length
+        assert [p.vertices for p in fast.paths] == [p.vertices for p in expected]
+        assert fast.truncated == (cap is not None and len(slow.paths) > cap)
+        assert _facts(count_longest_paths(g, cap)) == _facts(fast)
+    if slow.length == g.n - 1:
+        return
+    # the thin-start rule: the ends of a longest path that is not spanning
+    # are not adjacent, and each end steps first to its neighbours of degree
+    # <= 2, so it has at most one
+    for p in slow.paths:
+        seq = p.vertices
+        assert not g.has_edge(seq[0], seq[-1])
+        for end, second in ((seq[0], seq[1]), (seq[-1], seq[-2])):
+            thin = [x for x in range(g.n) if g.has_edge(end, x) and g.degree(x) <= 2]
+            assert thin in ([], [second]), (seq, end, thin)
 
 
 def grid(rows: int, cols: int) -> Graph:
