@@ -30,7 +30,7 @@ from .harness import (
     pairwise_witness,
     scan_stream,
 )
-from .longest import DEFAULT_PATH_CAP, count_longest_paths, enumerate_longest_paths
+from .longest import DEFAULT_PATH_CAP, count_longest_paths
 from .systems import certified_system, make_path_system, subset_distance
 
 EXIT_OK = 0
@@ -213,7 +213,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     if args.paths == "longest":
-        lps = enumerate_longest_paths(g)
+        # spanning paths are counted first, so a set past the cap is
+        # refused before any of its paths is built
+        lps = count_longest_paths(g)
+        if lps.truncated:
+            raise UsageError(
+                f"more than {DEFAULT_PATH_CAP} longest paths (the path cap); "
+                f"--paths longest needs all of them"
+            )
         ps = certified_system(g, lps.paths, lps.length)
     else:
         members = json.loads(args.paths)

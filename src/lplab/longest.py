@@ -12,7 +12,9 @@ its start holds no longest path.  The thin-start rule cuts the first step:
 if x, of degree at most 2, is a neighbour of an end s of a longest path P,
 then x lies on P, so x is P's second vertex, or else P's other end, and
 then P + sx is a cycle and P is spanning (g is connected).  A first step
-from s that passes by such an x looks for spanning paths only.  The tests
+from s that passes by such an x looks for spanning paths only, and P + sx
+is then a Hamiltonian cycle; a vertex of degree 1 lies on none, so in a
+graph with one (the leaf rule) such a step is skipped.  The tests
 cross-check the walk against an independent permutation-prefix oracle.
 
 count_longest_paths gives the same facts and the same paths, but when
@@ -171,18 +173,29 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
     spanning one, and below it the walk aims at length n - 1 instead of the
     best, until it finds one.
 
-    Both cuts remove only branches that hold no longest path, so they can
-    only lower the best length held at some moment, or the number of paths
-    of it: need only falls and nothing else is cut.  Once best = n - 1,
-    need asks for every unvisited vertex anyway, and both rules are
-    dropped.  After a forced step (one way on) the reach test is skipped,
-    since the child reaches exactly what its parent did, less itself, and
-    the parent's test covered the start's neighbours too.  After the first
-    spanning path nothing is longer: the walk adds the last two vertices of
-    a path in the parent's loop, which may take the list past keep, and
-    stops once it holds keep paths (at once for keep = 0).  With
-    stop_at_spanning it stops at the first spanning path instead and
-    returns (n - 1, None).
+    The leaf rule skips such a step when g has a vertex of degree 1 (a
+    leaf).  A path found below it is spanning and, by the above, ends at
+    the thin neighbour x of s that it did not step to first, so P + sx is a
+    cycle through every vertex: each vertex has two neighbours on it, and a
+    leaf has one (n >= 3).  So the subtree records nothing, and since only
+    a record changes the walk's state (best, the paths held, the cap), the
+    skip changes no output.  (A graph with two leaves, as the paper's G_t
+    with their three, has no spanning path at all; with one leaf, a
+    spanning path ends at it and starts at a vertex with no thin neighbour
+    but its second.)
+
+    All these cuts remove only branches that hold no longest path, so they
+    can only lower the best length held at some moment, or the number of
+    paths of it: need only falls and nothing else is cut.  Once best = n - 1,
+    need asks for every unvisited vertex anyway, and the endpoint,
+    thin-start and leaf rules are dropped.  After a forced step (one way on)
+    the reach test is skipped, since the child reaches exactly what its
+    parent did, less itself, and the parent's test covered the start's
+    neighbours too.  After the first spanning path nothing is longer: the
+    walk adds the last two vertices of a path in the parent's loop, which
+    may take the list past keep, and stops once it holds keep paths (at once
+    for keep = 0).  With stop_at_spanning it stops at the first spanning
+    path instead and returns (n - 1, None).
     """
     spanning = g.n - 1
     if spanning < 2:
@@ -190,10 +203,13 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
         return spanning, []
     masks = g.nbr_masks
     full = g.vertex_mask()
-    thin = 0
+    thin = leaves = 0
     for v, m in enumerate(masks):
-        if m.bit_count() <= 2:
+        degree = m.bit_count()
+        if degree <= 2:
             thin |= 1 << v
+            if degree == 1:
+                leaves |= 1 << v
     best = 0
     aim = 0  # the length a path must reach to be recorded: best, or n - 1
     fold = -1  # once best = spanning, the length with two vertices left
@@ -277,6 +293,9 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
                 low = nxt & -nxt
                 nxt ^= low
                 if lone & ~low and best < spanning:
+                    if leaves:
+                        # the spanning path would close a Hamiltonian cycle
+                        continue
                     aim, slack = spanning, 0
                 elif aim != best:
                     # back from a first step that found no spanning path

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import lplab.longest
 import lplab.systems
 from lplab import cli as cli_module, harness
 from lplab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, cli, load_graph
@@ -185,11 +186,16 @@ class TestAnalyze:
     def test_spanning_paths_counted_not_built(self, capsys, monkeypatch):
         # K11's longest paths are all spanning: analyze counts them, and the
         # truncated count still settles every 3-subset
-        def fail(*args, **kwargs):
-            raise AssertionError("enumerated the longest paths")
+        stops = []
+        count = lplab.longest._count_spanning
 
-        monkeypatch.setattr(cli_module, "enumerate_longest_paths", fail)
+        def counted(g, stop):
+            stops.append(stop)
+            return count(g, stop)
+
+        monkeypatch.setattr(lplab.longest, "_count_spanning", counted)
         assert cli(["analyze", "J~~~~~~~~~_", "--k", "3"]) == EXIT_OK
+        assert stops == [100_001]
         lines = capsys.readouterr().out.splitlines()
         assert "|L(G)| = 100000 (truncated)" in lines
         # C(100000, 3) is not the subset total: K11 has 11!/2 longest paths
@@ -212,7 +218,7 @@ def _no_enumeration(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("enumerated before the arguments were checked")
 
-    monkeypatch.setattr(cli_module, "enumerate_longest_paths", fail)
+    monkeypatch.setattr(lplab.longest, "_walk", fail)
     monkeypatch.setattr(cli_module, "count_longest_paths", fail)
     monkeypatch.setattr(lplab.systems, "longest_path_length", fail)
 
@@ -436,3 +442,20 @@ class TestConstruct:
 
     def test_non_longest_member_rejected(self, capsys):
         assert cli(["construct", "Cs", "--paths", "[[0, 1]]", "--t", "1"]) == EXIT_USAGE
+
+    def test_truncated_longest_paths_refused(self, capsys, monkeypatch):
+        # K11 has 11!/2 = 19,958,400 longest paths, past the default cap: G_t
+        # over the first 100,000 of them would be a silently short answer, so
+        # the command stops before it builds G_t or any path
+        def refuse(*args):
+            raise AssertionError("built past a truncated path set")
+
+        monkeypatch.setattr(lplab.longest, "_path", refuse)
+        monkeypatch.setattr(cli_module, "build_gt", refuse)
+        assert cli(["construct", "J~~~~~~~~~_", "--paths", "longest", "--t", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "lplab: error: more than 100000 longest paths (the path cap); "
+            "--paths longest needs all of them\n"
+        )

@@ -106,6 +106,10 @@ GT_OF_H_LENGTH_REACH_TESTS = {1: 3937, 2: 6664, 3: 9364, 4: 12040}
 # dfs)
 GT_OF_H_THIN_START_WORK = {1: (2125, 2352), 2: (2544, 4076), 3: (2892, 6012), 4: (3240, 8236)}
 
+# the same under the leaf rule: G_t keeps the three leaves of H, so the walk
+# skips every first step that would look for spanning paths only
+GT_OF_H_LEAF_RULE_WORK = {1: (1953, 2220), 2: (2025, 3458), 3: (2025, 4620), 4: (2025, 5782)}
+
 
 class TestPath:
     def test_mask_and_length(self):
@@ -372,9 +376,10 @@ class TestEnumerate:
                 find(gt)
                 assert calls <= 0.6 * limit, (t, find.__name__, calls)
 
-    def test_thin_start_rule_cuts_gt_of_h(self, h_graph, monkeypatch):
-        # all but three starts of G_t have two neighbours of degree <= 2, so
-        # below them the walk looks for spanning paths only, and G_t has none
+    @staticmethod
+    def _walk_work(g: Graph, monkeypatch) -> tuple[int, int, int, int]:
+        """(ell, paths, reach tests, calls of the walk's nested dfs) of
+        enumerate_longest_paths on g."""
         calls = 0
         reaches = lplab.longest._reaches
 
@@ -394,20 +399,32 @@ class TestEnumerate:
             if event == "call" and frame.f_code is dfs:
                 nodes += 1
 
-        monkeypatch.setattr(lplab.longest, "_reaches", counted)
-        for t, (reach_limit, node_limit) in GT_OF_H_THIN_START_WORK.items():
-            gt = gt_of_h(h_graph, t)
-            calls = nodes = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(lplab.longest, "_reaches", counted)
             sys.setprofile(profile)
             try:
-                lps = enumerate_longest_paths(gt)
+                lps = enumerate_longest_paths(g)
             finally:
                 sys.setprofile(None)
-            assert (lps.length, len(lps.paths)) == (11 * (t + 1), 18)
+        return lps.length, len(lps.paths), calls, nodes
+
+    def test_thin_start_rule_cuts_gt_of_h(self, h_graph, monkeypatch):
+        # all but three starts of G_t have two neighbours of degree <= 2, so
+        # below them the walk looks for spanning paths only, and G_t has none
+        for t, (reach_limit, node_limit) in GT_OF_H_THIN_START_WORK.items():
+            ell, paths, calls, nodes = self._walk_work(gt_of_h(h_graph, t), monkeypatch)
+            assert (ell, paths) == (11 * (t + 1), 18)
             assert calls <= reach_limit and nodes <= node_limit, (t, calls, nodes)
         for t, ell in ((8, 99), (12, 143)):
             lps = enumerate_longest_paths(gt_of_h(h_graph, t))
             assert (lps.length, len(lps.paths), lps.truncated) == (ell, 18, False)
+
+    def test_leaf_rule_cuts_gt_of_h(self, h_graph, monkeypatch):
+        # G_t has three leaves, so no first step looks for spanning paths
+        for t, (reach_limit, node_limit) in GT_OF_H_LEAF_RULE_WORK.items():
+            ell, paths, calls, nodes = self._walk_work(gt_of_h(h_graph, t), monkeypatch)
+            assert (ell, paths) == (11 * (t + 1), 18)
+            assert calls <= reach_limit and nodes <= node_limit, (t, calls, nodes)
 
     def test_k9_beyond_default_cap(self):
         # 9!/2 = 181,440 Hamiltonian paths; the canonical ones in
@@ -442,9 +459,9 @@ def thin_graphs(draw) -> Graph:
     return relabel(Graph.from_edges(n, edges), draw(st.permutations(range(n))))
 
 
-@given(thin_graphs())
-@settings(max_examples=150)
-def test_walk_on_thin_graphs(g):
+def same_as_oracle(g: Graph):
+    """Check the walk's three routes on g against the oracle, at caps None
+    and 1-4, and return the oracle's set."""
     slow = enumerate_longest_paths_oracle(g)
     assert longest_path_length(g) == slow.length
     for cap in (None, 1, 2, 3, 4):
@@ -454,6 +471,13 @@ def test_walk_on_thin_graphs(g):
         assert [p.vertices for p in fast.paths] == [p.vertices for p in expected]
         assert fast.truncated == (cap is not None and len(slow.paths) > cap)
         assert _facts(count_longest_paths(g, cap)) == _facts(fast)
+    return slow
+
+
+@given(thin_graphs())
+@settings(max_examples=150)
+def test_walk_on_thin_graphs(g):
+    slow = same_as_oracle(g)
     if slow.length == g.n - 1:
         return
     # the thin-start rule: the ends of a longest path that is not spanning
@@ -465,6 +489,68 @@ def test_walk_on_thin_graphs(g):
         for end, second in ((seq[0], seq[1]), (seq[-1], seq[-2])):
             thin = [x for x in range(g.n) if g.has_edge(end, x) and g.degree(x) <= 2]
             assert thin in ([], [second]), (seq, end, thin)
+
+
+def one_leaf_graph(rng: random.Random, n: int) -> Graph:
+    """A graph on n vertices with a spanning path and exactly one vertex of
+    degree 1: a lollipop (a clique on at most six vertices with a tail) or
+    a cycle with chords and one pendant.  Its vertices are relabelled at
+    random, with the leaf neither the least nor the greatest label."""
+    if rng.random() < 0.5:
+        clique = rng.randint(3, min(n - 1, 6))
+        edges = set(itertools.combinations(range(clique), 2))
+    else:
+        clique = n - 1
+        edges = {(v, v + 1) for v in range(clique - 1)} | {(0, clique - 1)}
+        absent = [e for e in itertools.combinations(range(clique), 2) if e not in edges]
+        edges.update(rng.sample(absent, min(rng.randint(0, clique), len(absent))))
+    # the tail from the clique or cycle ends at the leaf, n - 1
+    edges.update((v, v + 1) for v in range(clique - 1, n - 1))
+    leaf = rng.randint(1, n - 2)
+    label = [v for v in range(n) if v != leaf]
+    rng.shuffle(label)
+    return relabel(Graph.from_edges(n, sorted(edges)), label + [leaf])
+
+
+def two_leaf_graph(rng: random.Random, n: int) -> Graph:
+    """A path through all n vertices plus chords between its inner
+    vertices, relabelled at random: its ends are its two leaves."""
+    edges = {(v, v + 1) for v in range(n - 1)}
+    absent = [e for e in itertools.combinations(range(1, n - 1), 2) if e not in edges]
+    edges.update(rng.sample(absent, min(rng.randint(0, n), len(absent))))
+    label = list(range(n))
+    rng.shuffle(label)
+    return relabel(Graph.from_edges(n, sorted(edges)), label)
+
+
+class TestLeafRule:
+    """With a vertex of degree 1 in g, the walk skips every first step that
+    would look for spanning paths only.  Here g has spanning paths, so the
+    rule must keep every one of them."""
+
+    @pytest.mark.parametrize("leaves, make", [(1, one_leaf_graph), (2, two_leaf_graph)])
+    def test_against_oracle(self, leaves, make):
+        rng = random.Random(2300 + leaves)
+        leaf_first = leaf_last = 0
+        for _ in range(60):
+            g = make(rng, rng.randint(5, 11))
+            ends = {v for v in range(g.n) if g.degree(v) == 1}
+            assert len(ends) == leaves
+            slow = same_as_oracle(g)
+            assert slow.length == g.n - 1, encode_graph6(g)
+            for p in slow.paths:
+                seq = p.vertices
+                # every leaf is an end, and no end has a neighbour of degree
+                # <= 2 but its second vertex: else the path would close a
+                # Hamiltonian cycle, on which no vertex has degree 1
+                assert ends <= {seq[0], seq[-1]}
+                for end, second in ((seq[0], seq[1]), (seq[-1], seq[-2])):
+                    thin = [x for x in range(g.n) if g.has_edge(end, x) and g.degree(x) <= 2]
+                    assert thin in ([], [second]), (seq, end, thin)
+                leaf_first += seq[0] in ends
+                leaf_last += seq[-1] in ends
+        # the leaf lies above the start of some paths and below others
+        assert leaf_first and leaf_last
 
 
 def grid(rows: int, cols: int) -> Graph:

@@ -1,8 +1,10 @@
-"""Measure the thin-start rule of the longest-path walk against a parent tree.
+"""Measure a change to the longest-path walk against a parent tree.
 
 Usage:
 
     python3 tools/bench_thin_start.py PARENT CHANGE --out BENCH_thin_start.json
+    python3 tools/bench_thin_start.py PARENT CHANGE --out BENCH_FILE \
+        --what "what the change does" --seed0 400 --note "how to read dfs_calls"
 
 PARENT and CHANGE are two checkouts (each with src/, tests/ and perfbench/),
 for example `git archive` of the parent commit and of this one, unpacked
@@ -10,7 +12,8 @@ into fresh directories.  The script runs, in each tree:
 
 - alternating pairs of `perfbench/run.py --trace 0` runs of fpos_witness
   (10 pairs), scan_enum_k3 and scan_lemma_k4 (3 pairs each), one seed per
-  pair; even pairs run the parent first, odd pairs the change;
+  pair, from --seed0 up; even pairs run the parent first, odd pairs the
+  change;
 - one traced fpos_witness run per side (`--trace 1`, parent first);
 - the reach tests and the calls of the walk's nested dfs that
   enumerate_longest_paths makes on G_1..G_4 of H, and the walk time on
@@ -18,8 +21,9 @@ into fresh directories.  The script runs, in each tree:
 - the tier-1 suite once per side.
 
 It writes one JSON file with every run and a summary per metric (median,
-quartiles, and in how many pairs the change was better).  Standard library
-only.
+quartiles, and in how many pairs the change was better), headed by --what;
+--note says how the two sides' dfs_calls compare.  The defaults are those
+of the run that wrote BENCH_thin_start.json.  Standard library only.
 """
 
 from __future__ import annotations
@@ -28,13 +32,25 @@ import argparse
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
 import time
 
 PAIRS = {"fpos_witness": 10, "scan_enum_k3": 3, "scan_lemma_k4": 3}
-SEED0 = 300  # seeds SEED0, SEED0 + 1, ... : none was used while writing the rule
+# the defaults, for BENCH_thin_start.json; its seeds 300..316 were not used
+# while the thin-start rule was written
+SEED0 = 300
+WHAT = (
+    "Longest-path walk: a first step from a start with a neighbour of degree <= 2 "
+    "other than the step looks only for spanning paths (thin-start rule); "
+    "surgery_trace builds the good subpaths of its own host only"
+)
+NOTE = (
+    "the parent takes each first step inside dfs, so its dfs_calls hold one call per start "
+    "(n - 1) more than the change's for the same search"
+)
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb", "conclusive_share")
 LOWER_IS_BETTER = {"wall_s", "setup_s", "peak_rss_mb"}
 
@@ -165,22 +181,27 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--out", required=True)
+    ap.add_argument("--what", default=WHAT, help="the change measured, for the report")
+    ap.add_argument("--seed0", type=int, default=SEED0, help="the first seed (default: %(default)s)")
+    ap.add_argument("--note", default=NOTE, help="how the two sides' dfs_calls compare")
     args = ap.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
+    bench = f"python3 tools/bench_thin_start.py PARENT CHANGE --out {os.path.basename(args.out)}"
+    for flag, value, default in (
+        ("--what", args.what, WHAT), ("--seed0", args.seed0, SEED0), ("--note", args.note, NOTE),
+    ):
+        if value != default:
+            bench += f" {flag} {shlex.quote(str(value))}"
     report: dict = {
-        "what": (
-            "Longest-path walk: a first step from a start with a neighbour of degree <= 2 "
-            "other than the step looks only for spanning paths (thin-start rule); "
-            "surgery_trace builds the good subpaths of its own host only"
-        ),
+        "what": args.what,
         "machine": machine(),
         "sides": {
             "parent": "the parent commit's tree",
             "change": "this change's tree; perfbench/ is identical on both sides",
         },
         "commands": {
-            "bench": "python3 tools/bench_thin_start.py PARENT CHANGE --out BENCH_thin_start.json",
+            "bench": bench,
             "pair": (
                 "python3 perfbench/run.py --workload W --seed S --seconds 15 --trace 0 "
                 "(run in each side's tree; even pairs run the parent first, odd pairs the change)"
@@ -194,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "pairs": {},
     }
-    seed = SEED0
+    seed = args.seed0
     for workload, n_pairs in PAIRS.items():
         rows = []
         for i in range(n_pairs):
@@ -229,10 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         for side in ("parent", "change")
     }
-    report["walk_on_gt_of_h"]["note"] = (
-        "the parent takes each first step inside dfs, so its dfs_calls hold one call per start "
-        "(n - 1) more than the change's for the same search"
-    )
+    report["walk_on_gt_of_h"]["note"] = args.note
 
     report["tier1"] = {side: tier1(trees[side]) for side in ("parent", "change")}
 
