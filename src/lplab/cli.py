@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -27,7 +26,7 @@ from .harness import (
     check_conjecture,
     generate_connected_graphs,
     iter_ksubsets,
-    pairwise_witness,
+    sample_subsets,
     scan_stream,
 )
 from .longest import DEFAULT_PATH_CAP, count_longest_paths
@@ -88,18 +87,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"n = {g.n}, m = {g.m}")
     print(f"ell(G) = {lps.length}")
     print(f"|L(G)| = {len(lps)}{' (truncated)' if lps.truncated else ''}")
-    pair = pairwise_witness(lps, verdict)
-    if pair is None:
-        print("pairwise intersection: holds")
+    pairwise, common_of = "pairwise intersection", "common vertices of all longest paths"
+    if lps.truncated and lps.length < g.n - 1:
+        # the paths past the cap may miss what the listed ones share
+        listed = f" of the first {len(lps)} longest paths"
+        pairwise, common_of = f"pairwise intersection{listed}", f"common vertices{listed}"
+    if verdict.pair is None:
+        print(f"{pairwise}: holds")
     else:
-        (i, j), (first, second) = pair["member_indices"], pair["members"]
+        i, j = verdict.pair
         print(
-            f"pairwise intersection: fails, longest paths {i} and {j} are disjoint: "
-            f"{first} {second}"
+            f"{pairwise}: fails, longest paths {i} and {j} are disjoint: "
+            f"{list(lps.paths[i].vertices)} {list(lps.paths[j].vertices)}"
         )
     common = lps.common_mask()
-    common_verts = [v for v in range(g.n) if common >> v & 1]
-    print(f"common vertices of all longest paths: {common_verts}")
+    print(f"{common_of}: {[v for v in range(g.n) if common >> v & 1]}")
     if not verdict.used_shortcut:
         work = f"{verdict.subsets_checked} search nodes"
     elif not lps.truncated:
@@ -123,15 +125,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"witness: {json.dumps(verdict.witness)}")
         return EXIT_FINDING
     if len(lps) >= k:
-        max_f = 0
-        if verdict.used_shortcut or verdict.status == "no-violation":
-            # every k listed longest paths share a vertex, so f = 0 on every k-subset
-            checked = min(math.comb(len(lps), k), args.subset_cap)
-        else:
-            subsets, checked, _ = iter_ksubsets(
-                len(lps), k, args.subset_cap, args.seed, f"analyze:{k}"
-            )
-            max_f = max(map(subset_distance(g, lps.paths), subsets))
+        checked, subsets = sample_subsets(lps, verdict, args.subset_cap, args.seed, f"analyze:{k}")
+        max_f = 0 if subsets is None else max(map(subset_distance(g, lps.paths), subsets))
         print(f"max f over {checked} {k}-subsets: {max_f}")
     return EXIT_OK
 
@@ -224,6 +219,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
         ps = certified_system(g, lps.paths, lps.length)
     else:
         members = json.loads(args.paths)
+        if not isinstance(members, list) or not all(
+            isinstance(p, list) and all(type(v) is int for v in p) for p in members
+        ):
+            raise UsageError('--paths takes "longest" or a JSON list of lists of vertex numbers')
         ps = make_path_system(g, members, require_longest=True)
     result = build_gt(g, ps, args.t)
     _emit(result.to_json(), args.out)

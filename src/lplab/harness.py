@@ -333,6 +333,7 @@ class ConjectureVerdict:
     subsets_checked: int
     used_shortcut: bool
     witness: Optional[dict] = None
+    pair: Optional[tuple[int, ...]] = None  # two listed paths with no common vertex
 
 
 # search nodes the exact conjecture check may spend before it answers
@@ -362,6 +363,10 @@ def check_conjecture(
     count_longest_paths(g).  The members are read only where no
     vertex is common to all of them, so a set of spanning paths is never
     built.
+
+    pair answers k = 2 on the listed paths, with no f: None after the
+    shortcut, the search's own subset at k = 2, and else one uncapped
+    search at k = 2 unless the k search has ruled out every pair.
     """
     if k < 2:
         raise UsageError(f"k must be >= 2, got {k}")
@@ -373,12 +378,15 @@ def check_conjecture(
         exact = not lps.truncated or lps.length == g.n - 1
         status = "no-violation" if exact else "incomplete"
         return ConjectureVerdict(status, k, math.comb(len(lps), k), used_shortcut=True)
-    subset, nodes, capped = first_empty_intersection(
-        [p.mask for p in lps.paths], k, subset_cap
-    )
+    masks = [p.mask for p in lps.paths]
+    subset, nodes, capped = first_empty_intersection(masks, k, subset_cap)
+    pair = subset if k == 2 else None
+    # a k search that ran to the end without a cover rules out every pair
+    if capped or k > len(masks) or (subset is not None and k > 2):
+        pair, _, _ = first_empty_intersection(masks, 2)
     if subset is None:
         status = "incomplete" if capped or lps.truncated else "no-violation"
-        return ConjectureVerdict(status, k, nodes, used_shortcut=False)
+        return ConjectureVerdict(status, k, nodes, used_shortcut=False, pair=pair)
     members = [lps.paths[idx] for idx in subset]
     ps = certified_system(g, members, lps.length)
     f, minimizers = ps.path_distance
@@ -394,29 +402,23 @@ def check_conjecture(
             "f": f,
             "minimizers": sorted(minimizers),
         },
+        pair=pair,
     )
 
 
-def pairwise_witness(lps: LongestPathSet, verdict: ConjectureVerdict) -> Optional[dict]:
-    """The indices ("member_indices") and vertex lists ("members") of two
-    longest paths with no common vertex, or None when every two of them meet.
-
-    verdict is check_conjecture's answer on the same lps.  A global common
-    vertex (its shortcut) covers every pair, and at k = 2 a verdict that is
-    not "incomplete" is the answer; otherwise one uncapped cover search
-    (first_empty_intersection) at k = 2 finds the pair, with no f.
+def sample_subsets(
+    lps: LongestPathSet, verdict: ConjectureVerdict, cap: int, seed: int, salt: str
+) -> tuple[int, Optional[Iterator[tuple[int, ...]]]]:
+    """(size, subsets) of the k-subsets of lps that a check samples, k and
+    lps as in verdict.  A verdict that took the shortcut or found no
+    violation settles them (every k listed paths share a vertex, so f = 0
+    on each): nothing is drawn, subsets is None, size min(C(len(lps), k), cap).
     """
-    if verdict.used_shortcut:
-        return None
-    if verdict.k == 2 and verdict.status != "incomplete":
-        return verdict.witness
-    pair, _, _ = first_empty_intersection([p.mask for p in lps.paths], 2)
-    if pair is None:
-        return None
-    return {
-        "member_indices": list(pair),
-        "members": [list(lps.paths[i].vertices) for i in pair],
-    }
+    k = verdict.k
+    if verdict.used_shortcut or verdict.status == "no-violation":
+        return min(math.comb(len(lps), k), cap), None
+    subsets, size, _ = iter_ksubsets(len(lps), k, cap, seed, salt)
+    return size, subsets
 
 
 # ---------------------------------------------------------------------------
@@ -595,17 +597,16 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     # the merge reads only these two
     record["conjecture"] = {"status": verdict.status, "witness": verdict.witness}
 
-    pair = pairwise_witness(lps, verdict)
-    if pair is not None:
+    if verdict.pair:
         record["failures"].append(
             {
                 "check": "pairwise",
                 "graph6": record["graph6"],
-                "pair": pair["member_indices"],
-                "members": pair["members"],
+                "pair": list(verdict.pair),
+                "members": [list(lps.paths[i].vertices) for i in verdict.pair],
             }
         )
-    tallies["pairwise"] = {"pass": int(pair is None), "fail": int(pair is not None), "vacuous": 0}
+    _tally(tallies, "pairwise", "fail" if verdict.pair else "pass")
 
     if verdict.witness:
         # the witness is a k-subset with f > 0, so it is an extremal candidate
@@ -621,17 +622,13 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
             # bound formulas are nonnegative from n = 2 on
             bound = theorem_bound(k, g.n)
             slot = tallies.setdefault(thm_id, {"pass": 0, "fail": 0, "vacuous": 0})
-            if verdict.used_shortcut or verdict.status == "no-violation":
-                # every k listed longest paths share a vertex, so f = 0 on
-                # every subset, and the bound is nonnegative: all sampled
-                # subsets pass
-                slot["pass"] += min(math.comb(len(lps), k), config.subset_cap)
+            size, subsets = sample_subsets(
+                lps, verdict, config.subset_cap, config.seed, f"thm:{record['graph6']}:{k}"
+            )
+            if subsets is None:
+                slot["pass"] += size  # f = 0 <= bound on every subset
             else:
                 f_of = subset_distance(g, lps.paths)
-                subsets, _, _ = iter_ksubsets(
-                    len(lps), k, config.subset_cap, config.seed,
-                    f"thm:{record['graph6']}:{k}",
-                )
                 for subset in subsets:
                     f = f_of(subset)
                     if f > record["max_f"]:
@@ -655,17 +652,15 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
 
         # the lemma checks on a small deterministic sample of subsets; a
         # subset whose members share a vertex gets the verdicts that
-        # common_vertex_verdicts proves, with no path system, and when all
-        # the listed paths share one, the sample is not even drawn
+        # common_vertex_verdicts proves, with no path system, and when the
+        # verdict settles every subset, the sample is not even drawn
         if lemma_checks and k >= 3:
-            implied = 0
-            if lps.common_mask():
-                implied = min(math.comb(len(lps), k), config.lemma_subset_cap)
-            else:
-                subsets, _, _ = iter_ksubsets(
-                    len(lps), k, config.lemma_subset_cap, config.seed,
-                    f"lemma:{record['graph6']}:{k}",
-                )
+            implied, subsets = sample_subsets(
+                lps, verdict, config.lemma_subset_cap, config.seed,
+                f"lemma:{record['graph6']}:{k}",
+            )
+            if subsets is not None:
+                implied = 0
                 for subset in subsets:
                     members = [lps.paths[idx] for idx in subset]
                     common = -1

@@ -105,6 +105,34 @@ class TestAnalyze:
             "via common-vertex shortcut)\n"
         ) in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "g6",
+        (
+            H_GRAPH6,  # H's 42 longest paths share no vertex
+            "L~}CKMF_C?oB_F",  # its 1,728 longest paths share vertex 0 only
+        ),
+    )
+    def test_truncated_list_speaks_for_the_listed_paths(self, g6, capsys):
+        # the first 10 longest paths share vertices 0..8, which says nothing
+        # of the paths past the cap
+        assert cli(["analyze", g6, "--k", "3", "--path-cap", "10"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:5] == [
+            "|L(G)| = 10 (truncated)",
+            "pairwise intersection of the first 10 longest paths: holds",
+            "common vertices of the first 10 longest paths: [0, 1, 2, 3, 4, 5, 6, 7, 8]",
+        ]
+
+    def test_truncated_spanning_list_speaks_for_all(self, capsys):
+        # K11: every longest path, past the cap too, holds every vertex
+        assert cli(["analyze", "J~~~~~~~~~_", "--k", "3", "--path-cap", "10"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:5] == [
+            "|L(G)| = 10 (truncated)",
+            "pairwise intersection: holds",
+            "common vertices of all longest paths: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]",
+        ]
+
     def test_pairwise_failure(self, capsys, monkeypatch):
         # C4_EDGE_PATHS as the longest paths of C4: edges 1-2 and 0-3 are
         # disjoint (recorded before the pairwise check went through
@@ -439,6 +467,26 @@ class TestConstruct:
 
     def test_bad_paths_json(self, capsys):
         assert cli(["construct", "Cs", "--paths", "{oops", "--t", "1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "paths",
+        (
+            '[["a"]]',
+            "[[0.5, 1]]",
+            "5",
+            '{"x": 1}',
+            # true is not vertex 1: with 1 in its place this is the star's
+            # three longest paths, which build G_t
+            "[[1, 0, 2], [true, 0, 3], [2, 0, 3]]",
+        ),
+    )
+    def test_malformed_paths_rejected(self, paths, capsys):
+        assert cli(["construct", "Cs", "--paths", paths, "--t", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            'lplab: error: --paths takes "longest" or a JSON list of lists of vertex numbers\n'
+        )
 
     def test_non_longest_member_rejected(self, capsys):
         assert cli(["construct", "Cs", "--paths", "[[0, 1]]", "--t", "1"]) == EXIT_USAGE

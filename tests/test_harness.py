@@ -365,9 +365,14 @@ class TestCheckConjecture:
             }
             lps = LongestPathSet(length, tuple(Path(t) for t in sorted(family)),
                                  truncated=rng.random() < 0.2)
+            disjoint = [
+                pair for pair in itertools.combinations(range(len(lps.paths)), 2)
+                if not lps.paths[pair[0]].mask & lps.paths[pair[1]].mask
+            ]
             for k in range(2, len(lps.paths) + 2):
                 verdict = check_conjecture(g, k, lps=lps)
                 assert verdict.status == conjecture_oracle(g, k, lps)
+                assert verdict.pair in disjoint if disjoint else verdict.pair is None
                 if not verdict.used_shortcut:
                     searched[verdict.status] += 1
                 if verdict.status != "violation":
@@ -463,6 +468,71 @@ class TestCheckConjecture:
     def test_disconnected_guard(self):
         with pytest.raises(UsageError):
             check_conjecture(Graph.from_edges(4, [(0, 1), (2, 3)]), 3)
+
+
+def _counted_searches(monkeypatch) -> list:
+    """The k of each cover search that harness runs from now on."""
+    ks = []
+    search = harness.first_empty_intersection
+
+    def counted(masks, k, *args):
+        ks.append(k)
+        return search(masks, k, *args)
+
+    monkeypatch.setattr(harness, "first_empty_intersection", counted)
+    return ks
+
+
+class TestConjecturePair:
+    """ConjectureVerdict.pair: two listed paths with no common vertex, or None."""
+
+    def test_shortcut(self, k13, monkeypatch):
+        searches = _counted_searches(monkeypatch)
+        verdict = check_conjecture(k13, 2)
+        assert verdict.used_shortcut and verdict.pair is None
+        assert searches == []
+
+    def test_k2_capped(self, monkeypatch):
+        # a k = 2 search cut by its cap answers nothing, so one uncapped
+        # search at k = 2 finds the pair
+        searches = _counted_searches(monkeypatch)
+        verdict = check_conjecture(parse_graph6("Cl"), 2, subset_cap=1, lps=C4_EDGE_PATHS)
+        assert (verdict.status, verdict.witness, verdict.pair) == ("incomplete", None, (1, 3))
+        assert searches == [2, 2]
+
+    def test_k2_reads_its_own_search(self, monkeypatch):
+        searches = _counted_searches(monkeypatch)
+        verdict = check_conjecture(parse_graph6("Cl"), 2, lps=C4_EDGE_PATHS)
+        assert verdict.pair == (1, 3) == tuple(verdict.witness["member_indices"])
+        assert searches == [2]
+
+    def test_injected_c4_at_k3(self, monkeypatch):
+        searches = _counted_searches(monkeypatch)
+        verdict = check_conjecture(parse_graph6("Cl"), 3, lps=C4_EDGE_PATHS)
+        assert verdict.status == "violation" and verdict.pair == (1, 3)
+        assert searches == [3, 2]
+
+    def test_more_k_than_paths(self):
+        # no 5-subset of 4 paths exists, which says nothing of pairs
+        verdict = check_conjecture(parse_graph6("Cl"), 5, lps=C4_EDGE_PATHS)
+        assert verdict.status == "no-violation" and verdict.pair == (1, 3)
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_h_one_search(self, h_graph, monkeypatch, k):
+        # every k of H's longest paths meet: no cover of at most k paths,
+        # so none of 2, with no second search (the k verdict and the
+        # pairwise check used to search once each)
+        searches = _counted_searches(monkeypatch)
+        verdict = check_conjecture(h_graph, k)
+        assert (verdict.status, verdict.used_shortcut, verdict.pair) == (
+            "no-violation", False, None
+        )
+        assert searches == [k]
+        searches.clear()
+        record = harness.scan_one_graph(encode_graph6(h_graph), ScanConfig(k=k), h_graph)
+        assert record["tallies"]["pairwise"] == {"pass": 1, "fail": 0, "vacuous": 0}
+        assert record["failures"] == []
+        assert searches == [k]
 
 
 class TestScanConfig:
@@ -930,18 +1000,40 @@ class TestScanWithoutCommonVertex:
             },
         }
 
+    def test_settled_scan_draws_no_sample(self, monkeypatch, h_graph, corpus_by_n):
+        # a verdict that took the shortcut (the n <= 6 corpus) or found no
+        # violation (H at k < 9) settles the theorem sweep and the lemma
+        # sample: neither draws a subset nor computes an f
+        def fail(*args, **kwargs):
+            raise AssertionError("a settled scan drew a sample")
+
+        monkeypatch.setattr(harness, "iter_ksubsets", fail)
+        monkeypatch.setattr(harness, "subset_distance", fail)
+        for k in (3, 4):
+            report = scan_stream(corpus_by_n[6], ScanConfig(k=k))
+            assert report.tallies["pairwise"]["pass"] == 112
+        for k in range(3, 9):
+            record = harness.scan_one_graph(encode_graph6(h_graph), ScanConfig(k=k), h_graph)
+            thm_id = "thm2" if k == 4 else "thm3"
+            assert record["tallies"][thm_id]["pass"] == min(math.comb(42, k), 10_000)
+            assert (record["lemma_systems"], record["lemma_implied"]) == (0, 10)
+            assert record["failures"] == [] and record["max_f"] == 0
+
     def test_pairwise_failure_runs_no_bfs(self, monkeypatch):
         # C4_EDGE_PATHS as the longest paths of C4: the pair is read from
-        # one cover search, with no f and no minimizers
+        # one cover search, with no f and no minimizers; the only BFS runs
+        # are the k = 3 witness's, one per member
+        sources = []
+        bfs = lplab.systems.bfs_distances
+
+        def counted(g, source):
+            sources.append(tuple(source))
+            return bfs(g, source)
+
+        monkeypatch.setattr(lplab.systems, "bfs_distances", counted)
         verdict = check_conjecture(parse_graph6("Cl"), 3, lps=C4_EDGE_PATHS)
-
-        def no_bfs(*args):
-            raise AssertionError("the pairwise check ran a BFS")
-
-        monkeypatch.setattr(lplab.systems, "bfs_distances", no_bfs)
-        assert harness.pairwise_witness(C4_EDGE_PATHS, verdict) == {
-            "member_indices": [1, 3], "members": [[1, 2], [0, 3]],
-        }
+        assert verdict.pair == (1, 3)
+        assert sources == [tuple(m) for m in verdict.witness["members"]]
 
     def test_theorem_sweep_halts_on_failure(self, h_graph):
         # no graph breaks the theorem bound, so it is forced to 0 here: the
