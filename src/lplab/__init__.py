@@ -25,15 +25,12 @@ from .longest import (
 )
 from .systems import (
     GoodPath,
-    MultiplicityProfile,
     PathSystem,
     common_vertices,
     enumerate_good_paths,
     make_path_system,
-    multiplicity_profile,
     path_distance_value,
     subset_distance,
-    t_prime,
 )
 from .bounds import (
     CheckReport,

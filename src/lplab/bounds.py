@@ -148,7 +148,7 @@ def check_lemma1(ps: PathSystem) -> CheckReport:
     f, minimizers = ps.path_distance
     if f == 0:
         return CheckReport("lemma1", inst, "vacuous")
-    n_counts = ps.profile.n_counts
+    n_counts = ps.n_counts
     ell = ps.paths[0].length
     rhs = lemma1_rhs(ps.k, ell, n_counts[: ps.k - 2])
     lhs = Fraction(ps.graph.n)

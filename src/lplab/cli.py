@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -35,6 +36,7 @@ from .systems import certified_system, make_path_system, subset_distance
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def load_graph(spec: str) -> Graph:
@@ -311,6 +313,12 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: point its descriptor at devnull, so that
+        # the flush at exit writes nowhere instead of failing again
+        with contextlib.suppress(AttributeError, OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (LplabError, json.JSONDecodeError, OSError) as exc:
         print(f"lplab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

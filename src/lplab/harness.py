@@ -62,6 +62,7 @@ from .graphs import (
 from .longest import (
     DEFAULT_PATH_CAP,
     LongestPathSet,
+    common_mask,
     count_longest_paths,
     first_empty_intersection,
 )
@@ -663,10 +664,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
                 implied = 0
                 for subset in subsets:
                     members = [lps.paths[idx] for idx in subset]
-                    common = -1
-                    for p in members:
-                        common &= p.mask
-                    if common:
+                    if common_mask(members):
                         implied += 1
                         continue
                     ps = certified_system(g, members, lps.length)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import UsageError
 from .graphs import Graph, is_connected
@@ -95,10 +95,15 @@ class LongestPathSet:
         if isinstance(self.paths, _SpanningPaths):
             # every spanning path holds every vertex
             return (1 << (self.length + 1)) - 1
-        acc = -1
-        for p in self.paths:
-            acc &= p.mask
-        return acc if acc != -1 else 0
+        return common_mask(self.paths)
+
+
+def common_mask(paths: Iterable[Path]) -> int:
+    """The mask of the vertices that every path holds; 0 for no paths."""
+    acc = -1
+    for p in paths:
+        acc &= p.mask
+    return acc if acc != -1 else 0
 
 
 def is_path(g: Graph, seq: Sequence[int]) -> bool:

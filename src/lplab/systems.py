@@ -1,14 +1,16 @@
 """Path systems: k paths on one graph and the quantities derived from them.
 
-Covers the path-distance-function f, common vertices, per-host multiplicity
-classes X^i with the global counts n_i, good subpaths, and the count t'.
-A PathSystem computes each of these at most once, on first use, so every
-check run on the same system reads the same facts.  Both constructors share
-one builder that counts each vertex's multiplicity.  The common vertices are
-those of multiplicity k; when there are any, f = 0 and they are its
-minimizers, so f runs BFS only on members with no common vertex;
+Covers the path-distance-function f, common vertices, the counts n_i,
+good subpaths, and the count t'.  A PathSystem computes each of these at
+most once, on first use, so every check run on the same system reads the
+same facts.  Both constructors share one builder that counts each vertex's
+multiplicity, the number of members that hold it, and the vertex facts are
+read from it: the common vertices are those of multiplicity k, n_i counts
+the vertices of multiplicity i, and the class X^i of a host holds its
+vertices of multiplicity i.  When there are common vertices, f = 0 and they
+are its minimizers, so f runs BFS only on members with no common vertex;
 subset_distance gives f of many subsets of one path list with at most one
-BFS per path.
+BFS per path, and none for a subset whose members share a vertex.
 
 The lemma checks read per-host summaries, none of which builds a GoodPath:
 the least |V(Q)| and t' over the good subpaths Q of each host, from one
@@ -29,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import UsageError
 from .graphs import GRAPH6_SMALL_MAX, Graph, bfs_distances, encode_graph6, is_connected
-from .longest import Path, is_path, longest_path_length
+from .longest import Path, common_mask, is_path, longest_path_length
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,12 @@ class PathSystem:
         return path_distance_value(self)
 
     @cached_property
-    def profile(self) -> MultiplicityProfile:
-        return multiplicity_profile(self)
+    def n_counts(self) -> tuple[int, ...]:
+        """n_1..n_k: n_i is the number of vertices that exactly i members hold."""
+        counts = [0] * (self.k + 1)
+        for c in self.multiplicity:
+            counts[c] += 1
+        return tuple(counts[1:])
 
     @cached_property
     def _good_paths(self) -> list[tuple[GoodPath, ...] | None]:
@@ -104,10 +110,6 @@ class GoodPath(NamedTuple):
     witness_pairs: tuple[tuple[int, int], ...]
     n_vertices: int
 
-    @property
-    def edge_count(self) -> int:
-        return self.end - self.start
-
 
 class GoodSummary(NamedTuple):
     """What the lemma checks read of one host's good subpaths."""
@@ -116,27 +118,20 @@ class GoodSummary(NamedTuple):
     t_prime: int  # most pairwise edge-disjoint good subpaths
 
 
-@dataclass(frozen=True)
-class MultiplicityProfile:
-    """X^i sets per host plus the global counts n_1..n_k."""
-
-    x_sets: tuple[tuple[frozenset[int], ...], ...]  # [host][i-1]
-    n_counts: tuple[int, ...]  # n_1..n_k
-
-    def n(self, i: int) -> int:
-        return self.n_counts[i - 1]
-
-
 def make_path_system(
     g: Graph,
     paths: Sequence[Sequence[int] | Path],
     require_longest: bool,
 ) -> PathSystem:
     members = []
+    first_of: dict[tuple[int, ...], int] = {}  # undirected path -> first member index
     for idx, p in enumerate(paths):
         seq = tuple(p.vertices if isinstance(p, Path) else p)
         if not is_path(g, seq):
             raise UsageError(f"member {idx} is not a path: {list(seq)}")
+        first = first_of.setdefault(min(seq, seq[::-1]), idx)
+        if first != idx:
+            raise UsageError(f"member {idx} repeats member {first}: {list(seq)}")
         members.append(Path(seq))
     if require_longest:
         return certified_system(g, members, longest_path_length(g))
@@ -208,10 +203,7 @@ def subset_distance(g: Graph, paths: Sequence[Path]) -> Callable[[Sequence[int]]
         return bfs_distances(g, paths[i].vertices)
 
     def f(subset: Sequence[int]) -> int:
-        common = -1
-        for i in subset:
-            common &= paths[i].mask
-        if common:
+        if common_mask([paths[i] for i in subset]):
             return 0
         return min(map(sum, zip(*map(dist, subset))))
 
@@ -222,22 +214,6 @@ def common_vertices(ps: PathSystem) -> frozenset[int]:
     """The vertices that every member holds: those of multiplicity k."""
     k = ps.k
     return frozenset(v for v, c in enumerate(ps.multiplicity) if c == k)
-
-
-def multiplicity_profile(ps: PathSystem) -> MultiplicityProfile:
-    k = ps.k
-    mult = ps.multiplicity
-    x_sets = []
-    for p in ps.paths:
-        per_i: list[set[int]] = [set() for _ in range(k)]
-        for v in p.vertices:
-            per_i[mult[v] - 1].add(v)
-        x_sets.append(tuple(frozenset(s) for s in per_i))
-    n_counts = [0] * k
-    for v, c in enumerate(mult):
-        if c:
-            n_counts[c - 1] += 1
-    return MultiplicityProfile(x_sets=tuple(x_sets), n_counts=tuple(n_counts))
 
 
 def _good_spans(ps: PathSystem, host_index: int) -> Iterator[tuple[int, int, int, int]]:
@@ -340,8 +316,3 @@ def _check_host(ps: PathSystem, host_index: int) -> None:
     if not 0 <= host_index < ps.k:
         raise UsageError(f"host index {host_index} out of range")
 
-
-def t_prime(ps: PathSystem, host_index: int) -> int:
-    """Maximum number of pairwise edge-disjoint good subpaths of the host."""
-    _check_host(ps, host_index)
-    return ps.t_primes[host_index]

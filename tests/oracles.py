@@ -292,6 +292,15 @@ def good_paths_oracle(ps: PathSystem, host_index: int) -> list[GoodPath]:
     return goods
 
 
+def x_low_sizes_oracle(ps: PathSystem) -> list[int]:
+    """|X^1 u ... u X^{k-2}| per host: the host vertices that at most k - 2
+    members hold, counted member by member."""
+    return [
+        sum(sum(v in p.vertices for p in ps.paths) <= ps.k - 2 for v in host.vertices)
+        for host in ps.paths
+    ]
+
+
 def good_path_bounds_oracle(
     ps: PathSystem, c: Fraction, id_i: str, id_ii: str
 ) -> list[CheckReport]:
@@ -302,6 +311,7 @@ def good_path_bounds_oracle(
     f, _ = ps.path_distance
     ff = Fraction(f)
     goods_by_host = [ps.good_paths(h) for h in range(k)]
+    x_low = x_low_sizes_oracle(ps)
 
     rep_i: Optional[CheckReport] = None
     if not any(goods_by_host):
@@ -327,8 +337,7 @@ def good_path_bounds_oracle(
     rep_ii: Optional[CheckReport] = None
     worst: Optional[tuple[Fraction, Fraction]] = None
     for h in range(k):
-        union = frozenset().union(*ps.profile.x_sets[h][: k - 2])
-        lhs = Fraction(len(union))
+        lhs = Fraction(x_low[h])
         tp = ps.t_primes[h]
         rhs = tp * (ff / c - 1)
         if worst is None or lhs - rhs < worst[0] - worst[1]:

@@ -33,14 +33,14 @@ from lplab.errors import UsageError
 from lplab.graphs import Graph, encode_graph6
 from lplab.longest import enumerate_longest_paths, is_path
 from lplab.harness import ScanConfig, iter_ksubsets
-from lplab.systems import (
-    certified_system,
-    enumerate_good_paths,
-    make_path_system,
-    multiplicity_profile,
-)
+from lplab.systems import certified_system, enumerate_good_paths, make_path_system
 from conftest import H_GRAPH6, H_SYSTEM
-from oracles import good_path_bounds_oracle, good_paths_oracle, max_edge_disjoint_oracle
+from oracles import (
+    good_path_bounds_oracle,
+    good_paths_oracle,
+    max_edge_disjoint_oracle,
+    x_low_sizes_oracle,
+)
 
 
 @pytest.fixture
@@ -49,9 +49,11 @@ def k13_system(k13):
 
 
 @pytest.fixture
-def k13_system4(k13):
+def k14_system():
+    """Four of the six longest paths of the star K_{1,4}, center 0."""
+    k14 = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     return make_path_system(
-        k13, [[1, 0, 2], [1, 0, 3], [2, 0, 3], [2, 0, 1]], require_longest=True
+        k14, [[1, 0, 2], [1, 0, 3], [1, 0, 4], [2, 0, 3]], require_longest=True
     )
 
 
@@ -144,8 +146,8 @@ class TestInstanceChecks:
         # rhs at f = 0 is t' * (-1) <= 0, so the size bound is trivially met
         assert rep_ii.rhs < 0
 
-    def test_corollary1_star(self, k13_system4):
-        rep_i, rep_ii = check_corollary1(k13_system4)
+    def test_corollary1_star(self, k14_system):
+        rep_i, rep_ii = check_corollary1(k14_system)
         assert rep_i.check_id == "cor1i" and rep_i.status == "pass"
         assert rep_ii.check_id == "cor1ii" and rep_ii.status == "pass"
 
@@ -153,9 +155,9 @@ class TestInstanceChecks:
         with pytest.raises(UsageError):
             check_corollary1(k13_system)
 
-    def test_theorem_ids(self, k13_system, k13_system4):
+    def test_theorem_ids(self, k13_system, k14_system):
         assert check_theorem(k13_system).check_id == "thm3"
-        rep = check_theorem(k13_system4)
+        rep = check_theorem(k14_system)
         assert rep.check_id == "thm2"
         assert rep.status == "pass"
         assert rep.witness["bound_k4"] is not None
@@ -196,7 +198,7 @@ class TestSharedFacts:
         else:
             lps = enumerate_longest_paths(h_graph)
             ps = certified_system(h_graph, lps.paths[:k], lps.length)
-        calls = {"goods": 0, "summary": 0, "f": 0, "profile": 0}
+        calls = {"goods": 0, "summary": 0, "f": 0}
 
         def counting(key, fn):
             def wrapper(*args):
@@ -213,21 +215,15 @@ class TestSharedFacts:
         monkeypatch.setattr(
             systems, "path_distance_value", counting("f", systems.path_distance_value)
         )
-        monkeypatch.setattr(
-            systems, "multiplicity_profile", counting("profile", systems.multiplicity_profile)
-        )
         reports = run_checks(ps, DEFAULT_CHECKS) + [surgery_trace(ps)[1]]
         expected = {"lemma1", "lemma2", "lemma3i", "lemma3ii", "surgery"}
         expected |= {"cor1i", "cor1ii", "thm2"} if k == 4 else {"thm3"}
         assert {r.check_id for r in reports} == expected
         # the lemmas read one summary per host; the surgery builds the GoodPath
-        # list of its own host only, and at k = 4 it is vacuous (f = 0); the
-        # profile is built only for lemma1's n_i, which it reads only when f > 0
+        # list of its own host only, and at k = 4 it is vacuous (f = 0)
         f = ps.path_distance[0]
         assert (k, f) in ((4, 0), (9, 1))
-        assert calls == {
-            "goods": int(f > 0), "summary": k, "f": 1, "profile": int(f > 0)
-        }
+        assert calls == {"goods": int(f > 0), "summary": k, "f": 1}
 
     def test_graph6_encoded_once(self, monkeypatch, h_graph):
         lps = enumerate_longest_paths(h_graph)
@@ -283,14 +279,6 @@ def _summary_oracle(goods) -> systems.GoodSummary:
     return systems.GoodSummary(least, max_edge_disjoint_oracle(goods))
 
 
-def _x_low_oracle(ps) -> list[int]:
-    """|X^1 u ... u X^{k-2}| per host, as the union of its classes."""
-    return [
-        len(frozenset().union(*xs[: ps.k - 2]))
-        for xs in multiplicity_profile(ps).x_sets
-    ]
-
-
 def _n_le_6_systems(corpus_by_n) -> list:
     """Every system of the default lemma samples of the n <= 6 scans,
     k = 3..6 (the scan itself tallies them from their common vertex)."""
@@ -318,7 +306,7 @@ class TestGoodSummaries:
     def _assert_facts(ps):
         goods = [enumerate_good_paths(ps, h) for h in range(ps.k)]
         assert ps.good_summaries == tuple(map(_summary_oracle, goods))
-        assert ps.x_low_sizes == tuple(_x_low_oracle(ps))
+        assert ps.x_low_sizes == tuple(x_low_sizes_oracle(ps))
 
     def test_forced_systems(self):
         for g, members, ell, _ in _forced_systems(7, 600):
@@ -360,7 +348,7 @@ class TestAgainstOracles:
             goods = [tuple(good_paths_oracle(ref, h)) for h in range(ref.k)]
             ref.__dict__["_good_paths"] = goods
             ref.__dict__["good_summaries"] = tuple(map(_summary_oracle, goods))
-            ref.__dict__["x_low_sizes"] = tuple(_x_low_oracle(ref))
+            ref.__dict__["x_low_sizes"] = tuple(x_low_sizes_oracle(ref))
             got, reports = self._suite(ps)
             assert ps.good_summaries == ref.good_summaries
             assert ps.x_low_sizes == ref.x_low_sizes

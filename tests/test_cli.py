@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import lplab
 import lplab.longest
 import lplab.systems
 from lplab import cli as cli_module, harness
-from lplab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, cli, load_graph
+from lplab.cli import EXIT_BROKEN_PIPE, EXIT_FINDING, EXIT_OK, EXIT_USAGE, cli, load_graph
 from lplab.errors import FormatError
 from lplab.graphs import encode_graph6
 from lplab.harness import ConjectureVerdict
@@ -387,6 +392,37 @@ class TestVerify:
         assert captured.err == ""
 
 
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early is not a usage error: the command
+    exits 141 (128 + SIGPIPE) and says nothing on stderr."""
+
+    def test_in_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert cli(["verify", "Cs"]) == EXIT_BROKEN_PIPE
+        assert capsys.readouterr().err == ""
+
+    def test_pipe_closed_after_first_line(self):
+        # the H report is about 244 KB, well past a 64 KiB pipe buffer, so
+        # the writer meets the closed pipe while it writes
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lplab.__file__)))
+        argv = [sys.executable, "-m", "lplab.cli", "verify", H_GRAPH6, "--k", "4", "--subset-cap", "40"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert proc.stdout.readline() == b"[\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert err == b""
+
+
 class TestSearch:
     def test_generated_corpus(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -490,6 +526,14 @@ class TestConstruct:
 
     def test_non_longest_member_rejected(self, capsys):
         assert cli(["construct", "Cs", "--paths", "[[0, 1]]", "--t", "1"]) == EXIT_USAGE
+
+    def test_repeated_member_rejected(self, capsys):
+        # [2, 0, 1] is member 0 read the other way
+        paths = "[[1, 0, 2], [2, 0, 1], [2, 0, 3]]"
+        assert cli(["construct", "Cs", "--paths", paths, "--t", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lplab: error: member 1 repeats member 0: [2, 0, 1]\n"
 
     def test_truncated_longest_paths_refused(self, capsys, monkeypatch):
         # K11 has 11!/2 = 19,958,400 longest paths, past the default cap: G_t

@@ -4,6 +4,7 @@ import pytest
 
 from lplab.construct import ConstructionResult, attach_pendants, build_gt, subdivide
 from lplab.errors import UsageError
+from lplab.graphs import Graph
 from lplab.longest import longest_path_length
 from lplab.systems import make_path_system, path_distance_value
 from oracles import all_pairs_distances
@@ -30,11 +31,13 @@ class TestAttachPendants:
             (5, 2, 0, 3, 6),
         ]
 
-    def test_shared_ends_get_one_pendant(self, p4):
-        ps = make_path_system(p4, [[0, 1, 2, 3], [3, 2, 1, 0]], require_longest=True)
-        g2, ps2 = attach_pendants(p4, ps)
+    def test_shared_ends_get_one_pendant(self):
+        k4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        ps = make_path_system(k4, [[0, 1, 2, 3], [0, 2, 1, 3]], require_longest=True)
+        g2, ps2 = attach_pendants(k4, ps)
         assert g2.n == 6  # pendants only at 0 and 3, shared by both members
         assert ps2.paths[0].vertices == (4, 0, 1, 2, 3, 5)
+        assert ps2.paths[1].vertices == (4, 0, 2, 1, 3, 5)
 
     def test_single_vertex_member(self, k13):
         ps = make_path_system(k13, [[0]], require_longest=False)

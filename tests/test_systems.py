@@ -3,25 +3,26 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import lplab.systems
 from lplab.construct import build_gt
 from lplab.errors import UsageError
 from lplab.graphs import Graph, parse_graph6
 from lplab.harness import ScanConfig, check_conjecture, iter_ksubsets, scan_stream
-from lplab.longest import enumerate_longest_paths
+from lplab.longest import Path
+from lplab.longest import common_mask, enumerate_longest_paths
 from lplab.systems import (
     certified_system,
     common_vertices,
     enumerate_good_paths,
     make_path_system,
-    multiplicity_profile,
     path_distance_value,
     subset_distance,
-    t_prime,
 )
 from conftest import H_PRIME_GRAPH6, H_SYSTEM
-from oracles import f_and_minimizers_oracle, max_edge_disjoint_oracle
+from oracles import f_and_minimizers_oracle, max_edge_disjoint_oracle, x_low_sizes_oracle
 
 
 @pytest.fixture
@@ -54,6 +55,13 @@ class TestMakePathSystem:
     def test_rejects_non_path(self, p4):
         with pytest.raises(UsageError, match="member 1 is not a path"):
             make_path_system(p4, [[0, 1], [0, 2]], require_longest=False)
+
+    @pytest.mark.parametrize("require_longest", [True, False])
+    @pytest.mark.parametrize("again", [[1, 0, 2], [2, 0, 1]])
+    def test_rejects_repeated_member(self, k13, require_longest, again):
+        # one path given twice, in either direction, is one member
+        with pytest.raises(UsageError, match="member 2 repeats member 0"):
+            make_path_system(k13, [[1, 0, 2], [1, 0, 3], again], require_longest)
 
     def test_rejects_short_member_when_longest_required(self, p4):
         with pytest.raises(UsageError, match="member 0 is not a longest path"):
@@ -147,7 +155,7 @@ class TestDistanceWork:
         f_of = subset_distance(h_graph, lps.paths)
         subsets, _, _ = iter_ksubsets(len(lps), 9, 500, 0, "bfs")
         subsets = list(subsets)
-        shared = [s for s in subsets if _common_mask(lps.paths, s)]
+        shared = [s for s in subsets if common_mask(lps.paths[i] for i in s)]
         assert shared and all(f_of(s) == 0 for s in shared)
         assert bfs_calls == []
         # the cover search's witness has no common vertex; its members' BFS
@@ -159,13 +167,6 @@ class TestDistanceWork:
         for s in subsets + _swaps(witness, len(lps)):
             f_of(s)
         assert len(bfs_calls) == len(set(bfs_calls)) <= len(lps)
-
-
-def _common_mask(paths, subset) -> int:
-    acc = -1
-    for i in subset:
-        acc &= paths[i].mask
-    return acc
 
 
 def _swaps(subset, n_items) -> list[tuple[int, ...]]:
@@ -217,13 +218,8 @@ class TestCommonVertices:
 
 class TestMultiplicityProfile:
     def test_star(self, k13_system):
-        prof = multiplicity_profile(k13_system)
-        assert prof.n_counts == (0, 3, 1)
-        assert prof.n(3) == 1 and prof.n(2) == 3 and prof.n(1) == 0
-        # host 0 = (1, 0, 2): center has multiplicity 3, leaves 2
-        assert prof.x_sets[0][2] == frozenset({0})
-        assert prof.x_sets[0][1] == frozenset({1, 2})
-        assert prof.x_sets[0][0] == frozenset()
+        # the center is on all three members, each leaf on two
+        assert k13_system.n_counts == (0, 3, 1)
 
     def test_weighted_count_identity(self, corpus_by_n):
         # sum of i * n_i equals the total vertex count over members, k(ell+1)
@@ -232,8 +228,7 @@ class TestMultiplicityProfile:
             k = min(3, len(lps.paths))
             for combo in itertools.combinations(lps.paths, k):
                 ps = certified_system(g, combo, lps.length)
-                prof = multiplicity_profile(ps)
-                total = sum((i + 1) * c for i, c in enumerate(prof.n_counts))
+                total = sum((i + 1) * c for i, c in enumerate(ps.n_counts))
                 assert total == k * (lps.length + 1)
 
 
@@ -244,12 +239,12 @@ class TestGoodPaths:
         assert intervals == [(0, 1), (1, 1), (1, 2)]
         single = next(q for q in goods if (q.start, q.end) == (1, 1))
         assert set(single.witness_pairs) == {(1, 2), (2, 1)}
-        assert single.n_vertices == 1 and single.edge_count == 0
+        assert single.n_vertices == 1 and single.end - single.start == 0
 
     def test_star_counts(self, k13_system):
         for host in range(3):
             assert len(enumerate_good_paths(k13_system, host)) == 3
-            assert t_prime(k13_system, host) == 3
+            assert k13_system.t_primes[host] == 3
 
     def test_branchy_single_good(self, branchy_system):
         goods = enumerate_good_paths(branchy_system, 0)
@@ -264,7 +259,7 @@ class TestGoodPaths:
         # that meets everything can exist inside [0,1]
         ps = make_path_system(p7, [[0, 1], [1, 2], [5, 6]], require_longest=False)
         assert enumerate_good_paths(ps, 0) == []
-        assert t_prime(ps, 0) == 0
+        assert ps.t_primes[0] == 0
         assert ps.good_summaries[0] == (None, 0)
 
     def test_requires_three_members(self, p4):
@@ -273,12 +268,10 @@ class TestGoodPaths:
             enumerate_good_paths(ps, 0)
 
     def test_host_index_range(self, k13_system):
-        # t' per host is a cached tuple, which must not wrap index -1
+        # -1 must not wrap to the last member
         for bad in (-1, 3):
             with pytest.raises(UsageError):
                 enumerate_good_paths(k13_system, bad)
-            with pytest.raises(UsageError):
-                t_prime(k13_system, bad)
 
     def test_t_prime_matches_exhaustive_oracle(self, corpus_by_n):
         checked = 0
@@ -292,7 +285,7 @@ class TestGoodPaths:
                     goods = enumerate_good_paths(ps, host)
                     if not goods:
                         continue
-                    assert t_prime(ps, host) == max_edge_disjoint_oracle(goods)
+                    assert ps.t_primes[host] == max_edge_disjoint_oracle(goods)
                     checked += 1
         assert checked > 100
 
@@ -326,7 +319,74 @@ class TestCertifiedInvariants:
                 f, _ = path_distance_value(ps)
                 assert 0 <= f <= 3 * (g.n - 1)
                 if f > 0:
-                    prof = multiplicity_profile(ps)
-                    assert prof.n(3) == 0  # no vertex on all members
+                    assert ps.n_counts[2] == 0  # no vertex on all members
                 for host in range(3):
-                    assert len(enumerate_good_paths(ps, host)) >= t_prime(ps, host) >= 0
+                    assert len(enumerate_good_paths(ps, host)) >= ps.t_primes[host] >= 0
+
+
+@st.composite
+def connected_graphs(draw, max_n=10) -> Graph:
+    """A connected graph on 3..max_n vertices: a random tree plus up to 2n
+    other edges."""
+    n = draw(st.integers(3, max_n))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    absent = [e for e in itertools.combinations(range(n), 2) if e not in edges]
+    edges += draw(st.lists(st.sampled_from(absent), max_size=2 * n, unique=True))
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def longest_path_systems(draw):
+    """(graph, ell, members): k = 3..5 distinct longest paths of a connected
+    graph, drawn from the first 60 of them."""
+    g = draw(connected_graphs())
+    lps = enumerate_longest_paths(g, cap=60)
+    k = draw(st.integers(3, 5))
+    assume(len(lps) >= k)
+    picked = draw(st.lists(st.integers(0, len(lps) - 1), min_size=k, max_size=k, unique=True))
+    return g, lps.length, [lps.paths[i] for i in picked]
+
+
+@st.composite
+def walk_systems(draw):
+    """(graph, members): 2..5 distinct paths of a connected graph, each a
+    random self-avoiding walk, so that members often share no vertex."""
+    g = draw(connected_graphs(max_n=8))
+    members = {}
+    for _ in range(draw(st.integers(2, 5))):
+        seq = [draw(st.integers(0, g.n - 1))]
+        while draw(st.booleans()):
+            ahead = [v for v in range(g.n) if g.has_edge(seq[-1], v) and v not in seq]
+            if not ahead:
+                break
+            seq.append(draw(st.sampled_from(ahead)))
+        members.setdefault(min(tuple(seq), tuple(seq[::-1])), seq)
+    assume(len(members) >= 2)
+    return g, list(members.values())
+
+
+class TestProperties:
+    """Path-system facts against their definitions, on random connected
+    graphs."""
+
+    @given(longest_path_systems())
+    @settings(max_examples=200)
+    def test_longest_path_subsets(self, drawn):
+        g, ell, members = drawn
+        ps = certified_system(g, members, ell)
+        k = ps.k
+        f, _ = f_and_minimizers_oracle(g, [p.vertices for p in members])
+        assert (f == 0) == bool(common_mask(members))
+        assert path_distance_value(ps)[0] == f
+        # sum of i * n_i counts each member's ell + 1 vertices once
+        assert sum(i * c for i, c in enumerate(ps.n_counts, start=1)) == k * (ell + 1)
+        assert ps.x_low_sizes == tuple(x_low_sizes_oracle(ps))
+
+    @given(walk_systems())
+    @settings(max_examples=200)
+    def test_common_mask_is_f_zero(self, drawn):
+        g, members = drawn
+        paths = [Path(tuple(seq)) for seq in members]
+        f, _ = f_and_minimizers_oracle(g, members)
+        assert (f == 0) == bool(common_mask(paths))
+        assert subset_distance(g, paths)(range(len(paths))) == f
