@@ -30,7 +30,6 @@ from .systems import (
     enumerate_good_paths,
     make_path_system,
     path_distance_value,
-    subset_distance,
 )
 from .bounds import (
     CheckReport,

@@ -16,7 +16,7 @@ from .errors import UsageError
 from .longest import Path, is_path
 from .systems import PathSystem
 
-REPORT_SCHEMA = "lplab-report/1"
+REPORT_SCHEMA = "lplab-report/2"
 
 DEFAULT_CHECKS = ("lemma1", "lemma2", "lemma3", "cor1", "theorem")
 

@@ -26,12 +26,12 @@ from .harness import (
     ScanConfig,
     check_conjecture,
     generate_connected_graphs,
+    greatest_f,
     iter_ksubsets,
-    sample_subsets,
     scan_stream,
 )
 from .longest import DEFAULT_PATH_CAP, count_longest_paths
-from .systems import certified_system, make_path_system, subset_distance
+from .systems import certified_system, make_path_system
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -70,16 +70,14 @@ def _emit(payload: dict | list, out: Optional[str]) -> None:
         print(text)
 
 
-def _check_k_and_subset_cap(args: argparse.Namespace, k_min: int) -> None:
-    """Reject a k or subset cap that would give an empty or partial answer."""
+def _check_k(args: argparse.Namespace, k_min: int) -> None:
+    """Reject a k that would give an empty answer."""
     if args.k < k_min:
         raise UsageError(f"k must be >= {k_min}, got {args.k}")
-    if args.subset_cap < 1:
-        raise UsageError(f"subset_cap must be >= 1, got {args.subset_cap}")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _check_k_and_subset_cap(args, 2)
+    _check_k(args, 2)
     g = load_graph(args.graph)
     # the members are read only where they share no vertex, and then the
     # walk that found ell holds them: spanning paths are only counted
@@ -125,16 +123,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"k = {k}: {verdict.status} ({work})")
     if verdict.witness:
         print(f"witness: {json.dumps(verdict.witness)}")
-        return EXIT_FINDING
     if len(lps) >= k:
-        checked, subsets = sample_subsets(lps, verdict, args.subset_cap, args.seed, f"analyze:{k}")
-        max_f = 0 if subsets is None else max(map(subset_distance(g, lps.paths), subsets))
-        print(f"max f over {checked} {k}-subsets: {max_f}")
-    return EXIT_OK
+        max_f, _, exact = greatest_f(g, lps, verdict)
+        print(f"max f over every {k}-subset: {max_f if exact else f'at least {max_f}'}")
+    return EXIT_FINDING if verdict.witness else EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_k_and_subset_cap(args, 3)
+    _check_k(args, 3)
+    if args.subset_cap < 1:
+        raise UsageError(f"subset_cap must be >= 1, got {args.subset_cap}")
     g = load_graph(args.graph)
     checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
     unknown = set(checks) - set(DEFAULT_CHECKS)
@@ -155,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         _emit([], args.out)
         return EXIT_OK
-    subsets, _, _ = iter_ksubsets(
+    subsets, _ = iter_ksubsets(
         len(lps), args.k, args.subset_cap, args.seed, f"verify:{args.k}"
     )
     reports = []
@@ -173,7 +171,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     config = ScanConfig(
         k=args.k,
         path_cap=args.path_cap,
-        subset_cap=args.subset_cap,
         lemma_subset_cap=args.lemma_subset_cap,
         seed=args.seed,
         checks=tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS,
@@ -199,7 +196,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         f"conjecture: {report.conjecture_status}, "
         f"max f = {report.max_f}, max ratio = {frac_str(report.max_ratio)}, "
         f"{len(report.failures)} failures, "
-        f"{report.counts_stopped} spanning path counts stopped at the subset cap, "
         f"{report.lemma_systems} lemma systems checked, "
         f"{report.lemma_implied} implied by a common vertex, {report.wall_time:.2f}s",
         file=sys.stderr,
@@ -263,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--k", type=int, default=3)
         p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
-        p.add_argument("--subset-cap", type=int, default=ScanConfig.subset_cap)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("analyze", help="summarize longest paths and f of one graph")
     p.add_argument("graph")
@@ -274,6 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run lemma/theorem checkers on one graph")
     p.add_argument("graph")
     p.add_argument("--checks", default=None, help="comma list: " + ",".join(DEFAULT_CHECKS))
+    p.add_argument("--subset-cap", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -287,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=int, default=ScanConfig.jobs, help="worker processes (default: %(default)s)"
     )
+    p.add_argument("--seed", type=int, default=ScanConfig.seed)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", default=None)
     common(p)

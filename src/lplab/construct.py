@@ -30,8 +30,6 @@ class ConstructionResult:
     nominal_bound: int  # n + t (m + 2k), assuming all 2k member ends are distinct
     f_value: int
     f_lower_witnessed: Optional[bool]  # None when the base has a common vertex
-    # every member is longest in G_t (see build_gt); the report keeps the key
-    longest_preserved = True
 
     def to_json(self) -> dict:
         from .bounds import REPORT_SCHEMA
@@ -51,7 +49,6 @@ class ConstructionResult:
                 "edges": [list(e) for e in g.edges()],
             },
             "members": [list(p.vertices) for p in self.system.paths],
-            "longest_preserved": self.longest_preserved,
             "f": self.f_value,
             "f_lower_witnessed": self.f_lower_witnessed,
         }

@@ -54,6 +54,7 @@ from .bounds import (
 from .errors import FormatError, UsageError
 from .graphs import (
     Graph,
+    bfs_distances,
     encode_graph6,
     is_connected,
     masks_connected,
@@ -64,9 +65,9 @@ from .longest import (
     LongestPathSet,
     common_mask,
     count_longest_paths,
-    first_empty_intersection,
+    demand_cover,
 )
-from .systems import certified_system, subset_distance
+from .systems import certified_system
 
 GENERATOR_MAX_N = 9
 
@@ -300,16 +301,15 @@ def generate_connected_graphs(n: int) -> list[Graph]:
 
 def iter_ksubsets(
     n_items: int, k: int, cap: Optional[int], seed: int, salt: str
-) -> tuple[Iterator[tuple[int, ...]], int, bool]:
+) -> tuple[Iterator[tuple[int, ...]], int]:
     """Deterministic iterator over k-subsets of range(n_items), capped.
 
     Beyond the cap, a seeded sample of exactly cap distinct subsets is drawn
-    and yielded in sorted order.  Returns (iterator, yield count, truncated
-    flag).
+    and yielded in sorted order.  Returns (iterator, yield count).
     """
     total = math.comb(n_items, k)
     if cap is None or total <= cap:
-        return itertools.combinations(range(n_items), k), total, False
+        return itertools.combinations(range(n_items), k), total
     rng = random.Random(seed ^ zlib.crc32(salt.encode()))
     population = range(n_items)
     seen: set[tuple[int, ...]] = set()
@@ -318,7 +318,7 @@ def iter_ksubsets(
     while len(seen) < cap:
         seen.add(tuple(sorted(rng.sample(population, k))))
     sample = sorted(seen)
-    return iter(sample), len(sample), True
+    return iter(sample), len(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +353,17 @@ def check_conjecture(
     When all longest paths share a vertex, every k-subset trivially does, so
     the whole subset space is covered without searching it, and
     subsets_checked is C(len(lps), k), which a truncated list only bounds
-    from below.  Otherwise one exact cover search (first_empty_intersection)
-    either proves that every k of them meet or finds at most k paths with no
-    common vertex; the witness is that cover padded with the least unused
-    indices up to k.  subsets_checked then counts its search nodes, and
-    subset_cap bounds them: a search cut by the cap, or a truncated path list
-    without a violation, gives "incomplete".  A truncated list of spanning
-    paths (ell = n - 1) is the exception: every longest path then holds every
+    from below.  Otherwise one exact cover search (demand_cover at demand 1,
+    on rows that hold 1 where a path misses a vertex) either proves that
+    every k of them meet or finds at most k paths with no common vertex; the
+    witness is that cover padded with the least unused indices up to k.
+    subsets_checked then counts its search nodes, and subset_cap bounds
+    them: a search cut by the cap, or a truncated path list without a
+    violation, gives "incomplete".  A truncated list of spanning paths
+    (ell = n - 1) is the exception: every longest path then holds every
     vertex, the ones past the cap too.  When lps is not given it is
-    count_longest_paths(g).  The members are read only where no
-    vertex is common to all of them, so a set of spanning paths is never
-    built.
+    count_longest_paths(g).  The members are read only where no vertex is
+    common to all of them, so a set of spanning paths is never built.
 
     pair answers k = 2 on the listed paths, with no f: None after the
     shortcut, the search's own subset at k = 2, and else one uncapped
@@ -379,12 +379,13 @@ def check_conjecture(
         exact = not lps.truncated or lps.length == g.n - 1
         status = "no-violation" if exact else "incomplete"
         return ConjectureVerdict(status, k, math.comb(len(lps), k), used_shortcut=True)
-    masks = [p.mask for p in lps.paths]
-    subset, nodes, capped = first_empty_intersection(masks, k, subset_cap)
+    bits = [1 << v for v in range(g.n)]
+    misses = [[0 if p.mask & bit else 1 for bit in bits] for p in lps.paths]
+    subset, nodes, capped = demand_cover(misses, 1, k, subset_cap)
     pair = subset if k == 2 else None
     # a k search that ran to the end without a cover rules out every pair
-    if capped or k > len(masks) or (subset is not None and k > 2):
-        pair, _, _ = first_empty_intersection(masks, 2)
+    if capped or k > len(misses) or (subset is not None and k > 2):
+        pair, _, _ = demand_cover(misses, 1, 2)
     if subset is None:
         status = "incomplete" if capped or lps.truncated else "no-violation"
         return ConjectureVerdict(status, k, nodes, used_shortcut=False, pair=pair)
@@ -407,19 +408,33 @@ def check_conjecture(
     )
 
 
-def sample_subsets(
-    lps: LongestPathSet, verdict: ConjectureVerdict, cap: int, seed: int, salt: str
-) -> tuple[int, Optional[Iterator[tuple[int, ...]]]]:
-    """(size, subsets) of the k-subsets of lps that a check samples, k and
-    lps as in verdict.  A verdict that took the shortcut or found no
-    violation settles them (every k listed paths share a vertex, so f = 0
-    on each): nothing is drawn, subsets is None, size min(C(len(lps), k), cap).
+def greatest_f(
+    g: Graph, lps: LongestPathSet, verdict: ConjectureVerdict
+) -> tuple[int, Optional[tuple[int, ...]], bool]:
+    """(f, subset, exact): the greatest f over the k-subsets of the longest
+    paths of g, k and lps as in verdict; a k-subset of lps that reaches it,
+    None at f = 0; and whether f is that greatest value, not a lower bound.
+
+    Without a witness f = 0: every k listed paths share a vertex, or, when
+    the verdict is incomplete, no k of them were found that do not.  With
+    one, the demand D climbs from the witness's f + 1: a cover of demand D
+    (demand_cover on the paths' BFS distance rows) is a k-subset with
+    f >= D, whose f is the next rung, and the first D with no cover is one
+    past the greatest f.  Each rung may spend CONJECTURE_SUBSET_CAP search
+    nodes; a rung cut there, or a truncated path list, leaves a lower bound.
     """
-    k = verdict.k
-    if verdict.used_shortcut or verdict.status == "no-violation":
-        return min(math.comb(len(lps), k), cap), None
-    subsets, size, _ = iter_ksubsets(len(lps), k, cap, seed, salt)
-    return size, subsets
+    witness = verdict.witness
+    if witness is None:
+        return 0, None, verdict.status == "no-violation"
+    f, subset = witness["f"], tuple(witness["member_indices"])
+    rows = [bfs_distances(g, p.vertices) for p in lps.paths]
+    while True:
+        cover, _, capped = demand_cover(rows, f + 1, verdict.k, CONJECTURE_SUBSET_CAP)
+        if cover is None:
+            # paths with no common vertex are not spanning, so a truncated
+            # list may miss some
+            return f, subset, not (capped or lps.truncated)
+        f, subset = min(map(sum, zip(*(rows[i] for i in cover)))), cover
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +445,6 @@ def sample_subsets(
 class ScanConfig:
     k: int = 3
     path_cap: int = DEFAULT_PATH_CAP
-    subset_cap: int = 10_000
     lemma_subset_cap: int = 10
     seed: int = 0
     checks: tuple[str, ...] = DEFAULT_CHECKS
@@ -442,7 +456,6 @@ class ScanConfig:
             raise UsageError(f"k must be >= 2, got {self.k}")
         for name, val in (
             ("path_cap", self.path_cap),
-            ("subset_cap", self.subset_cap),
             ("lemma_subset_cap", self.lemma_subset_cap),
             ("jobs", self.jobs),
         ):
@@ -456,7 +469,6 @@ class ScanConfig:
         return {
             "k": self.k,
             "path_cap": self.path_cap,
-            "subset_cap": self.subset_cap,
             "conjecture_subset_cap": CONJECTURE_SUBSET_CAP,
             "lemma_subset_cap": self.lemma_subset_cap,
             "seed": self.seed,
@@ -476,12 +488,12 @@ class SearchReport:
     max_f: int = 0
     max_ratio: Fraction = Fraction(0)
     extremal_witness: Optional[dict] = None
+    max_f_incomplete: int = 0  # graphs whose max f is only a lower bound
     failures: list = field(default_factory=list)
     halted: bool = False
     # reported on stderr only, never in JSON
     lemma_systems: int = 0  # path systems run through the lemma checks
     lemma_implied: int = 0  # sampled subsets tallied from a common vertex
-    counts_stopped: int = 0  # spanning counts stopped at _sweep_count_cap
     wall_time: Optional[float] = None
 
     def to_json(self) -> dict:
@@ -500,6 +512,7 @@ class SearchReport:
                 "max_f": self.max_f,
                 "max_ratio": frac_str(self.max_ratio),
                 "witness": self.extremal_witness,
+                "incomplete_graphs": self.max_f_incomplete,
             },
             "failures": self.failures,
             "halted": self.halted,
@@ -512,27 +525,6 @@ class SearchReport:
             or bool(self.failures)
             or any(v.get("fail", 0) for v in self.tallies.values())
         )
-
-
-def _sweep_count_cap(k: int, subset_cap: int) -> int:
-    """c*, the least c >= k with C(c, k) >= subset_cap.
-
-    A theorem sweep over the k-subsets of c >= c* paths draws subset_cap of
-    them whatever c is, so a count that stops at c* gives the same tally.
-    Found by doubling and then bisection on math.comb, so even a cap of
-    10**15 costs a graph a few dozen comb calls.
-    """
-    lo = hi = k
-    while math.comb(hi, k) < subset_cap:
-        lo, hi = hi + 1, 2 * hi
-    # C(c, k) grows with c >= k; C(lo - 1, k) < subset_cap <= C(hi, k)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if math.comb(mid, k) < subset_cap:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def _tally(tallies: dict, check_id: str, status: str, count: int = 1) -> None:
@@ -565,33 +557,24 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         "tallies": {},
         "failures": [],
         "max_f": 0,
+        "max_f_incomplete": 0,
         "lemma_systems": 0,
         "lemma_implied": 0,
-        "counts_stopped": 0,
     }
     if not record["connected"]:
         return record
     lemma_checks = [c for c in config.checks if c != "theorem"]
     # no check reads the members of a spanning path set: they share every
-    # vertex, which settles the conjecture, the pairwise check, the theorem
-    # sweep and the lemma sample.
-    # Without a lemma check the count is read only through the theorem
-    # sweep's min(C(count, k), subset_cap), which is subset_cap from c* on,
-    # so the count stops at c* (flagged truncated; check_conjecture takes a
+    # vertex, which settles the conjecture, the pairwise check, max f and
+    # the lemma sample.
+    # Without a lemma check the count is read only as whether k paths exist,
+    # so it stops at k (flagged truncated; check_conjecture takes a
     # truncated spanning set as exact).  With one, the count goes on to the
     # path cap, through enumerate_longest_paths, where a caller can wrap it
     if lemma_checks:
-        count_cap = None
         lps = enumerate_longest_paths(g, cap=config.path_cap)
     else:
-        count_cap = _sweep_count_cap(config.k, config.subset_cap)
-        lps = count_longest_paths(g, cap=config.path_cap, count_cap=count_cap)
-    record["counts_stopped"] = int(
-        count_cap is not None
-        and count_cap < config.path_cap
-        and lps.truncated
-        and lps.length == g.n - 1
-    )
+        lps = count_longest_paths(g, cap=config.path_cap, count_cap=config.k)
     k = config.k
     tallies = record["tallies"]
     verdict = check_conjecture(g, k, lps=lps)
@@ -609,59 +592,48 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         )
     _tally(tallies, "pairwise", "fail" if verdict.pair else "pass")
 
-    if verdict.witness:
-        # the witness is a k-subset with f > 0, so it is an extremal candidate
-        # even when the sampled sweep below misses every such subset
-        record["max_f"] = verdict.witness["f"]
-        record["max_f_subset"] = list(verdict.witness["member_indices"])
-
     if len(lps) >= k:
-        # theorem-bound sweep over (sampled) k-subsets
+        f, subset, exact = greatest_f(g, lps, verdict)
+        record["max_f"] = f
+        record["max_f_incomplete"] = int(not exact)
+        if subset:
+            record["max_f_subset"] = list(subset)
+        # one theorem verdict per graph, from its greatest f; a lower bound
+        # decides only a failure, which its subset witnesses
         if "theorem" in config.checks and k >= 3:
             thm_id = "thm2" if k == 4 else "thm3"
             # bound >= 0 here: k >= 3 longest paths need n >= 2, and both
             # bound formulas are nonnegative from n = 2 on
             bound = theorem_bound(k, g.n)
-            slot = tallies.setdefault(thm_id, {"pass": 0, "fail": 0, "vacuous": 0})
-            size, subsets = sample_subsets(
-                lps, verdict, config.subset_cap, config.seed, f"thm:{record['graph6']}:{k}"
-            )
-            if subsets is None:
-                slot["pass"] += size  # f = 0 <= bound on every subset
-            else:
-                f_of = subset_distance(g, lps.paths)
-                for subset in subsets:
-                    f = f_of(subset)
-                    if f > record["max_f"]:
-                        record["max_f"] = f
-                        record["max_f_subset"] = list(subset)
-                    if f * bound.denominator <= bound.numerator:
-                        slot["pass"] += 1
-                        continue
-                    slot["fail"] += 1
-                    record["failures"].append(
-                        {
-                            "check": thm_id,
-                            "graph6": record["graph6"],
-                            "member_indices": list(subset),
-                            "f": f,
-                            "bound": frac_str(bound),
-                        }
-                    )
-                    record["halt"] = True
-                    return record
+            if f > bound:
+                _tally(tallies, thm_id, "fail")
+                record["failures"].append(
+                    {
+                        "check": thm_id,
+                        "graph6": record["graph6"],
+                        "member_indices": list(subset),
+                        "f": f,
+                        "bound": frac_str(bound),
+                    }
+                )
+                record["halt"] = True
+                return record
+            _tally(tallies, thm_id, "pass", int(exact))
 
         # the lemma checks on a small deterministic sample of subsets; a
         # subset whose members share a vertex gets the verdicts that
         # common_vertex_verdicts proves, with no path system, and when the
-        # verdict settles every subset, the sample is not even drawn
+        # verdict took the shortcut or found no violation, every k listed
+        # paths share a vertex and the sample is not even drawn
         if lemma_checks and k >= 3:
-            implied, subsets = sample_subsets(
-                lps, verdict, config.lemma_subset_cap, config.seed,
-                f"lemma:{record['graph6']}:{k}",
-            )
-            if subsets is not None:
+            if verdict.used_shortcut or verdict.status == "no-violation":
+                implied = min(math.comb(len(lps), k), config.lemma_subset_cap)
+            else:
                 implied = 0
+                subsets, _ = iter_ksubsets(
+                    len(lps), k, config.lemma_subset_cap, config.seed,
+                    f"lemma:{record['graph6']}:{k}",
+                )
                 for subset in subsets:
                     members = [lps.paths[idx] for idx in subset]
                     if common_mask(members):
@@ -687,7 +659,7 @@ def _merge_records(report: SearchReport, records: Iterable[dict]) -> SearchRepor
         report.graphs_scanned += 1
         report.lemma_systems += rec["lemma_systems"]
         report.lemma_implied += rec["lemma_implied"]
-        report.counts_stopped += rec["counts_stopped"]
+        report.max_f_incomplete += rec["max_f_incomplete"]
         for check_id, slot in rec["tallies"].items():
             agg = report.tallies.setdefault(
                 check_id, {"pass": 0, "fail": 0, "vacuous": 0}

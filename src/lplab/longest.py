@@ -524,43 +524,77 @@ def count_longest_paths(
     return _path_set(g, ell, found, keep)
 
 
-def first_empty_intersection(
-    masks: Sequence[int], k: int, node_cap: int | None = None
+def demand_cover(
+    rows: Sequence[Sequence[int]], demand: int, k: int, node_cap: int | None = None
 ) -> tuple[tuple[int, ...] | None, int, bool]:
-    """A k-subset of indices whose masks have an empty AND, if one exists.
+    """The indices of at most k rows whose sum reaches demand in every
+    column, if such rows exist; the entries are nonnegative.
 
     An exact cover-style search (Knuth's Algorithm X with the
-    minimum-remaining-values rule): a subset has an empty AND iff every
-    vertex is missed by one of its members, so the search branches on the
-    surviving vertex that the fewest remaining masks miss.  Adding members
-    only shrinks the AND, so a subset exists iff at most k masks have an
-    empty AND and k <= len(masks).
+    minimum-remaining-values rule, generalized from covering to demands): a
+    column stays alive while its deficit, demand less what the taken rows
+    give it, is positive, and the search branches on the alive column with
+    the fewest remaining rows that give it something.  It cuts a branch
+    where some alive column's deficit exceeds the sum of its limit largest
+    remaining entries, limit being the number of rows still to take.
+    Adding rows only raises the sums, so indices exist iff at most k do and
+    k <= len(rows).
 
-    The witness is the first cover the search finds, at most k indices,
-    padded with the least unused indices up to k and sorted; it need not be
-    the lexicographically least such subset.
+    Row i of a longest path P_i holds d(v, P_i) in column v, so k paths
+    whose rows reach demand D have f >= D.  At demand 1 only whether an
+    entry is positive counts, so 1 where P_i misses v, read from its mask,
+    gives the same search with no BFS: a cover is then a set of paths with
+    no common vertex.
+
+    The witness is the first cover the search finds, padded with the least
+    unused indices up to k and sorted; it need not be the lexicographically
+    least such subset.
 
     Returns (subset or None, search nodes, capped).  With node_cap set, the
     search stops before its node count would pass the cap and reports
     (None, node_cap, True): no answer either way.
     """
-    n_items = len(masks)
-    universe = 0
-    for m in masks:
-        universe |= m
-    # missed_by[v]: bitset of the indices whose mask lacks vertex v
-    missed_by = [0] * universe.bit_length()
-    for i, m in enumerate(masks):
-        miss = universe & ~m
-        while miss:
-            low = miss & -miss
-            missed_by[low.bit_length() - 1] |= 1 << i
-            miss ^= low
+    n_items = len(rows)
+    width = len(rows[0]) if rows else 0
+    # givers[v]: bitset of the indices with a positive entry in column v;
+    # ranked[v]: those entries, largest first, each with its index bit;
+    # masks[i]: the columns that row i gives something to, and full[i] those
+    # it gives demand or more, which meet any deficit
+    givers = [0] * width
+    ranked: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+    masks = []
+    full = []
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        gives = meets = 0
+        for v, x in enumerate(row):
+            if x:
+                givers[v] |= bit
+                ranked[v].append((x, bit))
+                gives |= 1 << v
+                if x >= demand:
+                    meets |= 1 << v
+        masks.append(gives)
+        full.append(meets)
+    for entries in ranked:
+        entries.sort(reverse=True)
     nodes = 0
     cover: list[int] = []  # the indices taken on the current branch
 
-    def cover_at_most(alive: int, allowed: int, limit: int) -> bool:
-        """Can at most limit indices of allowed together miss every vertex of alive?"""
+    def can_meet(v: int, allowed: int, limit: int, deficit: int) -> bool:
+        """Do the limit largest entries of column v among allowed sum to deficit?"""
+        for x, bit in ranked[v]:
+            if bit & allowed:
+                deficit -= x
+                limit -= 1
+                if deficit <= 0:
+                    return True
+                if not limit:
+                    return False
+        return False
+
+    def cover_at_most(deficits: list[int], alive: int, allowed: int, limit: int) -> bool:
+        """Can at most limit indices of allowed meet the deficits of alive?"""
         nonlocal nodes
         if node_cap is not None and nodes >= node_cap:
             raise _CapReached
@@ -574,33 +608,49 @@ def first_empty_intersection(
         rest = alive
         while rest:
             low = rest & -rest
-            cand = missed_by[low.bit_length() - 1] & allowed
+            v = low.bit_length() - 1
+            cand = givers[v] & allowed
             count = cand.bit_count()
             if count < fewest:
                 if not count:
                     return False
                 branch, fewest = cand, count
+            # at demand 1 every deficit is 1, and a giver was found above
+            if demand > 1 and not can_meet(v, allowed, limit, deficits[v]):
+                return False
             rest ^= low
-        # a cover contains some index that misses the branch vertex; trying
-        # them in index order, ban each from its later siblings, which only
-        # repeat covers already tried
+        # a cover contains some index that gives to the branch column;
+        # trying them in index order, ban each from its later siblings,
+        # which only repeat covers already tried
         while branch:
             low = branch & -branch
             allowed ^= low
             i = low.bit_length() - 1
+            still = alive & ~full[i]
+            part = still & masks[i]  # the alive columns it gives less than demand
+            left = deficits[:] if part else deficits
+            while part:
+                bit = part & -part
+                v = bit.bit_length() - 1
+                left[v] -= rows[i][v]
+                if left[v] <= 0:
+                    still ^= bit
+                part ^= bit
             cover.append(i)
-            if cover_at_most(alive & masks[i], allowed, limit - 1):
+            if cover_at_most(left, still, allowed, limit - 1):
                 return True
             cover.pop()
             branch ^= low
         return False
 
     try:
-        if k > n_items or not cover_at_most(universe, (1 << n_items) - 1, k):
+        if k > n_items or not cover_at_most(
+            [demand] * width, (1 << width) - 1, (1 << n_items) - 1, k
+        ):
             return None, nodes, False
     except _CapReached:
         return None, nodes, True
-    # any superset of a cover has an empty AND too
+    # any superset of a cover reaches the demand too
     taken = set(cover)
     unused = (i for i in range(n_items) if i not in taken)
     cover.extend(itertools.islice(unused, k - len(cover)))

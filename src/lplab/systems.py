@@ -8,9 +8,7 @@ multiplicity, the number of members that hold it, and the vertex facts are
 read from it: the common vertices are those of multiplicity k, n_i counts
 the vertices of multiplicity i, and the class X^i of a host holds its
 vertices of multiplicity i.  When there are common vertices, f = 0 and they
-are its minimizers, so f runs BFS only on members with no common vertex;
-subset_distance gives f of many subsets of one path list with at most one
-BFS per path, and none for a subset whose members share a vertex.
+are its minimizers, so f runs BFS only on members with no common vertex.
 
 The lemma checks read per-host summaries, none of which builds a GoodPath:
 the least |V(Q)| and t' over the good subpaths Q of each host, from one
@@ -26,12 +24,12 @@ leaves a start position as soon as no member can begin a witnessing pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import Callable, Iterator, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import UsageError
 from .graphs import GRAPH6_SMALL_MAX, Graph, bfs_distances, encode_graph6, is_connected
-from .longest import Path, common_mask, is_path, longest_path_length
+from .longest import Path, is_path, longest_path_length
 
 
 @dataclass(frozen=True)
@@ -189,25 +187,6 @@ def path_distance_value(ps: PathSystem) -> tuple[int, frozenset[int]]:
             sums[v] += dist[v]  # type: ignore[operator]
     best = min(sums)
     return best, frozenset(v for v in range(g.n) if sums[v] == best)
-
-
-def subset_distance(g: Graph, paths: Sequence[Path]) -> Callable[[Sequence[int]], int]:
-    """f(G, P) of each subset P of paths, given by its indices: 0 when the
-    members' masks share a vertex, else the least column sum of their BFS
-    distance vectors, each run the first time a subset reads its path."""
-    if not is_connected(g):
-        raise UsageError("path-distance-function requires a connected graph")
-
-    @cache
-    def dist(i: int) -> list:
-        return bfs_distances(g, paths[i].vertices)
-
-    def f(subset: Sequence[int]) -> int:
-        if common_mask([paths[i] for i in subset]):
-            return 0
-        return min(map(sum, zip(*map(dist, subset))))
-
-    return f
 
 
 def common_vertices(ps: PathSystem) -> frozenset[int]:

@@ -19,7 +19,7 @@ from lplab.bounds import ratio_table, theorem_bound, theorem_bound_parts
 from lplab.construct import build_gt
 from lplab.graphs import encode_graph6, parse_graph6
 from lplab.harness import ScanConfig, generate_connected_graphs, scan_stream
-from lplab.longest import enumerate_longest_paths
+from lplab.longest import enumerate_longest_paths, longest_path_length
 from lplab.systems import certified_system, make_path_system
 from oracles import enumerate_longest_paths_oracle
 
@@ -54,8 +54,8 @@ def scan_k4(corpus8):
 
 # sha256 of json.dumps(report.to_json(), sort_keys=True) for the two scans above
 SCAN_SHA256 = {
-    3: "973a73cb018fe33579456c499cfbcd08a43722a9b428be6d933366a7e5f1ef4d",
-    4: "e9de051f1bbc2318272e0cc06278e121ea1be9edbc65d5963f3272acd59c75cd",
+    3: "0263bbe808d3b49d40796c3fa915b1116679b3c89333c516a3f88fe93f2f0552",
+    4: "809bfc0cc29a6a8dd078f27019409497d263a4fa1508567d92b1828050166242",
 }
 
 
@@ -90,8 +90,9 @@ def test_criterion_3_theorem_bounds(scan_k3, scan_k4):
         and scan_k4.tallies.get("thm2", {}).get("fail", 0) == 0
         and not scan_k3.halted
         and not scan_k4.halted
+        and scan_k3.max_f_incomplete == scan_k4.max_f_incomplete == 0
     )
-    _verdict(3, ok, "theorem f-bound holds on every sampled instance for k = 3 and k = 4")
+    _verdict(3, ok, "theorem f-bound holds on every k-subset for k = 3 and k = 4 (exact max f)")
 
 
 def test_criterion_4_lemma_suite(scan_k3, scan_k4):
@@ -177,7 +178,8 @@ def test_criterion_8_construction():
         res = build_gt(star, ps, t)
         if res.vertex_count != 7 + 6 * t:
             ok = False
-        if t <= 2 and (res.longest_preserved is not True or res.f_value != 0):
+        members_longest = {p.length for p in res.system.paths} == {longest_path_length(res.graph)}
+        if t <= 2 and (not members_longest or res.f_value != 0):
             ok = False
     _verdict(8, ok, "star base gives |V(G_t)| = 7+6t; members stay longest with f = 0 for t <= 2")
 

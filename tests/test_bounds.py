@@ -124,7 +124,7 @@ class TestCheckReport:
     def test_json_serializable(self, k13_system):
         rep = check_theorem(k13_system)
         blob = json.dumps(rep.to_json())
-        assert '"lplab-report/1"' in blob
+        assert '"lplab-report/2"' in blob
         assert frac_str(Fraction(3, 2)) == "3/2"
         assert frac_str(None) is None
 
@@ -289,7 +289,7 @@ def _n_le_6_systems(corpus_by_n) -> list:
             lps = enumerate_longest_paths(g, cap=config.path_cap)
             if len(lps) < k:
                 continue
-            subsets, _, _ = iter_ksubsets(
+            subsets, _ = iter_ksubsets(
                 len(lps), k, config.lemma_subset_cap, config.seed,
                 f"lemma:{encode_graph6(g)}:{k}",
             )

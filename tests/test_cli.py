@@ -16,18 +16,19 @@ import lplab.systems
 from lplab import cli as cli_module, harness
 from lplab.cli import EXIT_BROKEN_PIPE, EXIT_FINDING, EXIT_OK, EXIT_USAGE, cli, load_graph
 from lplab.errors import FormatError
-from lplab.graphs import encode_graph6
-from lplab.harness import ConjectureVerdict
+from lplab.graphs import encode_graph6, parse_graph6
+from lplab.longest import longest_path_length
 from conftest import C4_EDGE_PATHS, H_GRAPH6
 
 # sha256 of the bytes that `lplab verify G --k 4 --subset-cap 40` writes: for
 # H, which has no spanning path, and for two graphs whose 120 and 20,160
 # longest paths are spanning, counted and then walked out on the first read
-# (both recorded while verify still enumerated every longest path)
-VERIFY_H_K4_SHA256 = "e4e9f8b5817073f944ec489f7d12025efb2cb61d73fca909440548f74e41505d"
+# (recorded at report schema 2; they differ from the schema 1 bytes, recorded
+# while verify still enumerated every longest path, in the schema string only)
+VERIFY_H_K4_SHA256 = "05892bd8d544e64e3e87421983ffb57e09ef295f7d18ed1a25e033ccfbb3e9fd"
 VERIFY_K4_SHA256 = {
-    "IheA@GUAo": "adf4e731bec88ea10097d9105ad8154a3724dfd57a0e70d107b35601247e17d8",  # Petersen
-    "G~~~~{": "bfa3a03a9db6b08b2d92b6a50f692604fe1e439d718632e9cdfad91b2ead05e2",  # K8
+    "IheA@GUAo": "b4468b1635c1786fa157d51564de11e3d07d03ee88c90d7c84034dc75e921f8b",  # Petersen
+    "G~~~~{": "0edc98bfeace3d1373df9def082a8a187938e454d4464b5d75cc7eb1979b9c57",  # K8
 }
 
 
@@ -96,7 +97,7 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "k = 3: no-violation (1/1 subsets, via common-vertex shortcut)\n" in out
         # H: every 8 longest paths meet, some 9 do not
-        assert cli(["analyze", H_GRAPH6, "--k", "8", "--subset-cap", "10"]) == EXIT_OK
+        assert cli(["analyze", H_GRAPH6, "--k", "8"]) == EXIT_OK
         assert re.search(r"k = 8: no-violation \(\d+ search nodes\)\n", capsys.readouterr().out)
         assert cli(["analyze", H_GRAPH6, "--k", "9"]) == EXIT_FINDING
         out = capsys.readouterr().out
@@ -151,16 +152,17 @@ class TestAnalyze:
         ) in capsys.readouterr().out
 
     def test_pairwise_at_k2_reads_the_k_verdict(self, capsys, monkeypatch):
-        # at k = 2 the k verdict is the pairwise answer: one cover search
+        # at k = 2 the k verdict is the pairwise answer: one cover search at
+        # demand 1
         calls = 0
-        search = harness.first_empty_intersection
+        search = harness.demand_cover
 
-        def counted(*args):
+        def counted(rows, demand, *args):
             nonlocal calls
-            calls += 1
-            return search(*args)
+            calls += demand == 1
+            return search(rows, demand, *args)
 
-        monkeypatch.setattr(harness, "first_empty_intersection", counted)
+        monkeypatch.setattr(harness, "demand_cover", counted)
         assert cli(["analyze", H_GRAPH6, "--k", "2"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "pairwise intersection: holds\n" in out
@@ -178,43 +180,28 @@ class TestAnalyze:
         assert calls == 2
 
     def test_no_violation_settles_max_f(self, capsys, monkeypatch):
-        # every 3 of H's 42 longest paths meet, so no subset's f is computed
+        # every 3 of H's 42 longest paths meet, so no f is computed
         def fail(*args, **kwargs):
-            raise AssertionError("computed f of a sampled subset")
+            raise AssertionError("ran a BFS for max f")
 
-        monkeypatch.setattr(cli_module, "subset_distance", fail)
+        monkeypatch.setattr(harness, "bfs_distances", fail)
         assert cli(["analyze", H_GRAPH6, "--k", "3"]) == EXIT_OK
-        assert "max f over 10000 3-subsets: 0\n" in capsys.readouterr().out
+        assert "max f over every 3-subset: 0\n" in capsys.readouterr().out
         assert cli(["analyze", "Cs"]) == EXIT_OK
-        assert "max f over 1 3-subsets: 0\n" in capsys.readouterr().out
+        assert "max f over every 3-subset: 0\n" in capsys.readouterr().out
 
-    def test_unsettled_verdict_samples_max_f(self, capsys, monkeypatch, h_g1):
-        # a k = 9 verdict that settles nothing (forced: G_1 of H has a
-        # violation at k = 9) leaves max f to the sample, which reads f from
-        # subset_distance: 300 of G_1's 9-subsets reach its f = 2, with at
-        # most one BFS per longest path (18)
-        real = cli_module.check_conjecture
-
-        def unsettled(g, k, **kwargs):
-            if k == 9:
-                return ConjectureVerdict("incomplete", k, 10, used_shortcut=False)
-            return real(g, k, **kwargs)
-
-        calls = []
-        bfs = lplab.systems.bfs_distances
-
-        def counted(g, sources):
-            calls.append(tuple(sources))
-            return bfs(g, sources)
-
-        monkeypatch.setattr(cli_module, "check_conjecture", unsettled)
-        monkeypatch.setattr(lplab.systems, "bfs_distances", counted)
-        argv = ["analyze", encode_graph6(h_g1), "--k", "9", "--subset-cap", "300"]
-        assert cli(argv) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "k = 9: incomplete (10 search nodes)\n" in out
-        assert "max f over 300 9-subsets: 2\n" in out
-        assert 0 < len(calls) == len(set(calls)) <= 18
+    def test_violation_climbs_to_max_f(self, capsys, monkeypatch, h_g1):
+        # from the witness's f, the cover searches climb to the greatest f
+        # over every k-subset: 2 for G_1 of H at k = 9, and for H at k = 18
+        argv = ["analyze", encode_graph6(h_g1), "--k", "9"]
+        assert cli(argv) == EXIT_FINDING
+        assert capsys.readouterr().out.endswith("max f over every 9-subset: 2\n")
+        assert cli(["analyze", H_GRAPH6, "--k", "18"]) == EXIT_FINDING
+        assert capsys.readouterr().out.endswith("max f over every 18-subset: 2\n")
+        # a climb cut by the node cap gives a lower bound
+        monkeypatch.setattr(harness, "CONJECTURE_SUBSET_CAP", 2)
+        assert cli(["analyze", H_GRAPH6, "--k", "18"]) == EXIT_FINDING
+        assert re.search(r"max f over every 18-subset: at least [12]\n$", capsys.readouterr().out)
 
     def test_spanning_paths_counted_not_built(self, capsys, monkeypatch):
         # K11's longest paths are all spanning: analyze counts them, and the
@@ -236,7 +223,13 @@ class TestAnalyze:
             "k = 3: no-violation (every 3-subset of more than 100000 longest paths, "
             "via common-vertex shortcut)"
         ) in lines
-        assert "max f over 10000 3-subsets: 0" in lines
+        assert "max f over every 3-subset: 0" in lines
+
+    def test_subset_cap_rejected(self, capsys):
+        # max f reads every subset, so analyze has no sample to cap
+        with pytest.raises(SystemExit) as exc:
+            cli(["analyze", "Cs", "--subset-cap", "10"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_out_rejected(self, tmp_path, capsys):
         # analyze prints its summary and has no file output
@@ -264,7 +257,7 @@ class TestBadArguments:
         [
             (["analyze", "C~", "--k", "0"], "k must be >= 2, got 0"),
             (["analyze", "C~", "--k", "1"], "k must be >= 2, got 1"),
-            (["analyze", "C~", "--subset-cap", "0"], "subset_cap must be >= 1, got 0"),
+            (["verify", "C~", "--k", "4", "--subset-cap", "0"], "subset_cap must be >= 1, got 0"),
             (["verify", "C~", "--k", "0"], "k must be >= 3, got 0"),
             (["verify", "C~", "--k", "1"], "k must be >= 3, got 1"),
             (["verify", "C~", "--k", "2"], "k must be >= 3, got 2"),
@@ -431,7 +424,7 @@ class TestSearch:
         assert code == EXIT_OK
         assert "scanned 21 graphs" in captured.err
         report = json.loads(out.read_text())
-        assert report["schema"] == "lplab-report/1"
+        assert report["schema"] == "lplab-report/2"
         assert report["graphs_scanned"] == 21
         assert report["conjecture"]["status"] == "no-violation"
         assert report["failures"] == []
@@ -451,20 +444,21 @@ class TestSearch:
             lines[1],
         )
 
-    def test_theorem_only_summary_counts_stopped(self, capsys, tmp_path):
-        # the 293 graphs with more than c* = 41 spanning paths (the least c
-        # with C(c, 3) >= 10,000) stop their count there; the report bytes
-        # are those recorded when every spanning path was counted
+    def test_theorem_only_summary(self, capsys, tmp_path):
+        # each spanning count stops at k; the report holds one theorem
+        # verdict per graph
         out = tmp_path / "report.json"
         argv = ["search", "--gen-n", "7", "--k", "3", "--checks", "theorem", "--out", str(out)]
         assert cli(argv) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "3291ac0a59c5bc2356b28fdf57d72e6cf82623f3cfd0028f4019b070f6d9e5ee"
+            "52c8452d8f1ede0786ada33cdb7b2d13ab45e131cd7937a29fe5dccf02a51798"
         )
+        report = json.loads(out.read_text())
+        # 78 of the 853 graphs have fewer than 3 longest paths
+        assert report["tallies"]["thm3"] == {"pass": 775, "fail": 0, "vacuous": 0}
         summary = capsys.readouterr().err.splitlines()[-1]
         assert summary.startswith("lplab: scanned 853 graphs")
-        assert ", 0 failures, 293 spanning path counts stopped at the subset cap, " in summary
-        assert "counts_stopped" not in out.read_text()
+        assert ", 0 failures, 0 lemma systems checked, " in summary
 
     def test_file_input(self, capsys, tmp_path, corpus_by_n):
         path = tmp_path / "corpus.g6"
@@ -492,7 +486,9 @@ class TestConstruct:
         assert cli(["construct", "Cs", "--paths", "longest", "--t", "1"]) == EXIT_OK
         blob = json.loads(capsys.readouterr().out)
         assert blob["vertex_count"] == 13
-        assert blob["longest_preserved"] is True
+        # the members are longest in G_1
+        g = parse_graph6(blob["graph6"])
+        assert {len(m) - 1 for m in blob["members"]} == {longest_path_length(g)}
         assert blob["f"] == 0
 
     def test_explicit_paths(self, capsys):

@@ -89,7 +89,7 @@ class TestBuildGt:
     def test_star_longest_preserved_and_f(self, k13, k13_system):
         for t in range(3):
             res = build_gt(k13, k13_system, t)
-            assert res.longest_preserved is True
+            assert {p.length for p in res.system.paths} == {longest_path_length(res.graph)}
             assert res.system.longest_certified
             # base members share the star center, which survives subdivision
             assert res.f_value == 0
@@ -104,7 +104,7 @@ class TestBuildGt:
     def test_p4_t2(self, p4, p4_system):
         res = build_gt(p4, p4_system, 2)
         assert res.vertex_count == 16
-        assert res.longest_preserved is True
+        assert {p.length for p in res.system.paths} == {longest_path_length(res.graph)}
         assert path_distance_value(res.system) == (0, frozenset(range(16)))
 
     def test_uncertified_rejected(self, p4):

@@ -1,8 +1,10 @@
-"""Report bytes pinned against files recorded before the path-system facts
-were cached and the Lemma 3 / Corollary 1 checkers merged, and (the
-theorem-only scans) before the scanner counted spanning paths instead of
-building them.  The theorem-only n <= 8 reports are pinned by hash, recorded
-before those counts stopped at the theorem sweep's subset cap."""
+"""Report bytes pinned against files recorded at report schema 2, when the
+theorem check came to read the exact max f of each graph.  Against the
+schema 1 files, recorded before the path-system facts were cached, the
+Lemma 3 / Corollary 1 checkers merged and (the theorem-only scans) the
+scanner counted spanning paths instead of building them, only the schema,
+config.subset_cap, the thm3 / thm2 tallies and extremal.incomplete_graphs
+changed.  The theorem-only n <= 8 reports are pinned by hash."""
 
 from __future__ import annotations
 
@@ -41,8 +43,8 @@ def test_theorem_only_scan_report_n_le_6(corpus_by_n, k):
 
 # sha256 of json.dumps(report.to_json(), sort_keys=True)
 THEOREM_ONLY_N_LE_8_SHA256 = {
-    3: "7dd15c7a85a6777c56f4e1e54172802f8493a6817273891e226e5719a12ec023",
-    4: "e8c0a4bc81d7b37871f0eb13ab047591e1def1996934286b40d76f881aaaf87a",
+    3: "9dc10afe864c30960c93bb494c55f0a59a4305b9e641b6b939b717dc92c2a9bb",
+    4: "aa9299880d51374bb467a7c6d21f77bd3f874f3b674d72042876c76bfe2d6449",
 }
 
 

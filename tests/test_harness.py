@@ -11,6 +11,7 @@ import zlib
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 
 import pytest
 
@@ -20,7 +21,7 @@ from lplab import harness
 from lplab.bounds import DEFAULT_CHECKS, common_vertex_verdicts, run_checks
 from lplab.construct import build_gt
 from lplab.errors import FormatError, UsageError
-from lplab.graphs import Graph, encode_graph6, parse_graph6
+from lplab.graphs import Graph, bfs_distances, encode_graph6, parse_graph6
 from lplab.longest import (
     LongestPathSet,
     Path,
@@ -37,7 +38,7 @@ from lplab.harness import (
     scan_stream,
 )
 from lplab.systems import certified_system, common_vertices, make_path_system
-from conftest import C4_EDGE_PATHS, H_PRIME_GRAPH6, H_SYSTEM
+from conftest import C4_EDGE_PATHS, H_GRAPH6, H_PRIME_GRAPH6, H_SYSTEM
 from oracles import (
     canonical_sequence,
     canonical_code,
@@ -262,15 +263,15 @@ class TestGenerator:
 
 class TestIterKsubsets:
     def test_full_when_under_cap(self):
-        it, count, truncated = iter_ksubsets(5, 2, 100, seed=0, salt="x")
+        it, count = iter_ksubsets(5, 2, 100, seed=0, salt="x")
         subsets = list(it)
-        assert count == 10 and not truncated
-        assert len(subsets) == 10
+        assert count == 10
+        assert subsets == list(itertools.combinations(range(5), 2))
 
     def test_sampled_when_over_cap(self):
-        it, count, truncated = iter_ksubsets(20, 3, 15, seed=0, salt="x")
+        it, count = iter_ksubsets(20, 3, 15, seed=0, salt="x")
         subsets = list(it)
-        assert truncated and count == len(subsets) == 15
+        assert count == len(subsets) == 15
         assert len(set(subsets)) == 15
         assert subsets == sorted(subsets)
         assert all(len(s) == 3 and len(set(s)) == 3 for s in subsets)
@@ -288,9 +289,9 @@ class TestIterKsubsets:
             for k in (1, 2, n_items - 1):
                 cap = math.comb(n_items, k) - 1
                 for seed in range(60):
-                    it, count, truncated = iter_ksubsets(n_items, k, cap, seed, "x")
+                    it, count = iter_ksubsets(n_items, k, cap, seed, "x")
                     subsets = list(it)
-                    assert truncated and count == len(subsets) == cap
+                    assert count == len(subsets) == cap
                     assert len(set(subsets)) == cap
                     assert all(len(set(s)) == k for s in subsets)
 
@@ -306,7 +307,7 @@ class TestIterKsubsets:
                 return super().sample(population, k)
 
         monkeypatch.setattr(harness.random, "Random", Repeating)
-        it, count, _ = iter_ksubsets(10, 3, 3, seed=0, salt="x")
+        it, count = iter_ksubsets(10, 3, 3, seed=0, salt="x")
         assert count == len(set(it)) == 3
 
     def test_same_draws_as_the_bounded_loop(self):
@@ -473,13 +474,13 @@ class TestCheckConjecture:
 def _counted_searches(monkeypatch) -> list:
     """The k of each cover search that harness runs from now on."""
     ks = []
-    search = harness.first_empty_intersection
+    search = harness.demand_cover
 
-    def counted(masks, k, *args):
+    def counted(rows, demand, k, *args):
         ks.append(k)
-        return search(masks, k, *args)
+        return search(rows, demand, k, *args)
 
-    monkeypatch.setattr(harness, "first_empty_intersection", counted)
+    monkeypatch.setattr(harness, "demand_cover", counted)
     return ks
 
 
@@ -544,6 +545,9 @@ class TestScanConfig:
         # one value, reported for the record, not a setting
         with pytest.raises(TypeError):
             ScanConfig(conjecture_subset_cap=5)
+        # the theorem check reads every subset, so it has no sample cap
+        with pytest.raises(TypeError):
+            ScanConfig(subset_cap=5)
         assert ScanConfig().to_json()["conjecture_subset_cap"] == CONJECTURE_SUBSET_CAP == 100_000
 
     @pytest.mark.parametrize(
@@ -551,7 +555,7 @@ class TestScanConfig:
         [
             {"k": 1},
             {"path_cap": 0},
-            {"subset_cap": 0},
+            {"lemma_subset_cap": -1},
             {"lemma_subset_cap": 0},
             {"checks": ("lemma1", "bogus")},
             {"jobs": 0},
@@ -605,9 +609,9 @@ class TestScanStream:
         (("lemma3",), False),
     ])
     def test_counts_only_without_lemma_checks(self, monkeypatch, corpus_by_n, checks, counted):
-        # every graph is counted once; the count stops at c* = 41 only when
-        # no lemma check reads the members (the golden theorem-only reports
-        # pin that stopping gives the same bytes)
+        # every graph is counted once; the count stops at k only when no
+        # lemma check reads the members (TestSpanningCountStop checks that
+        # stopping gives the same report bytes)
         count_caps = []
         real = harness.count_longest_paths
 
@@ -617,7 +621,7 @@ class TestScanStream:
 
         monkeypatch.setattr(harness, "count_longest_paths", count)
         scan_stream(corpus_by_n[6], ScanConfig(k=3, checks=checks))
-        assert count_caps == [41 if counted else None] * 112
+        assert count_caps == [3 if counted else None] * 112
 
     @pytest.mark.parametrize("checks, looked_up", [
         (("theorem",), 0),
@@ -756,7 +760,7 @@ def _lemma_tallies_oracle(g: Graph, config: ScanConfig) -> dict:
     tallies: dict = {}
     if len(lps) < config.k:
         return tallies
-    subsets, _, _ = iter_ksubsets(
+    subsets, _ = iter_ksubsets(
         len(lps), config.k, config.lemma_subset_cap, config.seed,
         f"lemma:{encode_graph6(g)}:{config.k}",
     )
@@ -812,20 +816,8 @@ class TestImpliedLemmaVerdicts:
 
 
 class TestSpanningCountStop:
-    """A count-route scan stops each spanning count at c* = the least c >= k
-    with C(c, k) >= subset_cap; the report must not show it."""
-
-    def test_count_cap_brute_force(self):
-        caps = range(1, 5001)
-        for k in range(2, 9):
-            want, c = [], k
-            for cap in caps:
-                while math.comb(c, k) < cap:
-                    c += 1
-                want.append(c)
-            assert [harness._sweep_count_cap(k, cap) for cap in caps] == want
-            c = harness._sweep_count_cap(k, 10**15)
-            assert math.comb(c, k) >= 10**15 > math.comb(c - 1, k)
+    """A theorem-only scan stops each spanning count at k, since it reads
+    only whether k longest paths exist; the report must not show it."""
 
     @staticmethod
     def _unstopped(monkeypatch):
@@ -842,26 +834,32 @@ class TestSpanningCountStop:
             Graph.from_edges(n, itertools.combinations(range(n), 2)) for n in (7, 8)
         ]
         corpus = [g for n in range(1, 7) for g in corpus_by_n[n]] + complete
-        configs = []
-        for k in range(2, 6):
-            for c in sorted({k, k + 1, k + 2, 9, 13, 24, 41}):
-                for subset_cap in (math.comb(c, k) - 1, math.comb(c, k), math.comb(c, k) + 1):
-                    if subset_cap >= 1:
-                        configs.append(ScanConfig(k=k, subset_cap=subset_cap, checks=("theorem",)))
-            # a path cap below c* caps the count as before
-            configs.append(ScanConfig(k=k, path_cap=5, checks=("theorem",)))
+        # a path cap below k caps the count as before
+        configs = [
+            ScanConfig(k=k, path_cap=path_cap, checks=("theorem",))
+            for k in range(2, 7)
+            for path_cap in (ScanConfig.path_cap, 4)
+        ]
         stopped = [scan_stream(corpus, cfg) for cfg in configs]
         self._unstopped(monkeypatch)
         for cfg, report in zip(configs, stopped):
-            unstopped = scan_stream(corpus, cfg)
-            assert unstopped.counts_stopped == 0
             assert json.dumps(report.to_json(), sort_keys=True) == json.dumps(
-                unstopped.to_json(), sort_keys=True
+                scan_stream(corpus, cfg).to_json(), sort_keys=True
             ), cfg
-        # every config but the path-capped one stops K7 and K8 at least
-        assert all(r.counts_stopped >= 2 for cfg, r in zip(configs, stopped) if cfg.path_cap > 5)
-        assert all(r.counts_stopped == 0 for cfg, r in zip(configs, stopped) if cfg.path_cap == 5)
-        assert max(r.counts_stopped for r in stopped) > 50
+
+    def test_spanning_counts_stop_at_k(self, monkeypatch, corpus_by_n):
+        lengths = []
+        real = harness.count_longest_paths
+
+        def count(g, **kwargs):
+            lps = real(g, **kwargs)
+            if lps.length == g.n - 1:
+                lengths.append(len(lps))
+            return lps
+
+        monkeypatch.setattr(harness, "count_longest_paths", count)
+        scan_stream(corpus_by_n[6], ScanConfig(k=4, checks=("theorem",)))
+        assert max(lengths) == 4 and len(lengths) == 91
 
     def test_lemma_route_counts_in_full(self, monkeypatch, corpus_by_n):
         lengths = []
@@ -873,9 +871,8 @@ class TestSpanningCountStop:
             return lps
 
         monkeypatch.setattr(harness, "count_longest_paths", count)
-        report = scan_stream(corpus_by_n[6], ScanConfig(k=3, lemma_subset_cap=1))
-        assert report.counts_stopped == 0
-        assert max(lengths) == 360  # K6: 6!/2 paths, past c* = 41
+        scan_stream(corpus_by_n[6], ScanConfig(k=3, lemma_subset_cap=1))
+        assert max(lengths) == 360  # K6: 6!/2 paths, past k
 
 
 class TestScanWithoutCommonVertex:
@@ -886,8 +883,6 @@ class TestScanWithoutCommonVertex:
         [
             ("h_graph", 3, "no-violation", 0, None),
             ("h_graph", 9, "violation", 1, H_LEAST_VIOLATION),
-            # the sweep computes f here: some sampled 9-subsets of G_1's
-            # longest paths have no common vertex
             ("h_g1", 9, "violation", 2, G1_LEAST_VIOLATION),
         ],
     )
@@ -903,23 +898,55 @@ class TestScanWithoutCommonVertex:
             assert witness is None
         else:
             assert (witness["f"], witness["member_indices"]) == (f, members)
-        assert report["tallies"]["thm3"] == {"pass": 10_000, "fail": 0, "vacuous": 0}
-        # a conjecture witness is an extremal candidate even when no sampled
-        # subset lacks a common vertex (H at k = 9)
+        # one theorem verdict per graph; at k = 9 no cover of demand f + 1
+        # exists, so the conjecture witness is the extremal one
+        assert report["tallies"]["thm3"] == {"pass": 1, "fail": 0, "vacuous": 0}
         assert report["extremal"] == {
             "max_f": f,
             "max_ratio": f"{f}/{g.n}" if f else "0/1",
             "witness": None if members is None else {
                 "graph6": encode_graph6(g), "f": f, "member_indices": members,
             },
+            "incomplete_graphs": 0,
         }
+
+    def test_h_at_k18_reports_exact_max_f(self, h_graph):
+        # 10,000 sampled 18-subsets of H's 42 longest paths once gave f = 1;
+        # the cover search finds f = 2
+        report = scan_stream([h_graph], ScanConfig(k=18, checks=("theorem",))).to_json()
+        extremal = report["extremal"]
+        assert (extremal["max_f"], extremal["max_ratio"], extremal["incomplete_graphs"]) == (
+            2, "1/6", 0
+        )
+        assert report["tallies"]["thm3"] == {"pass": 1, "fail": 0, "vacuous": 0}
+        lps = enumerate_longest_paths(h_graph)
+        members = [lps.paths[i].vertices for i in extremal["witness"]["member_indices"]]
+        assert len(members) == 18
+        ps = make_path_system(h_graph, members, require_longest=True)
+        assert ps.path_distance[0] == 2
+
+    @pytest.mark.parametrize("cut", ("node cap", "path cap"))
+    def test_lower_bound_gets_no_theorem_verdict(self, monkeypatch, h_graph, cut):
+        # the climb from H's f = 1 witness at k = 9 is cut by the node cap,
+        # or reads only the first 38 of the 42 longest paths: f = 1 stands
+        # as a lower bound, and the graph gets no theorem verdict
+        config = ScanConfig(k=9, checks=("theorem",))
+        if cut == "node cap":
+            monkeypatch.setattr(harness, "CONJECTURE_SUBSET_CAP", 2)
+        else:
+            config = ScanConfig(k=9, path_cap=38, checks=("theorem",))
+        report = scan_stream([h_graph], config).to_json()
+        assert report["conjecture"]["status"] == "violation"
+        assert report["extremal"]["max_f"] == 1
+        assert report["extremal"]["incomplete_graphs"] == 1
+        assert report["tallies"]["thm3"] == {"pass": 0, "fail": 0, "vacuous": 0}
 
     @pytest.mark.parametrize("checks", [("theorem",), ScanConfig.checks])
     def test_pairwise_failure_with_injected_paths(self, monkeypatch, checks):
         # C4_EDGE_PATHS as the longest paths of C4, through either name a
         # scan reads them from: edges 1-2 and 0-3 are disjoint, and the
-        # first sampled 3-subset has f = 1 > 8/15, so the sweep halts there,
-        # before any lemma check (values recorded before the pairwise check
+        # greatest f over 3-subsets is 1 > 8/15, so the theorem check halts
+        # the scan there, before any lemma check (values recorded before the pairwise check
         # went through check_conjecture)
         for name in ("count_longest_paths", "enumerate_longest_paths"):
             monkeypatch.setattr(harness, name, lambda *args, **kwargs: C4_EDGE_PATHS)
@@ -939,10 +966,10 @@ class TestScanWithoutCommonVertex:
                  "f": 1, "bound": "8/15"},
             ],
             "max_f": 1,
+            "max_f_incomplete": 0,
             "max_f_subset": [0, 1, 2],
             "lemma_systems": 0,
             "lemma_implied": 0,
-            "counts_stopped": 0,
             "conjecture": {
                 "status": "violation",
                 "witness": {
@@ -958,17 +985,18 @@ class TestScanWithoutCommonVertex:
 
     def test_pairwise_at_k2_reads_the_k_verdict(self, monkeypatch):
         # C4_EDGE_PATHS as the longest paths of C4: the k = 2 verdict finds
-        # edges 1-2 and 0-3 and is the pairwise failure, with one cover
-        # search (record recorded when the pairwise check searched again)
+        # edges 1-2 and 0-3 and is the pairwise failure, with one search at
+        # demand 1 (record recorded when the pairwise check searched again);
+        # max f climbs from there
         calls = 0
-        search = harness.first_empty_intersection
+        search = harness.demand_cover
 
-        def counted(*args):
+        def counted(rows, demand, *args):
             nonlocal calls
-            calls += 1
-            return search(*args)
+            calls += demand == 1
+            return search(rows, demand, *args)
 
-        monkeypatch.setattr(harness, "first_empty_intersection", counted)
+        monkeypatch.setattr(harness, "demand_cover", counted)
         monkeypatch.setattr(
             harness, "enumerate_longest_paths", lambda *args, **kwargs: C4_EDGE_PATHS
         )
@@ -984,10 +1012,10 @@ class TestScanWithoutCommonVertex:
                  "members": [[1, 2], [0, 3]]},
             ],
             "max_f": 1,
+            "max_f_incomplete": 0,
             "max_f_subset": [1, 3],
             "lemma_systems": 0,
             "lemma_implied": 0,
-            "counts_stopped": 0,
             "conjecture": {
                 "status": "violation",
                 "witness": {
@@ -1002,20 +1030,20 @@ class TestScanWithoutCommonVertex:
 
     def test_settled_scan_draws_no_sample(self, monkeypatch, h_graph, corpus_by_n):
         # a verdict that took the shortcut (the n <= 6 corpus) or found no
-        # violation (H at k < 9) settles the theorem sweep and the lemma
+        # violation (H at k < 9) settles the theorem check and the lemma
         # sample: neither draws a subset nor computes an f
         def fail(*args, **kwargs):
-            raise AssertionError("a settled scan drew a sample")
+            raise AssertionError("a settled scan drew a sample or ran a BFS")
 
         monkeypatch.setattr(harness, "iter_ksubsets", fail)
-        monkeypatch.setattr(harness, "subset_distance", fail)
+        monkeypatch.setattr(harness, "bfs_distances", fail)
         for k in (3, 4):
             report = scan_stream(corpus_by_n[6], ScanConfig(k=k))
             assert report.tallies["pairwise"]["pass"] == 112
         for k in range(3, 9):
             record = harness.scan_one_graph(encode_graph6(h_graph), ScanConfig(k=k), h_graph)
             thm_id = "thm2" if k == 4 else "thm3"
-            assert record["tallies"][thm_id]["pass"] == min(math.comb(42, k), 10_000)
+            assert record["tallies"][thm_id] == {"pass": 1, "fail": 0, "vacuous": 0}
             assert (record["lemma_systems"], record["lemma_implied"]) == (0, 10)
             assert record["failures"] == [] and record["max_f"] == 0
 
@@ -1036,12 +1064,13 @@ class TestScanWithoutCommonVertex:
         assert sources == [tuple(m) for m in verdict.witness["members"]]
 
     def test_theorem_sweep_halts_on_failure(self, h_graph):
-        # no graph breaks the theorem bound, so it is forced to 0 here: the
-        # first sampled subset with f > 0 fails and ends the scan; records
-        # merge in graph6 order, so G_2 of H comes after G_1's halt and is
-        # not counted
+        # no graph breaks the theorem bound, so it is forced to 0 here: H's
+        # greatest f over 9-subsets, 1, fails and ends the scan (10,000
+        # sampled 9-subsets of H once all had f = 0); records merge in
+        # graph6 order, so G_1 and G_2 of H come after H's halt and are not
+        # counted
         system = make_path_system(h_graph, H_SYSTEM, require_longest=True)
-        graphs = [h_graph] + [build_gt(h_graph, system, t).graph for t in (1, 2)]
+        graphs = [build_gt(h_graph, system, t).graph for t in (1, 2)] + [h_graph]
         # the patched bound reaches pool workers only by fork
         jobs_list = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
         real = harness.theorem_bound
@@ -1057,9 +1086,52 @@ class TestScanWithoutCommonVertex:
             harness.theorem_bound = real
         assert len(set(reports)) == 1
         report = json.loads(reports[0])
-        assert report["graphs_scanned"] == 2
+        assert report["graphs_scanned"] == 1
         assert report["halted"] is True
-        assert report["tallies"]["thm3"] == {"pass": 10_174, "fail": 1, "vacuous": 0}
+        assert report["tallies"]["thm3"] == {"pass": 0, "fail": 1, "vacuous": 0}
         [failure] = report["failures"]
-        assert (failure["check"], failure["f"], failure["bound"]) == ("thm3", 2, "0/1")
-        assert failure["graph6"] == encode_graph6(graphs[1])
+        assert failure == {
+            "check": "thm3", "graph6": encode_graph6(h_graph),
+            "member_indices": H_LEAST_VIOLATION, "f": 1, "bound": "0/1",
+        }
+
+
+def _gt_max_f(t: int) -> dict[int, int]:
+    """Greatest f over the k-subsets of the longest paths of G_t of H (G_0 is
+    H itself, with t + 1 = 1), k = 3..18: least k with f > 0 is 9."""
+    return {k: 0 if k < 9 else t + 1 if k < 18 else 2 * (t + 1) for k in range(3, 19)}
+
+
+class TestGreatestF:
+    """Exact max f from the climb of cover searches (greatest_f)."""
+
+    @staticmethod
+    def _max_f(g, k):
+        lps = enumerate_longest_paths(g)
+        f, subset, exact = harness.greatest_f(g, lps, check_conjecture(g, k, lps=lps))
+        assert exact
+        if f:
+            members = [lps.paths[i].vertices for i in subset]
+            assert len(members) == k
+            assert make_path_system(g, members, require_longest=True).path_distance[0] == f
+        else:
+            assert subset is None
+        return f
+
+    @pytest.mark.parametrize("g6", (H_GRAPH6, H_PRIME_GRAPH6))
+    def test_h(self, g6):
+        g = parse_graph6(g6)
+        assert {k: self._max_f(g, k) for k in range(3, 19)} == _gt_max_f(0)
+
+    @pytest.mark.parametrize("t", range(1, 5))
+    def test_gt_of_h(self, h_graph, t):
+        system = make_path_system(h_graph, H_SYSTEM, require_longest=True)
+        g = build_gt(h_graph, system, t).graph
+        assert {k: self._max_f(g, k) for k in range(3, 19)} == _gt_max_f(t)
+
+    def test_g1_at_k9_against_brute_force(self, h_g1):
+        # every one of the C(18, 9) = 48,620 9-subsets of G_1's longest paths
+        lps = enumerate_longest_paths(h_g1)
+        rows = np.array([bfs_distances(h_g1, p.vertices) for p in lps.paths])
+        combos = np.array(list(itertools.combinations(range(len(lps)), 9)))
+        assert int(rows[combos].sum(axis=1).min(axis=1).max()) == self._max_f(h_g1, 9) == 2

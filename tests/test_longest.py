@@ -7,6 +7,7 @@ import random
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,14 +15,15 @@ from hypothesis import strategies as st
 import lplab.longest
 from lplab.construct import build_gt
 from lplab.errors import UsageError
-from lplab.graphs import Graph, encode_graph6
+from lplab.graphs import Graph, bfs_distances, encode_graph6
 from lplab.harness import generate_connected_graphs
 from lplab.longest import (
     DEFAULT_PATH_CAP,
     Path,
+    common_mask,
     count_longest_paths,
+    demand_cover,
     enumerate_longest_paths,
-    first_empty_intersection,
     is_path,
     longest_path_length,
 )
@@ -844,12 +846,20 @@ class TestOracle:
             enumerate_longest_paths_oracle(big)
 
 
+def miss_cover(masks, k, node_cap=None):
+    """demand_cover at demand 1, on rows that hold 1 where a mask misses a
+    vertex: the first cover of at most k masks with an empty AND."""
+    width = max((m.bit_length() for m in masks), default=0)
+    rows = [[1 - (m >> v & 1) for v in range(width)] for m in masks]
+    return demand_cover(rows, 1, k, node_cap)
+
+
 class TestPairwiseIntersection:
     # every two paths meet iff the cover search finds no pair at k = 2
 
     @staticmethod
     def disjoint_pair(paths):
-        return first_empty_intersection([p.mask for p in paths], 2)[0]
+        return miss_cover([p.mask for p in paths], 2)[0]
 
     def test_holds(self, k13):
         assert self.disjoint_pair(enumerate_longest_paths(k13).paths) is None
@@ -865,14 +875,16 @@ class TestPairwiseIntersection:
 
 
 class TestFirstEmptyIntersection:
+    """The cover search at demand 1: k paths with no common vertex."""
+
     # vertex sets {0,1}, {1,2}, {0,2}, {0,1,2}: every pair meets, the first
     # three have no common vertex
     MASKS = (0b011, 0b110, 0b101, 0b111)
 
     def test_least_subset(self):
-        assert first_empty_intersection(self.MASKS, 2)[0] is None
-        assert first_empty_intersection(self.MASKS, 3)[0] == (0, 1, 2)
-        assert first_empty_intersection(self.MASKS, 4)[0] == (0, 1, 2, 3)
+        assert miss_cover(self.MASKS, 2)[0] is None
+        assert miss_cover(self.MASKS, 3)[0] == (0, 1, 2)
+        assert miss_cover(self.MASKS, 4)[0] == (0, 1, 2, 3)
 
     def test_witness_is_the_cover_found(self):
         # vertex sets {0,1}, {0}, {1}, {2}: the search branches on vertex 0,
@@ -880,17 +892,108 @@ class TestFirstEmptyIntersection:
         # but the witness is the cover found, padded with the least unused
         # indices up to k
         masks = (0b011, 0b001, 0b010, 0b100)
-        assert first_empty_intersection(masks, 2) == ((1, 2), 3, False)
-        assert first_empty_intersection(masks, 3) == ((0, 1, 2), 3, False)
-        assert first_empty_intersection(masks, 4) == ((0, 1, 2, 3), 3, False)
+        assert miss_cover(masks, 2) == ((1, 2), 3, False)
+        assert miss_cover(masks, 3) == ((0, 1, 2), 3, False)
+        assert miss_cover(masks, 4) == ((0, 1, 2, 3), 3, False)
 
     def test_more_members_than_paths(self):
-        assert first_empty_intersection(self.MASKS, 5) == (None, 0, False)
-        assert first_empty_intersection((), 2) == (None, 0, False)
+        assert miss_cover(self.MASKS, 5) == (None, 0, False)
+        assert miss_cover((), 2) == (None, 0, False)
 
     def test_node_cap(self):
-        subset, nodes, capped = first_empty_intersection(self.MASKS, 3, node_cap=1)
+        subset, nodes, capped = miss_cover(self.MASKS, 3, node_cap=1)
         assert (subset, nodes, capped) == (None, 1, True)
-        subset, nodes, capped = first_empty_intersection(self.MASKS, 3)
+        subset, nodes, capped = miss_cover(self.MASKS, 3)
         assert subset == (0, 1, 2) and not capped
-        assert first_empty_intersection(self.MASKS, 3, node_cap=nodes)[0] == subset
+        assert miss_cover(self.MASKS, 3, node_cap=nodes)[0] == subset
+
+
+def reaches_demand(rows, subset, demand) -> bool:
+    return all(sum(rows[i][v] for i in subset) >= demand for v in range(len(rows[0])))
+
+
+def cover_exists(rows, demand, k) -> bool:
+    """Brute force: do at most k of the rows, k <= len(rows), reach demand?"""
+    return k <= len(rows) and any(
+        reaches_demand(rows, subset, demand)
+        for size in range(k + 1)
+        for subset in itertools.combinations(range(len(rows)), size)
+    )
+
+
+def check_cover(rows, demand, k) -> tuple[int, ...] | None:
+    """demand_cover's answer, checked against brute force."""
+    cover, _, capped = demand_cover(rows, demand, k)
+    assert not capped
+    assert (cover is not None) == cover_exists(rows, demand, k)
+    if cover is not None:
+        assert list(cover) == sorted(set(cover)) and len(cover) == k
+        assert reaches_demand(rows, cover, demand)
+    return cover
+
+
+class TestDemandCover:
+    # rows 0 and 1 together give 2 to every column; no other pair does, and
+    # no pair gives 3 to column 2
+    ROWS = ([2, 0, 1], [0, 2, 1], [1, 1, 0])
+
+    def test_cover(self):
+        assert demand_cover(self.ROWS, 2, 2) == ((0, 1), 3, False)
+        assert demand_cover(self.ROWS, 2, 3) == ((0, 1, 2), 3, False)
+        assert demand_cover(self.ROWS, 4, 3)[0] is None
+
+    def test_prune(self):
+        # column 2's two largest entries sum to 2 < 3: cut at the root
+        assert demand_cover(self.ROWS, 3, 2) == (None, 1, False)
+
+    def test_node_cap(self):
+        assert demand_cover(self.ROWS, 2, 2, node_cap=2) == (None, 2, True)
+        assert demand_cover(self.ROWS, 2, 2, node_cap=3)[0] == (0, 1)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(0, 3), min_size=width, max_size=width), max_size=7
+        )
+    ),
+    st.integers(1, 3),
+    st.integers(1, 5),
+)
+@settings(max_examples=300)
+def test_demand_cover_matches_brute_force(rows, demand, k):
+    check_cover(rows, demand, k)
+
+
+@pytest.fixture(scope="module")
+def g1_longest(h_g1):
+    lps = enumerate_longest_paths(h_g1)
+    return h_g1, lps.paths, [bfs_distances(h_g1, p.vertices) for p in lps.paths]
+
+
+@given(st.data())
+@settings(max_examples=25)
+def test_demand_cover_on_g1_distances(g1_longest, data):
+    # G_1 of H: 18 longest paths with no common vertex, max f = 2 at k = 9;
+    # the brute force is the greatest f over every k-subset of the picks,
+    # which at most k picks reach iff k of them do
+    g, paths, rows = g1_longest
+    picks = data.draw(st.lists(st.sampled_from(range(len(paths))), min_size=12, max_size=18,
+                               unique=True))
+    k = data.draw(st.integers(9, 11))
+    chosen = np.array([rows[i] for i in picks])
+    combos = np.array(list(itertools.combinations(range(len(picks)), k)))
+    best = int(chosen[combos].sum(axis=1).min(axis=1).max())
+    for demand in (1, 2, 3):
+        cover, _, capped = demand_cover(chosen.tolist(), demand, k)
+        assert not capped and (cover is not None) == (best >= demand)
+        if cover is not None:
+            assert len(cover) == k and chosen[list(cover)].sum(axis=0).min() >= demand
+    # at demand 1 a cover is k paths with no common vertex, and rows of 0s
+    # and 1s read from the masks give the same search
+    members = [paths[i] for i in picks]
+    misses = [[1 - (p.mask >> v & 1) for v in range(g.n)] for p in members]
+    assert demand_cover(misses, 1, k) == demand_cover(chosen.tolist(), 1, k)
+    assert (best >= 1) == any(
+        not common_mask([members[i] for i in combo]) for combo in combos
+    )

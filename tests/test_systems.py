@@ -6,11 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lplab.harness
 import lplab.systems
 from lplab.construct import build_gt
 from lplab.errors import UsageError
-from lplab.graphs import Graph, parse_graph6
-from lplab.harness import ScanConfig, check_conjecture, iter_ksubsets, scan_stream
+from lplab.graphs import Graph
+from lplab.harness import ScanConfig, check_conjecture, greatest_f, scan_stream
 from lplab.longest import Path
 from lplab.longest import common_mask, enumerate_longest_paths
 from lplab.systems import (
@@ -19,9 +20,8 @@ from lplab.systems import (
     enumerate_good_paths,
     make_path_system,
     path_distance_value,
-    subset_distance,
 )
-from conftest import H_PRIME_GRAPH6, H_SYSTEM
+from conftest import H_SYSTEM
 from oracles import f_and_minimizers_oracle, max_edge_disjoint_oracle, x_low_sizes_oracle
 
 
@@ -150,61 +150,21 @@ class TestDistanceWork:
         assert path_distance_value(ps) == (1, frozenset(range(9)))
         assert len(bfs_calls) == 9
 
-    def test_subset_distance_runs_one_bfs_per_path(self, h_graph, bfs_calls):
+    def test_greatest_f_runs_one_bfs_per_path(self, h_graph, bfs_calls, monkeypatch):
+        # a settled verdict gives f = 0 with no BFS; the climb from the
+        # k = 18 witness (its 18 BFS runs) runs one BFS per longest path
+        monkeypatch.setattr(lplab.harness, "bfs_distances", lplab.systems.bfs_distances)
         lps = enumerate_longest_paths(h_graph)
-        f_of = subset_distance(h_graph, lps.paths)
-        subsets, _, _ = iter_ksubsets(len(lps), 9, 500, 0, "bfs")
-        subsets = list(subsets)
-        shared = [s for s in subsets if common_mask(lps.paths[i] for i in s)]
-        assert shared and all(f_of(s) == 0 for s in shared)
+        assert greatest_f(h_graph, lps, check_conjecture(h_graph, 8, lps=lps)) == (0, None, True)
         assert bfs_calls == []
-        # the cover search's witness has no common vertex; its members' BFS
-        # runs once, and every later subset reuses what was run
-        witness = check_conjecture(h_graph, 9, lps=lps).witness["member_indices"]
+        verdict = check_conjecture(h_graph, 18, lps=lps)
+        assert len(bfs_calls) == 18
         bfs_calls.clear()
-        assert f_of(witness) == f_of(witness) == 1
-        assert len(bfs_calls) == 9
-        for s in subsets + _swaps(witness, len(lps)):
-            f_of(s)
-        assert len(bfs_calls) == len(set(bfs_calls)) <= len(lps)
-
-
-def _swaps(subset, n_items) -> list[tuple[int, ...]]:
-    """subset with one member swapped for each index outside it, each way."""
-    out = []
-    for i in subset:
-        for j in range(n_items):
-            if j not in subset:
-                out.append(tuple(sorted(set(subset) - {i} | {j})))
-    return out
-
-
-class TestSubsetDistance:
-    def test_matches_oracle_on_9_subsets(self, h_graph, h_g1):
-        # H, H', and G_1 and G_2 of H: a seeded sample of 9-subsets (nearly
-        # all with a common vertex) plus the conjecture witness and every
-        # subset one swap away from it (many without one)
-        system = make_path_system(h_graph, H_SYSTEM, require_longest=True)
-        graphs = [h_graph, parse_graph6(H_PRIME_GRAPH6), h_g1, build_gt(h_graph, system, 2).graph]
-        witnessed = []
-        for g in graphs:
-            lps = enumerate_longest_paths(g)
-            f_of = subset_distance(g, lps.paths)
-            witness = check_conjecture(g, 9, lps=lps).witness["member_indices"]
-            sampled, _, _ = iter_ksubsets(len(lps), 9, 30, 0, "oracle")
-            values = set()
-            for subset in [tuple(witness), *sampled, *_swaps(witness, len(lps))]:
-                f, _ = f_and_minimizers_oracle(g, [lps.paths[i].vertices for i in subset])
-                assert f_of(subset) == f
-                values.add(f)
-            assert 0 in values and len(values) > 1
-            witnessed.append(f_of(witness))
-        assert witnessed == [1, 1, 2, 3]
-
-    def test_disconnected_graph_refused(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(UsageError):
-            subset_distance(g, [])
+        f, subset, exact = greatest_f(h_graph, lps, verdict)
+        assert (f, len(subset), exact) == (2, 18, True)
+        assert len(bfs_calls) == len(set(bfs_calls)) == len(lps)
+        f_oracle, _ = f_and_minimizers_oracle(h_graph, [lps.paths[i].vertices for i in subset])
+        assert f_oracle == 2
 
 
 class TestCommonVertices:
@@ -389,4 +349,3 @@ class TestProperties:
         paths = [Path(tuple(seq)) for seq in members]
         f, _ = f_and_minimizers_oracle(g, members)
         assert (f == 0) == bool(common_mask(paths))
-        assert subset_distance(g, paths)(range(len(paths))) == f
