@@ -26,7 +26,6 @@ from .harness import (
     ScanConfig,
     check_conjecture,
     generate_connected_graphs,
-    greatest_f,
     iter_ksubsets,
     scan_stream,
 )
@@ -124,8 +123,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if verdict.witness:
         print(f"witness: {json.dumps(verdict.witness)}")
     if len(lps) >= k:
-        max_f, _, exact = greatest_f(g, lps, verdict)
-        print(f"max f over every {k}-subset: {max_f if exact else f'at least {max_f}'}")
+        max_f = verdict.max_f if verdict.max_f_exact else f"at least {verdict.max_f}"
+        print(f"max f over every {k}-subset: {max_f}")
     return EXIT_FINDING if verdict.witness else EXIT_OK
 
 
@@ -153,12 +152,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         _emit([], args.out)
         return EXIT_OK
-    subsets, _ = iter_ksubsets(
-        len(lps), args.k, args.subset_cap, args.seed, f"verify:{args.k}"
-    )
     reports = []
     failed = False
-    for subset in subsets:
+    for subset in iter_ksubsets(
+        len(lps), args.k, args.subset_cap, args.seed, f"verify:{args.k}"
+    ):
         ps = certified_system(g, [lps.paths[i] for i in subset], lps.length)
         for rep in run_checks(ps, checks):
             reports.append(rep.to_json())

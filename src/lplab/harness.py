@@ -53,6 +53,7 @@ from .bounds import (
 )
 from .errors import FormatError, UsageError
 from .graphs import (
+    GRAPH6_SMALL_MAX,
     Graph,
     bfs_distances,
     encode_graph6,
@@ -301,15 +302,14 @@ def generate_connected_graphs(n: int) -> list[Graph]:
 
 def iter_ksubsets(
     n_items: int, k: int, cap: Optional[int], seed: int, salt: str
-) -> tuple[Iterator[tuple[int, ...]], int]:
+) -> Iterator[tuple[int, ...]]:
     """Deterministic iterator over k-subsets of range(n_items), capped.
 
     Beyond the cap, a seeded sample of exactly cap distinct subsets is drawn
-    and yielded in sorted order.  Returns (iterator, yield count).
+    and yielded in sorted order.
     """
-    total = math.comb(n_items, k)
-    if cap is None or total <= cap:
-        return itertools.combinations(range(n_items), k), total
+    if cap is None or math.comb(n_items, k) <= cap:
+        return itertools.combinations(range(n_items), k)
     rng = random.Random(seed ^ zlib.crc32(salt.encode()))
     population = range(n_items)
     seen: set[tuple[int, ...]] = set()
@@ -317,8 +317,7 @@ def iter_ksubsets(
     # total = cap + 1, where it is (cap + 1)(H(cap + 1) - 1) (coupon collector)
     while len(seen) < cap:
         seen.add(tuple(sorted(rng.sample(population, k))))
-    sample = sorted(seen)
-    return iter(sample), len(sample)
+    return iter(sorted(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +327,22 @@ def iter_ksubsets(
 @dataclass(frozen=True)
 class ConjectureVerdict:
     status: str  # "no-violation" | "violation" | "incomplete"
-    k: int
     # search nodes, or C(len(lps), k) via the shortcut: a lower bound on
     # the true subset total when the path list is truncated
     subsets_checked: int
     used_shortcut: bool
     witness: Optional[dict] = None
     pair: Optional[tuple[int, ...]] = None  # two listed paths with no common vertex
+    # the greatest f over the k-subsets of the listed paths, a k-subset
+    # that reaches it (None at f = 0), and whether it is that greatest
+    # value, not a lower bound
+    max_f: int = 0
+    max_f_subset: Optional[tuple[int, ...]] = None
+    max_f_exact: bool = False
 
 
-# search nodes the exact conjecture check may spend before it answers
-# "incomplete"; scans report it as "conjecture_subset_cap"
+# search nodes each exact cover search of the conjecture check may spend
+# before it answers "incomplete"; scans report it as "conjecture_subset_cap"
 CONJECTURE_SUBSET_CAP = 100_000
 
 
@@ -348,22 +352,33 @@ def check_conjecture(
     subset_cap: Optional[int] = CONJECTURE_SUBSET_CAP,
     lps: LongestPathSet | None = None,
 ) -> ConjectureVerdict:
-    """Do every k of the longest paths of g share a vertex?
+    """Do every k of the longest paths of g share a vertex, and what is the
+    greatest f over their k-subsets?
 
     When all longest paths share a vertex, every k-subset trivially does, so
     the whole subset space is covered without searching it, and
     subsets_checked is C(len(lps), k), which a truncated list only bounds
-    from below.  Otherwise one exact cover search (demand_cover at demand 1,
-    on rows that hold 1 where a path misses a vertex) either proves that
-    every k of them meet or finds at most k paths with no common vertex; the
-    witness is that cover padded with the least unused indices up to k.
-    subsets_checked then counts its search nodes, and subset_cap bounds
-    them: a search cut by the cap, or a truncated path list without a
-    violation, gives "incomplete".  A truncated list of spanning paths
-    (ell = n - 1) is the exception: every longest path then holds every
-    vertex, the ones past the cap too.  When lps is not given it is
-    count_longest_paths(g).  The members are read only where no vertex is
-    common to all of them, so a set of spanning paths is never built.
+    from below; max f is then 0.  Otherwise each listed path gets one row,
+    its BFS distances, and demand_cover climbs a ladder of demands on those
+    rows.  Demand 1 either proves that every k of them meet or finds at most
+    k paths with no common vertex; the witness is that cover padded with the
+    least unused indices up to k, its f and minimizers read from the least
+    column sum of its rows.  subsets_checked counts the demand-1 search
+    nodes, and subset_cap bounds them: a search cut by the cap, or a
+    truncated path list without a violation, gives "incomplete".  A
+    truncated list of spanning paths (ell = n - 1) is the exception: every
+    longest path then holds every vertex, the ones past the cap too.  When
+    lps is not given it is count_longest_paths(g).  The members are read
+    only where no vertex is common to all of them, so a set of spanning
+    paths is never built.
+
+    From a witness the demand climbs from its f + 1: a cover of demand D is
+    a k-subset with f >= D, whose f is the next rung, and the first D with
+    no cover is one past max f.  Each rung may spend subset_cap search
+    nodes; a rung cut there, or a truncated path list (paths with no common
+    vertex are not spanning, so the list may miss some), leaves max f a
+    lower bound.  Without a witness max f is 0, exact iff the status is
+    "no-violation".
 
     pair answers k = 2 on the listed paths, with no f: None after the
     shortcut, the search's own subset at k = 2, and else one uncapped
@@ -378,63 +393,45 @@ def check_conjecture(
     if lps.common_mask():
         exact = not lps.truncated or lps.length == g.n - 1
         status = "no-violation" if exact else "incomplete"
-        return ConjectureVerdict(status, k, math.comb(len(lps), k), used_shortcut=True)
-    bits = [1 << v for v in range(g.n)]
-    misses = [[0 if p.mask & bit else 1 for bit in bits] for p in lps.paths]
-    subset, nodes, capped = demand_cover(misses, 1, k, subset_cap)
+        return ConjectureVerdict(
+            status, math.comb(len(lps), k), used_shortcut=True, max_f_exact=exact
+        )
+    rows = [bfs_distances(g, p.vertices) for p in lps.paths]
+    subset, nodes, capped = demand_cover(rows, 1, k, subset_cap)
     pair = subset if k == 2 else None
     # a k search that ran to the end without a cover rules out every pair
-    if capped or k > len(misses) or (subset is not None and k > 2):
-        pair, _, _ = demand_cover(misses, 1, 2)
+    if capped or k > len(rows) or (subset is not None and k > 2):
+        pair, _, _ = demand_cover(rows, 1, 2)
     if subset is None:
         status = "incomplete" if capped or lps.truncated else "no-violation"
-        return ConjectureVerdict(status, k, nodes, used_shortcut=False, pair=pair)
-    members = [lps.paths[idx] for idx in subset]
-    ps = certified_system(g, members, lps.length)
-    f, minimizers = ps.path_distance
-    return ConjectureVerdict(
-        "violation",
-        k,
-        nodes,
-        used_shortcut=False,
-        witness={
-            "graph6": ps.graph6,
-            "member_indices": list(subset),
-            "members": [list(p.vertices) for p in members],
-            "f": f,
-            "minimizers": sorted(minimizers),
-        },
-        pair=pair,
-    )
+        return ConjectureVerdict(
+            status, nodes, used_shortcut=False, pair=pair,
+            max_f_exact=status == "no-violation",
+        )
 
+    def column_sums(cover: tuple[int, ...]) -> list[int]:
+        return [sum(col) for col in zip(*(rows[i] for i in cover))]
 
-def greatest_f(
-    g: Graph, lps: LongestPathSet, verdict: ConjectureVerdict
-) -> tuple[int, Optional[tuple[int, ...]], bool]:
-    """(f, subset, exact): the greatest f over the k-subsets of the longest
-    paths of g, k and lps as in verdict; a k-subset of lps that reaches it,
-    None at f = 0; and whether f is that greatest value, not a lower bound.
-
-    Without a witness f = 0: every k listed paths share a vertex, or, when
-    the verdict is incomplete, no k of them were found that do not.  With
-    one, the demand D climbs from the witness's f + 1: a cover of demand D
-    (demand_cover on the paths' BFS distance rows) is a k-subset with
-    f >= D, whose f is the next rung, and the first D with no cover is one
-    past the greatest f.  Each rung may spend CONJECTURE_SUBSET_CAP search
-    nodes; a rung cut there, or a truncated path list, leaves a lower bound.
-    """
-    witness = verdict.witness
-    if witness is None:
-        return 0, None, verdict.status == "no-violation"
-    f, subset = witness["f"], tuple(witness["member_indices"])
-    rows = [bfs_distances(g, p.vertices) for p in lps.paths]
+    sums = column_sums(subset)
+    f = min(sums)
+    witness = {
+        "graph6": encode_graph6(g) if g.n <= GRAPH6_SMALL_MAX else None,
+        "member_indices": list(subset),
+        "members": [list(lps.paths[i].vertices) for i in subset],
+        "f": f,
+        "minimizers": [v for v, s in enumerate(sums) if s == f],
+    }
+    max_f, max_f_subset = f, subset
     while True:
-        cover, _, capped = demand_cover(rows, f + 1, verdict.k, CONJECTURE_SUBSET_CAP)
+        cover, _, capped = demand_cover(rows, max_f + 1, k, subset_cap)
         if cover is None:
-            # paths with no common vertex are not spanning, so a truncated
-            # list may miss some
-            return f, subset, not (capped or lps.truncated)
-        f, subset = min(map(sum, zip(*(rows[i] for i in cover)))), cover
+            break
+        max_f, max_f_subset = min(column_sums(cover)), cover
+    return ConjectureVerdict(
+        "violation", nodes, used_shortcut=False, witness=witness, pair=pair,
+        max_f=max_f, max_f_subset=max_f_subset,
+        max_f_exact=not (capped or lps.truncated),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +590,10 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     _tally(tallies, "pairwise", "fail" if verdict.pair else "pass")
 
     if len(lps) >= k:
-        f, subset, exact = greatest_f(g, lps, verdict)
-        record["max_f"] = f
-        record["max_f_incomplete"] = int(not exact)
-        if subset:
-            record["max_f_subset"] = list(subset)
+        f = record["max_f"] = verdict.max_f
+        record["max_f_incomplete"] = int(not verdict.max_f_exact)
+        if verdict.max_f_subset:
+            record["max_f_subset"] = list(verdict.max_f_subset)
         # one theorem verdict per graph, from its greatest f; a lower bound
         # decides only a failure, which its subset witnesses
         if "theorem" in config.checks and k >= 3:
@@ -611,14 +607,14 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
                     {
                         "check": thm_id,
                         "graph6": record["graph6"],
-                        "member_indices": list(subset),
+                        "member_indices": list(verdict.max_f_subset),
                         "f": f,
                         "bound": frac_str(bound),
                     }
                 )
                 record["halt"] = True
                 return record
-            _tally(tallies, thm_id, "pass", int(exact))
+            _tally(tallies, thm_id, "pass", int(verdict.max_f_exact))
 
         # the lemma checks on a small deterministic sample of subsets; a
         # subset whose members share a vertex gets the verdicts that
@@ -630,11 +626,10 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
                 implied = min(math.comb(len(lps), k), config.lemma_subset_cap)
             else:
                 implied = 0
-                subsets, _ = iter_ksubsets(
+                for subset in iter_ksubsets(
                     len(lps), k, config.lemma_subset_cap, config.seed,
                     f"lemma:{record['graph6']}:{k}",
-                )
-                for subset in subsets:
+                ):
                     members = [lps.paths[idx] for idx in subset]
                     if common_mask(members):
                         implied += 1

@@ -542,9 +542,8 @@ def demand_cover(
 
     Row i of a longest path P_i holds d(v, P_i) in column v, so k paths
     whose rows reach demand D have f >= D.  At demand 1 only whether an
-    entry is positive counts, so 1 where P_i misses v, read from its mask,
-    gives the same search with no BFS: a cover is then a set of paths with
-    no common vertex.
+    entry is positive counts, and d(v, P_i) > 0 exactly where P_i misses v:
+    a cover is then a set of paths with no common vertex.
 
     The witness is the first cover the search finds, padded with the least
     unused indices up to k and sorted; it need not be the lexicographically
@@ -557,7 +556,8 @@ def demand_cover(
     n_items = len(rows)
     width = len(rows[0]) if rows else 0
     # givers[v]: bitset of the indices with a positive entry in column v;
-    # ranked[v]: those entries, largest first, each with its index bit;
+    # ranked[v]: those entries, largest first, each with its index bit (filled
+    # only above demand 1: at demand 1 any giver meets a deficit);
     # masks[i]: the columns that row i gives something to, and full[i] those
     # it gives demand or more, which meet any deficit
     givers = [0] * width
@@ -570,7 +570,8 @@ def demand_cover(
         for v, x in enumerate(row):
             if x:
                 givers[v] |= bit
-                ranked[v].append((x, bit))
+                if demand > 1:
+                    ranked[v].append((x, bit))
                 gives |= 1 << v
                 if x >= demand:
                     meets |= 1 << v

@@ -82,6 +82,19 @@ C4_EDGE_PATHS = LongestPathSet(
 )
 
 
+def cap_climb(monkeypatch, node_cap: int) -> None:
+    """Cap every rung of check_conjecture's max f climb (demand 2 and up) at
+    node_cap search nodes; the demand-1 search keeps its own cap."""
+    from lplab import harness
+
+    search = harness.demand_cover
+
+    def capped(rows, demand, k, cap=None):
+        return search(rows, demand, k, node_cap if demand > 1 else cap)
+
+    monkeypatch.setattr(harness, "demand_cover", capped)
+
+
 @pytest.fixture
 def h_graph() -> Graph:
     return parse_graph6(H_GRAPH6)

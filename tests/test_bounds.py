@@ -289,11 +289,10 @@ def _n_le_6_systems(corpus_by_n) -> list:
             lps = enumerate_longest_paths(g, cap=config.path_cap)
             if len(lps) < k:
                 continue
-            subsets, _ = iter_ksubsets(
+            for subset in iter_ksubsets(
                 len(lps), k, config.lemma_subset_cap, config.seed,
                 f"lemma:{encode_graph6(g)}:{k}",
-            )
-            for subset in subsets:
+            ):
                 seen.append(certified_system(g, [lps.paths[i] for i in subset], lps.length))
     return seen
 

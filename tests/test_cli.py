@@ -18,7 +18,7 @@ from lplab.cli import EXIT_BROKEN_PIPE, EXIT_FINDING, EXIT_OK, EXIT_USAGE, cli, 
 from lplab.errors import FormatError
 from lplab.graphs import encode_graph6, parse_graph6
 from lplab.longest import longest_path_length
-from conftest import C4_EDGE_PATHS, H_GRAPH6
+from conftest import C4_EDGE_PATHS, H_GRAPH6, cap_climb
 
 # sha256 of the bytes that `lplab verify G --k 4 --subset-cap 40` writes: for
 # H, which has no spanning path, and for two graphs whose 120 and 20,160
@@ -180,15 +180,24 @@ class TestAnalyze:
         assert calls == 2
 
     def test_no_violation_settles_max_f(self, capsys, monkeypatch):
-        # every 3 of H's 42 longest paths meet, so no f is computed
-        def fail(*args, **kwargs):
-            raise AssertionError("ran a BFS for max f")
+        # every 3 of H's 42 longest paths meet: the demand-1 search on their
+        # 42 BFS rows settles max f, with no climb; the star's longest paths
+        # share its centre, so it runs no BFS at all
+        sources = []
+        bfs = harness.bfs_distances
 
-        monkeypatch.setattr(harness, "bfs_distances", fail)
+        def counted(g, source):
+            sources.append(source)
+            return bfs(g, source)
+
+        monkeypatch.setattr(harness, "bfs_distances", counted)
         assert cli(["analyze", H_GRAPH6, "--k", "3"]) == EXIT_OK
         assert "max f over every 3-subset: 0\n" in capsys.readouterr().out
+        assert len(sources) == 42
+        sources.clear()
         assert cli(["analyze", "Cs"]) == EXIT_OK
         assert "max f over every 3-subset: 0\n" in capsys.readouterr().out
+        assert sources == []
 
     def test_violation_climbs_to_max_f(self, capsys, monkeypatch, h_g1):
         # from the witness's f, the cover searches climb to the greatest f
@@ -198,8 +207,8 @@ class TestAnalyze:
         assert capsys.readouterr().out.endswith("max f over every 9-subset: 2\n")
         assert cli(["analyze", H_GRAPH6, "--k", "18"]) == EXIT_FINDING
         assert capsys.readouterr().out.endswith("max f over every 18-subset: 2\n")
-        # a climb cut by the node cap gives a lower bound
-        monkeypatch.setattr(harness, "CONJECTURE_SUBSET_CAP", 2)
+        # a climb cut by a node cap of 2 gives a lower bound
+        cap_climb(monkeypatch, 2)
         assert cli(["analyze", H_GRAPH6, "--k", "18"]) == EXIT_FINDING
         assert re.search(r"max f over every 18-subset: at least [12]\n$", capsys.readouterr().out)
 

@@ -37,8 +37,13 @@ from lplab.harness import (
     iter_ksubsets,
     scan_stream,
 )
-from lplab.systems import certified_system, common_vertices, make_path_system
-from conftest import C4_EDGE_PATHS, H_GRAPH6, H_PRIME_GRAPH6, H_SYSTEM
+from lplab.systems import (
+    certified_system,
+    common_vertices,
+    make_path_system,
+    path_distance_value,
+)
+from conftest import C4_EDGE_PATHS, H_GRAPH6, H_PRIME_GRAPH6, H_SYSTEM, cap_climb
 from oracles import (
     canonical_sequence,
     canonical_code,
@@ -263,23 +268,20 @@ class TestGenerator:
 
 class TestIterKsubsets:
     def test_full_when_under_cap(self):
-        it, count = iter_ksubsets(5, 2, 100, seed=0, salt="x")
-        subsets = list(it)
-        assert count == 10
+        subsets = list(iter_ksubsets(5, 2, 100, seed=0, salt="x"))
         assert subsets == list(itertools.combinations(range(5), 2))
 
     def test_sampled_when_over_cap(self):
-        it, count = iter_ksubsets(20, 3, 15, seed=0, salt="x")
-        subsets = list(it)
-        assert count == len(subsets) == 15
+        subsets = list(iter_ksubsets(20, 3, 15, seed=0, salt="x"))
+        assert len(subsets) == 15
         assert len(set(subsets)) == 15
         assert subsets == sorted(subsets)
         assert all(len(s) == 3 and len(set(s)) == 3 for s in subsets)
 
     def test_deterministic(self):
-        a = list(iter_ksubsets(20, 3, 15, seed=7, salt="y")[0])
-        b = list(iter_ksubsets(20, 3, 15, seed=7, salt="y")[0])
-        c = list(iter_ksubsets(20, 3, 15, seed=8, salt="y")[0])
+        a = list(iter_ksubsets(20, 3, 15, seed=7, salt="y"))
+        b = list(iter_ksubsets(20, 3, 15, seed=7, salt="y"))
+        c = list(iter_ksubsets(20, 3, 15, seed=8, salt="y"))
         assert a == b
         assert a != c
 
@@ -289,9 +291,8 @@ class TestIterKsubsets:
             for k in (1, 2, n_items - 1):
                 cap = math.comb(n_items, k) - 1
                 for seed in range(60):
-                    it, count = iter_ksubsets(n_items, k, cap, seed, "x")
-                    subsets = list(it)
-                    assert count == len(subsets) == cap
+                    subsets = list(iter_ksubsets(n_items, k, cap, seed, "x"))
+                    assert len(subsets) == cap
                     assert len(set(subsets)) == cap
                     assert all(len(set(s)) == k for s in subsets)
 
@@ -307,8 +308,8 @@ class TestIterKsubsets:
                 return super().sample(population, k)
 
         monkeypatch.setattr(harness.random, "Random", Repeating)
-        it, count = iter_ksubsets(10, 3, 3, seed=0, salt="x")
-        assert count == len(set(it)) == 3
+        subsets = list(iter_ksubsets(10, 3, 3, seed=0, salt="x"))
+        assert len(subsets) == len(set(subsets)) == 3
 
     def test_same_draws_as_the_bounded_loop(self):
         # wherever the old loop (at most 20 * cap draws) reached the cap, the
@@ -326,7 +327,7 @@ class TestIterKsubsets:
                     break
                 seen.add(tuple(sorted(old.sample(range(n_items), k))))
             assert len(seen) == cap
-            assert list(iter_ksubsets(n_items, k, cap, seed, "salt")[0]) == sorted(seen)
+            assert list(iter_ksubsets(n_items, k, cap, seed, "salt")) == sorted(seen)
 
 
 class TestCheckConjecture:
@@ -461,6 +462,7 @@ class TestCheckConjecture:
         counted = count_longest_paths(g, cap=10)
         for verdict in (check_conjecture(g, 3, lps=lps), check_conjecture(g, 3, lps=counted)):
             assert verdict.status == "incomplete" and verdict.used_shortcut
+            assert (verdict.max_f, verdict.max_f_exact) == (0, False)
 
     def test_k_guard(self, k13):
         with pytest.raises(UsageError):
@@ -472,12 +474,14 @@ class TestCheckConjecture:
 
 
 def _counted_searches(monkeypatch) -> list:
-    """The k of each cover search that harness runs from now on."""
+    """The k of each demand-1 cover search that harness runs from now on
+    (the max f climb searches at demand 2 and up)."""
     ks = []
     search = harness.demand_cover
 
     def counted(rows, demand, k, *args):
-        ks.append(k)
+        if demand == 1:
+            ks.append(k)
         return search(rows, demand, k, *args)
 
     monkeypatch.setattr(harness, "demand_cover", counted)
@@ -760,11 +764,10 @@ def _lemma_tallies_oracle(g: Graph, config: ScanConfig) -> dict:
     tallies: dict = {}
     if len(lps) < config.k:
         return tallies
-    subsets, _ = iter_ksubsets(
+    for subset in iter_ksubsets(
         len(lps), config.k, config.lemma_subset_cap, config.seed,
         f"lemma:{encode_graph6(g)}:{config.k}",
-    )
-    for subset in subsets:
+    ):
         ps = certified_system(g, [lps.paths[i] for i in subset], lps.length)
         for rep in run_checks(ps, config.checks):
             slot = tallies.setdefault(rep.check_id, {"pass": 0, "fail": 0, "vacuous": 0})
@@ -927,12 +930,12 @@ class TestScanWithoutCommonVertex:
 
     @pytest.mark.parametrize("cut", ("node cap", "path cap"))
     def test_lower_bound_gets_no_theorem_verdict(self, monkeypatch, h_graph, cut):
-        # the climb from H's f = 1 witness at k = 9 is cut by the node cap,
-        # or reads only the first 38 of the 42 longest paths: f = 1 stands
-        # as a lower bound, and the graph gets no theorem verdict
+        # the climb from H's f = 1 witness at k = 9 is cut by a node cap of
+        # 2, or reads only the first 38 of the 42 longest paths: f = 1
+        # stands as a lower bound, and the graph gets no theorem verdict
         config = ScanConfig(k=9, checks=("theorem",))
         if cut == "node cap":
-            monkeypatch.setattr(harness, "CONJECTURE_SUBSET_CAP", 2)
+            cap_climb(monkeypatch, 2)
         else:
             config = ScanConfig(k=9, path_cap=38, checks=("theorem",))
         report = scan_stream([h_graph], config).to_json()
@@ -1031,17 +1034,28 @@ class TestScanWithoutCommonVertex:
     def test_settled_scan_draws_no_sample(self, monkeypatch, h_graph, corpus_by_n):
         # a verdict that took the shortcut (the n <= 6 corpus) or found no
         # violation (H at k < 9) settles the theorem check and the lemma
-        # sample: neither draws a subset nor computes an f
+        # sample: neither draws a subset.  The shortcut runs no BFS; H's
+        # search runs one per longest path, 42, and no climb
         def fail(*args, **kwargs):
-            raise AssertionError("a settled scan drew a sample or ran a BFS")
+            raise AssertionError("a settled scan drew a sample")
+
+        sources = []
+        bfs = harness.bfs_distances
+
+        def counted(g, source):
+            sources.append(source)
+            return bfs(g, source)
 
         monkeypatch.setattr(harness, "iter_ksubsets", fail)
-        monkeypatch.setattr(harness, "bfs_distances", fail)
+        monkeypatch.setattr(harness, "bfs_distances", counted)
         for k in (3, 4):
             report = scan_stream(corpus_by_n[6], ScanConfig(k=k))
             assert report.tallies["pairwise"]["pass"] == 112
+        assert sources == []
         for k in range(3, 9):
+            sources.clear()
             record = harness.scan_one_graph(encode_graph6(h_graph), ScanConfig(k=k), h_graph)
+            assert len(sources) == 42
             thm_id = "thm2" if k == 4 else "thm3"
             assert record["tallies"][thm_id] == {"pass": 1, "fail": 0, "vacuous": 0}
             assert (record["lemma_systems"], record["lemma_implied"]) == (0, 10)
@@ -1049,19 +1063,19 @@ class TestScanWithoutCommonVertex:
 
     def test_pairwise_failure_runs_no_bfs(self, monkeypatch):
         # C4_EDGE_PATHS as the longest paths of C4: the pair is read from
-        # one cover search, with no f and no minimizers; the only BFS runs
-        # are the k = 3 witness's, one per member
+        # one more cover search on the k = 3 search's rows, with no BFS of
+        # its own; the only BFS runs are one per listed path
         sources = []
-        bfs = lplab.systems.bfs_distances
+        bfs = harness.bfs_distances
 
         def counted(g, source):
             sources.append(tuple(source))
             return bfs(g, source)
 
-        monkeypatch.setattr(lplab.systems, "bfs_distances", counted)
+        monkeypatch.setattr(harness, "bfs_distances", counted)
         verdict = check_conjecture(parse_graph6("Cl"), 3, lps=C4_EDGE_PATHS)
         assert verdict.pair == (1, 3)
-        assert sources == [tuple(m) for m in verdict.witness["members"]]
+        assert sources == [p.vertices for p in C4_EDGE_PATHS.paths]
 
     def test_theorem_sweep_halts_on_failure(self, h_graph):
         # no graph breaks the theorem bound, so it is forced to 0 here: H's
@@ -1102,14 +1116,26 @@ def _gt_max_f(t: int) -> dict[int, int]:
     return {k: 0 if k < 9 else t + 1 if k < 18 else 2 * (t + 1) for k in range(3, 19)}
 
 
+def _fixture_graph(name: str) -> Graph:
+    """H, H', or G_t of H for name G1..G4."""
+    if name == "H'":
+        return parse_graph6(H_PRIME_GRAPH6)
+    h = parse_graph6(H_GRAPH6)
+    if name == "H":
+        return h
+    system = make_path_system(h, H_SYSTEM, require_longest=True)
+    return build_gt(h, system, int(name[1:])).graph
+
+
 class TestGreatestF:
-    """Exact max f from the climb of cover searches (greatest_f)."""
+    """Exact max f from the climb of cover searches (ConjectureVerdict.max_f)."""
 
     @staticmethod
     def _max_f(g, k):
         lps = enumerate_longest_paths(g)
-        f, subset, exact = harness.greatest_f(g, lps, check_conjecture(g, k, lps=lps))
-        assert exact
+        verdict = check_conjecture(g, k, lps=lps)
+        f, subset = verdict.max_f, verdict.max_f_subset
+        assert verdict.max_f_exact
         if f:
             members = [lps.paths[i].vertices for i in subset]
             assert len(members) == k
@@ -1135,3 +1161,49 @@ class TestGreatestF:
         rows = np.array([bfs_distances(h_g1, p.vertices) for p in lps.paths])
         combos = np.array(list(itertools.combinations(range(len(lps)), 9)))
         assert int(rows[combos].sum(axis=1).min(axis=1).max()) == self._max_f(h_g1, 9) == 2
+
+    @pytest.mark.parametrize("cap, want", [
+        (9, ("incomplete", 0, False)),
+        (10, ("violation", 1, False)),
+        (19, ("violation", 2, True)),
+    ])
+    def test_subset_cap_bounds_every_rung(self, h_graph, cap, want):
+        # H at k = 18: the demand-1 search takes 10 nodes and the demand-2
+        # rung 19, and each may spend subset_cap of them
+        verdict = check_conjecture(h_graph, 18, subset_cap=cap)
+        assert (verdict.status, verdict.max_f, verdict.max_f_exact) == want
+
+    @pytest.mark.parametrize("name", ("H", "H'", "G1", "G2", "G3", "G4"))
+    def test_witness_matches_path_system(self, monkeypatch, name):
+        # the witness's f and minimizers, read from the search rows, are
+        # those of its members' path system; the verdict runs one BFS per
+        # listed path and builds no path system
+        g = _fixture_graph(name)
+        lps = enumerate_longest_paths(g)
+        bfs_runs = 0
+        bfs = harness.bfs_distances
+
+        def counted(g, source):
+            nonlocal bfs_runs
+            bfs_runs += 1
+            return bfs(g, source)
+
+        def no_system(*args):
+            raise AssertionError("check_conjecture built a path system")
+
+        violations = 0
+        for k in range(2, 19):
+            bfs_runs = 0
+            with monkeypatch.context() as m:
+                m.setattr(harness, "bfs_distances", counted)
+                m.setattr(lplab.systems, "_build", no_system)
+                verdict = check_conjecture(g, k, lps=lps)
+            assert bfs_runs == len(lps)
+            if verdict.witness is None:
+                continue
+            violations += 1
+            ps = make_path_system(g, verdict.witness["members"], require_longest=True)
+            f, minimizers = path_distance_value(ps)
+            assert (verdict.witness["f"], verdict.witness["minimizers"]) == (f, sorted(minimizers))
+            assert verdict.witness["graph6"] == ps.graph6
+        assert violations == 10  # k = 9..18

@@ -11,7 +11,7 @@ import lplab.systems
 from lplab.construct import build_gt
 from lplab.errors import UsageError
 from lplab.graphs import Graph
-from lplab.harness import ScanConfig, check_conjecture, greatest_f, scan_stream
+from lplab.harness import ScanConfig, check_conjecture, scan_stream
 from lplab.longest import Path
 from lplab.longest import common_mask, enumerate_longest_paths
 from lplab.systems import (
@@ -121,7 +121,7 @@ class TestPathDistanceValue:
 
 
 class TestDistanceWork:
-    """f runs BFS only on members with no common vertex."""
+    """f runs BFS only on paths with no common vertex."""
 
     @pytest.fixture
     def bfs_calls(self, monkeypatch):
@@ -133,6 +133,7 @@ class TestDistanceWork:
             return bfs(g, sources)
 
         monkeypatch.setattr(lplab.systems, "bfs_distances", counted)
+        monkeypatch.setattr(lplab.harness, "bfs_distances", counted)
         return calls
 
     def test_no_bfs_in_default_check_scans(self, corpus_by_n, bfs_calls):
@@ -150,18 +151,18 @@ class TestDistanceWork:
         assert path_distance_value(ps) == (1, frozenset(range(9)))
         assert len(bfs_calls) == 9
 
-    def test_greatest_f_runs_one_bfs_per_path(self, h_graph, bfs_calls, monkeypatch):
-        # a settled verdict gives f = 0 with no BFS; the climb from the
-        # k = 18 witness (its 18 BFS runs) runs one BFS per longest path
-        monkeypatch.setattr(lplab.harness, "bfs_distances", lplab.systems.bfs_distances)
+    def test_greatest_f_runs_one_bfs_per_path(self, h_graph, bfs_calls):
+        # one BFS per longest path of H serves the demand-1 search, the
+        # witness's f and the climb: at k = 8 every k paths meet and
+        # max f = 0, at k = 18 the climb reaches 2
         lps = enumerate_longest_paths(h_graph)
-        assert greatest_f(h_graph, lps, check_conjecture(h_graph, 8, lps=lps)) == (0, None, True)
-        assert bfs_calls == []
-        verdict = check_conjecture(h_graph, 18, lps=lps)
-        assert len(bfs_calls) == 18
+        verdict = check_conjecture(h_graph, 8, lps=lps)
+        assert (verdict.max_f, verdict.max_f_subset, verdict.max_f_exact) == (0, None, True)
+        assert len(bfs_calls) == len(set(bfs_calls)) == len(lps)
         bfs_calls.clear()
-        f, subset, exact = greatest_f(h_graph, lps, verdict)
-        assert (f, len(subset), exact) == (2, 18, True)
+        verdict = check_conjecture(h_graph, 18, lps=lps)
+        subset = verdict.max_f_subset
+        assert (verdict.max_f, len(subset), verdict.max_f_exact) == (2, 18, True)
         assert len(bfs_calls) == len(set(bfs_calls)) == len(lps)
         f_oracle, _ = f_and_minimizers_oracle(h_graph, [lps.paths[i].vertices for i in subset])
         assert f_oracle == 2
