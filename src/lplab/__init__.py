@@ -18,7 +18,6 @@ from .graphs import (
 from .longest import (
     LongestPathSet,
     Path,
-    count_longest_paths,
     enumerate_longest_paths,
     is_path,
     longest_path_length,

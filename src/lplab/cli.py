@@ -29,7 +29,7 @@ from .harness import (
     iter_ksubsets,
     scan_stream,
 )
-from .longest import DEFAULT_PATH_CAP, count_longest_paths
+from .longest import DEFAULT_PATH_CAP, enumerate_longest_paths
 from .systems import certified_system, make_path_system
 
 EXIT_OK = 0
@@ -80,7 +80,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     # the members are read only where they share no vertex, and then the
     # walk that found ell holds them: spanning paths are only counted
-    lps = count_longest_paths(g, cap=args.path_cap)
+    lps = enumerate_longest_paths(g, cap=args.path_cap)
     k = args.k
     verdict = check_conjecture(g, k, lps=lps)
     print(f"n = {g.n}, m = {g.m}")
@@ -138,7 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if unknown:
         raise UsageError(f"unknown checks: {sorted(unknown)}")
     # spanning paths are counted, and built on the first read of a member
-    lps = count_longest_paths(g, cap=args.path_cap)
+    lps = enumerate_longest_paths(g, cap=args.path_cap)
     if lps.truncated:
         print(
             f"lplab: --path-cap {args.path_cap} truncated the longest paths; "
@@ -206,7 +206,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.paths == "longest":
         # spanning paths are counted first, so a set past the cap is
         # refused before any of its paths is built
-        lps = count_longest_paths(g)
+        lps = enumerate_longest_paths(g)
         if lps.truncated:
             raise UsageError(
                 f"more than {DEFAULT_PATH_CAP} longest paths (the path cap); "

@@ -61,13 +61,8 @@ from .graphs import (
     masks_connected,
     parse_graph6,
 )
-from .longest import (
-    DEFAULT_PATH_CAP,
-    LongestPathSet,
-    common_mask,
-    count_longest_paths,
-    demand_cover,
-)
+from . import longest
+from .longest import DEFAULT_PATH_CAP, LongestPathSet, common_mask, demand_cover
 from .systems import certified_system
 
 GENERATOR_MAX_N = 9
@@ -346,12 +341,7 @@ class ConjectureVerdict:
 CONJECTURE_SUBSET_CAP = 100_000
 
 
-def check_conjecture(
-    g: Graph,
-    k: int,
-    subset_cap: Optional[int] = CONJECTURE_SUBSET_CAP,
-    lps: LongestPathSet | None = None,
-) -> ConjectureVerdict:
+def check_conjecture(g: Graph, k: int, lps: LongestPathSet | None = None) -> ConjectureVerdict:
     """Do every k of the longest paths of g share a vertex, and what is the
     greatest f over their k-subsets?
 
@@ -364,20 +354,20 @@ def check_conjecture(
     k paths with no common vertex; the witness is that cover padded with the
     least unused indices up to k, its f and minimizers read from the least
     column sum of its rows.  subsets_checked counts the demand-1 search
-    nodes, and subset_cap bounds them: a search cut by the cap, or a
-    truncated path list without a violation, gives "incomplete".  A
+    nodes, and CONJECTURE_SUBSET_CAP bounds them: a search cut by the cap,
+    or a truncated path list without a violation, gives "incomplete".  A
     truncated list of spanning paths (ell = n - 1) is the exception: every
     longest path then holds every vertex, the ones past the cap too.  When
-    lps is not given it is count_longest_paths(g).  The members are read
-    only where no vertex is common to all of them, so a set of spanning
-    paths is never built.
+    lps is not given it is longest.enumerate_longest_paths(g).  The members
+    are read only where no vertex is common to all of them, so a set of
+    spanning paths is never built.
 
     From a witness the demand climbs from its f + 1: a cover of demand D is
     a k-subset with f >= D, whose f is the next rung, and the first D with
-    no cover is one past max f.  Each rung may spend subset_cap search
-    nodes; a rung cut there, or a truncated path list (paths with no common
-    vertex are not spanning, so the list may miss some), leaves max f a
-    lower bound.  Without a witness max f is 0, exact iff the status is
+    no cover is one past max f.  Each rung may spend CONJECTURE_SUBSET_CAP
+    search nodes; a rung cut there, or a truncated path list (paths with no
+    common vertex are not spanning, so the list may miss some), leaves max
+    f a lower bound.  Without a witness max f is 0, exact iff the status is
     "no-violation".
 
     pair answers k = 2 on the listed paths, with no f: None after the
@@ -389,7 +379,7 @@ def check_conjecture(
     if not is_connected(g):
         raise UsageError("conjecture check requires a connected graph")
     if lps is None:
-        lps = count_longest_paths(g)
+        lps = longest.enumerate_longest_paths(g)
     if lps.common_mask():
         exact = not lps.truncated or lps.length == g.n - 1
         status = "no-violation" if exact else "incomplete"
@@ -397,7 +387,7 @@ def check_conjecture(
             status, math.comb(len(lps), k), used_shortcut=True, max_f_exact=exact
         )
     rows = [bfs_distances(g, p.vertices) for p in lps.paths]
-    subset, nodes, capped = demand_cover(rows, 1, k, subset_cap)
+    subset, nodes, capped = demand_cover(rows, 1, k, CONJECTURE_SUBSET_CAP)
     pair = subset if k == 2 else None
     # a k search that ran to the end without a cover rules out every pair
     if capped or k > len(rows) or (subset is not None and k > 2):
@@ -423,7 +413,7 @@ def check_conjecture(
     }
     max_f, max_f_subset = f, subset
     while True:
-        cover, _, capped = demand_cover(rows, max_f + 1, k, subset_cap)
+        cover, _, capped = demand_cover(rows, max_f + 1, k, CONJECTURE_SUBSET_CAP)
         if cover is None:
             break
         max_f, max_f_subset = min(column_sums(cover)), cover
@@ -530,16 +520,16 @@ def _tally(tallies: dict, check_id: str, status: str, count: int = 1) -> None:
 
 
 def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> LongestPathSet:
-    """Every longest path of g up to cap, with the length, order and flag of
-    longest.enumerate_longest_paths, from count_longest_paths: spanning
+    """longest.enumerate_longest_paths(g, cap) with no count_cap: spanning
     paths are counted in full, up to cap, and built only if read.
 
     A scan that runs a lemma check looks its path set up here.  The
     benchmark's correctness gate (perfbench/workloads.py) wraps this name to
     record ell and the path count of every graph such a scan reads, and its
-    smoke tests wrap it to drop a path.
+    smoke tests wrap it to drop a path.  A theorem-only scan, whose counts
+    stop at k, calls the longest module's function instead, past the gate.
     """
-    return count_longest_paths(g, cap=cap, count_cap=None)
+    return longest.enumerate_longest_paths(g, cap=cap, count_cap=None)
 
 
 def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
@@ -567,11 +557,12 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     # Without a lemma check the count is read only as whether k paths exist,
     # so it stops at k (flagged truncated; check_conjecture takes a
     # truncated spanning set as exact).  With one, the count goes on to the
-    # path cap, through enumerate_longest_paths, where a caller can wrap it
+    # path cap, through this module's enumerate_longest_paths, where a
+    # caller can wrap it
     if lemma_checks:
         lps = enumerate_longest_paths(g, cap=config.path_cap)
     else:
-        lps = count_longest_paths(g, cap=config.path_cap, count_cap=config.k)
+        lps = longest.enumerate_longest_paths(g, cap=config.path_cap, count_cap=config.k)
     k = config.k
     tallies = record["tallies"]
     verdict = check_conjecture(g, k, lps=lps)

@@ -17,19 +17,23 @@ is then a Hamiltonian cycle; a vertex of degree 1 lies on none, so in a
 graph with one (the leaf rule) such a step is skipped.  The tests
 cross-check the walk against an independent permutation-prefix oracle.
 
-count_longest_paths gives the same facts and the same paths, but when
-ell = n - 1 it counts the paths first, by a memoised walk over (visited
-set, end vertex) states (the Bellman / Held-Karp recurrence) that walks
-each path once, in the direction from a vertex of least degree to one of
-greatest degree, and builds the paths only when one is read: the first
-read walks them out, as the enumeration does.  Spanning paths share every
-vertex, so a caller that needs no member never builds one.  A caller that
-reads the count only up to some size can stop that count there
-(count_cap); the truncation flag then says that more paths exist.
+enumerate_longest_paths is the one constructor of a LongestPathSet.  When
+the walk finds a spanning path (ell = n - 1) it stops there, and the
+spanning paths are counted instead, by a memoised walk over (visited set,
+end vertex) states (the Bellman / Held-Karp recurrence) that walks each
+path once, in the direction from a vertex of least degree to one of
+greatest degree; they are built only when one is read, and the first read
+walks them out.  Spanning paths share every vertex, so a caller that needs
+no member never builds one.  A caller that reads the count only up to some
+size can stop that count there (count_cap); the truncation flag then says
+that more paths exist.  Each walk recurses once per path vertex, so a
+longest path of about as many vertices as Python's recursion limit is
+refused with a UsageError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import sys
 from dataclasses import dataclass, field
@@ -79,9 +83,9 @@ def _path(vertices: tuple[int, ...], mask: int) -> Path:
 class LongestPathSet:
     """ell(G) plus the (possibly truncated) list of longest paths.
 
-    paths is a tuple when the paths were built.  For the spanning paths that
-    count_longest_paths counts it is a _SpanningPaths, which builds them on
-    its first read.
+    paths is a tuple when the walk that found ell built them.  For spanning
+    paths, which enumerate_longest_paths counts, it is a _SpanningPaths,
+    which builds them on its first read.
     """
 
     length: int
@@ -136,6 +140,23 @@ def _reaches(g: Graph, v: int, unvisited: int, need: int, must: int = 0) -> bool
         frontier = nxt & unvisited & ~seen
         seen |= frontier
     return True
+
+
+@contextlib.contextmanager
+def _depth_guard():
+    """Report a walk deeper than Python's recursion limit as a UsageError.
+
+    The walks recurse once per vertex of the path they extend, so a longest
+    path of nearly as many vertices as the limit is out of their reach.
+    The limit is not raised: on Python 3.10 each frame sits on the C stack.
+    """
+    try:
+        yield
+    except RecursionError:
+        raise UsageError(
+            "the longest-path walk passed Python's recursion limit of "
+            f"{sys.getrecursionlimit()} frames, one per path vertex"
+        ) from None
 
 
 class _CapReached(Exception):
@@ -332,7 +353,8 @@ def longest_path_length(g: Graph) -> int:
     """
     if not is_connected(g):
         raise UsageError("longest_path_length requires a connected graph")
-    return _walk(g, 0)[0]
+    with _depth_guard():
+        return _walk(g, 0)[0]
 
 
 # Below this many unvisited vertices the counter walks a child without a
@@ -447,81 +469,62 @@ class _SpanningPaths(Sequence):
     def __getitem__(self, i):
         if self._paths is None:
             # the walk may add a few paths past count in its last step
-            self._paths = tuple(_walk(self._g, self._count)[1][: self._count])
+            with _depth_guard():
+                self._paths = tuple(_walk(self._g, self._count)[1][: self._count])
         # a slice is a tuple, as the enumeration's: a caller may drop
         # members, as the benchmark's smoke tests do with lps.paths[1:]
         return self._paths[i]
 
+    # the first count spanning paths of a graph are fixed by the graph, so
+    # two sets are equal without building either
+    def __eq__(self, other):
+        if not isinstance(other, _SpanningPaths):
+            return NotImplemented
+        return self._count == other._count and self._g == other._g
 
-def _keep(g: Graph, cap: int | None, caller: str) -> int:
-    """The number of paths a walk keeps, cap + 1, once the call is checked."""
-    if cap is not None and cap < 1:
-        raise UsageError(f"cap must be >= 1, got {cap}")
-    if not is_connected(g):
-        raise UsageError(f"{caller} requires a connected graph")
-    return sys.maxsize if cap is None else cap + 1
-
-
-def _path_set(g: Graph, ell: int, found: list[Path] | None, keep: int) -> LongestPathSet:
-    """The paths found, cut to keep - 1 with the flag set if keep were found."""
-    if ell <= 1:
-        # K1 and K2 are the only connected graphs with ell <= 1
-        return LongestPathSet(length=ell, paths=(Path(tuple(range(g.n))),), truncated=False)
-    truncated = len(found) >= keep
-    return LongestPathSet(
-        length=ell,
-        paths=tuple(found[:keep - 1]) if truncated else tuple(found),
-        truncated=truncated,
-    )
+    def __hash__(self) -> int:
+        return hash((self._g, self._count))
 
 
-def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> LongestPathSet:
-    """All longest paths of g, canonical and deduplicated, in lexicographic order.
-
-    If more than cap paths exist, the lexicographically first cap of them are
-    returned with the truncation flag set.
-
-    One depth-first walk (_walk) finds ell and records the paths of the
-    best length so far, at most cap + 1 of them.  It cannot stop at cap + 1
-    while a longer path may still come, so without a spanning path it walks
-    to the end (once cap + 1 paths are held it prunes as longest_path_length
-    does); once it has found a spanning path, nothing is longer, and it stops
-    as soon as it holds more than cap of them.
-    """
-    keep = _keep(g, cap, "enumerate_longest_paths")
-    return _path_set(g, *_walk(g, keep), keep)
-
-
-def count_longest_paths(
+def enumerate_longest_paths(
     g: Graph, cap: int | None = DEFAULT_PATH_CAP, *, count_cap: int | None = None
 ) -> LongestPathSet:
-    """The longest paths of g as enumerate_longest_paths gives them, with
-    spanning paths counted first and built only when one is read.
+    """All longest paths of g, canonical and deduplicated, in lexicographic
+    order; if more than cap exist, the first cap of them with the
+    truncation flag set.
 
-    Without a spanning path the walk that finds ell holds the paths already,
-    and they are returned as a tuple.  Otherwise the spanning paths are
-    counted (_count_spanning), each once, in one direction, and the count
-    stops once it reaches cap + 1, which keeps the truncation flag exact;
-    the first read of paths then walks out the counted paths (_SpanningPaths).
+    One depth-first walk (_walk) finds ell and, without a spanning path,
+    holds the paths too, at most cap + 1 of them: it cannot stop at cap + 1
+    while a longer path may still come, so it walks to the end (once cap + 1
+    paths are held it prunes as longest_path_length does).  At the first
+    spanning path it stops instead, and the spanning paths are counted
+    (_count_spanning), each once, in one direction; the count stops once it
+    reaches cap + 1, which keeps the truncation flag exact, and the first
+    read of paths walks out the counted paths (_SpanningPaths).
 
     count_cap, if set, caps the count of spanning paths alone at
     min(cap, count_cap), with the flag set when more exist; the paths kept
     without a spanning path are capped at cap as before.  It serves a caller
     that reads the count only up to some size.
     """
-    keep = _keep(g, cap, "count_longest_paths")
+    if cap is not None and cap < 1:
+        raise UsageError(f"cap must be >= 1, got {cap}")
     if count_cap is not None and count_cap < 1:
         raise UsageError(f"count_cap must be >= 1, got {count_cap}")
-    ell, found = _walk(g, keep, stop_at_spanning=True)
-    if found is None and ell > 1:
+    if not is_connected(g):
+        raise UsageError("enumerate_longest_paths requires a connected graph")
+    keep = sys.maxsize if cap is None else cap + 1
+    with _depth_guard():
+        ell, found = _walk(g, keep, stop_at_spanning=True)
+        if ell <= 1:
+            # K1 and K2 are the only connected graphs with ell <= 1
+            return LongestPathSet(ell, (Path(tuple(range(g.n))),), False)
+        if found is not None:
+            return LongestPathSet(ell, tuple(found[: keep - 1]), len(found) >= keep)
         if count_cap is not None:
             keep = min(keep, count_cap + 1)
         count = _count_spanning(g, keep)
-        truncated = count >= keep
-        if truncated:
-            count = keep - 1
-        return LongestPathSet(ell, _SpanningPaths(g, count), truncated)
-    return _path_set(g, ell, found, keep)
+    return LongestPathSet(ell, _SpanningPaths(g, min(count, keep - 1)), count >= keep)
 
 
 def demand_cover(

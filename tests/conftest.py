@@ -82,15 +82,20 @@ C4_EDGE_PATHS = LongestPathSet(
 )
 
 
-def cap_climb(monkeypatch, node_cap: int) -> None:
-    """Cap every rung of check_conjecture's max f climb (demand 2 and up) at
-    node_cap search nodes; the demand-1 search keeps its own cap."""
+def cap_searches(monkeypatch, node_cap: int, min_demand: int = 1) -> None:
+    """Cap at node_cap search nodes each cover search of check_conjecture
+    that has a node cap (CONJECTURE_SUBSET_CAP) and a demand of at least
+    min_demand: the k search at demand 1 and the max f climb above it.  The
+    pair search, which runs uncapped, stays so; min_demand=2 caps the climb
+    alone."""
     from lplab import harness
 
     search = harness.demand_cover
 
     def capped(rows, demand, k, cap=None):
-        return search(rows, demand, k, node_cap if demand > 1 else cap)
+        if cap is not None and demand >= min_demand:
+            cap = node_cap
+        return search(rows, demand, k, cap)
 
     monkeypatch.setattr(harness, "demand_cover", capped)
 

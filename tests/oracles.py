@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import networkx as nx
 import numpy as np
 
-from lplab import harness
+from lplab import harness, longest
 from lplab.bounds import CheckReport, instance_id
 from lplab.errors import UsageError
 from lplab.graphs import Graph, DistanceVector, encode_graph6, is_connected
-from lplab.longest import LongestPathSet, Path
+from lplab.longest import DEFAULT_PATH_CAP, LongestPathSet, Path
 from lplab.systems import GoodPath, PathSystem
 
 ORACLE_MAX_N = 14
@@ -103,6 +104,23 @@ def all_pairs_distances(g: Graph) -> list[DistanceVector]:
                 if alt < di[j]:
                     di[j] = alt
     return [[None if x is inf else int(x) for x in row] for row in d]
+
+
+def eager_longest_paths(g: Graph, cap: Optional[int] = DEFAULT_PATH_CAP) -> LongestPathSet:
+    """The longest paths of g, up to cap, all built by the walk that finds ell.
+
+    One _walk that keeps cap + 1 paths and goes on past a spanning path, so
+    a spanning set is walked out path by path, where enumerate_longest_paths
+    counts it (_count_spanning) and builds it on first read.  The reference
+    for every count against the walk's paths.
+    """
+    if not is_connected(g):
+        raise UsageError("eager_longest_paths requires a connected graph")
+    keep = sys.maxsize if cap is None else cap + 1
+    ell, found = longest._walk(g, keep)
+    if ell <= 1:
+        return LongestPathSet(ell, (Path(tuple(range(g.n))),), False)
+    return LongestPathSet(ell, tuple(found[: keep - 1]), len(found) >= keep)
 
 
 def enumerate_longest_paths_oracle(g: Graph) -> LongestPathSet:

@@ -8,10 +8,12 @@ plain `pytest -v` run.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -125,10 +127,28 @@ def test_criterion_5_oracle_equivalence():
             fast = enumerate_longest_paths(g)
             slow = enumerate_longest_paths_oracle(g)
             checked += 1
-            if fast.length != slow.length or fast.paths != slow.paths:
+            if fast.length != slow.length or tuple(fast.paths) != slow.paths:
                 mismatches += 1
     ok = mismatches == 0 and checked == 996
     _verdict(5, ok, f"enumeration matches the permutation oracle on all {checked} connected graphs n <= 7")
+
+
+# ell and the number of longest paths of every connected graph with n <= 8,
+# as perfbench/make_reference.py recorded them; the benchmark's correctness
+# gate reads the same file
+REFERENCE_LE8 = Path(__file__).parents[1] / "perfbench" / "reference" / "connected_le8.tsv.gz"
+
+
+def test_full_counts_n_le_8_match_reference(corpus8):
+    # the scans read counts only up to what their checks need; here every
+    # count runs to its end, spanning sets counted, the others walked out
+    with gzip.open(REFERENCE_LE8, "rt") as fh:
+        reference = {g6: (int(ell), int(count)) for g6, ell, count in map(str.split, fh)}
+    assert len(reference) == len(corpus8) == 12_113
+    for g in corpus8:
+        lps = enumerate_longest_paths(g)
+        ell, count = reference[encode_graph6(g)]
+        assert (lps.length, len(lps), lps.truncated) == (ell, count, False), encode_graph6(g)
 
 
 def test_criterion_6_accounting_identity():

@@ -16,9 +16,10 @@ import lplab.systems
 from lplab import cli as cli_module, harness
 from lplab.cli import EXIT_BROKEN_PIPE, EXIT_FINDING, EXIT_OK, EXIT_USAGE, cli, load_graph
 from lplab.errors import FormatError
-from lplab.graphs import encode_graph6, parse_graph6
+from lplab.graphs import Graph, encode_graph6, parse_graph6
 from lplab.longest import longest_path_length
-from conftest import C4_EDGE_PATHS, H_GRAPH6, cap_climb
+from conftest import C4_EDGE_PATHS, H_GRAPH6, cap_searches
+from oracles import format_edge_list
 
 # sha256 of the bytes that `lplab verify G --k 4 --subset-cap 40` writes: for
 # H, which has no spanning path, and for two graphs whose 120 and 20,160
@@ -144,7 +145,7 @@ class TestAnalyze:
         # disjoint (recorded before the pairwise check went through
         # check_conjecture)
         monkeypatch.setattr(
-            cli_module, "count_longest_paths", lambda *args, **kwargs: C4_EDGE_PATHS
+            cli_module, "enumerate_longest_paths", lambda *args, **kwargs: C4_EDGE_PATHS
         )
         assert cli(["analyze", "Cl"]) == EXIT_FINDING
         assert (
@@ -169,7 +170,7 @@ class TestAnalyze:
         assert "k = 2: no-violation (7 search nodes)\n" in out
         assert calls == 1
         monkeypatch.setattr(
-            cli_module, "count_longest_paths", lambda *args, **kwargs: C4_EDGE_PATHS
+            cli_module, "enumerate_longest_paths", lambda *args, **kwargs: C4_EDGE_PATHS
         )
         assert cli(["analyze", "Cl", "--k", "2"]) == EXIT_FINDING
         out = capsys.readouterr().out
@@ -208,7 +209,7 @@ class TestAnalyze:
         assert cli(["analyze", H_GRAPH6, "--k", "18"]) == EXIT_FINDING
         assert capsys.readouterr().out.endswith("max f over every 18-subset: 2\n")
         # a climb cut by a node cap of 2 gives a lower bound
-        cap_climb(monkeypatch, 2)
+        cap_searches(monkeypatch, 2, min_demand=2)
         assert cli(["analyze", H_GRAPH6, "--k", "18"]) == EXIT_FINDING
         assert re.search(r"max f over every 18-subset: at least [12]\n$", capsys.readouterr().out)
 
@@ -254,7 +255,7 @@ def _no_enumeration(monkeypatch):
         raise AssertionError("enumerated before the arguments were checked")
 
     monkeypatch.setattr(lplab.longest, "_walk", fail)
-    monkeypatch.setattr(cli_module, "count_longest_paths", fail)
+    monkeypatch.setattr(cli_module, "enumerate_longest_paths", fail)
     monkeypatch.setattr(lplab.systems, "longest_path_length", fail)
 
 
@@ -342,6 +343,37 @@ class TestBadArguments:
         bounds_err = capsys.readouterr().err
         assert cli(["verify", "C~", "--k", "2"]) == EXIT_USAGE
         assert capsys.readouterr().err == bounds_err
+
+
+class TestDeepWalk:
+    """A longest path past Python's recursion limit is refused as a usage
+    error (exit 2), not a crash with the exit code of a finding."""
+
+    @staticmethod
+    def _graph(n: int, cycle: bool) -> Graph:
+        return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n - (not cycle))])
+
+    @pytest.mark.parametrize("cycle", [False, True], ids=["P1500", "C1500"])
+    def test_analyze_refuses(self, tmp_path, capsys, cycle):
+        path = tmp_path / "g.txt"
+        path.write_text(format_edge_list(self._graph(1500, cycle)))
+        assert cli(["analyze", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.getrecursionlimit()
+        assert re.fullmatch(f"lplab: error: [^\n]*recursion limit of {limit}[^\n]*\n", captured.err)
+
+    def test_search_file_refuses(self, tmp_path, capsys):
+        path = tmp_path / "deep.g6"
+        path.write_text(f"Ch\n{encode_graph6(self._graph(1500, False))}\n")
+        assert cli(["search", "--file", str(path)]) == EXIT_USAGE
+        assert "recursion limit" in capsys.readouterr().err
+
+    def test_p500_walks(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text(format_edge_list(self._graph(500, False)))
+        assert cli(["analyze", str(path)]) == EXIT_OK
+        assert "ell(G) = 499\n|L(G)| = 1\n" in capsys.readouterr().out
 
 
 class TestVerify:

@@ -25,7 +25,6 @@ from lplab.graphs import Graph, bfs_distances, encode_graph6, parse_graph6
 from lplab.longest import (
     LongestPathSet,
     Path,
-    count_longest_paths,
     enumerate_longest_paths,
     longest_path_length,
 )
@@ -43,11 +42,12 @@ from lplab.systems import (
     make_path_system,
     path_distance_value,
 )
-from conftest import C4_EDGE_PATHS, H_GRAPH6, H_PRIME_GRAPH6, H_SYSTEM, cap_climb
+from conftest import C4_EDGE_PATHS, H_GRAPH6, H_PRIME_GRAPH6, H_SYSTEM, cap_searches
 from oracles import (
     canonical_sequence,
     canonical_code,
     conjecture_oracle,
+    eager_longest_paths,
     f_and_minimizers_oracle,
     generate_graphs,
     labeled_scan_canonical_codes,
@@ -406,10 +406,11 @@ class TestCheckConjecture:
         verdict = check_conjecture(h_graph, 10, lps=lps)
         assert verdict.witness["member_indices"] == [0] + H_LEAST_VIOLATION
 
-    def test_node_cap_gives_incomplete(self, h_graph):
+    def test_node_cap_gives_incomplete(self, h_graph, monkeypatch):
         # proving that every 8 of H's longest paths meet takes 511 nodes
         assert check_conjecture(h_graph, 8).subsets_checked == 511
-        verdict = check_conjecture(h_graph, 8, subset_cap=100)
+        cap_searches(monkeypatch, 100)
+        verdict = check_conjecture(h_graph, 8)
         assert verdict.status == "incomplete"
         assert 0 < verdict.subsets_checked <= 100
         assert verdict.witness is None
@@ -445,7 +446,7 @@ class TestCheckConjecture:
         # K11: each of the 11!/2 longest paths, past the cap too, is spanning
         # and so holds every vertex
         k11 = parse_graph6("J~~~~~~~~~_")
-        for lps in (enumerate_longest_paths(k11), count_longest_paths(k11)):
+        for lps in (eager_longest_paths(k11), enumerate_longest_paths(k11)):
             assert lps.truncated and lps.length == k11.n - 1
             verdict = check_conjecture(k11, 3, lps=lps)
             assert verdict.status == "no-violation" and verdict.used_shortcut
@@ -457,9 +458,9 @@ class TestCheckConjecture:
         g = parse_graph6("L~}CKMF_C?oB_F")
         full = enumerate_longest_paths(g)
         assert (full.length, len(full), full.common_mask()) == (8, 1728, 1)
-        lps = enumerate_longest_paths(g, cap=10)
+        lps = eager_longest_paths(g, cap=10)
         assert lps.truncated and lps.common_mask()
-        counted = count_longest_paths(g, cap=10)
+        counted = enumerate_longest_paths(g, cap=10)
         for verdict in (check_conjecture(g, 3, lps=lps), check_conjecture(g, 3, lps=counted)):
             assert verdict.status == "incomplete" and verdict.used_shortcut
             assert (verdict.max_f, verdict.max_f_exact) == (0, False)
@@ -501,7 +502,8 @@ class TestConjecturePair:
         # a k = 2 search cut by its cap answers nothing, so one uncapped
         # search at k = 2 finds the pair
         searches = _counted_searches(monkeypatch)
-        verdict = check_conjecture(parse_graph6("Cl"), 2, subset_cap=1, lps=C4_EDGE_PATHS)
+        cap_searches(monkeypatch, 1)
+        verdict = check_conjecture(parse_graph6("Cl"), 2, lps=C4_EDGE_PATHS)
         assert (verdict.status, verdict.witness, verdict.pair) == ("incomplete", None, (1, 3))
         assert searches == [2, 2]
 
@@ -617,13 +619,13 @@ class TestScanStream:
         # lemma check reads the members (TestSpanningCountStop checks that
         # stopping gives the same report bytes)
         count_caps = []
-        real = harness.count_longest_paths
+        real = lplab.longest.enumerate_longest_paths
 
         def count(g, **kwargs):
             count_caps.append(kwargs["count_cap"])
             return real(g, **kwargs)
 
-        monkeypatch.setattr(harness, "count_longest_paths", count)
+        monkeypatch.setattr(lplab.longest, "enumerate_longest_paths", count)
         scan_stream(corpus_by_n[6], ScanConfig(k=3, checks=checks))
         assert count_caps == [3 if counted else None] * 112
 
@@ -760,7 +762,7 @@ LEMMA_CHECKS = ("lemma1", "lemma2", "lemma3", "cor1")
 def _lemma_tallies_oracle(g: Graph, config: ScanConfig) -> dict:
     """The tallies of run_checks on every subset of the scan's seeded lemma
     sample of g, each built as a path system."""
-    lps = count_longest_paths(g, cap=config.path_cap)
+    lps = enumerate_longest_paths(g, cap=config.path_cap)
     tallies: dict = {}
     if len(lps) < config.k:
         return tallies
@@ -824,13 +826,13 @@ class TestSpanningCountStop:
 
     @staticmethod
     def _unstopped(monkeypatch):
-        real = harness.count_longest_paths
+        real = lplab.longest.enumerate_longest_paths
 
         def count(g, cap, **kwargs):
             kwargs.pop("count_cap")
             return real(g, cap, **kwargs)
 
-        monkeypatch.setattr(harness, "count_longest_paths", count)
+        monkeypatch.setattr(lplab.longest, "enumerate_longest_paths", count)
 
     def test_reports_match_unstopped_counts(self, monkeypatch, corpus_by_n):
         complete = [
@@ -852,7 +854,7 @@ class TestSpanningCountStop:
 
     def test_spanning_counts_stop_at_k(self, monkeypatch, corpus_by_n):
         lengths = []
-        real = harness.count_longest_paths
+        real = lplab.longest.enumerate_longest_paths
 
         def count(g, **kwargs):
             lps = real(g, **kwargs)
@@ -860,20 +862,20 @@ class TestSpanningCountStop:
                 lengths.append(len(lps))
             return lps
 
-        monkeypatch.setattr(harness, "count_longest_paths", count)
+        monkeypatch.setattr(lplab.longest, "enumerate_longest_paths", count)
         scan_stream(corpus_by_n[6], ScanConfig(k=4, checks=("theorem",)))
         assert max(lengths) == 4 and len(lengths) == 91
 
     def test_lemma_route_counts_in_full(self, monkeypatch, corpus_by_n):
         lengths = []
-        real = harness.count_longest_paths
+        real = lplab.longest.enumerate_longest_paths
 
         def count(g, **kwargs):
             lps = real(g, **kwargs)
             lengths.append(len(lps))
             return lps
 
-        monkeypatch.setattr(harness, "count_longest_paths", count)
+        monkeypatch.setattr(lplab.longest, "enumerate_longest_paths", count)
         scan_stream(corpus_by_n[6], ScanConfig(k=3, lemma_subset_cap=1))
         assert max(lengths) == 360  # K6: 6!/2 paths, past k
 
@@ -935,7 +937,7 @@ class TestScanWithoutCommonVertex:
         # stands as a lower bound, and the graph gets no theorem verdict
         config = ScanConfig(k=9, checks=("theorem",))
         if cut == "node cap":
-            cap_climb(monkeypatch, 2)
+            cap_searches(monkeypatch, 2, min_demand=2)
         else:
             config = ScanConfig(k=9, path_cap=38, checks=("theorem",))
         report = scan_stream([h_graph], config).to_json()
@@ -951,8 +953,10 @@ class TestScanWithoutCommonVertex:
         # greatest f over 3-subsets is 1 > 8/15, so the theorem check halts
         # the scan there, before any lemma check (values recorded before the pairwise check
         # went through check_conjecture)
-        for name in ("count_longest_paths", "enumerate_longest_paths"):
-            monkeypatch.setattr(harness, name, lambda *args, **kwargs: C4_EDGE_PATHS)
+        for owner in (harness, lplab.longest):
+            monkeypatch.setattr(
+                owner, "enumerate_longest_paths", lambda *args, **kwargs: C4_EDGE_PATHS
+            )
         record = harness.scan_one_graph("Cl", ScanConfig(checks=checks), parse_graph6("Cl"))
         assert record == {
             "graph6": "Cl",
@@ -1167,10 +1171,11 @@ class TestGreatestF:
         (10, ("violation", 1, False)),
         (19, ("violation", 2, True)),
     ])
-    def test_subset_cap_bounds_every_rung(self, h_graph, cap, want):
+    def test_subset_cap_bounds_every_rung(self, h_graph, monkeypatch, cap, want):
         # H at k = 18: the demand-1 search takes 10 nodes and the demand-2
-        # rung 19, and each may spend subset_cap of them
-        verdict = check_conjecture(h_graph, 18, subset_cap=cap)
+        # rung 19, and each may spend the conjecture's node cap of them
+        cap_searches(monkeypatch, cap)
+        verdict = check_conjecture(h_graph, 18)
         assert (verdict.status, verdict.max_f, verdict.max_f_exact) == want
 
     @pytest.mark.parametrize("name", ("H", "H'", "G1", "G2", "G3", "G4"))

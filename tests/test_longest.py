@@ -21,7 +21,6 @@ from lplab.longest import (
     DEFAULT_PATH_CAP,
     Path,
     common_mask,
-    count_longest_paths,
     demand_cover,
     enumerate_longest_paths,
     is_path,
@@ -34,6 +33,7 @@ from oracles import (
     canonical,
     canonical_sequence,
     edge_set,
+    eager_longest_paths,
     enumerate_longest_paths_oracle,
 )
 
@@ -96,8 +96,7 @@ GT_OF_H_PATHS_SHA256 = {
 }
 
 # reach tests made on G_t of H, t = 1..4, before the endpoint rule: by the
-# walks of enumerate_longest_paths (and count_longest_paths, the same walk
-# there) and of longest_path_length
+# walks of enumerate_longest_paths and of longest_path_length
 GT_OF_H_REACH_TESTS = {1: 4301, 2: 6976, 3: 9652, 4: 12328}
 GT_OF_H_LENGTH_REACH_TESTS = {1: 3937, 2: 6664, 3: 9364, 4: 12040}
 
@@ -197,7 +196,7 @@ class TestEnumerate:
         full = enumerate_longest_paths(c5)
         capped = enumerate_longest_paths(c5, cap=2)
         assert capped.truncated
-        assert capped.paths == full.paths[:2]
+        assert tuple(capped.paths) == full.paths[:2]
         assert capped.length == full.length
 
     def test_cap_validation(self, c5):
@@ -210,7 +209,7 @@ class TestEnumerate:
                 fast = enumerate_longest_paths(g)
                 slow = enumerate_longest_paths_oracle(g)
                 assert fast.length == slow.length
-                assert fast.paths == slow.paths
+                assert tuple(fast.paths) == slow.paths
 
     def test_length_matches_enumeration(self, corpus_by_n):
         for g in corpus_by_n[6]:
@@ -224,14 +223,14 @@ class TestEnumerate:
             sizes.add(g.n)
             slow = enumerate_longest_paths_oracle(g)
             fast = enumerate_longest_paths(g)
-            assert (fast.length, fast.paths, fast.truncated) == (
+            assert (fast.length, tuple(fast.paths), fast.truncated) == (
                 slow.length, slow.paths, False
             )
             assert all(p.mask == Path(p.vertices).mask for p in fast.paths)
             assert longest_path_length(g) == slow.length
             cap = rng.randint(1, 4)
             capped = enumerate_longest_paths(g, cap=cap)
-            assert capped.paths == slow.paths[:cap]
+            assert tuple(capped.paths) == slow.paths[:cap]
             assert capped.truncated == (len(slow.paths) > cap)
         assert sizes == set(range(1, 10))
 
@@ -333,7 +332,7 @@ class TestEnumerate:
                 assert [p.vertices for p in fast.paths] == [p.vertices for p in expected]
                 assert [p.mask for p in fast.paths] == [p.mask for p in expected]
                 assert fast.truncated == (cap is not None and len(slow.paths) > cap)
-                assert _facts(count_longest_paths(g, cap)) == _facts(fast)
+                assert _facts(eager_longest_paths(g, cap)) == _facts(fast)
         assert without_spanning >= 100 and sum(n >= 12 for n in sizes) >= 50
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
@@ -371,7 +370,6 @@ class TestEnumerate:
             gt = gt_of_h(h_graph, t)
             for find, limit in (
                 (enumerate_longest_paths, before),
-                (count_longest_paths, before),
                 (longest_path_length, GT_OF_H_LENGTH_REACH_TESTS[t]),
             ):
                 calls = 0
@@ -462,8 +460,8 @@ def thin_graphs(draw) -> Graph:
 
 
 def same_as_oracle(g: Graph):
-    """Check the walk's three routes on g against the oracle, at caps None
-    and 1-4, and return the oracle's set."""
+    """Check the walk's two routes on g against the oracle, and the eager
+    walk's facts, at caps None and 1-4; return the oracle's set."""
     slow = enumerate_longest_paths_oracle(g)
     assert longest_path_length(g) == slow.length
     for cap in (None, 1, 2, 3, 4):
@@ -472,7 +470,7 @@ def same_as_oracle(g: Graph):
         assert fast.length == slow.length
         assert [p.vertices for p in fast.paths] == [p.vertices for p in expected]
         assert fast.truncated == (cap is not None and len(slow.paths) > cap)
-        assert _facts(count_longest_paths(g, cap)) == _facts(fast)
+        assert _facts(eager_longest_paths(g, cap)) == _facts(fast)
     return slow
 
 
@@ -588,8 +586,8 @@ class TestCount:
         for n in range(1, 8):
             for g in corpus_by_n[n] if n < 7 else generate_connected_graphs(7):
                 for cap in self.CAPS:
-                    counted = count_longest_paths(g, cap)
-                    assert _facts(counted) == _facts(enumerate_longest_paths(g, cap))
+                    counted = enumerate_longest_paths(g, cap)
+                    assert _facts(counted) == _facts(eager_longest_paths(g, cap))
                 # K1 and K2 keep their one path
                 counts = not isinstance(counted.paths, tuple)
                 assert counts == (n > 2 and counted.length == n - 1)
@@ -602,8 +600,8 @@ class TestCount:
         for _ in range(200):
             g = random_labelled_graph(rng, 14, base_max=10)
             for cap in self.CAPS:
-                counted = count_longest_paths(g, cap)
-                assert _facts(counted) == _facts(enumerate_longest_paths(g, cap))
+                counted = enumerate_longest_paths(g, cap)
+                assert _facts(counted) == _facts(eager_longest_paths(g, cap))
             routes[not isinstance(counted.paths, tuple)] += 1
         assert min(routes.values()) >= 50, routes
 
@@ -622,17 +620,17 @@ class TestCount:
 
     @staticmethod
     def _check_count_caps(graphs: list[Graph]) -> int:
-        """Each count under count_cap c against the enumeration: capped at
+        """Each count under count_cap c against the eager walk: capped at
         min(cap, c) with a spanning path, at cap without one.  Returns the
         number of graphs with a spanning path."""
         spanning = 0
         for g in graphs:
             for cap in (None, 41):
-                kept = enumerate_longest_paths(g, cap)
+                kept = eager_longest_paths(g, cap)
                 counts = g.n > 2 and kept.length == g.n - 1
                 for c in (1, 2, 41, 42):
-                    want = enumerate_longest_paths(g, min(cap or c, c)) if counts else kept
-                    assert _facts(count_longest_paths(g, cap, count_cap=c)) == _facts(want)
+                    want = eager_longest_paths(g, min(cap or c, c)) if counts else kept
+                    assert _facts(enumerate_longest_paths(g, cap, count_cap=c)) == _facts(want)
             spanning += counts
         return spanning
 
@@ -660,13 +658,13 @@ class TestCount:
     ])
     def test_pick_of_a_and_b(self, g, count, petersen):
         g = g or petersen
-        want = enumerate_longest_paths(g, None)
+        want = eager_longest_paths(g, None)
         if g.n <= ORACLE_MAX_N:
             assert _facts(want) == _facts(enumerate_longest_paths_oracle(g))
         assert want.length == g.n - 1
         assert count is None or len(want) == count
         for cap in (None, *range(max(1, len(want) - 1), len(want) + 2)):
-            assert _facts(count_longest_paths(g, cap)) == _facts(enumerate_longest_paths(g, cap))
+            assert _facts(enumerate_longest_paths(g, cap)) == _facts(eager_longest_paths(g, cap))
 
     @pytest.mark.parametrize("g, count", [
         pytest.param(grid(4, 5), 1006, id="grid4x5"), pytest.param(cube(), 72, id="Q3"),
@@ -677,7 +675,7 @@ class TestCount:
         for _ in range(20):
             label = list(range(g.n))
             rng.shuffle(label)
-            counted = count_longest_paths(relabel(g, label), None)
+            counted = enumerate_longest_paths(relabel(g, label), None)
             assert (counted.length, len(counted), counted.truncated) == (g.n - 1, count, False)
 
     def test_each_path_walked_once(self, corpus_by_n):
@@ -698,22 +696,22 @@ class TestCount:
         sys.setprofile(profile)
         try:
             for g in graphs:
-                count_longest_paths(g, count_cap=41)
+                enumerate_longest_paths(g, count_cap=41)
         finally:
             sys.setprofile(None)
         assert 0 < calls <= 0.4 * SPANNING_DFS_CALLS_BOTH_DIRECTIONS_N7, calls
 
     def test_k20_stops_at_the_cap(self):
         # 20!/2 spanning paths: the count stops once it passes the cap
-        counted = count_longest_paths(Graph.from_edges(20, itertools.combinations(range(20), 2)))
+        counted = enumerate_longest_paths(Graph.from_edges(20, itertools.combinations(range(20), 2)))
         assert (counted.length, len(counted), counted.truncated) == (19, DEFAULT_PATH_CAP, True)
         assert counted.common_mask() == (1 << 20) - 1
 
     def test_grid(self):
-        counted = count_longest_paths(grid(5, 5))
+        counted = enumerate_longest_paths(grid(5, 5))
         assert (counted.length, len(counted), counted.truncated) == (24, 4324, False)
-        assert _facts(count_longest_paths(grid(5, 5), cap=4323))[1:3] == (4323, True)
-        assert _facts(count_longest_paths(grid(5, 5), cap=4324))[1:3] == (4324, False)
+        assert _facts(enumerate_longest_paths(grid(5, 5), cap=4323))[1:3] == (4323, True)
+        assert _facts(enumerate_longest_paths(grid(5, 5), cap=4324))[1:3] == (4324, False)
 
     def test_count_cap_stops_spanning_counts_only(self, h_graph):
         g = grid(5, 5)  # 4324 spanning paths
@@ -725,14 +723,14 @@ class TestCount:
             (41, None, (41, True)),
             (10**15, None, (4324, False)),
         ):
-            counted = count_longest_paths(g, cap, count_cap=count_cap)
+            counted = enumerate_longest_paths(g, cap, count_cap=count_cap)
             assert (counted.length, len(counted), counted.truncated) == (24, *want)
         # without a spanning path the walk's paths are kept up to cap alone
-        assert count_longest_paths(h_graph, count_cap=1) == enumerate_longest_paths(h_graph)
+        assert enumerate_longest_paths(h_graph, count_cap=1) == eager_longest_paths(h_graph)
         with pytest.raises(TypeError):
-            count_longest_paths(g, 10, 5)
+            enumerate_longest_paths(g, 10, 5)
         with pytest.raises(UsageError):
-            count_longest_paths(g, count_cap=0)
+            enumerate_longest_paths(g, count_cap=0)
 
     def test_cache_freed_on_return(self):
         # with the collector off, only plain reference counting can free it
@@ -742,7 +740,7 @@ class TestCount:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            assert len(count_longest_paths(g)) == 3610
+            assert len(enumerate_longest_paths(g)) == 3610
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -751,10 +749,10 @@ class TestCount:
         assert after - before < 50_000
 
     def test_paths_of_a_count_are_built_when_read(self, c5):
-        counted = count_longest_paths(c5)
+        counted = enumerate_longest_paths(c5)
         assert not isinstance(counted.paths, tuple)
         assert len(counted) == 5
-        want = enumerate_longest_paths(c5).paths
+        want = eager_longest_paths(c5).paths
         assert counted.paths[1:4] == want[1:4]
         assert counted.paths[-1] == counted.paths[4] == want[4]
         assert tuple(counted.paths) == want
@@ -763,13 +761,47 @@ class TestCount:
 
     def test_without_spanning_path_the_paths_are_kept(self, k13, h_graph):
         for g in (k13, h_graph):
-            assert count_longest_paths(g) == enumerate_longest_paths(g)
+            assert enumerate_longest_paths(g) == eager_longest_paths(g)
+
+    def test_spanning_sets_compare_unbuilt(self, c5, monkeypatch):
+        # two counts of one graph's spanning paths are equal, with equal
+        # hashes, and neither is built to say so
+        def refuse(*args):
+            raise AssertionError("a path was built")
+
+        monkeypatch.setattr(lplab.longest, "_path", refuse)
+        a, b = enumerate_longest_paths(c5), enumerate_longest_paths(cycle(5))
+        assert a == b and hash(a) == hash(b) and {a, b} == {a}
+        # the same count of another labelling's paths, or fewer of them
+        pentagram = enumerate_longest_paths(relabel(c5, [0, 2, 4, 1, 3]))
+        assert (pentagram.length, len(pentagram), pentagram.truncated) == (4, 5, False)
+        assert a != pentagram and a != enumerate_longest_paths(c5, cap=4)
+        monkeypatch.undo()
+        assert tuple(a.paths) == eager_longest_paths(c5).paths
 
     def test_validation(self, c5):
         with pytest.raises(UsageError):
-            count_longest_paths(c5, cap=0)
+            enumerate_longest_paths(c5, cap=0)
         with pytest.raises(UsageError):
-            count_longest_paths(Graph.from_edges(4, [(0, 1), (2, 3)]))
+            enumerate_longest_paths(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+class TestDepthLimit:
+    """The walks take one Python frame per path vertex; past the recursion
+    limit each entry point says so with a UsageError, never RecursionError."""
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(Graph.from_edges(1500, [(v, v + 1) for v in range(1499)]), id="P1500"),
+        pytest.param(cycle(1500), id="C1500"),
+    ])
+    def test_entry_points_refuse(self, g):
+        for find in (enumerate_longest_paths, longest_path_length):
+            with pytest.raises(UsageError, match=f"recursion limit of {sys.getrecursionlimit()}"):
+                find(g)
+        # the first read of a spanning set walks its paths out
+        paths = lplab.longest._SpanningPaths(g, 1)
+        with pytest.raises(UsageError, match="recursion limit"):
+            paths[0]
 
 
 def spanning_labelled_graph(rng: random.Random, n: int) -> Graph:
@@ -788,8 +820,8 @@ class TestUnrank:
 
     @staticmethod
     def _same_paths(g: Graph, cap: int | None) -> bool:
-        counted = count_longest_paths(g, cap)
-        want = enumerate_longest_paths(g, cap).paths
+        counted = enumerate_longest_paths(g, cap)
+        want = eager_longest_paths(g, cap).paths
         return len(counted) == len(want) and all(
             counted.paths[i] == p for i, p in enumerate(want)
         )
@@ -804,7 +836,7 @@ class TestUnrank:
         rng = random.Random(20261020)
         for _ in range(200):
             g = spanning_labelled_graph(rng, rng.randint(9, 12))
-            counted = count_longest_paths(g, None)
+            counted = enumerate_longest_paths(g, None)
             assert counted.length == g.n - 1 and not counted.truncated
             assert self._same_paths(g, None), encode_graph6(g)
 
@@ -816,7 +848,7 @@ class TestUnrank:
     @pytest.mark.parametrize("n", [11, 20])
     def test_truncated_count_walks_no_memo(self, n):
         # the first read walks out the first cap paths, with no state memo
-        counted = count_longest_paths(Graph.from_edges(n, itertools.combinations(range(n), 2)))
+        counted = enumerate_longest_paths(Graph.from_edges(n, itertools.combinations(range(n), 2)))
         assert (len(counted), counted.truncated) == (DEFAULT_PATH_CAP, True)
         # K_n's first canonical paths are 0 and each order of 1..n-1
         for i in (0, 1, DEFAULT_PATH_CAP - 1):
@@ -829,7 +861,7 @@ class TestUnrank:
 CORPUS_LE7_SHA256 = "e5610c5b599a753e2f40e8c3e9f943958c78129ff16abe8148d855b779972383"
 
 
-@pytest.mark.parametrize("find", [enumerate_longest_paths, count_longest_paths])
+@pytest.mark.parametrize("find", [enumerate_longest_paths, eager_longest_paths])
 def test_corpus_digest(corpus_by_n, find):
     digest = hashlib.sha256()
     for n in range(1, 8):
