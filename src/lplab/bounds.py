@@ -8,6 +8,7 @@ the other checks compare fractions.Fraction values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -108,8 +109,12 @@ def theorem_bound_parts(k: int, n: int) -> dict[str, Optional[Fraction]]:
     return {"general": general, "k4": k4}
 
 
+@functools.lru_cache(maxsize=256)
 def theorem_bound(k: int, n: int) -> Fraction:
-    """Best proven upper bound on f for k longest paths in a connected graph on n vertices."""
+    """Best proven upper bound on f for k longest paths in a connected graph on n vertices.
+
+    Memoised on (k, n): a scan asks once per graph, for a few orders.
+    """
     return min(b for b in theorem_bound_parts(k, n).values() if b is not None)
 
 

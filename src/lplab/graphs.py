@@ -103,6 +103,14 @@ def parse_edge_list(text: str) -> Graph:
 # graph6 / sparse6
 
 
+# a graph6 data byte's six bits, high bit first, and back.  The bit-stream
+# lists the pairs (0, 1), (0, 2), (1, 2), (0, 3), ... in order, so read into
+# one int whose bit i is stream bit i, the x bits of row x are the low x
+# bits of x's neighbour mask
+_G6_BITS = {63 + i: format(i, "06b") for i in range(64)}
+_G6_CHARS = {format(i, "06b"): chr(63 + i) for i in range(64)}
+
+
 def _g6_check_bytes(s: str) -> None:
     for off, ch in enumerate(s):
         if not (63 <= ord(ch) <= 126):
@@ -167,15 +175,19 @@ def parse_graph6(line: str) -> Graph:
         raise FormatError(
             f"nonzero padding bits in the last graph6 data byte at offset {off + need - 1}"
         )
-    edges = []
-    bit = 0
+    # the data bytes' bits, read backwards: stream bit i is bit i
+    stream = int(s[off:].translate(_G6_BITS)[::-1], 2) if need else 0
+    masks = [0] * n
+    shift = 0
     for x in range(1, n):
-        for y in range(x):
-            byte = ord(s[off + bit // 6]) - 63
-            if byte >> (5 - bit % 6) & 1:
-                edges.append((y, x))
-            bit += 1
-    return Graph.from_edges(n, edges)
+        row = stream >> shift & ((1 << x) - 1)  # the neighbours of x below x
+        shift += x
+        masks[x] |= row
+        while row:
+            low = row & -row
+            masks[low.bit_length() - 1] |= 1 << x
+            row ^= low
+    return Graph(n=n, nbr_masks=tuple(masks), m=stream.bit_count())
 
 
 def _parse_sparse6(s: str) -> Graph:
@@ -217,21 +229,17 @@ def _parse_sparse6(s: str) -> Graph:
 
 def encode_graph6(g: Graph) -> str:
     """Encode a Graph as a canonical graph6 line (inverse of parse_graph6)."""
-    out = [_g6_encode_order(g.n)]
-    acc = 0
-    nacc = 0
+    masks = g.nbr_masks
+    stream = shift = 0  # bit i is stream bit i, as in parse_graph6
     for x in range(1, g.n):
-        row = g.nbr_masks[x]
-        for y in range(x):
-            acc = (acc << 1) | (row >> y & 1)
-            nacc += 1
-            if nacc == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nacc = 0
-    if nacc:
-        out.append(chr((acc << (6 - nacc)) + 63))
-    return "".join(out)
+        stream |= (masks[x] & ((1 << x) - 1)) << shift
+        shift += x
+    # the stream in order, padded with zeros to whole bytes
+    size = (shift + 5) // 6 * 6
+    bits = format(stream, f"0{size}b")[::-1]
+    return _g6_encode_order(g.n) + "".join(
+        [_G6_CHARS[bits[i:i + 6]] for i in range(0, size, 6)]
+    )
 
 
 # ---------------------------------------------------------------------------

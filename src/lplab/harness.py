@@ -662,14 +662,16 @@ def _merge_records(report: SearchReport, records: Iterable[dict]) -> SearchRepor
                 report.incomplete_graphs += 1
                 if report.conjecture_status == "no-violation":
                     report.conjecture_status = "incomplete"
-        ratio = Fraction(rec["max_f"], rec["n"])
-        if rec["max_f"] > report.max_f or ratio > report.max_ratio:
-            report.max_f = max(report.max_f, rec["max_f"])
+        f = rec["max_f"]
+        # f = 0 raises neither the max f nor the max ratio
+        ratio = Fraction(f, rec["n"]) if f else 0
+        if f > report.max_f or ratio > report.max_ratio:
+            report.max_f = max(report.max_f, f)
             if ratio > report.max_ratio:
                 report.max_ratio = ratio
             report.extremal_witness = {
                 "graph6": rec["graph6"],
-                "f": rec["max_f"],
+                "f": f,
                 "member_indices": rec.get("max_f_subset"),
             }
         if rec.get("halt"):
@@ -691,7 +693,10 @@ def _normalised(
             continue
         try:
             g = parse_graph6(line)
-            g6 = encode_graph6(g)
+            # a plain graph6 line with a one-byte order that parses is
+            # canonical already: the order, the data length and the padding
+            # are all checked; headers, sparse6 and "~" orders are re-encoded
+            g6 = line if line[0] not in ">:~" else encode_graph6(g)
         except FormatError as exc:
             if config.strict:
                 raise FormatError(f"line {lineno}: {exc}") from exc

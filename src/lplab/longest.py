@@ -2,31 +2,32 @@
 
 Paths are undirected objects: the two orientations of a vertex sequence are
 the same path, kept in canonical form (first vertex numerically smaller than
-the last).  One depth-first walk with a reachability bound, which walks each
-path once from its smaller end, gives ell and the longest paths together;
-once it finds a spanning path, ell = n - 1 is known, and it stops at the
-cap.  Until then the reach test also applies the endpoint rule: every
-neighbour of an end of a longest path lies on the path, or the path would
-extend, so a branch that can no longer reach every unvisited neighbour of
-its start holds no longest path.  The thin-start rule cuts the first step:
-if x, of degree at most 2, is a neighbour of an end s of a longest path P,
-then x lies on P, so x is P's second vertex, or else P's other end, and
-then P + sx is a cycle and P is spanning (g is connected).  A first step
-from s that passes by such an x looks for spanning paths only, and P + sx
-is then a Hamiltonian cycle; a vertex of degree 1 lies on none, so in a
-graph with one (the leaf rule) such a step is skipped.  The tests
-cross-check the walk against an independent permutation-prefix oracle.
+the last).
 
-enumerate_longest_paths is the one constructor of a LongestPathSet.  When
-the walk finds a spanning path (ell = n - 1) it stops there, and the
-spanning paths are counted instead, by a memoised walk over (visited set,
-end vertex) states (the Bellman / Held-Karp recurrence) that walks each
-path once, in the direction from a vertex of least degree to one of
-greatest degree; they are built only when one is read, and the first read
-walks them out.  Spanning paths share every vertex, so a caller that needs
-no member never builds one.  A caller that reads the count only up to some
-size can stop that count there (count_cap); the truncation flag then says
-that more paths exist.  Each walk recurses once per path vertex, so a
+Every entry point counts before it walks.  A graph with a spanning path has
+ell = n - 1 and only spanning longest paths, so the spanning paths are
+counted first, by a memoised walk over (visited set, end vertex) states (the
+Bellman / Held-Karp recurrence) that walks each path once, in the direction
+from a vertex of least degree to one of greatest degree.  A nonzero count
+is the whole answer; the paths are built only when one is read, and the
+first read walks them out.  Spanning paths share every vertex, so a caller
+that needs no member never builds one.  A caller that reads the count only
+up to some size can stop that count there (count_cap); the truncation flag
+then says that more paths exist.  Three or more vertices of degree 1 rule
+out a spanning path, since each ends one, and skip the count.
+
+A graph with no spanning path is walked once, depth first, with a
+reachability bound, each path from its smaller end, which gives ell and the
+longest paths together.  The reach test also applies the endpoint rule:
+every neighbour of an end of a longest path lies on the path, or the path
+would extend, so a branch that can no longer reach every unvisited
+neighbour of its start holds no longest path.  The thin-start rule cuts the
+first step: if x, of degree at most 2, is a neighbour of an end s of a
+longest path P, then x lies on P, so x is P's second vertex, or else P's
+other end, and then P + sx is a cycle and P is spanning (g is connected).
+With no spanning path, a first step from s that passes by such an x is
+skipped.  The tests cross-check the walk against an independent
+permutation-prefix oracle.  Each walk recurses once per path vertex, so a
 longest path of about as many vertices as Python's recursion limit is
 refused with a UsageError.
 """
@@ -163,21 +164,22 @@ class _CapReached(Exception):
     """A search reached its cap: paths found or search nodes."""
 
 
-class _SpanningPath(Exception):
-    """The walk found a path through every vertex."""
-
-
-def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, list[Path] | None]:
+def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
     """ell(g) and the lexicographically first keep canonical paths of that
     length, from one depth-first walk; keep = 0 asks for ell alone.
+
+    spans says whether g has a spanning path; the caller knows, from the
+    spanning count.  With spans the walk records spanning paths only: it
+    aims at length n - 1 from the start.  Without, it skips every first
+    step that can hold no longest path but a spanning one (below).
 
     Each path is walked once, from its smaller end (start ascending,
     neighbours ascending, which is lexicographic order): from start s the
     walk goes on only while an unvisited vertex above s is left.  The walk
     tracks the best length found so far and records the paths that tie it,
     in DFS order, dropping them when a longer one appears; they are built
-    (as Path) only on return, so paths dropped for a longer one, or for the
-    first spanning path under stop_at_spanning, are never built.
+    (as Path) only on return, so paths dropped for a longer one are never
+    built.
 
     A child is cut when the vertices it can still reach cannot bring it up
     to the best length, or, once keep paths of that length are held, cannot
@@ -188,69 +190,55 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
     are reached; every path in a cut branch misses some neighbour u of s,
     and u + P is longer.
 
-    The first step is cut by the thin-start rule; a vertex is thin if its
-    degree is at most 2.  Let x be a thin neighbour of s and P a longest
-    path that starts at s.  x lies on P, by the endpoint rule.  If x is
-    internal, its two path-neighbours are all of its neighbours, s among
-    them, so x is P's second vertex.  Otherwise x is P's other end, P + sx
-    is a cycle, and since g is connected, a vertex off the cycle would
-    extend it to a longer path, so P is spanning.  Hence a first step to w,
-    with a thin neighbour of s other than w, holds no longest path but a
-    spanning one, and below it the walk aims at length n - 1 instead of the
-    best, until it finds one.
-
-    The leaf rule skips such a step when g has a vertex of degree 1 (a
-    leaf).  A path found below it is spanning and, by the above, ends at
-    the thin neighbour x of s that it did not step to first, so P + sx is a
-    cycle through every vertex: each vertex has two neighbours on it, and a
-    leaf has one (n >= 3).  So the subtree records nothing, and since only
-    a record changes the walk's state (best, the paths held, the cap), the
-    skip changes no output.  (A graph with two leaves, as the paper's G_t
-    with their three, has no spanning path at all; with one leaf, a
-    spanning path ends at it and starts at a vertex with no thin neighbour
-    but its second.)
+    Without spans the first step is cut by the thin-start rule; a vertex is
+    thin if its degree is at most 2.  Let x be a thin neighbour of s and P
+    a longest path that starts at s.  x lies on P, by the endpoint rule.
+    If x is internal, its two path-neighbours are all of its neighbours, s
+    among them, so x is P's second vertex.  Otherwise x is P's other end,
+    P + sx is a cycle, and since g is connected, a vertex off the cycle
+    would extend it to a longer path, so P is spanning.  Hence a first step
+    to w, with a thin neighbour of s other than w, holds no longest path
+    but a spanning one, and g has none: the step is skipped.  A zero count
+    makes every such step unnecessary, leaf or not.  The leaf rule is a
+    case of it: below such a step a spanning path would close a
+    Hamiltonian cycle, on which no vertex has degree 1, and three leaves,
+    as in the paper's G_t, rule out a spanning path with no count at all.
 
     All these cuts remove only branches that hold no longest path, so they
     can only lower the best length held at some moment, or the number of
-    paths of it: need only falls and nothing else is cut.  Once best = n - 1,
-    need asks for every unvisited vertex anyway, and the endpoint,
-    thin-start and leaf rules are dropped.  After a forced step (one way on)
-    the reach test is skipped, since the child reaches exactly what its
-    parent did, less itself, and the parent's test covered the start's
-    neighbours too.  After the first spanning path nothing is longer: the
-    walk adds the last two vertices of a path in the parent's loop, which
-    may take the list past keep, and stops once it holds keep paths (at once
-    for keep = 0).  With stop_at_spanning it stops at the first spanning
-    path instead and returns (n - 1, None).
+    paths of it: need only falls and nothing else is cut.  With spans, need
+    asks for every unvisited vertex anyway, and the endpoint rule is
+    dropped.  After a forced step (one way on) the reach test is skipped,
+    since the child reaches exactly what its parent did, less itself, and
+    the parent's test covered the start's neighbours too.  With spans
+    nothing is longer than a spanning path: the walk adds the last two
+    vertices of a path in the parent's loop, which may take the list past
+    keep, and stops once it holds keep paths.
     """
     spanning = g.n - 1
-    if spanning < 2:
-        # K1 and K2: the walk records no path of one edge
-        return spanning, []
     masks = g.nbr_masks
     full = g.vertex_mask()
-    thin = leaves = 0
-    for v, m in enumerate(masks):
-        degree = m.bit_count()
-        if degree <= 2:
-            thin |= 1 << v
-            if degree == 1:
-                leaves |= 1 << v
-    best = 0
-    aim = 0  # the length a path must reach to be recorded: best, or n - 1
-    fold = -1  # once best = spanning, the length with two vertices left
-    slack = not keep  # 1 once keep paths of the aim are held
-    own = 0  # the start's neighbours, all on any longest path; 0 once best = n - 1
+    thin = 0  # the vertices of degree <= 2; none count with spans
+    if not spans:
+        for v, m in enumerate(masks):
+            if m.bit_count() <= 2:
+                thin |= 1 << v
+    # the length a path must reach to be recorded: the best so far, or with
+    # spans, n - 1 from the start
+    best = spanning if spans else 0
+    fold = spanning - 2 if spans else -1  # the length with two vertices left
+    slack = not keep  # 1 once keep paths of the best length are held
+    own = 0  # the start's neighbours, all on any longest path; 0 with spans
     found: list[tuple[tuple[int, ...], int]] = []  # (vertices, mask) of each
     path: list[int] = []
 
     def dfs(v: int, vis: int, length: int) -> None:
         """Walk every extension of path, which ends at v at this length."""
-        nonlocal best, aim, fold, slack, own, found
+        nonlocal best, slack, found
         nxt = masks[v] & ~vis
         if length == fold:
-            # two vertices left, and any path through both ties ell: take
-            # each neighbour w of v, then the other one if it is w's
+            # two vertices left, and any path through both is spanning:
+            # take each neighbour w of v, then the other one if it is w's
             # neighbour and lies above the start
             while nxt:
                 low = nxt & -nxt
@@ -265,11 +253,11 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
         forced = not nxt & (nxt - 1)
         length += 1
         # with r more vertices the child ends at length + r: it needs
-        # aim - length of them to tie, one more to beat, and one at least
-        # to be worth a visit; this changes only with a record, a visit or
-        # a first step.  Once aim = n - 1, need is the number of unvisited
-        # vertices, so only their reach can fall short
-        need = aim - length + slack or 1
+        # best - length of them to tie, one more to beat, and one at least
+        # to be worth a visit; this changes only with a record or a visit.
+        # With spans, need is the number of unvisited vertices, so only
+        # their reach can fall short
+        need = best - length + slack or 1
         while nxt:
             low = nxt & -nxt
             nxt ^= low
@@ -279,21 +267,16 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
             # path longer than the best always ends above its start, since
             # had it ended below, it would already have been walked from that
             # smaller end, and the best would be at least its length
-            if length >= aim and low & high:
+            if length >= best and low & high:
                 if length > best:
-                    if length == spanning and stop_at_spanning:
-                        raise _SpanningPath
-                    best = aim = length
+                    best = length
                     found = []
-                    if best == spanning:
-                        fold = spanning - 2
-                        own = 0
                 if len(found) < keep:
                     found.append(((*path, w), vis_w))
                 slack = len(found) >= keep
-                if slack and best == spanning:
+                if slack and spans:
                     raise _CapReached
-                need = aim - length + slack or 1
+                need = best - length + slack or 1
             rem = full & ~vis_w
             if rem & high and rem.bit_count() >= need and (
                 forced or _reaches(g, w, rem, need, own & rem)
@@ -301,32 +284,26 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
                 path.append(w)
                 dfs(w, vis_w, length)
                 path.pop()
-                need = aim - length + slack or 1
+                need = best - length + slack or 1
 
-    # the first steps are taken here, not in dfs, since each sets the aim;
-    # g is connected, so a start reaches every other vertex and needs no
-    # reach test, and no path of one edge is longest (n >= 3)
+    # the first steps are taken here, not in dfs, since the thin-start rule
+    # cuts them; g is connected, so a start reaches every other vertex and
+    # needs no reach test, and no path of one edge is longest (n >= 3)
     try:
         for s in range(spanning):
             high = full & ~((2 << s) - 1)
             nxt = masks[s]
             forced = not nxt & (nxt - 1)
-            if best < spanning:
+            if not spans:
                 own = nxt
-            lone = nxt & thin  # a longest path from s steps first to each, or spans
+            lone = nxt & thin  # a longest path from s steps first to each
             path.append(s)
             while nxt:
                 low = nxt & -nxt
                 nxt ^= low
-                if lone & ~low and best < spanning:
-                    if leaves:
-                        # the spanning path would close a Hamiltonian cycle
-                        continue
-                    aim, slack = spanning, 0
-                elif aim != best:
-                    # back from a first step that found no spanning path
-                    aim, slack = best, len(found) >= keep
-                need = aim - 1 + slack or 1
+                if lone & ~low:
+                    continue
+                need = best - 1 + slack or 1
                 w = low.bit_length() - 1
                 vis_w = 1 << s | low
                 rem = full & ~vis_w
@@ -337,8 +314,6 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
                     dfs(w, vis_w, 1)
                     path.pop()
             path.pop()
-    except _SpanningPath:
-        return spanning, None
     except _CapReached:
         pass
     return best, [_path(vertices, mask) for vertices, mask in found]
@@ -347,14 +322,17 @@ def _walk(g: Graph, keep: int, stop_at_spanning: bool = False) -> tuple[int, lis
 def longest_path_length(g: Graph) -> int:
     """Maximum edge-length over all simple paths of a connected graph.
 
-    The walk of enumerate_longest_paths, keeping no paths: a child goes on
-    only if it can beat the best length, and the walk stops at the first
-    spanning path.
+    The rule of enumerate_longest_paths: a spanning count that stops at 1
+    answers n - 1, and only a graph with no spanning path is walked, keeping
+    no paths: a child goes on only if it can beat the best length.
     """
     if not is_connected(g):
         raise UsageError("longest_path_length requires a connected graph")
     with _depth_guard():
-        return _walk(g, 0)[0]
+        # K1 and K2 are their own spanning paths
+        if g.n < 3 or _count_spanning(g, 1):
+            return g.n - 1
+        return _walk(g, 0, False)[0]
 
 
 # Below this many unvisited vertices the counter walks a child without a
@@ -367,7 +345,8 @@ _COUNT_REACH_MIN = 8
 
 def _count_spanning(g: Graph, stop: int) -> int:
     """The number of spanning paths of g (n >= 3), or some number >= stop
-    once the count reaches stop.
+    once the count reaches stop.  With three or more leaves it is 0 at
+    once: every leaf ends a spanning path, which has two ends.
 
     Each path is counted once, in the direction that visits a before b: a is
     a vertex of least degree and b one of greatest degree other than a
@@ -386,6 +365,8 @@ def _count_spanning(g: Graph, stop: int) -> int:
     two vertices are added in the parent's loop.
     """
     masks = g.nbr_masks
+    if sum(m.bit_count() == 1 for m in masks) > 2:
+        return 0
     if g.n == 3:
         # every two edges of a connected graph on three vertices form one
         return g.m * (g.m - 1) // 2
@@ -470,7 +451,7 @@ class _SpanningPaths(Sequence):
         if self._paths is None:
             # the walk may add a few paths past count in its last step
             with _depth_guard():
-                self._paths = tuple(_walk(self._g, self._count)[1][: self._count])
+                self._paths = tuple(_walk(self._g, self._count, True)[1][: self._count])
         # a slice is a tuple, as the enumeration's: a caller may drop
         # members, as the benchmark's smoke tests do with lps.paths[1:]
         return self._paths[i]
@@ -493,14 +474,17 @@ def enumerate_longest_paths(
     order; if more than cap exist, the first cap of them with the
     truncation flag set.
 
-    One depth-first walk (_walk) finds ell and, without a spanning path,
-    holds the paths too, at most cap + 1 of them: it cannot stop at cap + 1
-    while a longer path may still come, so it walks to the end (once cap + 1
-    paths are held it prunes as longest_path_length does).  At the first
-    spanning path it stops instead, and the spanning paths are counted
-    (_count_spanning), each once, in one direction; the count stops once it
-    reaches cap + 1, which keeps the truncation flag exact, and the first
-    read of paths walks out the counted paths (_SpanningPaths).
+    Count first: unless g has three or more leaves, its spanning paths are
+    counted (_count_spanning), each once, in one direction, and the count
+    stops once it reaches cap + 1, which keeps the truncation flag exact.
+    A nonzero count is the whole answer: ell = n - 1, and the first read of
+    paths walks out the counted paths (_SpanningPaths).  A zero count, or
+    three leaves, means g has no spanning path: then one depth-first walk
+    (_walk) finds ell and holds the paths, at most cap + 1 of them.  It
+    cannot stop at cap + 1 while a longer path may still come, so it walks
+    to the end (once cap + 1 paths are held it prunes as
+    longest_path_length does), and it skips every first step that could
+    hold only a spanning path.
 
     count_cap, if set, caps the count of spanning paths alone at
     min(cap, count_cap), with the flag set when more exist; the paths kept
@@ -514,17 +498,16 @@ def enumerate_longest_paths(
     if not is_connected(g):
         raise UsageError("enumerate_longest_paths requires a connected graph")
     keep = sys.maxsize if cap is None else cap + 1
+    if g.n <= 2:
+        # K1 and K2: one path, through every vertex
+        return LongestPathSet(g.n - 1, (Path(tuple(range(g.n))),), False)
+    stop = keep if count_cap is None else min(keep, count_cap + 1)
     with _depth_guard():
-        ell, found = _walk(g, keep, stop_at_spanning=True)
-        if ell <= 1:
-            # K1 and K2 are the only connected graphs with ell <= 1
-            return LongestPathSet(ell, (Path(tuple(range(g.n))),), False)
-        if found is not None:
-            return LongestPathSet(ell, tuple(found[: keep - 1]), len(found) >= keep)
-        if count_cap is not None:
-            keep = min(keep, count_cap + 1)
-        count = _count_spanning(g, keep)
-    return LongestPathSet(ell, _SpanningPaths(g, min(count, keep - 1)), count >= keep)
+        count = _count_spanning(g, stop)
+        if count:
+            return LongestPathSet(g.n - 1, _SpanningPaths(g, min(count, stop - 1)), count >= stop)
+        ell, found = _walk(g, keep, False)
+    return LongestPathSet(ell, tuple(found[: keep - 1]), len(found) >= keep)
 
 
 def demand_cover(

@@ -107,19 +107,23 @@ def all_pairs_distances(g: Graph) -> list[DistanceVector]:
 
 
 def eager_longest_paths(g: Graph, cap: Optional[int] = DEFAULT_PATH_CAP) -> LongestPathSet:
-    """The longest paths of g, up to cap, all built by the walk that finds ell.
+    """The longest paths of g, up to cap, all built by walks.
 
-    One _walk that keeps cap + 1 paths and goes on past a spanning path, so
-    a spanning set is walked out path by path, where enumerate_longest_paths
-    counts it (_count_spanning) and builds it on first read.  The reference
-    for every count against the walk's paths.
+    A _walk that aims at spanning paths walks a spanning set out path by
+    path, where enumerate_longest_paths counts it (_count_spanning) and
+    builds it on first read; only if it finds none does a second walk, which
+    skips the first steps that can hold only spanning paths, find ell and
+    the paths.  No count decides which walk answers, so this is the
+    reference for every count against the walk's paths.
     """
     if not is_connected(g):
         raise UsageError("eager_longest_paths requires a connected graph")
+    if g.n <= 2:
+        return LongestPathSet(g.n - 1, (Path(tuple(range(g.n))),), False)
     keep = sys.maxsize if cap is None else cap + 1
-    ell, found = longest._walk(g, keep)
-    if ell <= 1:
-        return LongestPathSet(ell, (Path(tuple(range(g.n))),), False)
+    ell, found = longest._walk(g, keep, True)
+    if not found:
+        ell, found = longest._walk(g, keep, False)
     return LongestPathSet(ell, tuple(found[: keep - 1]), len(found) >= keep)
 
 

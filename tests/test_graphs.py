@@ -69,6 +69,29 @@ class TestEdgeList:
         assert sorted(parse_edge_list(format_edge_list(c5)).edges()) == sorted(c5.edges())
 
 
+# each malformed line and its FormatError message
+GRAPH6_ERRORS = {
+    "": "empty graph6 string",
+    ">>graph6<<": "empty graph6 string",
+    # str.strip takes \x1f for whitespace
+    "C\x1f": "truncated graph6 bit-stream at offset 1: need 1 data bytes, got 0",
+    "C h": "invalid graph6 byte ' ' at offset 1",
+    "Ch\x7f": "invalid graph6 byte '\\x7f' at offset 2",
+    "~??Ch!": "invalid graph6 byte '!' at offset 5",
+    "C": "truncated graph6 bit-stream at offset 1: need 1 data bytes, got 0",
+    "~??C": "truncated graph6 bit-stream at offset 4: need 1 data bytes, got 0",
+    "~?@?": "truncated graph6 bit-stream at offset 4: need 336 data bytes, got 0",
+    "~~?????A": "truncated graph6 bit-stream at offset 8: need 1 data bytes, got 0",
+    "Chh": "trailing bytes after graph6 data at offset 2",
+    "?": "graph6 order must be >= 1",
+    "~~??????": "graph6 order must be >= 1",
+    "~": "truncated graph6 order header at offset 1",
+    "~??": "truncated graph6 order header at offset 1",
+    "~~?????": "truncated graph6 order header at offset 2",
+    ":?": "sparse6 order must be >= 1",
+}
+
+
 class TestGraph6:
     def test_k1(self):
         g = parse_graph6("@")
@@ -87,10 +110,11 @@ class TestGraph6:
     def test_header_stripped(self):
         assert parse_graph6(">>graph6<<Ch").m == 3
 
-    @pytest.mark.parametrize("line", ["", "C\x1f", "C", "Chh"])
+    @pytest.mark.parametrize("line", list(GRAPH6_ERRORS))
     def test_malformed(self, line):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as exc:
             parse_graph6(line)
+        assert str(exc.value) == GRAPH6_ERRORS[line]
 
     @pytest.mark.parametrize("line, offset", [
         ("B~", 1),  # K3 is Bw: its 3 edge bits leave 3 padding bits
@@ -228,6 +252,28 @@ class TestDistances:
 def test_graph6_round_trip_property(g):
     g2 = parse_graph6(encode_graph6(g))
     assert g2.n == g.n and sorted(g2.edges()) == sorted(g.edges())
+
+
+@st.composite
+def graphs_up_to_70(draw) -> Graph:
+    """A random simple graph on 1..70 vertices, across the one-byte graph6
+    order (n <= 62) and the "~" order that follows it."""
+    n = draw(st.integers(1, 70))
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+@given(graphs_up_to_70())
+@settings(max_examples=150, deadline=None)
+def test_graph6_codec_round_trip_up_to_70(g):
+    line = encode_graph6(g)
+    assert parse_graph6(line) == g
+    # networkx writes the canonical line on its own, and it reads back as is
+    theirs = nx.to_graph6_bytes(to_networkx(g), header=False).decode().strip()
+    assert line == theirs
+    assert encode_graph6(parse_graph6(theirs)) == theirs
+    assert (line[0] == "~") == (g.n > 62)
 
 
 @given(small_graphs())

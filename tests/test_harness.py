@@ -609,6 +609,32 @@ class TestScanStream:
         assert report.graphs_scanned == 21
         assert calls == 21
 
+    @pytest.mark.parametrize("line, reencoded", [
+        ("Ch", False),
+        ("  Ch\n", False),
+        (">>graph6<<Ch", True),
+        (":Cdv", True),  # sparse6
+        (">>sparse6<<:Cdv", True),
+        ("~??Ch", True),  # a "~" order for n = 4, which has a one-byte order
+        ("~~?????Ch", True),
+        # n = 63 needs the "~" order: canonical, but not a one-byte order
+        (encode_graph6(Graph.from_edges(63, [(v, v + 1) for v in range(62)])), True),
+    ])
+    def test_only_plain_one_byte_lines_kept(self, monkeypatch, line, reencoded):
+        # a plain graph6 line with a one-byte order that parses is its own
+        # canonical form; every other line is re-encoded
+        encoded = []
+        encode = harness.encode_graph6
+
+        def counting(g):
+            encoded.append(g)
+            return encode(g)
+
+        monkeypatch.setattr(harness, "encode_graph6", counting)
+        [(g, g6)] = harness._normalised([line], ScanConfig())
+        assert g6 == encode(g) and g == parse_graph6(line)
+        assert len(encoded) == reencoded
+
     @pytest.mark.parametrize("checks, counted", [
         (("theorem",), True),
         (("lemma1", "theorem"), False),

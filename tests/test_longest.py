@@ -107,8 +107,9 @@ GT_OF_H_LENGTH_REACH_TESTS = {1: 3937, 2: 6664, 3: 9364, 4: 12040}
 # dfs)
 GT_OF_H_THIN_START_WORK = {1: (2125, 2352), 2: (2544, 4076), 3: (2892, 6012), 4: (3240, 8236)}
 
-# the same under the leaf rule: G_t keeps the three leaves of H, so the walk
-# skips every first step that would look for spanning paths only
+# the same under the leaf rule: G_t keeps the three leaves of H, so no
+# spanning count runs, and the walk skips every first step that would look
+# for spanning paths only
 GT_OF_H_LEAF_RULE_WORK = {1: (1953, 2220), 2: (2025, 3458), 3: (2025, 4620), 4: (2025, 5782)}
 
 
@@ -524,9 +525,9 @@ def two_leaf_graph(rng: random.Random, n: int) -> Graph:
 
 
 class TestLeafRule:
-    """With a vertex of degree 1 in g, the walk skips every first step that
-    would look for spanning paths only.  Here g has spanning paths, so the
-    rule must keep every one of them."""
+    """A graph with one or two vertices of degree 1 and a spanning path is
+    counted, not walked, and its first read walks out every spanning path:
+    each leaf ends one, and none closes a Hamiltonian cycle."""
 
     @pytest.mark.parametrize("leaves, make", [(1, one_leaf_graph), (2, two_leaf_graph)])
     def test_against_oracle(self, leaves, make):
@@ -551,6 +552,113 @@ class TestLeafRule:
                 leaf_last += seq[-1] in ends
         # the leaf lies above the start of some paths and below others
         assert leaf_first and leaf_last
+
+
+def windmill(rng: random.Random, n: int) -> Graph:
+    """Three cycles with chords that share one vertex, on n >= 10 vertices,
+    relabelled at random.  No vertex has degree 1, and the shared vertex
+    cuts the graph in three, so no path spans it: the spanning count runs
+    and finds none, and the walk must cut the first steps that look for
+    spanning paths only."""
+    while True:
+        cuts = sorted(rng.sample(range(3, n - 3), 2))
+        sizes = (cuts[0], cuts[1] - cuts[0], n - 1 - cuts[1])
+        if min(sizes) >= 3:
+            break
+    edges, v = [], 1
+    for size in sizes:
+        blade = [0, *range(v, v + size)]
+        ring = {tuple(sorted(e)) for e in zip(blade, blade[1:] + blade[:1])}
+        absent = [e for e in itertools.combinations(blade, 2) if e not in ring]
+        edges += sorted(ring) + rng.sample(absent, size // 3)
+        v += size
+    label = list(range(n))
+    rng.shuffle(label)
+    return relabel(Graph.from_edges(n, edges), label)
+
+
+# reach tests made by enumerate_longest_paths (the spanning count's included)
+# on the 30 windmills of TestCountFirst; the parent of the count-first rule,
+# which walked every first step that looked for spanning paths only, made
+# 26,194
+WINDMILL_REACH_TESTS = 23_625
+
+
+class TestCountFirst:
+    """A graph with at most two leaves is counted before it is walked: a
+    nonzero count is the answer, and only a graph without a spanning path
+    is walked, with no first step that looks for spanning paths only."""
+
+    def test_walks_only_without_spanning_path_n_le_7(self, corpus_by_n, monkeypatch):
+        graphs = [g for n in range(1, 7) for g in corpus_by_n[n]] + generate_connected_graphs(7)
+        wants = {}
+        for g in graphs:
+            for cap in (None, 1, 2, 3, 4):
+                wants[g, cap] = eager_longest_paths(g, cap)
+        walked = []
+        walk = lplab.longest._walk
+
+        def recording(g, keep, spans):
+            # a read of a spanning set's members walks with spans
+            if not spans:
+                walked.append(g)
+            return walk(g, keep, spans)
+
+        monkeypatch.setattr(lplab.longest, "_walk", recording)
+        without = 0
+        for g in graphs:
+            spanning = wants[g, None].length == g.n - 1
+            without += not spanning
+            for cap in (None, 1, 2, 3, 4):
+                for count_cap in (None, 1, 2, 3, 4):
+                    walked.clear()
+                    got = enumerate_longest_paths(g, cap, count_cap=count_cap)
+                    assert walked == ([] if spanning else [g]), encode_graph6(g)
+                    stop = cap if count_cap is None or not spanning else min(cap or count_cap, count_cap)
+                    want = wants[g, stop]
+                    assert _facts(got) == _facts(want)
+                    assert [p.vertices for p in got.paths] == [p.vertices for p in want.paths]
+            walked.clear()
+            assert longest_path_length(g) == wants[g, None].length
+            assert walked == ([] if spanning else [g])
+        # 852 of the 996 graphs, K1 and K2 among them, have a spanning path
+        assert without == 144
+
+    def test_windmills(self, monkeypatch):
+        rng = random.Random(29)
+        mills = [windmill(rng, rng.randint(15, 23)) for _ in range(30)]
+        calls = 0
+        reaches = lplab.longest._reaches
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return reaches(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lplab.longest, "_reaches", counted)
+            got = [enumerate_longest_paths(g) for g in mills]
+        assert calls <= WINDMILL_REACH_TESTS, calls
+        for g, lps in zip(mills, got):
+            assert min(map(g.degree, range(g.n))) >= 2
+            want = eager_longest_paths(g)
+            assert want.length < g.n - 1
+            assert _facts(lps) == _facts(want)
+            assert [p.vertices for p in lps.paths] == [p.vertices for p in want.paths]
+            assert longest_path_length(g) == want.length
+
+    def test_small_windmills_against_permutation_oracle(self):
+        # the eager oracle shares _walk and its first-step skip; the
+        # permutation oracle shares nothing, and is fast enough at n <= 12
+        rng = random.Random(30)
+        for _ in range(20):
+            g = windmill(rng, rng.randint(10, 12))
+            want = enumerate_longest_paths_oracle(g)
+            assert want.length < g.n - 1
+            lps = enumerate_longest_paths(g)
+            assert _facts(lps) == _facts(want), encode_graph6(g)
+            assert [p.vertices for p in lps.paths] == [p.vertices for p in want.paths]
+            assert longest_path_length(g) == want.length
 
 
 def grid(rows: int, cols: int) -> Graph:
