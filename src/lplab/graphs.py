@@ -283,12 +283,13 @@ def is_connected(g: Graph) -> bool:
 
 def masks_connected(masks: Sequence[int]) -> bool:
     """True iff the graph with these neighbour masks is connected."""
-    seen = 1
-    frontier = 1
+    seen = frontier = 1
     while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= masks[v]
-        frontier = nxt & ~seen
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
         seen |= frontier
     return seen == (1 << len(masks)) - 1

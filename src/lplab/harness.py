@@ -12,22 +12,25 @@ keep it cheap, none of which changes which candidate comes first:
   apart from each other) is skipped, since swapping u and w maps it onto a
   smaller subset of the same base, tried before it;
 - vertex keys in O(1) per vertex: degree, twice the triangles and the sum of
-  neighbour degrees, packed into one int and updated from per-base arrays with
-  one popcount; the sorted keys bucket the candidates;
-- an equality shortcut: each bucket keeps its representatives relabelled in
-  key order (ties by label), and a candidate relabelled the same way that
-  equals one of those tuples is that representative under a relabelling, so
-  it is dropped with one tuple compare (at n = 8, 65,744 of the 82,702
-  candidates that land in an existing bucket);
-- for the rest, a bitmask isomorphism test against each representative in
-  the bucket: a vertex maps only onto vertices of its own key, rarest key
-  first, and an image is accepted with one mask compare.
+  neighbour degrees, packed into one int, tagged with the vertex's label and
+  updated from per-base arrays with one popcount; one sort of the tagged keys
+  puts the vertices in key order (ties by label), and the sorted keys,
+  packed into one int, are the candidate's bucket key;
+- known forms: a candidate's form is its relabelling in key order, packed
+  into one int, and equal forms are isomorphic graphs.  One set holds the
+  forms of the representatives and of every duplicate a search found, so a
+  candidate whose form is in it is dropped after one lookup (at n = 8,
+  75,724 of the 94,956 candidates);
+- for the rest that land in an existing bucket (6,978 at n = 8), a bitmask
+  isomorphism test against each representative in the bucket: a vertex maps
+  only onto vertices of its own key, rarest key first, and an image is
+  accepted with one mask compare.  Generating n <= 8 makes 7,608 such tests.
 
 On one core of a 2-core VM (Python 3.11.7) _all_graph_masks(8) takes about
-1.4 s from an empty cache, and generate_connected_graphs(9) about 45-48 s at
-a 340 MB peak (the commands are in the README).  Tier-1 pins the counts and a
+0.8 s from an empty cache, and generate_connected_graphs(9) about 25-26 s at
+a 169 MB peak (the commands are in the README).  Tier-1 pins the counts and a
 sha256 of the graph6 output for n <= 8; a CI step pins the n = 9 counts and
-the sha256 of its connected graph6 lines.
+the sha256 of its connected graph6 lines, and bounds that step's peak RSS.
 
 The scanner distributes independent graphs to workers and merges records in
 canonical graph6 order so its JSON output is schedule-independent.
@@ -73,12 +76,21 @@ GENERATOR_MAX_N = 9
 
 
 # Every vertex gets an isomorphism-invariant key: its degree, twice its
-# triangle count and the sum of its neighbours' degrees, packed into one int
-# (degree above bit 13, triangles in bits 7-12, neighbour degrees in bits 0-6;
-# n <= 9 keeps each field inside its bits).  A graph's bucket key is the sorted
-# tuple of its vertex keys.
-_TRI_SHIFT = 7
-_DEG_SHIFT = 13
+# triangle count and the sum of its neighbours' degrees, packed into one int,
+# degree highest.  Each field is as wide as its largest value on
+# GENERATOR_MAX_N vertices needs: with d = GENERATOR_MAX_N - 1, a degree is at
+# most d, twice the triangles at most d(d - 1) and the neighbour degrees at
+# most d^2 (at n = 9 the neighbour degrees take bits 0-6, the triangles 7-12
+# and the degree 13-16: 17 bits).  A candidate carries each vertex's key
+# tagged with its label, key << _TAG_BITS | v, so one sort puts the vertices
+# in key order, ties by label; its bucket key is the sorted keys packed into
+# one int, _KEY_BITS each.
+_MAX_DEG = GENERATOR_MAX_N - 1
+_TRI_SHIFT = (_MAX_DEG * _MAX_DEG).bit_length()
+_DEG_SHIFT = _TRI_SHIFT + (_MAX_DEG * (_MAX_DEG - 1)).bit_length()
+_KEY_BITS = _DEG_SHIFT + _MAX_DEG.bit_length()
+_TAG_BITS = _MAX_DEG.bit_length()
+_TAG_MASK = (1 << _TAG_BITS) - 1
 
 # the vertices of every neighbour mask on at most GENERATOR_MAX_N vertices
 _MEMBERS = tuple(
@@ -89,6 +101,26 @@ _MEMBERS = tuple(
 
 def _pack(deg: int, tri2: int, nbr_deg_sum: int) -> int:
     return (deg << _DEG_SHIFT) | (tri2 << _TRI_SHIFT) | nbr_deg_sum
+
+
+def _check_widths() -> None:
+    """Raise unless every field of the packed keys, and the vertex tag, holds
+    its largest value on GENERATOR_MAX_N vertices: an overflowing field would
+    merge keys, and bucket keys, that must differ."""
+    for top, lo, hi in (
+        (_MAX_DEG * _MAX_DEG, 0, _TRI_SHIFT),
+        (_MAX_DEG * (_MAX_DEG - 1), _TRI_SHIFT, _DEG_SHIFT),
+        (_MAX_DEG, _DEG_SHIFT, _KEY_BITS),
+        (_MAX_DEG, 0, _TAG_BITS),
+    ):
+        if top >> (hi - lo):
+            raise RuntimeError(
+                f"packed generator field of bits {lo}..{hi - 1} cannot hold "
+                f"{top} at GENERATOR_MAX_N = {GENERATOR_MAX_N}"
+            )
+
+
+_check_widths()
 
 
 def _vertex_keys(masks: Sequence[int]) -> list[int]:
@@ -105,7 +137,8 @@ def _vertex_keys(masks: Sequence[int]) -> list[int]:
 
 
 def _extensions(base: Sequence[int]) -> Iterator[tuple[list[int], list[int]]]:
-    """(masks, vertex keys) of base plus a new vertex joined to each subset.
+    """(masks, tagged vertex keys) of base plus a new vertex joined to each
+    subset; entry v of the keys is v's key << _TAG_BITS | v.
 
     Subsets come in ascending order.  A subset that holds w but not its twin
     u < w (N(u) - w == N(w) - u) is skipped: swapping u and w is an
@@ -115,21 +148,23 @@ def _extensions(base: Sequence[int]) -> Iterator[tuple[list[int], list[int]]]:
     m = len(base)
     newbit = 1 << m
     bdeg = [b.bit_count() for b in base]
-    keys = _vertex_keys(base)
+    keys = [k << _TAG_BITS | u for u, k in enumerate(_vertex_keys(base))]
     # a vertex joined to the new one gains a degree, c triangles and c + |S|
     # in neighbour degrees, c = |N(u) & S|; any other vertex gains c in the
     # last field only
-    key_in = [k + (1 << _DEG_SHIFT) for k in keys]
+    key_in = [k + (1 << _DEG_SHIFT + _TAG_BITS) for k in keys]
     twins = []
     for u in range(m):
         for w in range(u + 1, m):
             if base[u] & ~(1 << w) == base[w] & ~(1 << u):
                 twins.append(((1 << u) | (1 << w), 1 << w))
-    tri_step = (2 << _TRI_SHIFT) + 1
+    one = 1 << _TAG_BITS
+    tri_step = ((2 << _TRI_SHIFT) + 1) << _TAG_BITS
     for subset in range(1 << m):
         if any(subset & pair == high for pair, high in twins):
             continue
         size = subset.bit_count()
+        size_step = size << _TAG_BITS
         masks = []
         vkeys = []
         tri2 = nbr_deg_sum = 0
@@ -138,41 +173,39 @@ def _extensions(base: Sequence[int]) -> Iterator[tuple[list[int], list[int]]]:
             c = (b & subset).bit_count()
             if subset >> u & 1:
                 masks.append(b | newbit)
-                vkeys.append(key_in[u] + c * tri_step + size)
+                vkeys.append(key_in[u] + c * tri_step + size_step)
                 tri2 += c
                 nbr_deg_sum += bdeg[u] + 1
             else:
                 masks.append(b)
-                vkeys.append(keys[u] + c)
+                vkeys.append(keys[u] + c * one)
         masks.append(subset)
-        vkeys.append(_pack(size, tri2, nbr_deg_sum))
+        vkeys.append(_pack(size, tri2, nbr_deg_sum) << _TAG_BITS | m)
         yield masks, vkeys
 
 
-def _key_order(keys: Sequence[int]) -> list[int]:
-    """Vertices sorted by key, ties by label."""
-    return sorted(range(len(keys)), key=keys.__getitem__)
-
-
-def _relabel(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
-    """masks with vertex order[i] renamed i."""
-    bit = [0] * len(order)  # bit[v]: the new label of v, as a mask
+def _relabel(masks: Sequence[int], order: Sequence[int]) -> int:
+    """masks with vertex order[i] renamed i, as one int: row i, the new
+    neighbour mask of order[i], at bits i * n onward."""
+    n = len(order)
+    bit = [0] * n  # bit[v]: the new label of v, as a mask
     for i, v in enumerate(order):
         bit[v] = 1 << i
-    out = []
-    for v in order:
+    form = 0
+    for v in reversed(order):
         r = 0
         for w in _MEMBERS[masks[v]]:
             r |= bit[w]
-        out.append(r)
-    return tuple(out)
+        form = form << n | r
+    return form
 
 
 def _search_plan(
-    masks: Sequence[int], order: Sequence[int], sorted_keys: Sequence[int]
+    masks: Sequence[int], tagged: Sequence[int]
 ) -> list[tuple[int, int, int, list[int]]]:
     """Steps (vertex, lo, hi, earlier) that map each vertex of masks onto a
-    graph stored in key order (see _relabel) with the same sorted keys.
+    graph in key order (see _relabel) with the same sorted keys; tagged is
+    masks' tagged vertex keys (see _extensions), sorted.
 
     A vertex may go only to positions lo..hi-1, those of its own key.  Rarest
     keys go first, ties by position; earlier lists the neighbours mapped
@@ -180,7 +213,7 @@ def _search_plan(
     """
     runs = []  # (size, start) of each run of equal keys
     lo = 0
-    for _, run in itertools.groupby(sorted_keys):
+    for _, run in itertools.groupby(tagged, lambda t: t >> _TAG_BITS):
         size = len(list(run))
         runs.append((size, lo))
         lo += size
@@ -190,21 +223,21 @@ def _search_plan(
     for size, lo in runs:
         hi = lo + size
         for i in range(lo, hi):
-            a = order[i]
+            a = tagged[i] & _TAG_MASK
             plan.append((a, lo, hi, list(_MEMBERS[masks[a] & before])))
             before |= 1 << a
     return plan
 
 
-def _maps_onto(
-    plan: Sequence[tuple[int, int, int, list[int]]], target: Sequence[int]
-) -> bool:
-    """Does plan's graph map isomorphically onto target (in key order)?
+def _maps_onto(plan: Sequence[tuple[int, int, int, list[int]]], form: int) -> bool:
+    """Does plan's graph map isomorphically onto form (see _relabel)?
 
     Image b is accepted for a step iff b is unused and its neighbours among
     the used images are exactly the images of the step's earlier neighbours.
     """
     n = len(plan)
+    full = (1 << n) - 1
+    target = [form >> shift & full for shift in range(0, n * n, n)]
     image = [0] * n  # image bit of each mapped vertex
     choice = [0] * n  # next position to try at each step
     used = 0
@@ -243,33 +276,37 @@ def _all_graph_masks(n: int) -> list[tuple[int, ...]]:
 
     Each class is represented by its first candidate: bases in the order of
     _all_graph_masks(n - 1), then subsets of the new vertex's neighbours in
-    ascending order.  Buckets keep each representative relabelled in key
-    order, so a candidate relabelled the same way that equals one of them is
-    a duplicate with no search, and otherwise its key classes are position
-    ranges in each of them.
+    ascending order.  A candidate's form is its relabelling in key order
+    (_relabel); equal forms are isomorphic graphs.  known holds the forms of
+    the representatives and of every candidate a search proved a duplicate,
+    so a candidate whose form is known is dropped after one set lookup.  Any
+    other is searched against the representatives of its bucket, whose forms
+    are kept there, and whose key classes are position ranges in each.
     """
     if n in _GRAPH_CACHE:
         return _GRAPH_CACHE[n]
     if n == 1:
         reps = [(0,)]
     else:
-        buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        buckets: dict[int, tuple[int, ...]] = {}
+        known: set[int] = set()
         reps = []
         for base in _all_graph_masks(n - 1):
-            for masks, keys in _extensions(base):
-                order = _key_order(keys)
-                bucket_key = tuple([keys[v] for v in order])
-                relabelled = _relabel(masks, order)
-                bucket = buckets.get(bucket_key)
-                if bucket is None:
-                    bucket = buckets[bucket_key] = []
-                elif relabelled in bucket:
+            for masks, tagged in _extensions(base):
+                tagged.sort()
+                form = _relabel(masks, [t & _TAG_MASK for t in tagged])
+                if form in known:
                     continue
-                else:
-                    plan = _search_plan(masks, order, bucket_key)
+                known.add(form)
+                bucket_key = 0
+                for t in tagged:
+                    bucket_key = bucket_key << _KEY_BITS | t >> _TAG_BITS
+                bucket = buckets.get(bucket_key, ())
+                if bucket:
+                    plan = _search_plan(masks, tagged)
                     if any(_maps_onto(plan, rep) for rep in bucket):
                         continue
-                bucket.append(relabelled)
+                buckets[bucket_key] = bucket + (form,)
                 reps.append(tuple(masks))
     _GRAPH_CACHE[n] = reps
     return reps

@@ -365,15 +365,18 @@ def _count_spanning(g: Graph, stop: int) -> int:
     two vertices are added in the parent's loop.
     """
     masks = g.nbr_masks
-    if sum(m.bit_count() == 1 for m in masks) > 2:
+    degs = [m.bit_count() for m in masks]
+    if degs.count(1) > 2:
         return 0
     if g.n == 3:
         # every two edges of a connected graph on three vertices form one
         return g.m * (g.m - 1) // 2
     full = g.vertex_mask()
-    # min and max keep the first of equals, the lowest label
-    a = min(range(g.n), key=g.degree)
-    b = max((v for v in range(g.n) if v != a), key=g.degree)
+    # index finds the first of equals, the lowest label; a's degree drops
+    # below every other so that b is found among the rest
+    a = degs.index(min(degs))
+    degs[a] = -1
+    b = degs.index(max(degs))
     a_bit = 1 << a
     not_b = ~(1 << b)
     memo: list[dict[int, int]] = [{} for _ in range(g.n)]

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import random
+import tracemalloc
 import zlib
 from fractions import Fraction
 
@@ -81,9 +82,15 @@ GENERATOR_SHA256 = {
     8: "9f1ce8b573409d30f489861409e63f6922c06f829560cb4fec0fa64beb71eb13",
 }
 
-# _maps_onto calls made generating n = 1..7 when every candidate that lands
-# in a bucket is searched (before the relabelled-tuple equality check)
-SEARCHES_WITHOUT_EQUALITY_N7 = 5943
+# _maps_onto calls made generating n = 1..7: 5,943 when every candidate that
+# lands in a bucket is searched, 975 when only those whose relabelling
+# matches no representative's are, and 445 when a duplicate's form is known
+# once a search has found it
+SEARCHES_N7_MAX = 500
+# tracemalloc peak of generating n = 7 from a cached n = 6, in bytes: 652 KB
+# with buckets of relabelled tuples, about 370-430 KB with int forms
+# (Python 3.11.7)
+PEAK_N7_MAX = 520 * 1024
 
 def _random_graph_masks(rng: random.Random, n: int) -> list[int]:
     masks = [0] * n
@@ -124,15 +131,22 @@ def _double_edge_swaps(rng: random.Random, masks: list[int], swaps: int) -> list
     return out
 
 
+def _sorted_tagged_keys(masks) -> list[int]:
+    """masks' vertex keys tagged with their labels, as _extensions yields
+    them, in key order."""
+    return sorted(k << harness._TAG_BITS | v for v, k in enumerate(harness._vertex_keys(masks)))
+
+
 def _isomorphic(masks1, masks2) -> bool:
     """The generator's test: equal sorted vertex keys, then the bitmask search
-    from the first graph onto the second relabelled in key order."""
-    keys1, keys2 = harness._vertex_keys(masks1), harness._vertex_keys(masks2)
-    order1, order2 = harness._key_order(keys1), harness._key_order(keys2)
-    sorted_keys = [keys1[v] for v in order1]
-    if sorted_keys != [keys2[v] for v in order2]:
+    from the first graph onto the form of the second (its relabelling in key
+    order)."""
+    tagged1, tagged2 = _sorted_tagged_keys(masks1), _sorted_tagged_keys(masks2)
+    tag = harness._TAG_BITS
+    if [t >> tag for t in tagged1] != [t >> tag for t in tagged2]:
         return False
-    plan = harness._search_plan(masks1, order1, sorted_keys)
+    plan = harness._search_plan(masks1, tagged1)
+    order2 = [t & harness._TAG_MASK for t in tagged2]
     return harness._maps_onto(plan, harness._relabel(masks2, order2))
 
 
@@ -187,32 +201,35 @@ class TestGenerator:
                 if not any(s >> w & 1 and not s >> u & 1 for u, w in twins)
             ]
             seen = []
-            for masks, keys in harness._extensions(base):
+            for masks, tagged in harness._extensions(base):
                 assert masks[:m] == [b | (1 << m) if masks[m] >> v & 1 else b
                                      for v, b in enumerate(base)]
-                assert keys == harness._vertex_keys(masks)
+                assert [t >> harness._TAG_BITS for t in tagged] == harness._vertex_keys(masks)
+                assert [t & harness._TAG_MASK for t in tagged] == list(range(m + 1))
                 seen.append(masks[m])
             assert seen == expected
 
     def test_search_plan_matches_quadratic_oracle(self):
-        # the one-pass run scan builds the plan of the count/index version,
-        # from the generator's tuple and from _isomorphic's list alike
+        # the one-pass run scan over the sorted tagged keys builds the plan of
+        # the count/index version over the order and the sorted keys, from a
+        # tuple and from a list alike
         candidates = 0
         for n in range(1, 7):
             for base in harness._all_graph_masks(n):
-                for masks, keys in harness._extensions(base):
-                    order = harness._key_order(keys)
-                    sorted_keys = [keys[v] for v in order]
-                    for arg in (tuple(sorted_keys), sorted_keys):
-                        assert harness._search_plan(masks, order, arg) == \
-                            search_plan_oracle(masks, order, arg)
+                for masks, tagged in harness._extensions(base):
+                    tagged.sort()
+                    order = [t & harness._TAG_MASK for t in tagged]
+                    sorted_keys = [t >> harness._TAG_BITS for t in tagged]
+                    for arg in (tuple(tagged), tagged):
+                        assert harness._search_plan(masks, arg) == \
+                            search_plan_oracle(masks, order, sorted_keys)
                     candidates += 1
         assert candidates == 7194
 
     def test_equal_relabellings_skip_the_search(self, monkeypatch):
-        # most candidates that land in a bucket relabel in key order to a
-        # stored tuple and need no search; regenerating n <= 7 must stay
-        # under 0.3 of the searches the generator made without that check
+        # most candidates relabel in key order to a known form, that of a
+        # representative or of a duplicate an earlier search found, and need
+        # no search; regenerating n <= 7 must stay under SEARCHES_N7_MAX
         calls = 0
         maps_onto = harness._maps_onto
 
@@ -230,7 +247,36 @@ class TestGenerator:
             harness._GRAPH_CACHE.clear()
             harness._GRAPH_CACHE.update(saved)
         assert fresh == harness._all_graph_masks(7)
-        assert calls <= 0.3 * SEARCHES_WITHOUT_EQUALITY_N7, calls
+        assert calls <= SEARCHES_N7_MAX, calls
+
+    def test_generation_memory(self):
+        # the forms, bucket keys and known set are ints, so generating n = 7
+        # from a cached n = 6 stays under PEAK_N7_MAX traced bytes
+        harness._all_graph_masks(6)
+        saved = dict(harness._GRAPH_CACHE)
+        for n in range(7, harness.GENERATOR_MAX_N + 1):
+            harness._GRAPH_CACHE.pop(n, None)
+        tracemalloc.start()
+        try:
+            fresh = harness._all_graph_masks(7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            harness._GRAPH_CACHE.clear()
+            harness._GRAPH_CACHE.update(saved)
+        assert len(fresh) == KNOWN_TOTAL[7]
+        assert peak <= PEAK_N7_MAX, peak
+
+    def test_packed_widths(self, monkeypatch):
+        # at n = 9 a key has 17 bits and a vertex tag 4; a field too narrow
+        # for its largest value is an error at import, not a silent merge
+        assert (harness._KEY_BITS, harness._TAG_BITS) == (17, 4)
+        harness._check_widths()
+        for name in ("_TRI_SHIFT", "_DEG_SHIFT", "_KEY_BITS", "_TAG_BITS"):
+            with monkeypatch.context() as m:
+                m.setattr(harness, name, getattr(harness, name) - 1)
+                with pytest.raises(RuntimeError, match="GENERATOR_MAX_N = 9"):
+                    harness._check_widths()
 
     def test_isomorphic_matches_networkx(self):
         # positives are random relabellings; the others are one to three
