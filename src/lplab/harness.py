@@ -359,8 +359,8 @@ def iter_ksubsets(
 @dataclass(frozen=True)
 class ConjectureVerdict:
     status: str  # "no-violation" | "violation" | "incomplete"
-    # search nodes, or C(len(lps), k) via the shortcut: a lower bound on
-    # the true subset total when the path list is truncated
+    # search nodes, or C(lps.count_upto(), k) via the shortcut: a lower
+    # bound on the true subset total when the path list is truncated
     subsets_checked: int
     used_shortcut: bool
     witness: Optional[dict] = None
@@ -384,13 +384,14 @@ def check_conjecture(g: Graph, k: int, lps: LongestPathSet | None = None) -> Con
 
     When all longest paths share a vertex, every k-subset trivially does, so
     the whole subset space is covered without searching it, and
-    subsets_checked is C(len(lps), k), which a truncated list only bounds
-    from below; max f is then 0.  Otherwise each listed path gets one row,
-    its BFS distances, and demand_cover climbs a ladder of demands on those
-    rows.  Demand 1 either proves that every k of them meet or finds at most
-    k paths with no common vertex; the witness is that cover padded with the
-    least unused indices up to k, its f and minimizers read from the least
-    column sum of its rows.  subsets_checked counts the demand-1 search
+    subsets_checked is C(lps.count_upto(), k), which a truncated list, or a
+    count stopped at its count_cap, only bounds from below; max f is then
+    0.  Otherwise each listed path gets one row, its BFS distances, and
+    demand_cover climbs a ladder of demands on those rows.  Demand 1 either
+    proves that every k of them meet or finds at most k paths with no
+    common vertex; the witness is that cover padded with the least unused
+    indices up to k, its f and minimizers read from the least column sum of
+    its rows.  subsets_checked counts the demand-1 search
     nodes, and CONJECTURE_SUBSET_CAP bounds them: a search cut by the cap,
     or a truncated path list without a violation, gives "incomplete".  A
     truncated list of spanning paths (ell = n - 1) is the exception: every
@@ -418,10 +419,10 @@ def check_conjecture(g: Graph, k: int, lps: LongestPathSet | None = None) -> Con
     if lps is None:
         lps = longest.enumerate_longest_paths(g)
     if lps.common_mask():
-        exact = not lps.truncated or lps.length == g.n - 1
+        exact = lps.length == g.n - 1 or not lps.truncated
         status = "no-violation" if exact else "incomplete"
         return ConjectureVerdict(
-            status, math.comb(len(lps), k), used_shortcut=True, max_f_exact=exact
+            status, math.comb(lps.count_upto(), k), used_shortcut=True, max_f_exact=exact
         )
     rows = [bfs_distances(g, p.vertices) for p in lps.paths]
     subset, nodes, capped = demand_cover(rows, 1, k, CONJECTURE_SUBSET_CAP)
@@ -556,17 +557,18 @@ def _tally(tallies: dict, check_id: str, status: str, count: int = 1) -> None:
     slot[status] += count
 
 
-def enumerate_longest_paths(g: Graph, cap: int | None = DEFAULT_PATH_CAP) -> LongestPathSet:
-    """longest.enumerate_longest_paths(g, cap) with no count_cap: spanning
-    paths are counted in full, up to cap, and built only if read.
+def enumerate_longest_paths(
+    g: Graph, cap: int | None = DEFAULT_PATH_CAP, *, count_cap: int | None = None
+) -> LongestPathSet:
+    """longest.enumerate_longest_paths(g, cap, count_cap=count_cap): the
+    name a scan looks up every graph's path set by.
 
-    A scan that runs a lemma check looks its path set up here.  The
-    benchmark's correctness gate (perfbench/workloads.py) wraps this name to
-    record ell and the path count of every graph such a scan reads, and its
-    smoke tests wrap it to drop a path.  A theorem-only scan, whose counts
-    stop at k, calls the longest module's function instead, past the gate.
+    The benchmark's correctness gate (perfbench/workloads.py) wraps this name
+    to record ell and the path count of every graph a scan reads; its
+    len(lps.paths) finishes a count that the scan stopped at count_cap.  Its
+    smoke tests wrap it to drop a path.
     """
-    return longest.enumerate_longest_paths(g, cap=cap, count_cap=None)
+    return longest.enumerate_longest_paths(g, cap=cap, count_cap=count_cap)
 
 
 def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
@@ -588,19 +590,18 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     if not record["connected"]:
         return record
     lemma_checks = [c for c in config.checks if c != "theorem"]
+    k = config.k
     # no check reads the members of a spanning path set: they share every
     # vertex, which settles the conjecture, the pairwise check, max f and
-    # the lemma sample.
-    # Without a lemma check the count is read only as whether k paths exist,
-    # so it stops at k (flagged truncated; check_conjecture takes a
-    # truncated spanning set as exact).  With one, the count goes on to the
-    # path cap, through this module's enumerate_longest_paths, where a
-    # caller can wrap it
+    # the lemma sample.  Its count is read only as whether k paths exist and,
+    # by the lemma tally, as min(C(count, k), lemma_subset_cap); both are
+    # settled by the count up to c, the least c >= k with C(c, k) >= that cap
+    # (c = k without a lemma check), so the count stops at c
+    c = k
     if lemma_checks:
-        lps = enumerate_longest_paths(g, cap=config.path_cap)
-    else:
-        lps = longest.enumerate_longest_paths(g, cap=config.path_cap, count_cap=config.k)
-    k = config.k
+        while math.comb(c, k) < config.lemma_subset_cap:
+            c += 1
+    lps = enumerate_longest_paths(g, cap=config.path_cap, count_cap=c)
     tallies = record["tallies"]
     verdict = check_conjecture(g, k, lps=lps)
     # the merge reads only these two
@@ -617,7 +618,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         )
     _tally(tallies, "pairwise", "fail" if verdict.pair else "pass")
 
-    if len(lps) >= k:
+    if lps.count_upto(k) >= k:
         f = record["max_f"] = verdict.max_f
         record["max_f_incomplete"] = int(not verdict.max_f_exact)
         if verdict.max_f_subset:
@@ -651,8 +652,10 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         # paths share a vertex and the sample is not even drawn
         if lemma_checks and k >= 3:
             if verdict.used_shortcut or verdict.status == "no-violation":
-                implied = min(math.comb(len(lps), k), config.lemma_subset_cap)
+                implied = min(math.comb(lps.count_upto(c), k), config.lemma_subset_cap)
             else:
+                # no vertex is common to the paths, so none is spanning and
+                # the walk that found ell holds them all
                 implied = 0
                 for subset in iter_ksubsets(
                     len(lps), k, config.lemma_subset_cap, config.seed,

@@ -12,9 +12,10 @@ from a vertex of least degree to one of greatest degree.  A nonzero count
 is the whole answer; the paths are built only when one is read, and the
 first read walks them out.  Spanning paths share every vertex, so a caller
 that needs no member never builds one.  A caller that reads the count only
-up to some size can stop that count there (count_cap); the truncation flag
-then says that more paths exist.  Three or more vertices of degree 1 rule
-out a spanning path, since each ends one, and skip the count.
+up to some size c asks for that (count_cap) and reads it with count_upto:
+the count stops at c, and a read that needs more (len, the truncation flag,
+a member) counts again, up to the path cap.  Three or more vertices of
+degree 1 rule out a spanning path, since each ends one, and skip the count.
 
 A graph with no spanning path is walked once, depth first, with a
 reachability bound, each path from its smaller end, which gives ell and the
@@ -86,15 +87,32 @@ class LongestPathSet:
 
     paths is a tuple when the walk that found ell built them.  For spanning
     paths, which enumerate_longest_paths counts, it is a _SpanningPaths,
-    which builds them on its first read.
+    which builds them on its first read; such a set (_spanning_set) leaves
+    truncated unset until it is read, since reading it may have to finish
+    the count.
     """
 
     length: int
     paths: Sequence[Path]
     truncated: bool
 
+    def __getattr__(self, name: str):
+        # called only for an attribute not set: a spanning set's flag
+        paths = self.__dict__.get("paths")
+        if name != "truncated" or not isinstance(paths, _SpanningPaths):
+            raise AttributeError(name)
+        return paths.truncated
+
     def __len__(self) -> int:
         return len(self.paths)
+
+    def count_upto(self, c: int | None = None) -> int:
+        """min(len(self), c), counting no further than that needs: a spanning
+        count stopped at count_cap is finished only for c > count_cap.  With
+        no c, c is count_cap (for a set made without one, len(self))."""
+        if isinstance(self.paths, _SpanningPaths):
+            return self.paths.count_upto(c)
+        return len(self.paths) if c is None else min(len(self.paths), c)
 
     def common_mask(self) -> int:
         if isinstance(self.paths, _SpanningPaths):
@@ -435,26 +453,52 @@ def _count_spanning(g: Graph, stop: int) -> int:
 
 
 class _SpanningPaths(Sequence):
-    """The first count canonical spanning paths of g in lexicographic order.
+    """The first min(T, keep - 1) canonical spanning paths of g in
+    lexicographic order, T being the number of them.
 
-    A scan needs the count of a spanning set and none of its members, so
-    the paths are built only when one is first read: that read walks out
-    the first count paths (_walk), and the set keeps them all.
+    count is _count_spanning(g, stop), stop <= keep: T itself below stop,
+    and only a lower bound on T (at least stop) once it reached stop.  A
+    read that needs more (len, truncated, a member, count_upto past the
+    stop) counts again, up to keep, so a count stopped at a caller's
+    count_cap costs no more than that caller reads.  By default the count is
+    exact (nothing stops it).  The paths are built only when one is first
+    read: that read walks them all out (_walk), and the set keeps them.
     """
 
-    def __init__(self, g: Graph, count: int) -> None:
+    def __init__(
+        self, g: Graph, count: int, stop: int = sys.maxsize, keep: int = sys.maxsize
+    ) -> None:
         self._g = g
         self._count = count
+        self._stop = stop
+        self._keep = keep
+        self._asked = min(stop, keep - 1)  # what count_upto() reads
         self._paths: tuple[Path, ...] | None = None
 
+    def _at_least(self, c: int) -> int:
+        """min(T, c), for c <= keep; a count stopped below c is finished."""
+        if self._count < c and self._count >= self._stop:
+            with _depth_guard():
+                self._count = _count_spanning(self._g, self._keep)
+            self._stop = self._keep
+        return min(self._count, c)
+
+    def count_upto(self, c: int | None = None) -> int:
+        return self._at_least(self._asked if c is None else min(c, self._keep - 1))
+
+    @property
+    def truncated(self) -> bool:
+        return self._at_least(self._keep) == self._keep
+
     def __len__(self) -> int:
-        return self._count
+        return self._at_least(self._keep - 1)
 
     def __getitem__(self, i):
         if self._paths is None:
+            count = len(self)
             # the walk may add a few paths past count in its last step
             with _depth_guard():
-                self._paths = tuple(_walk(self._g, self._count, True)[1][: self._count])
+                self._paths = tuple(_walk(self._g, count, True)[1][:count])
         # a slice is a tuple, as the enumeration's: a caller may drop
         # members, as the benchmark's smoke tests do with lps.paths[1:]
         return self._paths[i]
@@ -464,10 +508,19 @@ class _SpanningPaths(Sequence):
     def __eq__(self, other):
         if not isinstance(other, _SpanningPaths):
             return NotImplemented
-        return self._count == other._count and self._g == other._g
+        return len(self) == len(other) and self._g == other._g
 
     def __hash__(self) -> int:
-        return hash((self._g, self._count))
+        return hash((self._g, len(self)))
+
+
+def _spanning_set(g: Graph, paths: _SpanningPaths) -> LongestPathSet:
+    """The LongestPathSet of g's spanning paths, with truncated left unset
+    for LongestPathSet.__getattr__ to read from paths."""
+    lps = object.__new__(LongestPathSet)
+    object.__setattr__(lps, "length", g.n - 1)
+    object.__setattr__(lps, "paths", paths)
+    return lps
 
 
 def enumerate_longest_paths(
@@ -489,10 +542,12 @@ def enumerate_longest_paths(
     longest_path_length does), and it skips every first step that could
     hold only a spanning path.
 
-    count_cap, if set, caps the count of spanning paths alone at
-    min(cap, count_cap), with the flag set when more exist; the paths kept
-    without a spanning path are capped at cap as before.  It serves a caller
-    that reads the count only up to some size.
+    count_cap, if set, serves a caller that reads the count only up to some
+    size, with count_upto(c) for c <= count_cap: the spanning count stops at
+    count_cap instead, and the first read that needs more (len, truncated,
+    a member) finishes it, up to cap.  It changes no answer, only when the
+    counting is done; the paths kept without a spanning path are capped at
+    cap alone.
     """
     if cap is not None and cap < 1:
         raise UsageError(f"cap must be >= 1, got {cap}")
@@ -504,11 +559,11 @@ def enumerate_longest_paths(
     if g.n <= 2:
         # K1 and K2: one path, through every vertex
         return LongestPathSet(g.n - 1, (Path(tuple(range(g.n))),), False)
-    stop = keep if count_cap is None else min(keep, count_cap + 1)
+    stop = keep if count_cap is None else min(keep, count_cap)
     with _depth_guard():
         count = _count_spanning(g, stop)
         if count:
-            return LongestPathSet(g.n - 1, _SpanningPaths(g, min(count, stop - 1)), count >= stop)
+            return _spanning_set(g, _SpanningPaths(g, count, stop, keep))
         ell, found = _walk(g, keep, False)
     return LongestPathSet(ell, tuple(found[: keep - 1]), len(found) >= keep)
 

@@ -681,28 +681,29 @@ class TestScanStream:
         assert g6 == encode(g) and g == parse_graph6(line)
         assert len(encoded) == reencoded
 
-    @pytest.mark.parametrize("checks, counted", [
+    @pytest.mark.parametrize("checks, theorem_only", [
         (("theorem",), True),
         (("lemma1", "theorem"), False),
         (("lemma3",), False),
     ])
-    def test_counts_only_without_lemma_checks(self, monkeypatch, corpus_by_n, checks, counted):
-        # every graph is counted once; the count stops at k only when no
-        # lemma check reads the members (TestSpanningCountStop checks that
+    def test_counts_only_without_lemma_checks(self, monkeypatch, corpus_by_n, checks, theorem_only):
+        # every graph is looked up once; its spanning count may stop at k
+        # without a lemma check, and at c* = 5 with one, the least c with
+        # C(c, 3) >= the lemma cap of 10 (TestSpanningCountStop checks that
         # stopping gives the same report bytes)
         count_caps = []
-        real = lplab.longest.enumerate_longest_paths
+        real = harness.enumerate_longest_paths
 
         def count(g, **kwargs):
             count_caps.append(kwargs["count_cap"])
             return real(g, **kwargs)
 
-        monkeypatch.setattr(lplab.longest, "enumerate_longest_paths", count)
+        monkeypatch.setattr(harness, "enumerate_longest_paths", count)
         scan_stream(corpus_by_n[6], ScanConfig(k=3, checks=checks))
-        assert count_caps == [3 if counted else None] * 112
+        assert count_caps == [3 if theorem_only else 5] * 112
 
     @pytest.mark.parametrize("checks, looked_up", [
-        (("theorem",), 0),
+        (("theorem",), 112),
         (("lemma1", "theorem"), 112),
         (("lemma3",), 112),
     ])
@@ -710,7 +711,8 @@ class TestScanStream:
         self, monkeypatch, corpus_by_n, checks, looked_up
     ):
         # the benchmark's gate wraps this one name to record ell and the
-        # path count of every graph whose members a scan reads
+        # path count of every graph a scan reads, whatever its checks; a
+        # count the scan stopped is finished by that read
         seen = []
         real = harness.enumerate_longest_paths
 
@@ -724,7 +726,7 @@ class TestScanStream:
         assert len(seen) == looked_up
         for lps in seen:
             assert not lps.truncated
-        assert max((len(lps) for lps in seen), default=0) == (360 if looked_up else 0)
+        assert max(len(lps) for lps in seen) == 360  # K6: 6!/2 paths
 
     def test_builds_only_the_sampled_spanning_paths(self, monkeypatch, corpus_by_n):
         # a graph with a spanning path builds none: its longest paths share
@@ -893,8 +895,11 @@ class TestImpliedLemmaVerdicts:
 
 
 class TestSpanningCountStop:
-    """A theorem-only scan stops each spanning count at k, since it reads
-    only whether k longest paths exist; the report must not show it."""
+    """A scan stops each spanning count where its reads are settled: at k
+    for a theorem-only scan, which reads only whether k longest paths exist,
+    and at c*, the least c >= k with C(c, k) >= lemma_subset_cap, for a lemma
+    scan, whose tally reads min(C(count, k), lemma_subset_cap).  The report
+    must not show it."""
 
     @staticmethod
     def _unstopped(monkeypatch):
@@ -906,6 +911,29 @@ class TestSpanningCountStop:
 
         monkeypatch.setattr(lplab.longest, "enumerate_longest_paths", count)
 
+    @staticmethod
+    def _counts(monkeypatch, corpus, config):
+        """(graph6, stop, count) of each _count_spanning call of the scan,
+        and the path sets it looked up."""
+        calls, looked_up = [], []
+        count_spanning = lplab.longest._count_spanning
+        lookup = harness.enumerate_longest_paths
+
+        def counted(g, stop):
+            count = count_spanning(g, stop)
+            calls.append((encode_graph6(g), stop, count))
+            return count
+
+        def recorded(g, **kwargs):
+            lps = lookup(g, **kwargs)
+            looked_up.append(lps)
+            return lps
+
+        monkeypatch.setattr(lplab.longest, "_count_spanning", counted)
+        monkeypatch.setattr(harness, "enumerate_longest_paths", recorded)
+        scan_stream(corpus, config)
+        return calls, looked_up
+
     def test_reports_match_unstopped_counts(self, monkeypatch, corpus_by_n):
         complete = [
             Graph.from_edges(n, itertools.combinations(range(n), 2)) for n in (7, 8)
@@ -916,6 +944,11 @@ class TestSpanningCountStop:
             ScanConfig(k=k, path_cap=path_cap, checks=("theorem",))
             for k in range(2, 7)
             for path_cap in (ScanConfig.path_cap, 4)
+        ] + [
+            ScanConfig(k=k, path_cap=path_cap, lemma_subset_cap=lemma_cap)
+            for k in range(3, 7)
+            for lemma_cap in (1, 10, 35, 10**4)
+            for path_cap in (ScanConfig.path_cap, 4)
         ]
         stopped = [scan_stream(corpus, cfg) for cfg in configs]
         self._unstopped(monkeypatch)
@@ -925,31 +958,29 @@ class TestSpanningCountStop:
             ), cfg
 
     def test_spanning_counts_stop_at_k(self, monkeypatch, corpus_by_n):
-        lengths = []
-        real = lplab.longest.enumerate_longest_paths
-
-        def count(g, **kwargs):
-            lps = real(g, **kwargs)
-            if lps.length == g.n - 1:
-                lengths.append(len(lps))
-            return lps
-
-        monkeypatch.setattr(lplab.longest, "enumerate_longest_paths", count)
-        scan_stream(corpus_by_n[6], ScanConfig(k=4, checks=("theorem",)))
-        assert max(lengths) == 4 and len(lengths) == 91
+        calls, looked_up = self._counts(
+            monkeypatch, corpus_by_n[6], ScanConfig(k=4, checks=("theorem",))
+        )
+        # one count per graph, stopped at k; 91 of the 112 graphs have a
+        # spanning path
+        assert len(looked_up) == 112
+        assert len({g6 for g6, _, _ in calls}) == len(calls) == 112
+        assert {stop for _, stop, _ in calls} == {4}
+        assert sum(count > 0 for _, _, count in calls) == 91
 
     def test_lemma_route_counts_in_full(self, monkeypatch, corpus_by_n):
-        lengths = []
-        real = lplab.longest.enumerate_longest_paths
-
-        def count(g, **kwargs):
-            lps = real(g, **kwargs)
-            lengths.append(len(lps))
-            return lps
-
-        monkeypatch.setattr(lplab.longest, "enumerate_longest_paths", count)
-        scan_stream(corpus_by_n[6], ScanConfig(k=3, lemma_subset_cap=1))
-        assert max(lengths) == 360  # K6: 6!/2 paths, past k
+        # the lemma route's count stops at c* = 6 (C(6, 4) = 15 >= 10), and a
+        # later read of the count finishes it: K6 has 6!/2 spanning paths
+        calls, looked_up = self._counts(monkeypatch, corpus_by_n[6], ScanConfig(k=4))
+        assert len(looked_up) == 112
+        assert len({g6 for g6, _, _ in calls}) == len(calls) == 112
+        assert {stop for _, stop, _ in calls} == {6}
+        assert sum(count > 0 for _, _, count in calls) == 91
+        k6 = "E~~w"
+        [lps] = [lps for lps, g in zip(looked_up, corpus_by_n[6]) if encode_graph6(g) == k6]
+        calls.clear()
+        assert (len(lps), lps.truncated) == (360, False)
+        assert calls == [(k6, ScanConfig.path_cap + 1, 360)]
 
 
 class TestScanWithoutCommonVertex:

@@ -614,8 +614,7 @@ class TestCountFirst:
                     walked.clear()
                     got = enumerate_longest_paths(g, cap, count_cap=count_cap)
                     assert walked == ([] if spanning else [g]), encode_graph6(g)
-                    stop = cap if count_cap is None or not spanning else min(cap or count_cap, count_cap)
-                    want = wants[g, stop]
+                    want = wants[g, cap]
                     assert _facts(got) == _facts(want)
                     assert [p.vertices for p in got.paths] == [p.vertices for p in want.paths]
             walked.clear()
@@ -728,17 +727,18 @@ class TestCount:
 
     @staticmethod
     def _check_count_caps(graphs: list[Graph]) -> int:
-        """Each count under count_cap c against the eager walk: capped at
-        min(cap, c) with a spanning path, at cap without one.  Returns the
-        number of graphs with a spanning path."""
+        """Each count under count_cap c against the eager walk: count_upto(c)
+        reads min(len, c) first, and then every answer is the eager one, capped
+        at cap.  Returns the number of graphs with a spanning path."""
         spanning = 0
         for g in graphs:
             for cap in (None, 41):
                 kept = eager_longest_paths(g, cap)
                 counts = g.n > 2 and kept.length == g.n - 1
                 for c in (1, 2, 41, 42):
-                    want = eager_longest_paths(g, min(cap or c, c)) if counts else kept
-                    assert _facts(enumerate_longest_paths(g, cap, count_cap=c)) == _facts(want)
+                    got = enumerate_longest_paths(g, cap, count_cap=c)
+                    assert got.count_upto(c) == min(len(kept), c)
+                    assert _facts(got) == _facts(kept)
             spanning += counts
         return spanning
 
@@ -823,16 +823,19 @@ class TestCount:
 
     def test_count_cap_stops_spanning_counts_only(self, h_graph):
         g = grid(5, 5)  # 4324 spanning paths
+        # (count_upto(count_cap), len, truncated): the flag says "more than
+        # cap" whatever count_cap is
         for count_cap, cap, want in (
-            (4323, DEFAULT_PATH_CAP, (4323, True)),
-            (4324, DEFAULT_PATH_CAP, (4324, False)),
-            (41, DEFAULT_PATH_CAP, (41, True)),
-            (41, 40, (40, True)),
-            (41, None, (41, True)),
-            (10**15, None, (4324, False)),
+            (4323, DEFAULT_PATH_CAP, (4323, 4324, False)),
+            (4324, DEFAULT_PATH_CAP, (4324, 4324, False)),
+            (41, DEFAULT_PATH_CAP, (41, 4324, False)),
+            (41, 40, (40, 40, True)),
+            (41, None, (41, 4324, False)),
+            (10**15, None, (4324, 4324, False)),
         ):
             counted = enumerate_longest_paths(g, cap, count_cap=count_cap)
-            assert (counted.length, len(counted), counted.truncated) == (24, *want)
+            got = counted.count_upto(count_cap), len(counted), counted.truncated
+            assert (counted.length, *got) == (24, *want)
         # without a spanning path the walk's paths are kept up to cap alone
         assert enumerate_longest_paths(h_graph, count_cap=1) == eager_longest_paths(h_graph)
         with pytest.raises(TypeError):
@@ -910,6 +913,66 @@ class TestDepthLimit:
         paths = lplab.longest._SpanningPaths(g, 1)
         with pytest.raises(UsageError, match="recursion limit"):
             paths[0]
+
+
+def complete(n: int) -> Graph:
+    return Graph.from_edges(n, itertools.combinations(range(n), 2))
+
+
+class TestStoppedCount:
+    """A spanning set made with count_cap=c holds a count stopped at c; the
+    first read that needs more finishes it, up to the path cap, and every
+    read then answers as on the set counted at once."""
+
+    READS = {
+        "len": len,
+        "truncated": lambda lps: lps.truncated,
+        "members": lambda lps: (lps.paths[0], lps.paths[1], lps.paths[-1]),
+        "eq": lambda lps: lps,  # compared with ==
+        "hash": hash,
+    }
+
+    @pytest.mark.parametrize("n, count, truncated", [
+        (6, 360, False), (8, 20160, False), (11, DEFAULT_PATH_CAP, True),
+    ])
+    def test_reads_match_the_eager_set(self, monkeypatch, n, count, truncated):
+        g = complete(n)
+        eager = enumerate_longest_paths(g)
+        assert (len(eager), eager.truncated) == (count, truncated)
+        stops = []
+        count_spanning = lplab.longest._count_spanning
+
+        def recorded(g, stop):
+            stops.append(stop)
+            return count_spanning(g, stop)
+
+        monkeypatch.setattr(lplab.longest, "_count_spanning", recorded)
+        for first, read in self.READS.items():
+            stops.clear()
+            lazy = enumerate_longest_paths(g, count_cap=3)
+            assert lazy.count_upto(3) == lazy.count_upto() == 3 and stops == [3]
+            assert read(lazy) == read(eager), first
+            assert stops == [3, DEFAULT_PATH_CAP + 1], first
+            for name, again in self.READS.items():
+                assert again(lazy) == again(eager), (first, name)
+            assert eager == lazy and lazy.count_upto() == 3
+            assert stops == [3, DEFAULT_PATH_CAP + 1], first
+
+    @pytest.mark.parametrize("read", ["len", "truncated", "members"])
+    def test_finishing_too_deep_is_a_usage_error(self, read):
+        # C200's count stops at its first path; finishing it takes about 200
+        # frames, past a recursion limit 50 frames above this one
+        lazy = enumerate_longest_paths(cycle(200), count_cap=1)
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            with pytest.raises(UsageError, match="recursion limit"):
+                self.READS[read](lazy)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 def spanning_labelled_graph(rng: random.Random, n: int) -> Graph:
