@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -104,10 +105,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not verdict.used_shortcut:
         work = f"{verdict.subsets_checked} search nodes"
     elif not lps.truncated:
-        work = (
-            f"{verdict.subsets_checked}/{verdict.subsets_checked} subsets, "
-            "via common-vertex shortcut"
-        )
+        # the shortcut settles every k-subset of the paths, and searches none
+        subsets = math.comb(len(lps), k)
+        work = f"{subsets}/{subsets} subsets, via common-vertex shortcut"
     elif verdict.status == "no-violation":
         # the cap cut the list, so C(len(lps), k) is not the subset total
         work = (
@@ -116,7 +116,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     else:
         work = (
-            f"{verdict.subsets_checked} subsets of the first {len(lps)} longest paths, "
+            f"{math.comb(len(lps), k)} subsets of the first {len(lps)} longest paths, "
             "via common-vertex shortcut"
         )
     print(f"k = {k}: {verdict.status} ({work})")

@@ -32,8 +32,10 @@ a 169 MB peak (the commands are in the README).  Tier-1 pins the counts and a
 sha256 of the graph6 output for n <= 8; a CI step pins the n = 9 counts and
 the sha256 of its connected graph6 lines, and bounds that step's peak RSS.
 
-The scanner distributes independent graphs to workers and merges records in
-canonical graph6 order so its JSON output is schedule-independent.
+The scanner sorts its graphs once into canonical graph6 order and folds each
+graph's record into the report as it arrives, from this process or, in that
+order, from a pool of workers, so its JSON output does not depend on the
+worker count, and a halting record ends the scan.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ from .graphs import (
 )
 from . import longest
 from .longest import DEFAULT_PATH_CAP, LongestPathSet, common_mask, demand_cover
+# the name a scan looks up every graph's path set by: the benchmark's
+# correctness gate, its tracer and its smoke tests wrap it in this module
+from .longest import enumerate_longest_paths
 from .systems import certified_system
 
 GENERATOR_MAX_N = 9
@@ -359,8 +364,7 @@ def iter_ksubsets(
 @dataclass(frozen=True)
 class ConjectureVerdict:
     status: str  # "no-violation" | "violation" | "incomplete"
-    # search nodes, or C(lps.count_upto(), k) via the shortcut: a lower
-    # bound on the true subset total when the path list is truncated
+    # demand-1 search nodes; 0 when a common vertex settles the verdict
     subsets_checked: int
     used_shortcut: bool
     witness: Optional[dict] = None
@@ -383,22 +387,21 @@ def check_conjecture(g: Graph, k: int, lps: LongestPathSet | None = None) -> Con
     greatest f over their k-subsets?
 
     When all longest paths share a vertex, every k-subset trivially does, so
-    the whole subset space is covered without searching it, and
-    subsets_checked is C(lps.count_upto(), k), which a truncated list, or a
-    count stopped at its count_cap, only bounds from below; max f is then
-    0.  Otherwise each listed path gets one row, its BFS distances, and
-    demand_cover climbs a ladder of demands on those rows.  Demand 1 either
-    proves that every k of them meet or finds at most k paths with no
-    common vertex; the witness is that cover padded with the least unused
-    indices up to k, its f and minimizers read from the least column sum of
-    its rows.  subsets_checked counts the demand-1 search
-    nodes, and CONJECTURE_SUBSET_CAP bounds them: a search cut by the cap,
-    or a truncated path list without a violation, gives "incomplete".  A
-    truncated list of spanning paths (ell = n - 1) is the exception: every
-    longest path then holds every vertex, the ones past the cap too.  When
-    lps is not given it is longest.enumerate_longest_paths(g).  The members
-    are read only where no vertex is common to all of them, so a set of
-    spanning paths is never built.
+    the whole subset space is covered without searching it or reading the
+    count: subsets_checked and max f are 0.  Otherwise each listed path gets
+    one row, its BFS distances, and demand_cover climbs a ladder of demands
+    on those rows.  Demand 1 either proves that every k of them meet or
+    finds at most k paths with no common vertex; the witness is that cover
+    padded with the least unused indices up to k, its f and minimizers read
+    from the least column sum of its rows.  subsets_checked counts the
+    demand-1 search nodes, and CONJECTURE_SUBSET_CAP bounds them: a search
+    cut by the cap, or a truncated path list without a violation, gives
+    "incomplete".  A truncated list of spanning paths (ell = n - 1) is the
+    exception: every longest path then holds every vertex, the ones past the
+    cap too.  When lps is not given it is
+    longest.enumerate_longest_paths(g).  The members are read only where no
+    vertex is common to all of them, so a set of spanning paths is never
+    built.
 
     From a witness the demand climbs from its f + 1: a cover of demand D is
     a k-subset with f >= D, whose f is the next rung, and the first D with
@@ -421,9 +424,7 @@ def check_conjecture(g: Graph, k: int, lps: LongestPathSet | None = None) -> Con
     if lps.common_mask():
         exact = lps.length == g.n - 1 or not lps.truncated
         status = "no-violation" if exact else "incomplete"
-        return ConjectureVerdict(
-            status, math.comb(lps.count_upto(), k), used_shortcut=True, max_f_exact=exact
-        )
+        return ConjectureVerdict(status, 0, used_shortcut=True, max_f_exact=exact)
     rows = [bfs_distances(g, p.vertices) for p in lps.paths]
     subset, nodes, capped = demand_cover(rows, 1, k, CONJECTURE_SUBSET_CAP)
     pair = subset if k == 2 else None
@@ -557,20 +558,6 @@ def _tally(tallies: dict, check_id: str, status: str, count: int = 1) -> None:
     slot[status] += count
 
 
-def enumerate_longest_paths(
-    g: Graph, cap: int | None = DEFAULT_PATH_CAP, *, count_cap: int | None = None
-) -> LongestPathSet:
-    """longest.enumerate_longest_paths(g, cap, count_cap=count_cap): the
-    name a scan looks up every graph's path set by.
-
-    The benchmark's correctness gate (perfbench/workloads.py) wraps this name
-    to record ell and the path count of every graph a scan reads; its
-    len(lps.paths) finishes a count that the scan stopped at count_cap.  Its
-    smoke tests wrap it to drop a path.
-    """
-    return longest.enumerate_longest_paths(g, cap=cap, count_cap=count_cap)
-
-
 def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     """Analyze graph g, whose canonical graph6 string is g6.
 
@@ -589,8 +576,9 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     }
     if not record["connected"]:
         return record
-    lemma_checks = [c for c in config.checks if c != "theorem"]
     k = config.k
+    # no lemma check runs below k = 3
+    lemma_checks = [c for c in config.checks if c != "theorem"] if k >= 3 else []
     # no check reads the members of a spanning path set: they share every
     # vertex, which settles the conjecture, the pairwise check, max f and
     # the lemma sample.  Its count is read only as whether k paths exist and,
@@ -650,7 +638,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         # common_vertex_verdicts proves, with no path system, and when the
         # verdict took the shortcut or found no violation, every k listed
         # paths share a vertex and the sample is not even drawn
-        if lemma_checks and k >= 3:
+        if lemma_checks:
             if verdict.used_shortcut or verdict.status == "no-violation":
                 implied = min(math.comb(lps.count_upto(c), k), config.lemma_subset_cap)
             else:
@@ -677,8 +665,14 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
     return record
 
 
-def _merge_records(report: SearchReport, records: Iterable[dict]) -> SearchReport:
-    for rec in sorted(records, key=lambda r: (len(r["graph6"]), r["graph6"])):
+def _scan_task(task: tuple[str, ScanConfig, Graph]) -> dict:
+    return scan_one_graph(*task)
+
+
+def _merge_records(report: SearchReport, records: Iterable[dict]) -> None:
+    """Fold records into report in the order they come, up to and including
+    the first halting one; no later record is read."""
+    for rec in records:
         if not rec["connected"]:
             report.graphs_skipped_disconnected += 1
             continue
@@ -717,7 +711,6 @@ def _merge_records(report: SearchReport, records: Iterable[dict]) -> SearchRepor
         if rec.get("halt"):
             report.halted = True
             break
-    return report
 
 
 def _normalised(
@@ -748,28 +741,31 @@ def _normalised(
 
 
 def scan_stream(source: Iterable[Graph | str], config: ScanConfig) -> SearchReport:
-    """Scan a stream of graphs (Graph objects or graph6/sparse6 lines)."""
+    """Scan a stream of graphs (Graph objects or graph6/sparse6 lines).
+
+    Every line is parsed and encoded once, here, and the graphs are sorted
+    once by (len(g6), g6), the canonical order the report is merged in.
+    Each record is merged as it arrives, from map at jobs 1 and from a
+    pool's ordered imap otherwise, so the report does not depend on the
+    worker count, and a halting record ends the scan: no graph after it is
+    merged, and at jobs 1 none is scanned.
+    """
     import time
 
     start = time.monotonic()
-    graphs = _normalised(source, config)
+    tasks = sorted(
+        ((g6, config, g) for g, g6 in _normalised(source, config)),
+        key=lambda task: (len(task[0]), task[0]),
+    )
+    report = SearchReport(config=config)
     if config.jobs > 1:
-        # every line is parsed and encoded once, here; workers get the graph
-        tasks = [(g6, config, g) for g, g6 in graphs]
-        if len(tasks) > 1:
-            import multiprocessing as mp
+        import multiprocessing as mp
 
-            with mp.Pool(config.jobs) as pool:
-                records = pool.starmap(
-                    scan_one_graph,
-                    tasks,
-                    chunksize=max(1, len(tasks) // (config.jobs * 8)),
-                )
-        else:
-            records = [scan_one_graph(*task) for task in tasks]
+        # leaving the with-block terminates the workers, also after a halt
+        with mp.Pool(config.jobs) as pool:
+            chunksize = max(1, len(tasks) // (config.jobs * 8))
+            _merge_records(report, pool.imap(_scan_task, tasks, chunksize))
     else:
-        # one graph at a time, so a long stream holds no graphs
-        records = [scan_one_graph(g6, config, g) for g, g6 in graphs]
-    report = _merge_records(SearchReport(config=config), records)
+        _merge_records(report, map(_scan_task, tasks))
     report.wall_time = time.monotonic() - start
     return report

@@ -106,13 +106,12 @@ class LongestPathSet:
     def __len__(self) -> int:
         return len(self.paths)
 
-    def count_upto(self, c: int | None = None) -> int:
+    def count_upto(self, c: int) -> int:
         """min(len(self), c), counting no further than that needs: a spanning
-        count stopped at count_cap is finished only for c > count_cap.  With
-        no c, c is count_cap (for a set made without one, len(self))."""
+        count stopped at count_cap is finished only for c > count_cap."""
         if isinstance(self.paths, _SpanningPaths):
             return self.paths.count_upto(c)
-        return len(self.paths) if c is None else min(len(self.paths), c)
+        return min(len(self.paths), c)
 
     def common_mask(self) -> int:
         if isinstance(self.paths, _SpanningPaths):
@@ -472,7 +471,6 @@ class _SpanningPaths(Sequence):
         self._count = count
         self._stop = stop
         self._keep = keep
-        self._asked = min(stop, keep - 1)  # what count_upto() reads
         self._paths: tuple[Path, ...] | None = None
 
     def _at_least(self, c: int) -> int:
@@ -483,8 +481,8 @@ class _SpanningPaths(Sequence):
             self._stop = self._keep
         return min(self._count, c)
 
-    def count_upto(self, c: int | None = None) -> int:
-        return self._at_least(self._asked if c is None else min(c, self._keep - 1))
+    def count_upto(self, c: int) -> int:
+        return self._at_least(min(c, self._keep - 1))
 
     @property
     def truncated(self) -> bool:

@@ -91,6 +91,11 @@ SEARCHES_N7_MAX = 500
 # with buckets of relabelled tuples, about 370-430 KB with int forms
 # (Python 3.11.7)
 PEAK_N7_MAX = 520 * 1024
+# tracemalloc peak of the theorem-only k = 3 scan of the 853 connected
+# graphs on 7 vertices at jobs 1, generated beforehand, in bytes: about
+# 1,000 KB when every record was kept until a sort at the end, 100-230 KB
+# when each record is merged as it arrives (Python 3.11.7)
+SCAN_PEAK_N7_MAX = 500 * 1024
 
 def _random_graph_masks(rng: random.Random, n: int) -> list[int]:
     masks = [0] * n
@@ -381,7 +386,8 @@ class TestCheckConjecture:
         verdict = check_conjecture(k13, 3)
         assert verdict.status == "no-violation"
         assert verdict.used_shortcut
-        assert verdict.subsets_checked == 1
+        # the shortcut searches no subset
+        assert verdict.subsets_checked == 0
 
     def test_violation_branch_with_injected_paths(self):
         # hand-built path set on C4 with no globally common vertex: the first
@@ -655,6 +661,20 @@ class TestScanStream:
         assert report.graphs_scanned == 21
         assert calls == 21
 
+    def test_scan_memory(self):
+        # records are folded into the report as they arrive, so the scan
+        # holds its sorted inputs and one record, not a record per graph
+        graphs = generate_connected_graphs(7)
+        config = ScanConfig(k=3, checks=("theorem",), jobs=1)
+        tracemalloc.start()
+        try:
+            report = scan_stream(graphs, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.graphs_scanned == 853
+        assert peak <= SCAN_PEAK_N7_MAX, peak
+
     @pytest.mark.parametrize("line, reencoded", [
         ("Ch", False),
         ("  Ch\n", False),
@@ -690,7 +710,8 @@ class TestScanStream:
         # every graph is looked up once; its spanning count may stop at k
         # without a lemma check, and at c* = 5 with one, the least c with
         # C(c, 3) >= the lemma cap of 10 (TestSpanningCountStop checks that
-        # stopping gives the same report bytes)
+        # stopping gives the same report bytes); no lemma check runs at
+        # k = 2, so there every count stops at 2
         count_caps = []
         real = harness.enumerate_longest_paths
 
@@ -701,6 +722,9 @@ class TestScanStream:
         monkeypatch.setattr(harness, "enumerate_longest_paths", count)
         scan_stream(corpus_by_n[6], ScanConfig(k=3, checks=checks))
         assert count_caps == [3 if theorem_only else 5] * 112
+        count_caps.clear()
+        scan_stream(corpus_by_n[6], ScanConfig(k=2, checks=checks))
+        assert count_caps == [2] * 112
 
     @pytest.mark.parametrize("checks, looked_up", [
         (("theorem",), 112),
@@ -1188,23 +1212,35 @@ class TestScanWithoutCommonVertex:
         # no graph breaks the theorem bound, so it is forced to 0 here: H's
         # greatest f over 9-subsets, 1, fails and ends the scan (10,000
         # sampled 9-subsets of H once all had f = 0); records merge in
-        # graph6 order, so G_1 and G_2 of H come after H's halt and are not
-        # counted
+        # graph6 order, so G_1 and G_2 of H come after H's halt: at jobs 1
+        # neither is scanned, and at jobs 2 the pool's workers are gone once
+        # the scan returns
         system = make_path_system(h_graph, H_SYSTEM, require_longest=True)
         graphs = [build_gt(h_graph, system, t).graph for t in (1, 2)] + [h_graph]
         # the patched bound reaches pool workers only by fork
         jobs_list = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
+        scanned = []
+        scan_one = harness.scan_one_graph
+
+        def counted(g6, config, g):
+            scanned.append(g6)
+            return scan_one(g6, config, g)
+
         real = harness.theorem_bound
         harness.theorem_bound = lambda k, n: Fraction(0)
+        harness.scan_one_graph = counted
         try:
-            reports = [
-                json.dumps(
-                    scan_stream(graphs, ScanConfig(k=9, jobs=jobs)).to_json(), sort_keys=True
-                )
-                for jobs in jobs_list
-            ]
+            reports = []
+            for jobs in jobs_list:
+                report = scan_stream(graphs, ScanConfig(k=9, jobs=jobs))
+                reports.append(json.dumps(report.to_json(), sort_keys=True))
+                if jobs == 1:
+                    assert scanned == [encode_graph6(h_graph)]
+                else:
+                    assert multiprocessing.active_children() == []
         finally:
             harness.theorem_bound = real
+            harness.scan_one_graph = scan_one
         assert len(set(reports)) == 1
         report = json.loads(reports[0])
         assert report["graphs_scanned"] == 1
