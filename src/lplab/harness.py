@@ -666,6 +666,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
 
 
 def _scan_task(task: tuple[str, ScanConfig, Graph]) -> dict:
+    """scan_one_graph(*task): map and pool.imap pass one argument."""
     return scan_one_graph(*task)
 
 
@@ -745,10 +746,10 @@ def scan_stream(source: Iterable[Graph | str], config: ScanConfig) -> SearchRepo
 
     Every line is parsed and encoded once, here, and the graphs are sorted
     once by (len(g6), g6), the canonical order the report is merged in.
-    Each record is merged as it arrives, from map at jobs 1 and from a
-    pool's ordered imap otherwise, so the report does not depend on the
-    worker count, and a halting record ends the scan: no graph after it is
-    merged, and at jobs 1 none is scanned.
+    Each record is merged as it arrives, from map at jobs 1 (or for a
+    single graph) and from a pool's ordered imap otherwise, so the report
+    does not depend on the worker count, and a halting record ends the
+    scan: no graph after it is merged, and at jobs 1 none is scanned.
     """
     import time
 
@@ -758,7 +759,8 @@ def scan_stream(source: Iterable[Graph | str], config: ScanConfig) -> SearchRepo
         key=lambda task: (len(task[0]), task[0]),
     )
     report = SearchReport(config=config)
-    if config.jobs > 1:
+    # a pool costs about 25 ms to start, more than one small graph's scan
+    if config.jobs > 1 and len(tasks) > 1:
         import multiprocessing as mp
 
         # leaving the with-block terminates the workers, also after a halt
