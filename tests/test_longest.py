@@ -87,12 +87,16 @@ def gt_of_h(h_graph: Graph, t: int) -> Graph:
 
 
 # sha256 of repr(tuple(p.vertices for p in paths)) over the longest paths of
-# G_t of H, recorded before the walk cut branches by the endpoint rule
+# G_t of H, recorded for t = 1..4 before the walk cut branches by the endpoint
+# rule, and for t = 8 and 12, which the oracle cannot reach, before the walk
+# crossed a run of degree-2 vertices in one step
 GT_OF_H_PATHS_SHA256 = {
     1: "b8ea90ab69da6ece010259fd25ed9ca137afccb26bf979813abfb62c2296a137",
     2: "45464248061943c5092cb6182d8927d5d3f8314c85d48b72cc825f026392a687",
     3: "d3733e5c441368269b636a3af20710d312166c216b3f7876e6ea185719226e89",
     4: "6b0bae1d88079bfe1909627254bd8b611ec1fa35c086492681b32cf6fb3216ee",
+    8: "25a23fb40dac675fce17f89fe320e042161131a8d8b9a0598dada38052e2ac2b",
+    12: "b3d550655fb104055a9bc478caae2deb5475613cd18fe143d852e7a29aefedc0",
 }
 
 # reach tests made on G_t of H, t = 1..4, before the endpoint rule: by the
@@ -355,6 +359,15 @@ class TestEnumerate:
             )
             assert moved.length == lps.length
             assert [p.vertices for p in moved.paths] == expected
+
+    @pytest.mark.parametrize("t", [8, 12])
+    def test_large_gt_of_h_paths_pinned(self, h_graph, t):
+        gt = gt_of_h(h_graph, t)
+        lps = enumerate_longest_paths(gt)
+        assert (lps.length, len(lps.paths), lps.truncated) == (11 * (t + 1), 18, False)
+        paths = repr(tuple(p.vertices for p in lps.paths)).encode()
+        assert hashlib.sha256(paths).hexdigest() == GT_OF_H_PATHS_SHA256[t]
+        assert longest_path_length(gt) == lps.length
 
     def test_endpoint_rule_cuts_reach_tests_on_gt_of_h(self, h_graph, monkeypatch):
         # the walk looks _reaches up as a module global at each call
