@@ -8,6 +8,7 @@ and distances are all read from the masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import FormatError, UsageError
@@ -59,6 +60,13 @@ class Graph:
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether the graph is connected, searched for on the first read
+        only: a scan, its path enumeration and its conjecture check each
+        ask.  Not a field, so equality and hash ignore it."""
+        return masks_connected(self.nbr_masks)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -278,7 +286,7 @@ def bfs_distances(g: Graph, sources: Iterable[int]) -> DistanceVector:
 
 
 def is_connected(g: Graph) -> bool:
-    return masks_connected(g.nbr_masks)
+    return g.connected
 
 
 def masks_connected(masks: Sequence[int]) -> bool:

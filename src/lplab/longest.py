@@ -27,10 +27,21 @@ first step: if x, of degree at most 2, is a neighbour of an end s of a
 longest path P, then x lies on P, so x is P's second vertex, or else P's
 other end, and then P + sx is a cycle and P is spanning (g is connected).
 With no spanning path, a first step from s that passes by such an x is
-skipped.  The tests cross-check the walk against an independent
-permutation-prefix oracle.  Each walk recurses once per path vertex, so a
-longest path of about as many vertices as Python's recursion limit is
-refused with a UsageError.
+skipped.
+
+A run is a maximal path of degree-2 vertices.  Without a spanning path the
+walk crosses a run of two or more vertices in one step: a path that steps
+into it goes on to the vertex past its far end, or stops at its last
+vertex if that one is on the path already, and the reach test sees such a
+run, if wholly unvisited, with its far end at once.  Both are exact: each
+step inside a run is forced, a path that ends inside one with its next
+vertex unvisited extends and so is not longest, and a run's vertices reach
+each other and its ends through it, and nothing else.  The tests
+cross-check the walk against an independent permutation-prefix oracle.
+The count and the walk for spanning paths recurse once per path vertex,
+the walk without one once per vertex off the long runs and twice per run,
+so a longest path of about as many vertices as Python's recursion limit
+is refused with a UsageError.
 """
 
 from __future__ import annotations
@@ -140,13 +151,134 @@ def is_path(g: Graph, seq: Sequence[int]) -> bool:
     return all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
 
 
-def _reaches(g: Graph, v: int, unvisited: int, need: int, must: int = 0) -> bool:
+# A walk crosses a graph's long runs in one step each only if crossing all
+# of them once saves at least this many steps: below it, finding the runs
+# costs more than the steps save.  Crossing them, the walk took about 12%
+# longer on random sparse graphs (n = 9..18) with one run of two vertices,
+# and 12-16% less on subdivided graphs (n = 13..20) whose runs save 3 to 5
+# steps (2-core VM, Python 3.11).
+_RUNS_MIN_SAVED = 3
+
+
+class _Runs(dict):
+    """The long runs of a graph: its runs (maximal paths of degree-2
+    vertices) of two or more vertices.
+
+    chain is the mask of their vertices.  over[u] is u's neighbour mask
+    joined, for a vertex u of a run, to the run and both its ends, and for
+    an end u of runs, to each of them and its other end.  The hop [v, w],
+    for a neighbour v of a vertex w of a run, is (steps, mask, tip): steps
+    are the run's vertices from w on, away from v, then the vertex past
+    them, which ends the run; mask holds them all, and tip that last
+    vertex.  A hop is found when first asked for, and kept.
+    """
+
+    __slots__ = ("masks", "chain", "over")
+
+    def __init__(self, masks: Sequence[int], chain: int, over: list[int]) -> None:
+        super().__init__()
+        self.masks = masks
+        self.chain = chain
+        self.over = over
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
+        v, w = key
+        masks = self.masks
+        steps = [w]
+        mask = 1 << w
+        nxt = masks[w] & ~(1 << v)
+        while nxt & self.chain:
+            mask |= nxt
+            v, w = w, nxt.bit_length() - 1
+            steps.append(w)
+            nxt = masks[w] & ~(1 << v)
+        steps.append(nxt.bit_length() - 1)
+        hop = self[key] = (tuple(steps), mask | nxt, nxt)
+        return hop
+
+
+def _runs(masks: Sequence[int], two: int) -> _Runs | None:
+    """The _Runs of a graph with these neighbour masks, two being the mask
+    of its degree-2 vertices; None if crossing each of its long runs once
+    saves fewer than _RUNS_MIN_SAVED steps in all, or if it is a cycle,
+    whose run has no ends.  A crossing saves one step per edge between two
+    degree-2 vertices."""
+    joins = 0  # twice the edges between them
+    rest = two
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        joins += (masks[low.bit_length() - 1] & two).bit_count()
+    if joins < 2 * _RUNS_MIN_SAVED or two == (1 << len(masks)) - 1:
+        return None
+    found = []  # (a, run, b) for each long run, a and b ending it
+    left = two
+    while left:
+        low = left & -left
+        if not masks[low.bit_length() - 1] & two:
+            left ^= low  # a run of one vertex
+            continue
+        # back from a vertex of the run to the vertex before it, a, then
+        # along the run to the vertex past it, b
+        prev = low.bit_length() - 1
+        x = (masks[prev] & -masks[prev]).bit_length() - 1
+        while 1 << x & two:
+            prev, x = x, (masks[x] & ~(1 << prev)).bit_length() - 1
+        a, prev, x = x, x, prev
+        run = 0
+        while 1 << x & two:
+            run |= 1 << x
+            prev, x = x, (masks[x] & ~(1 << prev)).bit_length() - 1
+        left &= ~run
+        found.append((a, run, x))
+    chain = 0
+    over = list(masks)
+    for a, run, b in found:
+        chain |= run
+        over[a] |= run | 1 << b
+        over[b] |= run | 1 << a
+        whole = run | 1 << a | 1 << b
+        while run:
+            low = run & -run
+            over[low.bit_length() - 1] = whole
+            run ^= low
+    return _Runs(masks, chain, over)
+
+
+def _reaches(
+    g: Graph, v: int, unvisited: int, need: int, must: int = 0, runs: _Runs | None = None
+) -> bool:
     """True iff at least need unvisited vertices, every vertex of must among
     them, are reachable from v through unvisited vertices; the search stops
-    as soon as it has seen need of them and all of must."""
+    as soon as it has seen need of them and all of must.
+
+    Given g's long runs, the search crosses each run it enters in one step:
+    it goes on from each vertex it reaches by _Runs.over, which sees the
+    run and its far end at once, and it searches on from the far end alone.
+    That sees the same vertices in fewer layers, so the answer stays exact,
+    while v lies on no long run and the visited vertices hold each long run
+    wholly or not at all, as they do in the walk (_walk): an unvisited
+    vertex of a run then reaches the whole run and its ends, and through a
+    visited run an unvisited end reaches nothing, since its other end is
+    visited too, or else the visited path would be the run alone.
+    """
     masks = g.nbr_masks
     seen = masks[v] & unvisited
     frontier = seen
+    if runs is None:
+        while seen.bit_count() < need or must & ~seen:
+            if not frontier:
+                return False
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & unvisited & ~seen
+            seen |= frontier
+        return True
+    masks = runs.over
+    on = ~runs.chain  # the vertices searched on from
     while seen.bit_count() < need or must & ~seen:
         if not frontier:
             return False
@@ -157,6 +289,7 @@ def _reaches(g: Graph, v: int, unvisited: int, need: int, must: int = 0) -> bool
             frontier ^= low
         frontier = nxt & unvisited & ~seen
         seen |= frontier
+        frontier &= on
     return True
 
 
@@ -164,8 +297,9 @@ def _reaches(g: Graph, v: int, unvisited: int, need: int, must: int = 0) -> bool
 def _depth_guard():
     """Report a walk deeper than Python's recursion limit as a UsageError.
 
-    The walks recurse once per vertex of the path they extend, so a longest
-    path of nearly as many vertices as the limit is out of their reach.
+    The walks recurse once per vertex of the path they extend (the walk
+    without a spanning path twice per long run instead), so a longest path
+    of nearly as many vertices as the limit is out of their reach.
     The limit is not raised: on Python 3.10 each frame sits on the C stack.
     """
     try:
@@ -231,15 +365,37 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
     nothing is longer than a spanning path: the walk adds the last two
     vertices of a path in the parent's loop, which may take the list past
     keep, and stops once it holds keep paths.
+
+    Without spans the walk crosses each long run (_Runs) in one step, if
+    that saves enough steps (_RUNS_MIN_SAVED).  A step to a vertex w of a
+    run goes on along the run to the vertex past its far end, and is
+    recorded and tested there as a step to that vertex would be; if that
+    vertex is on the path already, the path stops at the run's last vertex,
+    and is recorded there.  This is exact: each step inside the run is
+    forced, a path that ends inside it extends by its next vertex and so is
+    not longest, and the reach test at the far end sees what one at w
+    would, less the run.  Only the best length held at some moment can
+    differ, which, as above, changes no path of length ell that is kept.
+    The walk enters a run only at an end and crosses it whole, and a start
+    on a run has two thin neighbours, and is skipped, or steps first along
+    the run, so each long run is wholly visited or wholly unvisited, and no
+    reach test starts on one: the reach test's crossing stays exact
+    (_reaches).
     """
     spanning = g.n - 1
     masks = g.nbr_masks
     full = g.vertex_mask()
-    thin = 0  # the vertices of degree <= 2; none count with spans
+    thin = two = 0  # the vertices of degree <= 2, and of 2; none with spans
     if not spans:
         for v, m in enumerate(masks):
-            if m.bit_count() <= 2:
+            d = m.bit_count()
+            if d <= 2:
                 thin |= 1 << v
+                if d == 2:
+                    two |= 1 << v
+    # the long runs, which the walk crosses in one step each
+    runs = _runs(masks, two) if two else None
+    chain = 0 if runs is None else runs.chain
     # the length a path must reach to be recorded: the best so far, or with
     # spans, n - 1 from the start
     best = spanning if spans else 0
@@ -280,6 +436,10 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
             nxt ^= low
             w = low.bit_length() - 1
             vis_w = vis | low
+            if low & chain:
+                cross(v, w, vis_w, length, forced)
+                need = best - length + slack or 1
+                continue
             # only ends above the start are recorded, and that is enough: a
             # path longer than the best always ends above its start, since
             # had it ended below, it would already have been walked from that
@@ -296,12 +456,45 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
                 need = best - length + slack or 1
             rem = full & ~vis_w
             if rem & high and rem.bit_count() >= need and (
-                forced or _reaches(g, w, rem, need, own & rem)
+                forced or _reaches(g, w, rem, need, own & rem, runs)
             ):
                 path.append(w)
                 dfs(w, vis_w, length)
                 path.pop()
                 need = best - length + slack or 1
+
+    def cross(v: int, w: int, vis: int, length: int, forced: bool) -> None:
+        """Walk the extensions of path, which ends at v, that step to w, a
+        vertex of a long run, at this length, across the run in one step;
+        vis holds w, and forced says the step was the only way on."""
+        nonlocal best, slack, found
+        steps, mask, tip = runs[v, w]
+        dead = tip & vis
+        if dead:
+            # the run's far end is on the path, which stops at its last vertex
+            steps = steps[:-1]
+            mask ^= tip
+            tip = 1 << steps[-1]
+        vis |= mask
+        length += len(steps) - 1
+        if length >= best and tip & high:
+            if length > best:
+                best = length
+                found = []
+            if len(found) < keep:
+                found.append(((*path, *steps), vis))
+            slack = len(found) >= keep
+        if dead:
+            return
+        need = best - length + slack or 1
+        rem = full & ~vis
+        last = steps[-1]
+        if rem & high and rem.bit_count() >= need and (
+            forced or _reaches(g, last, rem, need, own & rem, runs)
+        ):
+            path.extend(steps)
+            dfs(last, vis, length)
+            del path[-len(steps):]
 
     # the first steps are taken here, not in dfs, since the thin-start rule
     # cuts them; g is connected, so a start reaches every other vertex and
@@ -320,12 +513,15 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
                 nxt ^= low
                 if lone & ~low:
                     continue
-                need = best - 1 + slack or 1
                 w = low.bit_length() - 1
                 vis_w = 1 << s | low
+                if low & chain:
+                    cross(s, w, vis_w, 1, forced)
+                    continue
+                need = best - 1 + slack or 1
                 rem = full & ~vis_w
                 if rem & high and rem.bit_count() >= need and (
-                    forced or _reaches(g, w, rem, need, own & rem)
+                    forced or _reaches(g, w, rem, need, own & rem, runs)
                 ):
                     path.append(w)
                     dfs(w, vis_w, 1)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lplab.graphs
 from lplab.errors import FormatError, UsageError
 from lplab.graphs import (
     Graph,
@@ -228,6 +229,24 @@ class TestDistances:
         assert is_connected(p4) and is_connected(k13)
         assert is_connected(Graph.from_edges(1, []))
         assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+    def test_connected_is_no_field(self, monkeypatch):
+        # found on the first read and kept; a graph that has read it equals
+        # and hashes as one that has not
+        calls = 0
+        search = lplab.graphs.masks_connected
+
+        def counting(masks):
+            nonlocal calls
+            calls += 1
+            return search(masks)
+
+        monkeypatch.setattr(lplab.graphs, "masks_connected", counting)
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        h = Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert g.connected and is_connected(g) and calls == 1
+        assert g == h and hash(g) == hash(h) and calls == 1
+        assert "connected" not in repr(g)
 
     def test_all_pairs_p4(self, p4):
         assert all_pairs_distances(p4)[0] == [0, 1, 2, 3]

@@ -16,6 +16,7 @@ import numpy as np
 
 import pytest
 
+import lplab.graphs
 import lplab.longest
 import lplab.systems
 from lplab import harness
@@ -660,6 +661,26 @@ class TestScanStream:
         report = scan_stream(lines, ScanConfig(k=3, lemma_subset_cap=1))
         assert report.graphs_scanned == 21
         assert calls == 21
+
+    def test_connectivity_searched_once_per_graph(self, monkeypatch, corpus_by_n):
+        # the scan, its path enumeration, its conjecture check and its lemma
+        # systems all ask whether a graph is connected; each parsed graph is
+        # searched once, and a disconnected one too
+        calls = 0
+        search = lplab.graphs.masks_connected
+
+        def counting(masks):
+            nonlocal calls
+            calls += 1
+            return search(masks)
+
+        lines = [encode_graph6(g) for n in range(1, 7) for g in corpus_by_n[n]]
+        lines.append(encode_graph6(Graph.from_edges(4, [(0, 1), (2, 3)])))
+        monkeypatch.setattr(lplab.graphs, "masks_connected", counting)
+        report = scan_stream(lines, ScanConfig(k=3))
+        assert report.graphs_scanned == len(lines) - 1 == 1 + 1 + 2 + 6 + 21 + 112
+        assert report.graphs_skipped_disconnected == 1
+        assert calls == len(lines)
 
     def test_scan_memory(self):
         # records are folded into the report as they arrive, so the scan

@@ -116,6 +116,13 @@ GT_OF_H_THIN_START_WORK = {1: (2125, 2352), 2: (2544, 4076), 3: (2892, 6012), 4:
 # for spanning paths only
 GT_OF_H_LEAF_RULE_WORK = {1: (1953, 2220), 2: (2025, 3458), 3: (2025, 4620), 4: (2025, 5782)}
 
+# (reach tests, dfs calls, calls of the walk's nested cross) made by
+# enumerate_longest_paths on G_t of H, t = 2, 4, 8, once the walk crosses
+# each run of degree-2 vertices in one step: the counts no longer grow with
+# t (the dfs calls were 3,458 / 5,782 / 10,430 under the leaf rule), and
+# the reach tests stay within its 2,025 (1,605 each)
+GT_OF_H_CHAIN_WORK = {t: (2025, 1083, 2112) for t in (2, 4, 8)}
+
 
 class TestPath:
     def test_mask_and_length(self):
@@ -391,9 +398,9 @@ class TestEnumerate:
                 assert calls <= 0.6 * limit, (t, find.__name__, calls)
 
     @staticmethod
-    def _walk_work(g: Graph, monkeypatch) -> tuple[int, int, int, int]:
-        """(ell, paths, reach tests, calls of the walk's nested dfs) of
-        enumerate_longest_paths on g."""
+    def _walk_work(g: Graph, monkeypatch) -> tuple[int, int, int, int, int]:
+        """(ell, paths, reach tests, calls of the walk's nested dfs, and of
+        its nested cross) of enumerate_longest_paths on g."""
         calls = 0
         reaches = lplab.longest._reaches
 
@@ -402,16 +409,15 @@ class TestEnumerate:
             calls += 1
             return reaches(*args)
 
-        dfs = next(
-            c for c in lplab.longest._walk.__code__.co_consts
-            if getattr(c, "co_name", None) == "dfs"
-        )
-        nodes = 0
+        nested = {
+            c: c.co_name for c in lplab.longest._walk.__code__.co_consts
+            if getattr(c, "co_name", None) in ("dfs", "cross")
+        }
+        frames = dict.fromkeys(nested.values(), 0)
 
         def profile(frame, event, arg):
-            nonlocal nodes
-            if event == "call" and frame.f_code is dfs:
-                nodes += 1
+            if event == "call" and frame.f_code in nested:
+                frames[nested[frame.f_code]] += 1
 
         with monkeypatch.context() as patch:
             patch.setattr(lplab.longest, "_reaches", counted)
@@ -420,13 +426,13 @@ class TestEnumerate:
                 lps = enumerate_longest_paths(g)
             finally:
                 sys.setprofile(None)
-        return lps.length, len(lps.paths), calls, nodes
+        return lps.length, len(lps.paths), calls, frames["dfs"], frames["cross"]
 
     def test_thin_start_rule_cuts_gt_of_h(self, h_graph, monkeypatch):
         # all but three starts of G_t have two neighbours of degree <= 2, so
         # below them the walk looks for spanning paths only, and G_t has none
         for t, (reach_limit, node_limit) in GT_OF_H_THIN_START_WORK.items():
-            ell, paths, calls, nodes = self._walk_work(gt_of_h(h_graph, t), monkeypatch)
+            ell, paths, calls, nodes, _ = self._walk_work(gt_of_h(h_graph, t), monkeypatch)
             assert (ell, paths) == (11 * (t + 1), 18)
             assert calls <= reach_limit and nodes <= node_limit, (t, calls, nodes)
         for t, ell in ((8, 99), (12, 143)):
@@ -436,9 +442,21 @@ class TestEnumerate:
     def test_leaf_rule_cuts_gt_of_h(self, h_graph, monkeypatch):
         # G_t has three leaves, so no first step looks for spanning paths
         for t, (reach_limit, node_limit) in GT_OF_H_LEAF_RULE_WORK.items():
-            ell, paths, calls, nodes = self._walk_work(gt_of_h(h_graph, t), monkeypatch)
+            ell, paths, calls, nodes, _ = self._walk_work(gt_of_h(h_graph, t), monkeypatch)
             assert (ell, paths) == (11 * (t + 1), 18)
             assert calls <= reach_limit and nodes <= node_limit, (t, calls, nodes)
+
+    def test_chain_jumps_cut_gt_of_h(self, h_graph, monkeypatch):
+        # every vertex G_t adds lies on a run of t degree-2 vertices, which
+        # the walk and its reach tests cross in one step each
+        work = set()
+        for t, (reach_limit, node_limit, cross_limit) in GT_OF_H_CHAIN_WORK.items():
+            ell, paths, calls, nodes, crossed = self._walk_work(gt_of_h(h_graph, t), monkeypatch)
+            assert (ell, paths) == (11 * (t + 1), 18)
+            assert calls <= reach_limit and nodes <= node_limit and crossed <= cross_limit, (
+                t, calls, nodes, crossed)
+            work.add((calls, nodes, crossed))
+        assert len(work) == 1, work
 
     def test_k9_beyond_default_cap(self):
         # 9!/2 = 181,440 Hamiltonian paths; the canonical ones in
@@ -565,6 +583,154 @@ class TestLeafRule:
                 leaf_last += seq[-1] in ends
         # the leaf lies above the start of some paths and below others
         assert leaf_first and leaf_last
+
+
+def subdivide(n: int, edges, counts) -> tuple[int, list[tuple[int, int]]]:
+    """(n, edges) of the graph on n vertices with these edges, each edge
+    subdivided by its count of new vertices."""
+    out = []
+    for (u, v), k in zip(edges, counts):
+        chain = [u, *range(n, n + k), v]
+        n += k
+        out += zip(chain, chain[1:])
+    return n, out
+
+
+def pendants(rng: random.Random, n: int, edges, paths: int, longest: int, at=None):
+    """(n, edges) with paths pendant paths of 1..longest vertices each,
+    hung from vertices of at (all by default) at random."""
+    edges = list(edges)
+    for _ in range(paths):
+        k = rng.randint(1, longest)
+        chain = [rng.choice(at or range(n)), *range(n, n + k)]
+        n += k
+        edges += zip(chain, chain[1:])
+    return n, edges
+
+
+def hanging_cycles(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """Cycles of 3..5 vertices that share vertex 0, which also holds one to
+    three leaves: each cycle less 0 is a run from 0 back to 0."""
+    edges = [(0, v) for v in range(1, rng.randint(2, 4))]
+    n = len(edges) + 1
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randint(2, 4)
+        cycle = [0, *range(n, n + k), 0]
+        n += k
+        edges += zip(cycle, cycle[1:])
+    return n, edges
+
+
+def theta(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """Vertices 0 and 1 joined by three subdivided paths, or by two and a
+    pendant each, with up to two more pendants anywhere."""
+    if rng.random() < 0.5:
+        n, edges = subdivide(2, [(0, 1)] * 3, [rng.randint(1, 3) for _ in range(3)])
+    else:
+        n, edges = subdivide(4, [(0, 1), (0, 1), (0, 2), (1, 3)], [
+            rng.randint(1, 4), rng.randint(2, 4), 0, 0])
+    return pendants(rng, n, edges, rng.randint(0, 2), 1)
+
+
+def pendant_chains(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """A triangle, K4 or single edge with two to four pendant paths of up to
+    four vertices, each ending in a leaf."""
+    core = rng.choice([2, 3, 4])
+    edges = list(itertools.combinations(range(core), 2))
+    paths = rng.randint(2, 4)
+    return pendants(rng, core, edges, paths, min(4, (12 - core) // paths), at=list(range(core)))
+
+
+def closing_run(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """Adjacent vertices 0 and 1 joined also by a run of 2..5 vertices, each
+    with one or two leaves: a path 0, 1 that turns into the run stops at its
+    last vertex, whose far end, 0, it holds already."""
+    n, edges = subdivide(2, [(0, 1), (0, 1)], [0, rng.randint(2, 5)])
+    n, edges = pendants(rng, n, edges, rng.randint(1, 2), 1, at=[0])
+    return pendants(rng, n, edges, rng.randint(1, 2), 1, at=[1])
+
+
+def subdivided_k4(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """K4 with up to six subdivision vertices, at most three on an edge,
+    and one or two leaves."""
+    edges = list(itertools.combinations(range(4), 2))
+    counts = [0] * 6
+    for _ in range(6):
+        i = rng.randrange(6)
+        counts[i] = min(3, counts[i] + 1)
+    n, edges = subdivide(4, edges, counts)
+    return pendants(rng, n, edges, rng.randint(1, 2), 1)
+
+
+def subdivided_petersen_less_one(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """The Petersen graph minus a vertex, with an edge at one of its three
+    degree-2 vertices subdivided, so that they make a run of two, and two
+    leaves at one vertex, which rule out a spanning path."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    edges = [e for e in outer + spokes + inner if 9 not in e]  # 0..8 remain
+    at = rng.choice([i for i, e in enumerate(edges) if {4, 6, 7} & set(e)])
+    n, edges = subdivide(9, edges, [i == at for i in range(len(edges))])
+    u = rng.randrange(n)
+    return n + 2, edges + [(u, n), (u, n + 1)]
+
+
+def label_runs(rng: random.Random, n: int, edges, start_on_run: bool) -> Graph:
+    """The graph relabelled at random; with start_on_run, a vertex inside a
+    run of degree-2 vertices gets label 0 if there is one, and a vertex
+    that ends a run label 1, so that walks start on runs."""
+    g = Graph.from_edges(n, edges)
+    order = list(range(n))
+    rng.shuffle(order)
+    if start_on_run:
+        two = [v for v in range(n) if g.degree(v) == 2]
+        inner = [v for v in two if all(g.degree(u) == 2 for u in two if g.has_edge(u, v))
+                 and sum(g.has_edge(u, v) for u in two) == 2]
+        ending = [v for v in two if v not in inner and any(g.has_edge(u, v) for u in two)]
+        for v in (rng.choice(ending) if ending else None, rng.choice(inner) if inner else None):
+            if v is not None:
+                order.remove(v)
+                order.insert(0, v)
+    label = [0] * n
+    for i, v in enumerate(order):
+        label[v] = i
+    return relabel(g, label)
+
+
+def walks_across_runs(g: Graph, ell: int) -> bool:
+    """Whether g is walked, having no spanning path, across long runs."""
+    two = sum(1 << v for v in range(g.n) if g.degree(v) == 2)
+    return ell < g.n - 1 and bool(two) and lplab.longest._runs(g.nbr_masks, two) is not None
+
+
+class TestRuns:
+    """Without a spanning path the walk crosses each run of two or more
+    degree-2 vertices in one step, and its reach test crosses one in one
+    layer; on every shape of run, the paths are the oracle's.  At n <= 12
+    few graphs have runs long enough for the walk to cross them
+    (_RUNS_MIN_SAVED), so each shape is also walked with every long run
+    crossed."""
+
+    @pytest.mark.parametrize("make", [
+        hanging_cycles, theta, pendant_chains, closing_run, subdivided_k4,
+        subdivided_petersen_less_one,
+    ])
+    @pytest.mark.parametrize("start_on_run", [False, True])
+    @pytest.mark.parametrize("min_saved", [1, lplab.longest._RUNS_MIN_SAVED])
+    def test_against_oracle(self, monkeypatch, make, start_on_run, min_saved):
+        monkeypatch.setattr(lplab.longest, "_RUNS_MIN_SAVED", min_saved)
+        rng = random.Random(f"{make.__name__}:{start_on_run}")
+        walked = 0
+        for _ in range(30):
+            n, edges = make(rng)
+            assert n <= 12
+            g = label_runs(rng, n, edges, start_on_run)
+            slow = same_as_oracle(g)
+            walked += walks_across_runs(g, slow.length)
+        # at least a quarter of the graphs of each shape have no spanning
+        # path and are walked across runs, once every long run is crossed
+        assert min_saved > 1 or walked >= 8, walked
 
 
 def windmill(rng: random.Random, n: int) -> Graph:
