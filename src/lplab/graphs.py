@@ -8,7 +8,6 @@ and distances are all read from the masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import FormatError, UsageError
@@ -26,6 +25,9 @@ class Graph:
     n: int
     nbr_masks: tuple[int, ...]
     m: int
+    # whether the graph is connected, once is_connected has searched; no
+    # field, so equality, hash and repr are the three fields' alone
+    _connected = None
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -60,13 +62,6 @@ class Graph:
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
-
-    @cached_property
-    def connected(self) -> bool:
-        """Whether the graph is connected, searched for on the first read
-        only: a scan, its path enumeration and its conjecture check each
-        ask.  Not a field, so equality and hash ignore it."""
-        return masks_connected(self.nbr_masks)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -286,7 +281,19 @@ def bfs_distances(g: Graph, sources: Iterable[int]) -> DistanceVector:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.connected
+    """Whether g is connected, searched for on the first call only and kept
+    on g: a scan, its path enumeration and its conjecture check each ask.
+
+    The answer is set with object.__setattr__, as a frozen dataclass sets
+    its fields, which keeps g's attributes stored inline: a
+    functools.cached_property, which writes g.__dict__, made every later
+    attribute read of g about four times slower (Python 3.11).
+    """
+    connected = g._connected
+    if connected is None:
+        connected = masks_connected(g.nbr_masks)
+        object.__setattr__(g, "_connected", connected)
+    return connected
 
 
 def masks_connected(masks: Sequence[int]) -> bool:

@@ -265,20 +265,10 @@ def _reaches(
     masks = g.nbr_masks
     seen = masks[v] & unvisited
     frontier = seen
-    if runs is None:
-        while seen.bit_count() < need or must & ~seen:
-            if not frontier:
-                return False
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= masks[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & unvisited & ~seen
-            seen |= frontier
-        return True
-    masks = runs.over
-    on = ~runs.chain  # the vertices searched on from
+    on = -1  # the vertices searched on from
+    if runs is not None:
+        masks = runs.over
+        on = ~runs.chain
     while seen.bit_count() < need or must & ~seen:
         if not frontier:
             return False

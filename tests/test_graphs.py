@@ -244,9 +244,10 @@ class TestDistances:
         monkeypatch.setattr(lplab.graphs, "masks_connected", counting)
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         h = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert g.connected and is_connected(g) and calls == 1
+        assert is_connected(g) and is_connected(g) and calls == 1
         assert g == h and hash(g) == hash(h) and calls == 1
         assert "connected" not in repr(g)
+        assert not is_connected(Graph.from_edges(2, [])) and calls == 2
 
     def test_all_pairs_p4(self, p4):
         assert all_pairs_distances(p4)[0] == [0, 1, 2, 3]
