@@ -164,13 +164,13 @@ class _Runs(dict):
     """The long runs of a graph: its runs (maximal paths of degree-2
     vertices) of two or more vertices.
 
-    chain is the mask of their vertices.  over[u] is u's neighbour mask
-    joined, for a vertex u of a run, to the run and both its ends, and for
-    an end u of runs, to each of them and its other end.  The hop [v, w],
-    for a neighbour v of a vertex w of a run, is (steps, mask, tip): steps
-    are the run's vertices from w on, away from v, then the vertex past
-    them, which ends the run; mask holds them all, and tip that last
-    vertex.  A hop is found when first asked for, and kept.
+    chain is the mask of their vertices.  The hop [v, w], for a neighbour v
+    of a vertex w of a run, is (steps, mask, tip): steps are the run's
+    vertices from w on, away from v, then the vertex past them, which ends
+    the run; mask holds them all, and tip that last vertex.  A hop is found
+    when first asked for, and kept.  over[u] is u's neighbour mask joined,
+    for a vertex u of a run, to the run and both its ends, and for an end u
+    of runs, to each of them and its other end (_runs fills it).
     """
 
     __slots__ = ("masks", "chain", "over")
@@ -202,47 +202,38 @@ def _runs(masks: Sequence[int], two: int) -> _Runs | None:
     of its degree-2 vertices; None if crossing each of its long runs once
     saves fewer than _RUNS_MIN_SAVED steps in all, or if it is a cycle,
     whose run has no ends.  A crossing saves one step per edge between two
-    degree-2 vertices."""
-    joins = 0  # twice the edges between them
+    degree-2 vertices, and a vertex lies on a long run iff it has a
+    degree-2 neighbour."""
+    chain = joins = 0
     rest = two
     while rest:
         low = rest & -rest
         rest ^= low
-        joins += (masks[low.bit_length() - 1] & two).bit_count()
+        inside = (masks[low.bit_length() - 1] & two).bit_count()
+        if inside:
+            chain |= low
+            joins += inside
     if joins < 2 * _RUNS_MIN_SAVED or two == (1 << len(masks)) - 1:
         return None
-    found = []  # (a, run, b) for each long run, a and b ending it
-    left = two
-    while left:
-        low = left & -left
-        if not masks[low.bit_length() - 1] & two:
-            left ^= low  # a run of one vertex
-            continue
-        # back from a vertex of the run to the vertex before it, a, then
-        # along the run to the vertex past it, b
-        prev = low.bit_length() - 1
-        x = (masks[prev] & -masks[prev]).bit_length() - 1
-        while 1 << x & two:
-            prev, x = x, (masks[x] & ~(1 << prev)).bit_length() - 1
-        a, prev, x = x, x, prev
-        run = 0
-        while 1 << x & two:
-            run |= 1 << x
-            prev, x = x, (masks[x] & ~(1 << prev)).bit_length() - 1
-        left &= ~run
-        found.append((a, run, x))
-    chain = 0
-    over = list(masks)
-    for a, run, b in found:
-        chain |= run
-        over[a] |= run | 1 << b
-        over[b] |= run | 1 << a
-        whole = run | 1 << a | 1 << b
-        while run:
-            low = run & -run
-            over[low.bit_length() - 1] = whole
-            run ^= low
-    return _Runs(masks, chain, over)
+    runs = _Runs(masks, chain, list(masks))
+    over = runs.over
+    # take each run from each of its ends, r, with a the vertex before r
+    rest = chain
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = masks[low.bit_length() - 1] & ~two
+        if a:
+            a = a.bit_length() - 1
+            steps, mask, tip = runs[a, low.bit_length() - 1]
+            over[a] |= mask
+            whole = mask | 1 << a
+            inner = mask ^ tip
+            while inner:
+                low = inner & -inner
+                inner ^= low
+                over[low.bit_length() - 1] = whole
+    return runs
 
 
 def _reaches(
