@@ -510,6 +510,11 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
             path.pop()
     except _CapReached:
         pass
+    finally:
+        # dfs and cross refer to themselves and each other through their
+        # closures, a cycle that only the garbage collector frees; the
+        # run tables go now, with the call
+        del dfs, cross
     return best, [_path(vertices, mask) for vertices, mask in found]
 
 
