@@ -230,9 +230,9 @@ def _runs(masks: Sequence[int], two: int) -> _Runs | None:
             whole = mask | 1 << a
             inner = mask ^ tip
             while inner:
-                low = inner & -inner
-                inner ^= low
-                over[low.bit_length() - 1] = whole
+                bit = inner & -inner
+                inner ^= bit
+                over[bit.bit_length() - 1] = whole
     return runs
 
 

@@ -347,7 +347,7 @@ class TestEnumerate:
                 assert _facts(eager_longest_paths(g, cap)) == _facts(fast)
         assert without_spanning >= 100 and sum(n >= 12 for n in sizes) >= 50
 
-    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 8, 12])
     def test_gt_of_h_under_relabelling(self, h_graph, t):
         gt = gt_of_h(h_graph, t)
         lps = enumerate_longest_paths(gt)
@@ -366,15 +366,6 @@ class TestEnumerate:
             )
             assert moved.length == lps.length
             assert [p.vertices for p in moved.paths] == expected
-
-    @pytest.mark.parametrize("t", [8, 12])
-    def test_large_gt_of_h_paths_pinned(self, h_graph, t):
-        gt = gt_of_h(h_graph, t)
-        lps = enumerate_longest_paths(gt)
-        assert (lps.length, len(lps.paths), lps.truncated) == (11 * (t + 1), 18, False)
-        paths = repr(tuple(p.vertices for p in lps.paths)).encode()
-        assert hashlib.sha256(paths).hexdigest() == GT_OF_H_PATHS_SHA256[t]
-        assert longest_path_length(gt) == lps.length
 
     def test_endpoint_rule_cuts_reach_tests_on_gt_of_h(self, h_graph, monkeypatch):
         # the walk looks _reaches up as a module global at each call
