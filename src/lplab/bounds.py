@@ -109,6 +109,12 @@ def theorem_bound_parts(k: int, n: int) -> dict[str, Optional[Fraction]]:
     return {"general": general, "k4": k4}
 
 
+def theorem_check_id(k: int) -> str:
+    """The check id of the theorem bound at k: thm2 for the k = 4 bound,
+    thm3 for the general one."""
+    return "thm2" if k == 4 else "thm3"
+
+
 @functools.lru_cache(maxsize=256)
 def theorem_bound(k: int, n: int) -> Fraction:
     """Best proven upper bound on f for k longest paths in a connected graph on n vertices.
@@ -282,7 +288,7 @@ def check_theorem(ps: PathSystem) -> CheckReport:
     if ps.k < 3:
         raise UsageError(f"theorem check needs k >= 3, got {ps.k}")
     inst = instance_id(ps)
-    check_id = "thm2" if ps.k == 4 else "thm3"
+    check_id = theorem_check_id(ps.k)
     f, minimizers = ps.path_distance
     parts = theorem_bound_parts(ps.k, ps.graph.n)
     bound = theorem_bound(ps.k, ps.graph.n)

@@ -55,6 +55,7 @@ from .bounds import (
     frac_str,
     run_checks,
     theorem_bound,
+    theorem_check_id,
 )
 from .errors import FormatError, UsageError
 from .graphs import (
@@ -554,7 +555,11 @@ class SearchReport:
 
 
 def _tally(tallies: dict, check_id: str, status: str, count: int = 1) -> None:
-    slot = tallies.setdefault(check_id, {"pass": 0, "fail": 0, "vacuous": 0})
+    # the slot is built only on a miss: the merge calls this for every
+    # status of every record
+    slot = tallies.get(check_id)
+    if slot is None:
+        slot = tallies[check_id] = {"pass": 0, "fail": 0, "vacuous": 0}
     slot[status] += count
 
 
@@ -614,7 +619,7 @@ def scan_one_graph(g6: str, config: ScanConfig, g: Graph) -> dict:
         # one theorem verdict per graph, from its greatest f; a lower bound
         # decides only a failure, which its subset witnesses
         if "theorem" in config.checks and k >= 3:
-            thm_id = "thm2" if k == 4 else "thm3"
+            thm_id = theorem_check_id(k)
             # bound >= 0 here: k >= 3 longest paths need n >= 2, and both
             # bound formulas are nonnegative from n = 2 on
             bound = theorem_bound(k, g.n)
@@ -682,11 +687,8 @@ def _merge_records(report: SearchReport, records: Iterable[dict]) -> None:
         report.lemma_implied += rec["lemma_implied"]
         report.max_f_incomplete += rec["max_f_incomplete"]
         for check_id, slot in rec["tallies"].items():
-            agg = report.tallies.setdefault(
-                check_id, {"pass": 0, "fail": 0, "vacuous": 0}
-            )
-            for key in agg:
-                agg[key] += slot.get(key, 0)
+            for status, count in slot.items():
+                _tally(report.tallies, check_id, status, count)
         report.failures.extend(rec["failures"])
         conj = rec.get("conjecture")
         if conj:

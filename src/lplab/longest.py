@@ -27,7 +27,7 @@ first step: if x, of degree at most 2, is a neighbour of an end s of a
 longest path P, then x lies on P, so x is P's second vertex, or else P's
 other end, and then P + sx is a cycle and P is spanning (g is connected).
 With no spanning path, a first step from s that passes by such an x is
-skipped.
+skipped, and a start with two such neighbours is not walked.
 
 A run is a maximal path of degree-2 vertices.  Without a spanning path the
 walk crosses a run of two or more vertices in one step: a path that steps
@@ -39,9 +39,10 @@ vertex unvisited extends and so is not longest, and a run's vertices reach
 each other and its ends through it, and nothing else.  The tests
 cross-check the walk against an independent permutation-prefix oracle.
 The count and the walk for spanning paths recurse once per path vertex,
-the walk without one once per vertex off the long runs and twice per run,
-so a longest path of about as many vertices as Python's recursion limit
-is refused with a UsageError.
+the walk without one once per path vertex off the long runs, which is once
+per long run, at the vertex past its far end, and never inside one, so a
+longest path of about as many vertices as Python's recursion limit is
+refused with a UsageError.
 """
 
 from __future__ import annotations
@@ -279,8 +280,9 @@ def _depth_guard():
     """Report a walk deeper than Python's recursion limit as a UsageError.
 
     The walks recurse once per vertex of the path they extend (the walk
-    without a spanning path twice per long run instead), so a longest path
-    of nearly as many vertices as the limit is out of their reach.
+    without a spanning path once per long run instead, at its far end), so
+    a longest path of nearly as many vertices as the limit is out of their
+    reach.
     The limit is not raised: on Python 3.10 each frame sits on the C stack.
     """
     try:
@@ -298,7 +300,7 @@ class _CapReached(Exception):
 
 def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
     """ell(g) and the lexicographically first keep canonical paths of that
-    length, from one depth-first walk; keep = 0 asks for ell alone.
+    length (keep >= 1), from one depth-first walk.
 
     spans says whether g has a spanning path; the caller knows, from the
     spanning count.  With spans the walk records spanning paths only: it
@@ -311,7 +313,9 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
     tracks the best length found so far and records the paths that tie it,
     in DFS order, dropping them when a longer one appears; they are built
     (as Path) only on return, so paths dropped for a longer one are never
-    built.
+    built.  Without spans the best length starts at 2: g is connected and
+    n >= 3, so some path has two edges, and no path of one edge is
+    recorded.
 
     A child is cut when the vertices it can still reach cannot bring it up
     to the best length, or, once keep paths of that length are held, cannot
@@ -330,11 +334,12 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
     P + sx is a cycle, and since g is connected, a vertex off the cycle
     would extend it to a longer path, so P is spanning.  Hence a first step
     to w, with a thin neighbour of s other than w, holds no longest path
-    but a spanning one, and g has none: the step is skipped.  A zero count
-    makes every such step unnecessary, leaf or not.  The leaf rule is a
-    case of it: below such a step a spanning path would close a
-    Hamiltonian cycle, on which no vertex has degree 1, and three leaves,
-    as in the paper's G_t, rule out a spanning path with no count at all.
+    but a spanning one, and g has none: the step is skipped, and a start
+    with two thin neighbours is not walked at all.  A zero count makes
+    every such step unnecessary, leaf or not.  The leaf rule is a case of
+    it: below such a step a spanning path would close a Hamiltonian cycle,
+    on which no vertex has degree 1, and three leaves, as in the paper's
+    G_t, rule out a spanning path with no count at all.
 
     All these cuts remove only branches that hold no longest path, so they
     can only lower the best length held at some moment, or the number of
@@ -342,26 +347,28 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
     asks for every unvisited vertex anyway, and the endpoint rule is
     dropped.  After a forced step (one way on) the reach test is skipped,
     since the child reaches exactly what its parent did, less itself, and
-    the parent's test covered the start's neighbours too.  With spans
-    nothing is longer than a spanning path: the walk adds the last two
-    vertices of a path in the parent's loop, which may take the list past
-    keep, and stops once it holds keep paths.
+    the parent's test covered the start's neighbours too.  A start is not
+    tested: g is connected, so it reaches every other vertex, and its
+    forced first step all but the start.  With spans nothing is longer than
+    a spanning path: the walk adds the last two vertices of a path in the
+    parent's loop, which may take the list past keep, and stops once it
+    holds keep paths.
 
     Without spans the walk crosses each long run (_Runs) in one step, if
     that saves enough steps (_RUNS_MIN_SAVED).  A step to a vertex w of a
     run goes on along the run to the vertex past its far end, and is
-    recorded and tested there as a step to that vertex would be; if that
-    vertex is on the path already, the path stops at the run's last vertex,
-    and is recorded there.  This is exact: each step inside the run is
-    forced, a path that ends inside it extends by its next vertex and so is
-    not longest, and the reach test at the far end sees what one at w
-    would, less the run.  Only the best length held at some moment can
-    differ, which, as above, changes no path of length ell that is kept.
-    The walk enters a run only at an end and crosses it whole, and a start
-    on a run has two thin neighbours, and is skipped, or steps first along
-    the run, so each long run is wholly visited or wholly unvisited, and no
-    reach test starts on one: the reach test's crossing stays exact
-    (_reaches).
+    recorded and tested there, and recurses once, as a step to that vertex
+    would be; if that vertex is on the path already, the path stops at the
+    run's last vertex, and is recorded there.  This is exact: each step
+    inside the run is forced, a path that ends inside it extends by its
+    next vertex and so is not longest, and the reach test at the far end
+    sees what one at w would, less the run.  Only the best length held at
+    some moment can differ, which, as above, changes no path of length ell
+    that is kept.  The walk enters a run only at an end and crosses it
+    whole, and a start on a run has two thin neighbours, and is skipped, or
+    steps first along the run, so each long run is wholly visited or wholly
+    unvisited, and no reach test starts on one: the reach test's crossing
+    stays exact (_reaches).
     """
     spanning = g.n - 1
     masks = g.nbr_masks
@@ -377,11 +384,11 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
     # the long runs, which the walk crosses in one step each
     runs = _runs(masks, two) if two else None
     chain = 0 if runs is None else runs.chain
-    # the length a path must reach to be recorded: the best so far, or with
-    # spans, n - 1 from the start
-    best = spanning if spans else 0
+    # the length a path must reach to be recorded: the best so far, at
+    # least 2, or with spans, n - 1 from the start
+    best = spanning if spans else 2
     fold = spanning - 2 if spans else -1  # the length with two vertices left
-    slack = not keep  # 1 once keep paths of the best length are held
+    slack = False  # True once keep paths of the best length are held
     own = 0  # the start's neighbours, all on any longest path; 0 with spans
     found: list[tuple[tuple[int, ...], int]] = []  # (vertices, mask) of each
     path: list[int] = []
@@ -405,6 +412,10 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
                 raise _CapReached
             return
         forced = not nxt & (nxt - 1)
+        if not length:
+            # the start: the thin-start rule leaves only the step to its
+            # thin neighbour, if it has one (the caller skips it with two)
+            nxt = nxt & thin or nxt
         length += 1
         # with r more vertices the child ends at length + r: it needs
         # best - length of them to tie, one more to beat, and one at least
@@ -418,7 +429,32 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
             w = low.bit_length() - 1
             vis_w = vis | low
             if low & chain:
-                cross(v, w, vis_w, length, forced)
+                # cross the run to the vertex past its far end, at length
+                # at, or if that vertex is on the path already, stop at the
+                # run's last vertex
+                steps, mask, tip = runs[v, w]
+                dead = tip & vis
+                if dead:
+                    steps = steps[:-1]
+                    mask ^= tip
+                    tip = 1 << steps[-1]
+                at = length + len(steps) - 1
+                vis_w = vis | mask
+                if at >= best and tip & high:
+                    if at > best:
+                        best = at
+                        found = []
+                    if len(found) < keep:
+                        found.append(((*path, *steps), vis_w))
+                    slack = len(found) >= keep
+                need = best - at + slack or 1
+                rem = full & ~vis_w
+                if not dead and rem & high and rem.bit_count() >= need and (
+                    forced or _reaches(g, steps[-1], rem, need, own & rem, runs)
+                ):
+                    path.extend(steps)
+                    dfs(steps[-1], vis_w, at)
+                    del path[-len(steps):]
                 need = best - length + slack or 1
                 continue
             # only ends above the start are recorded, and that is enough: a
@@ -444,94 +480,34 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
                 path.pop()
                 need = best - length + slack or 1
 
-    def cross(v: int, w: int, vis: int, length: int, forced: bool) -> None:
-        """Walk the extensions of path, which ends at v, that step to w, a
-        vertex of a long run, at this length, across the run in one step;
-        vis holds w, and forced says the step was the only way on."""
-        nonlocal best, slack, found
-        steps, mask, tip = runs[v, w]
-        dead = tip & vis
-        if dead:
-            # the run's far end is on the path, which stops at its last vertex
-            steps = steps[:-1]
-            mask ^= tip
-            tip = 1 << steps[-1]
-        vis |= mask
-        length += len(steps) - 1
-        if length >= best and tip & high:
-            if length > best:
-                best = length
-                found = []
-            if len(found) < keep:
-                found.append(((*path, *steps), vis))
-            slack = len(found) >= keep
-        if dead:
-            return
-        need = best - length + slack or 1
-        rem = full & ~vis
-        last = steps[-1]
-        if rem & high and rem.bit_count() >= need and (
-            forced or _reaches(g, last, rem, need, own & rem, runs)
-        ):
-            path.extend(steps)
-            dfs(last, vis, length)
-            del path[-len(steps):]
-
-    # the first steps are taken here, not in dfs, since the thin-start rule
-    # cuts them; g is connected, so a start reaches every other vertex and
-    # needs no reach test, and no path of one edge is longest (n >= 3)
     try:
         for s in range(spanning):
+            lone = masks[s] & thin
+            if lone & (lone - 1):
+                continue  # two thin neighbours: no first step is left
             high = full & ~((2 << s) - 1)
-            nxt = masks[s]
-            forced = not nxt & (nxt - 1)
             if not spans:
-                own = nxt
-            lone = nxt & thin  # a longest path from s steps first to each
+                own = masks[s]
             path.append(s)
-            while nxt:
-                low = nxt & -nxt
-                nxt ^= low
-                if lone & ~low:
-                    continue
-                w = low.bit_length() - 1
-                vis_w = 1 << s | low
-                if low & chain:
-                    cross(s, w, vis_w, 1, forced)
-                    continue
-                need = best - 1 + slack or 1
-                rem = full & ~vis_w
-                if rem & high and rem.bit_count() >= need and (
-                    forced or _reaches(g, w, rem, need, own & rem, runs)
-                ):
-                    path.append(w)
-                    dfs(w, vis_w, 1)
-                    path.pop()
+            dfs(s, 1 << s, 0)
             path.pop()
     except _CapReached:
         pass
     finally:
-        # dfs and cross refer to themselves and each other through their
-        # closures, a cycle that only the garbage collector frees; the
-        # run tables go now, with the call
-        del dfs, cross
+        # dfs refers to itself through its closure, a cycle that only the
+        # garbage collector frees; the run tables go now, with the call
+        del dfs
     return best, [_path(vertices, mask) for vertices, mask in found]
 
 
 def longest_path_length(g: Graph) -> int:
     """Maximum edge-length over all simple paths of a connected graph.
 
-    The rule of enumerate_longest_paths: a spanning count that stops at 1
-    answers n - 1, and only a graph with no spanning path is walked, keeping
-    no paths: a child goes on only if it can beat the best length.
+    enumerate_longest_paths with one path kept and the count stopped at 1:
+    a spanning count that reaches 1 answers n - 1, and only a graph with no
+    spanning path is walked.
     """
-    if not is_connected(g):
-        raise UsageError("longest_path_length requires a connected graph")
-    with _depth_guard():
-        # K1 and K2 are their own spanning paths
-        if g.n < 3 or _count_spanning(g, 1):
-            return g.n - 1
-        return _walk(g, 0, False)[0]
+    return enumerate_longest_paths(g, cap=1, count_cap=1).length
 
 
 # Below this many unvisited vertices the counter walks a child without a
@@ -718,9 +694,9 @@ def enumerate_longest_paths(
     three leaves, means g has no spanning path: then one depth-first walk
     (_walk) finds ell and holds the paths, at most cap + 1 of them.  It
     cannot stop at cap + 1 while a longer path may still come, so it walks
-    to the end (once cap + 1 paths are held it prunes as
-    longest_path_length does), and it skips every first step that could
-    hold only a spanning path.
+    to the end (once cap + 1 paths are held it cuts every child that cannot
+    beat the best length), and it skips every first step that could hold
+    only a spanning path.
 
     count_cap, if set, serves a caller that reads the count only up to some
     size, with count_upto(c) for c <= count_cap: the spanning count stops at

@@ -6,6 +6,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -116,12 +117,15 @@ GT_OF_H_THIN_START_WORK = {1: (2125, 2352), 2: (2544, 4076), 3: (2892, 6012), 4:
 # for spanning paths only
 GT_OF_H_LEAF_RULE_WORK = {1: (1953, 2220), 2: (2025, 3458), 3: (2025, 4620), 4: (2025, 5782)}
 
-# (reach tests, dfs calls, calls of the walk's nested cross) made by
+# (reach tests, dfs calls, frames of the walk's nested functions) made by
 # enumerate_longest_paths on G_t of H, t = 2, 4, 8, once the walk crosses
 # each run of degree-2 vertices in one step: the counts no longer grow with
 # t (the dfs calls were 3,458 / 5,782 / 10,430 under the leaf rule), and
-# the reach tests stay within its 2,025 (1,605 each)
-GT_OF_H_CHAIN_WORK = {t: (2025, 1083, 2112) for t in (2, 4, 8)}
+# the reach tests stay within its 2,025 (1,605 each).  The frames are the
+# dfs calls and one dfs call per start walked, 1,083 + 30; a nested cross
+# that took each step into a run in a frame of its own made 3,195 (2,112
+# of them in cross)
+GT_OF_H_CHAIN_WORK = {t: (2025, 1083, 1113) for t in (2, 4, 8)}
 
 
 class TestPath:
@@ -390,8 +394,11 @@ class TestEnumerate:
 
     @staticmethod
     def _walk_work(g: Graph, monkeypatch) -> tuple[int, int, int, int, int]:
-        """(ell, paths, reach tests, calls of the walk's nested dfs, and of
-        its nested cross) of enumerate_longest_paths on g."""
+        """(ell, paths, reach tests, dfs calls, frames) of
+        enumerate_longest_paths on g.  The frames are those of every function
+        nested in _walk, read at the call event; the dfs calls leave out the
+        calls for a start (at length 0), which the pins of the first-step
+        rules never counted."""
         calls = 0
         reaches = lplab.longest._reaches
 
@@ -402,13 +409,15 @@ class TestEnumerate:
 
         nested = {
             c: c.co_name for c in lplab.longest._walk.__code__.co_consts
-            if getattr(c, "co_name", None) in ("dfs", "cross")
+            if isinstance(c, types.CodeType) and not c.co_name.startswith("<")
         }
-        frames = dict.fromkeys(nested.values(), 0)
+        frames = nodes = 0
 
         def profile(frame, event, arg):
+            nonlocal frames, nodes
             if event == "call" and frame.f_code in nested:
-                frames[nested[frame.f_code]] += 1
+                frames += 1
+                nodes += nested[frame.f_code] == "dfs" and frame.f_locals["length"] > 0
 
         with monkeypatch.context() as patch:
             patch.setattr(lplab.longest, "_reaches", counted)
@@ -417,7 +426,7 @@ class TestEnumerate:
                 lps = enumerate_longest_paths(g)
             finally:
                 sys.setprofile(None)
-        return lps.length, len(lps.paths), calls, frames["dfs"], frames["cross"]
+        return lps.length, len(lps.paths), calls, nodes, frames
 
     def test_thin_start_rule_cuts_gt_of_h(self, h_graph, monkeypatch):
         # all but three starts of G_t have two neighbours of degree <= 2, so
@@ -441,12 +450,12 @@ class TestEnumerate:
         # every vertex G_t adds lies on a run of t degree-2 vertices, which
         # the walk and its reach tests cross in one step each
         work = set()
-        for t, (reach_limit, node_limit, cross_limit) in GT_OF_H_CHAIN_WORK.items():
-            ell, paths, calls, nodes, crossed = self._walk_work(gt_of_h(h_graph, t), monkeypatch)
+        for t, (reach_limit, node_limit, frame_limit) in GT_OF_H_CHAIN_WORK.items():
+            ell, paths, calls, nodes, frames = self._walk_work(gt_of_h(h_graph, t), monkeypatch)
             assert (ell, paths) == (11 * (t + 1), 18)
-            assert calls <= reach_limit and nodes <= node_limit and crossed <= cross_limit, (
-                t, calls, nodes, crossed)
-            work.add((calls, nodes, crossed))
+            assert calls <= reach_limit and nodes <= node_limit and frames <= frame_limit, (
+                t, calls, nodes, frames)
+            work.add((calls, nodes, frames))
         assert len(work) == 1, work
 
     def test_k9_beyond_default_cap(self):
