@@ -21,6 +21,20 @@ REPORT_SCHEMA = "lplab-report/2"
 
 DEFAULT_CHECKS = ("lemma1", "lemma2", "lemma3", "cor1", "theorem")
 
+
+def check_names(checks: str | Sequence[str] | None) -> tuple[str, ...]:
+    """The checks that a comma list or a sequence of names asks for, or
+    DEFAULT_CHECKS if it is empty or None; a name not among DEFAULT_CHECKS
+    is a UsageError."""
+    if not checks:
+        return DEFAULT_CHECKS
+    names = tuple(checks.split(",") if isinstance(checks, str) else checks)
+    unknown = set(names) - set(DEFAULT_CHECKS)
+    if unknown:
+        raise UsageError(f"unknown checks: {sorted(unknown)}")
+    return names
+
+
 # Known ratio constants carried from the literature (cited, not re-proven).
 D3_UPPER = Fraction(1, 17)
 D4_UPPER = Fraction(3, 16)

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from .bounds import (
     DEFAULT_CHECKS,
+    check_names,
     frac_str,
     ratio_table,
     run_checks,
@@ -133,10 +134,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.subset_cap < 1:
         raise UsageError(f"subset_cap must be >= 1, got {args.subset_cap}")
     g = load_graph(args.graph)
-    checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
-    unknown = set(checks) - set(DEFAULT_CHECKS)
-    if unknown:
-        raise UsageError(f"unknown checks: {sorted(unknown)}")
+    checks = check_names(args.checks)
     # spanning paths are counted, and built on the first read of a member
     lps = enumerate_longest_paths(g, cap=args.path_cap)
     if lps.truncated:
@@ -171,7 +169,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         path_cap=args.path_cap,
         lemma_subset_cap=args.lemma_subset_cap,
         seed=args.seed,
-        checks=tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS,
+        checks=check_names(args.checks),
         jobs=args.jobs,
         strict=args.strict,
     )

@@ -51,6 +51,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .bounds import (
     DEFAULT_CHECKS,
     REPORT_SCHEMA,
+    check_names,
     common_vertex_verdicts,
     frac_str,
     run_checks,
@@ -488,9 +489,7 @@ class ScanConfig:
         ):
             if val < 1:
                 raise UsageError(f"{name} must be >= 1, got {val}")
-        unknown = set(self.checks) - set(DEFAULT_CHECKS)
-        if unknown:
-            raise UsageError(f"unknown checks: {sorted(unknown)}")
+        check_names(self.checks)
 
     def to_json(self) -> dict:
         return {

@@ -161,50 +161,30 @@ def is_path(g: Graph, seq: Sequence[int]) -> bool:
 _RUNS_MIN_SAVED = 3
 
 
-class _Runs(dict):
-    """The long runs of a graph: its runs (maximal paths of degree-2
+def _runs(
+    masks: Sequence[int], two: int
+) -> tuple[int, dict[tuple[int, int], tuple[tuple[int, ...], int, int]], list[int]] | None:
+    """The long runs of a graph with these neighbour masks, two being the
+    mask of its degree-2 vertices: its runs (maximal paths of degree-2
     vertices) of two or more vertices.
 
-    chain is the mask of their vertices.  The hop [v, w], for a neighbour v
-    of a vertex w of a run, is (steps, mask, tip): steps are the run's
-    vertices from w on, away from v, then the vertex past them, which ends
-    the run; mask holds them all, and tip that last vertex.  A hop is found
-    when first asked for, and kept.  over[u] is u's neighbour mask joined,
-    for a vertex u of a run, to the run and both its ends, and for an end u
-    of runs, to each of them and its other end (_runs fills it).
+    None if crossing each of them once saves fewer than _RUNS_MIN_SAVED
+    steps in all, or if the graph is a cycle, whose run has no ends.  A
+    crossing saves one step per edge between two degree-2 vertices, and a
+    vertex lies on a long run iff it has a degree-2 neighbour.
+
+    Else (chain, hops, over), built here whole: nothing is added later.
+    chain is the mask of the runs' vertices.  For each end r of a run, with
+    a its neighbour off the run and r' its neighbour on it, hops holds the
+    hop [a, r], the step into the run, and the hop [r, r'], the first step
+    of a walk that starts at r: these are all the steps onto a run that the
+    walk takes (_walk).  The hop [v, w] is (steps, mask, tip): steps are
+    the run's vertices from w on, away from v, then the vertex past them,
+    which ends the run; mask holds them all, and tip that last vertex, as a
+    bit.  over[u] is u's neighbour mask joined, for a vertex u of a run, to
+    the run and both its ends, and for an end u of runs, to each of them
+    and its other end.
     """
-
-    __slots__ = ("masks", "chain", "over")
-
-    def __init__(self, masks: Sequence[int], chain: int, over: list[int]) -> None:
-        super().__init__()
-        self.masks = masks
-        self.chain = chain
-        self.over = over
-
-    def __missing__(self, key: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
-        v, w = key
-        masks = self.masks
-        steps = [w]
-        mask = 1 << w
-        nxt = masks[w] & ~(1 << v)
-        while nxt & self.chain:
-            mask |= nxt
-            v, w = w, nxt.bit_length() - 1
-            steps.append(w)
-            nxt = masks[w] & ~(1 << v)
-        steps.append(nxt.bit_length() - 1)
-        hop = self[key] = (tuple(steps), mask | nxt, nxt)
-        return hop
-
-
-def _runs(masks: Sequence[int], two: int) -> _Runs | None:
-    """The _Runs of a graph with these neighbour masks, two being the mask
-    of its degree-2 vertices; None if crossing each of its long runs once
-    saves fewer than _RUNS_MIN_SAVED steps in all, or if it is a cycle,
-    whose run has no ends.  A crossing saves one step per edge between two
-    degree-2 vertices, and a vertex lies on a long run iff it has a
-    degree-2 neighbour."""
     chain = joins = 0
     rest = two
     while rest:
@@ -216,51 +196,57 @@ def _runs(masks: Sequence[int], two: int) -> _Runs | None:
             joins += inside
     if joins < 2 * _RUNS_MIN_SAVED or two == (1 << len(masks)) - 1:
         return None
-    runs = _Runs(masks, chain, list(masks))
-    over = runs.over
+    hops = {}
+    over = list(masks)
     # take each run from each of its ends, r, with a the vertex before r
     rest = chain
     while rest:
         low = rest & -rest
         rest ^= low
         a = masks[low.bit_length() - 1] & ~two
-        if a:
-            a = a.bit_length() - 1
-            steps, mask, tip = runs[a, low.bit_length() - 1]
-            over[a] |= mask
-            whole = mask | 1 << a
-            inner = mask ^ tip
-            while inner:
-                bit = inner & -inner
-                inner ^= bit
-                over[bit.bit_length() - 1] = whole
-    return runs
+        if not a:
+            continue
+        steps = []
+        mask, back, tip = 0, a, low
+        while tip & chain:
+            mask |= tip
+            steps.append(tip.bit_length() - 1)
+            tip, back = masks[steps[-1]] & ~back, tip
+        steps.append(tip.bit_length() - 1)
+        mask |= tip
+        a = a.bit_length() - 1
+        hops[a, steps[0]] = (tuple(steps), mask, tip)
+        hops[steps[0], steps[1]] = (tuple(steps[1:]), mask ^ low, tip)
+        over[a] |= mask
+        for u in steps[:-1]:
+            over[u] = mask | 1 << a
+    return chain, hops, over
 
 
 def _reaches(
-    g: Graph, v: int, unvisited: int, need: int, must: int = 0, runs: _Runs | None = None
+    first: int, masks: Sequence[int], unvisited: int, need: int, must: int = 0, on: int = -1
 ) -> bool:
     """True iff at least need unvisited vertices, every vertex of must among
-    them, are reachable from v through unvisited vertices; the search stops
-    as soon as it has seen need of them and all of must.
+    them, are reachable through unvisited vertices from a vertex with the
+    neighbour mask first; the search stops as soon as it has seen need of
+    them and all of must.
 
-    Given g's long runs, the search crosses each run it enters in one step:
-    it goes on from each vertex it reaches by _Runs.over, which sees the
-    run and its far end at once, and it searches on from the far end alone.
-    That sees the same vertices in fewer layers, so the answer stays exact,
-    while v lies on no long run and the visited vertices hold each long run
-    wholly or not at all, as they do in the walk (_walk): an unvisited
-    vertex of a run then reaches the whole run and its ends, and through a
-    visited run an unvisited end reaches nothing, since its other end is
-    visited too, or else the visited path would be the run alone.
+    Each layer past the first is the union of masks[u] over the vertices u
+    of the one before it that lie in on.  The walk (_walk) passes its
+    neighbour masks and every vertex, except with long runs: then it
+    passes over (_runs) and the vertices off the runs, so the search
+    crosses each run it enters in one layer, sees its far end at once, and
+    goes on from that end alone.  That sees the same vertices in fewer
+    layers, so the answer stays exact, while the vertex searched from lies
+    on no long run and the visited vertices hold each long run wholly or
+    not at all, as they do in the walk: an unvisited vertex of a run then
+    reaches the whole run and its ends, and through a visited run an
+    unvisited end reaches nothing, since its other end is visited too, or
+    else the visited path would be the run alone.  The first layer stays
+    the real neighbours: over would see through a visited run.
     """
-    masks = g.nbr_masks
-    seen = masks[v] & unvisited
+    seen = first & unvisited
     frontier = seen
-    on = -1  # the vertices searched on from
-    if runs is not None:
-        masks = runs.over
-        on = ~runs.chain
     while seen.bit_count() < need or must & ~seen:
         if not frontier:
             return False
@@ -354,9 +340,10 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
     parent's loop, which may take the list past keep, and stops once it
     holds keep paths.
 
-    Without spans the walk crosses each long run (_Runs) in one step, if
-    that saves enough steps (_RUNS_MIN_SAVED).  A step to a vertex w of a
-    run goes on along the run to the vertex past its far end, and is
+    Without spans the walk crosses each long run in one step, if that
+    saves enough steps (_RUNS_MIN_SAVED), and reads each crossing from the
+    table that _runs fills before the walk starts.  A step to a vertex w of
+    a run goes on along the run to the vertex past its far end, and is
     recorded and tested there, and recurses once, as a step to that vertex
     would be; if that vertex is on the path already, the path stops at the
     run's last vertex, and is recorded there.  This is exact: each step
@@ -381,9 +368,10 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
                 thin |= 1 << v
                 if d == 2:
                     two |= 1 << v
-    # the long runs, which the walk crosses in one step each
-    runs = _runs(masks, two) if two else None
-    chain = 0 if runs is None else runs.chain
+    # the long runs, which the walk crosses in one step each, and the masks
+    # and vertices the reach test searches by and on from
+    chain, hops, over = _runs(masks, two) or (0, {}, masks)
+    on = ~chain
     # the length a path must reach to be recorded: the best so far, at
     # least 2, or with spans, n - 1 from the start
     best = spanning if spans else 2
@@ -432,7 +420,7 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
                 # cross the run to the vertex past its far end, at length
                 # at, or if that vertex is on the path already, stop at the
                 # run's last vertex
-                steps, mask, tip = runs[v, w]
+                steps, mask, tip = hops[v, w]
                 dead = tip & vis
                 if dead:
                     steps = steps[:-1]
@@ -450,7 +438,7 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
                 need = best - at + slack or 1
                 rem = full & ~vis_w
                 if not dead and rem & high and rem.bit_count() >= need and (
-                    forced or _reaches(g, steps[-1], rem, need, own & rem, runs)
+                    forced or _reaches(masks[steps[-1]], over, rem, need, own & rem, on)
                 ):
                     path.extend(steps)
                     dfs(steps[-1], vis_w, at)
@@ -468,12 +456,10 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
                 if len(found) < keep:
                     found.append(((*path, w), vis_w))
                 slack = len(found) >= keep
-                if slack and spans:
-                    raise _CapReached
                 need = best - length + slack or 1
             rem = full & ~vis_w
             if rem & high and rem.bit_count() >= need and (
-                forced or _reaches(g, w, rem, need, own & rem, runs)
+                forced or _reaches(masks[w], over, rem, need, own & rem, on)
             ):
                 path.append(w)
                 dfs(w, vis_w, length)
@@ -590,7 +576,7 @@ def _count_spanning(g: Graph, stop: int) -> int:
                 elif (
                     forced
                     or (left := rem.bit_count()) < _COUNT_REACH_MIN
-                    or _reaches(g, w, rem, left)
+                    or _reaches(masks[w], masks, rem, left)
                 ):
                     dfs(w, vis_w)
             if total >= stop:

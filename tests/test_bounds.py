@@ -112,6 +112,16 @@ class TestFormulas:
             ratio_table(2)
 
 
+def test_check_names():
+    assert bounds.check_names("theorem,lemma1") == ("theorem", "lemma1")
+    assert bounds.check_names(("cor1",)) == ("cor1",)
+    assert bounds.check_names(None) == bounds.check_names("") == DEFAULT_CHECKS
+    with pytest.raises(UsageError, match=r"^unknown checks: \['bogus', 'x'\]$"):
+        bounds.check_names("x,lemma2,bogus")
+    with pytest.raises(UsageError, match="unknown checks"):
+        ScanConfig(checks=("lemma1", "lemma4"))
+
+
 class TestCheckReport:
     def test_fail_requires_witness(self):
         with pytest.raises(UsageError):
@@ -137,6 +147,33 @@ class TestInstanceChecks:
         rep = check_lemma2(k13_system)
         assert rep.status == "pass"
         assert rep.witness == {"t_prime": [3, 3, 3]}
+
+    def test_lemma2_fail_at_t_prime_1_with_f_positive(self, k13_system):
+        # no certified system the tests reach has t' = 1 and f > 0 (Lemma 2
+        # rules it out); both facts are cached values in the instance dict
+        vars(k13_system)["path_distance"] = (1, frozenset({0}))
+        vars(k13_system)["t_primes"] = (3, 1, 3)
+        rep = check_lemma2(k13_system)
+        assert (rep.status, rep.lhs, rep.rhs) == ("fail", 1, 0)
+        witness = {"t_prime": [3, 1, 3], "f": 1, "minimizers": [0]}
+        assert rep.witness == witness
+        assert json.loads(json.dumps(rep.to_json()))["witness"] == witness
+
+    def test_good_path_bound_vacuous_without_good_subpaths(self, k13_system):
+        # with no good subpath on any host, part (i) bounds nothing, and
+        # part (ii) asks |X| >= 0 of each host
+        vars(k13_system)["good_summaries"] = (systems.GoodSummary(None, 0),) * 3
+        rep_i, rep_ii = check_lemma3(k13_system)
+        assert (rep_i.check_id, rep_i.status, rep_i.lhs, rep_i.rhs) == (
+            "lemma3i", "vacuous", None, None)
+        assert rep_ii.status == "pass" and rep_ii.rhs == 0
+
+    def test_two_members_rejected(self, k13):
+        ps = make_path_system(k13, [[1, 0, 2], [1, 0, 3]], require_longest=True)
+        assert ps.longest_certified and run_checks(ps, DEFAULT_CHECKS) == []
+        for check in (check_lemma1, check_lemma2, check_lemma3, check_theorem):
+            with pytest.raises(UsageError, match="needs k >= 3, got 2"):
+                check(ps)
 
     def test_lemma3_star(self, k13_system):
         rep_i, rep_ii = check_lemma3(k13_system)

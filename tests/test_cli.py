@@ -391,7 +391,8 @@ class TestVerify:
         assert json.loads(out.read_text()) == []
 
     def test_unknown_check(self, capsys):
-        assert cli(["verify", "Cs", "--checks", "bogus"]) == EXIT_USAGE
+        assert cli(["verify", "Cs", "--checks", "lemma1,bogus"]) == EXIT_USAGE
+        assert "unknown checks: ['bogus']" in capsys.readouterr().err
 
     def test_truncated_path_list_named_on_stderr(self, capsys):
         # K5 has 60 longest paths; the subsets come from the first 5
@@ -458,6 +459,10 @@ class TestClosedStdout:
 
 
 class TestSearch:
+    def test_unknown_check(self, capsys):
+        assert cli(["search", "--gen-n", "3", "--checks", "bogus,theorem"]) == EXIT_USAGE
+        assert "unknown checks: ['bogus']" in capsys.readouterr().err
+
     def test_generated_corpus(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = cli(["search", "--gen-n", "5", "--out", str(out)])

@@ -66,6 +66,19 @@ class TestEdgeList:
         with pytest.raises(FormatError):
             parse_edge_list(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("a b\n", "header must be 'n m', got 'a b'"),
+        ("3 1\n0 1 2", "malformed edge line '0 1 2'"),
+    ])
+    def test_malformed_message(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
+
+    def test_order_zero_rejected(self):
+        with pytest.raises(UsageError, match="graph order must be >= 1, got 0"):
+            Graph.from_edges(0, [])
+
     def test_format_round_trip(self, c5):
         assert sorted(parse_edge_list(format_edge_list(c5)).edges()) == sorted(c5.edges())
 
@@ -149,6 +162,13 @@ class TestGraph6:
             back = from_networkx(nx.from_graph6_bytes(ours.encode()))
             assert sorted(back.edges()) == sorted(g.edges())
 
+    def test_eight_byte_order(self):
+        # 258,047 is the largest order of the four-byte form
+        assert lplab.graphs._g6_encode_order(258047) == "~}~~"
+        order = lplab.graphs._g6_encode_order(258048)
+        assert order == "~~???~??"
+        assert lplab.graphs._g6_parse_order(order) == (258048, 8)
+
     def test_large_order_header(self):
         n = 70
         g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
@@ -166,6 +186,12 @@ class TestSparse6:
     def test_header(self):
         g = parse_graph6(">>sparse6<<:Cca")
         assert g.n == 4
+
+    def test_self_loop(self):
+        # order 2, one bit per vertex: the unit b = 0, x = 0 is the edge
+        # (0, 0), and 1111 pads the byte
+        with pytest.raises(FormatError, match="sparse6 self-loop at vertex 0"):
+            parse_graph6(":AN")
 
 
 class TestMasks:

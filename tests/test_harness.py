@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -928,6 +929,27 @@ class TestImpliedLemmaVerdicts:
         assert tallies["lemma1"] == {"pass": 14, "fail": 0, "vacuous": 1986}
         assert tallies["lemma2"] == {"pass": 1986, "fail": 0, "vacuous": 14}
         assert tallies == _lemma_tallies_oracle(h_g1, config)
+
+    def test_failing_lemma_report_is_a_finding(self, h_g1, monkeypatch):
+        # no lemma fails on G_1: the first report of the first system built
+        # is made to fail, and the scan must list it and count it
+        checks = run_checks
+        failed = []
+
+        def one_fails(ps, names):
+            reports = checks(ps, names)
+            if not failed:
+                failed.append(dataclasses.replace(reports[0], status="fail", witness={"made": 1}))
+                reports[0] = failed[0]
+            return reports
+
+        monkeypatch.setattr(harness, "run_checks", one_fails)
+        config = ScanConfig(k=9, lemma_subset_cap=2000, checks=LEMMA_CHECKS)
+        report = scan_stream([h_g1], config)
+        assert report.lemma_systems == 14
+        assert report.failures == [failed[0].to_json()]
+        assert report.tallies["lemma1"] == {"pass": 13, "fail": 1, "vacuous": 1986}
+        assert report.has_findings
 
     def test_verdicts(self):
         assert common_vertex_verdicts(2, DEFAULT_CHECKS) == []

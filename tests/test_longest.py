@@ -732,6 +732,91 @@ class TestRuns:
         # path and are walked across runs, once every long run is crossed
         assert min_saved > 1 or walked >= 8, walked
 
+    @pytest.mark.parametrize("edges, chain, hops, over, start", [
+        # a 5-cycle through 0, which also holds two leaves: the run 1..4
+        # goes from 0 back to 0, and the start 1 steps first along it
+        (
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (0, 6)],
+            [1, 2, 3, 4],
+            {
+                (0, 1): ((1, 2, 3, 4, 0), [0, 1, 2, 3, 4], 0),
+                (1, 2): ((2, 3, 4, 0), [0, 2, 3, 4], 0),
+                (0, 4): ((4, 3, 2, 1, 0), [0, 1, 2, 3, 4], 0),
+                (4, 3): ((3, 2, 1, 0), [0, 1, 2, 3], 0),
+            },
+            [range(7), range(5), range(5), range(5), range(5), [0], [0]],
+            (1, 2),
+        ),
+        # a theta: 0 and 1 joined by the runs 2, 3, 4 and 5, 6 and by 7, a
+        # run of one that is not crossed; two leaves at 0
+        (
+            [(0, 2), (2, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1), (0, 7), (7, 1),
+             (0, 8), (0, 9)],
+            [2, 3, 4, 5, 6],
+            {
+                (0, 2): ((2, 3, 4, 1), [1, 2, 3, 4], 1),
+                (2, 3): ((3, 4, 1), [1, 3, 4], 1),
+                (1, 4): ((4, 3, 2, 0), [0, 2, 3, 4], 0),
+                (4, 3): ((3, 2, 0), [0, 2, 3], 0),
+                (0, 5): ((5, 6, 1), [1, 5, 6], 1),
+                (5, 6): ((6, 1), [1, 6], 1),
+                (1, 6): ((6, 5, 0), [0, 5, 6], 0),
+                (6, 5): ((5, 0), [0, 5], 0),
+            },
+            [range(1, 10), [0, 2, 3, 4, 5, 6, 7], range(5), range(5), range(5),
+             [0, 1, 5, 6], [0, 1, 5, 6], [0, 1], [0], [0]],
+            (4, 3),
+        ),
+        # pendant chains at 0, with the runs 1, 2, 3 and 5, 6, and the
+        # leaf 8; the start 1 steps first along its run to the leaf 4
+        (
+            [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (0, 8)],
+            [1, 2, 3, 5, 6],
+            {
+                (0, 1): ((1, 2, 3, 4), [1, 2, 3, 4], 4),
+                (1, 2): ((2, 3, 4), [2, 3, 4], 4),
+                (4, 3): ((3, 2, 1, 0), [0, 1, 2, 3], 0),
+                (3, 2): ((2, 1, 0), [0, 1, 2], 0),
+                (0, 5): ((5, 6, 7), [5, 6, 7], 7),
+                (5, 6): ((6, 7), [6, 7], 7),
+                (7, 6): ((6, 5, 0), [0, 5, 6], 0),
+                (6, 5): ((5, 0), [0, 5], 0),
+            },
+            [range(1, 9), range(5), range(5), range(5), range(4), [0, 5, 6, 7], [0, 5, 6, 7],
+             [0, 5, 6], [0]],
+            (1, 2),
+        ),
+    ])
+    def test_table(self, monkeypatch, edges, chain, hops, over, start):
+        # _runs holds, for each end of a long run, the hop into the run from
+        # off it and the hop along it, and the walk reads no other
+        def bits(vertices):
+            return sum(1 << v for v in vertices)
+
+        g = Graph.from_edges(len(over), edges)
+        two = bits(v for v in range(g.n) if g.degree(v) == 2)
+        want = (
+            bits(chain),
+            {key: (steps, bits(mask), 1 << tip) for key, (steps, mask, tip) in hops.items()},
+            list(map(bits, over)),
+        )
+        assert lplab.longest._runs(g.nbr_masks, two) == want
+        runs = lplab.longest._runs
+        read = set()
+
+        class Recorded(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        def recorded(masks, two):
+            table = runs(masks, two)
+            return table and (table[0], Recorded(table[1]), table[2])
+
+        monkeypatch.setattr(lplab.longest, "_runs", recorded)
+        assert same_as_oracle(g).length < g.n - 1
+        assert start in read and read <= want[1].keys()
+
 
 def windmill(rng: random.Random, n: int) -> Graph:
     """Three cycles with chords that share one vertex, on n >= 10 vertices,

@@ -92,6 +92,13 @@ class TestPathDistanceValue:
         ps = make_path_system(p7, [[0, 1], [2, 3], [5, 6]], require_longest=False)
         assert path_distance_value(ps) == (4, frozenset({2, 3}))
 
+    def test_disconnected_rejected(self):
+        # two disjoint edges: no vertex has a distance to both members
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        ps = make_path_system(g, [[0, 1], [2, 3]], require_longest=False)
+        with pytest.raises(UsageError, match="requires a connected graph"):
+            path_distance_value(ps)
+
     def test_matches_oracle_on_corpus(self, corpus_by_n, h_graph):
         systems = []
         for n in (4, 5):
