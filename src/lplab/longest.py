@@ -27,7 +27,13 @@ first step: if x, of degree at most 2, is a neighbour of an end s of a
 longest path P, then x lies on P, so x is P's second vertex, or else P's
 other end, and then P + sx is a cycle and P is spanning (g is connected).
 With no spanning path, a first step from s that passes by such an x is
-skipped, and a start with two such neighbours is not walked.
+skipped, and a start with two such neighbours is not walked.  Each start s
+also drops first the pendant trees that no longest path walked from s can
+hold, peeled from the leaves below s: a vertex left with one neighbour at
+most could only end such a path, and it cannot if it lies below s or next
+to a dropped vertex.  A start next to a dropped vertex is not walked, the
+thin-start rule counts degrees in the graph left, and the walk never steps
+onto a dropped vertex.
 
 A run is a maximal path of degree-2 vertices.  Without a spanning path the
 walk crosses a run of two or more vertices in one step: a path that steps
@@ -223,6 +229,33 @@ def _runs(
     return chain, hops, over
 
 
+def _peel(masks: Sequence[int], todo: int, s: int) -> int:
+    """The mask of the vertices that no longest path walked from s can
+    hold, given todo, the leaves below s.
+
+    Peeled from those leaves by one rule, repeated: drop a vertex u other
+    than s that has at most one undropped neighbour, if u < s or some
+    neighbour of u is dropped already.  A longest path P walked from s ends
+    at some e > s and holds every neighbour of both its ends.  Such a u on
+    P, with every vertex dropped before it off P, has at most one
+    neighbour on P, so it ends P; it is not s, not e if u < s, and not e
+    if a neighbour of u is off P.  Each dropped vertex is a leaf of what is
+    left, so the rest stays connected.  Dropping more only lets more be
+    dropped, so the order does not matter: a vertex is tried again each
+    time a neighbour of it is dropped.
+    """
+    off = 0
+    start = 1 << s
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        left = masks[low.bit_length() - 1] & ~off
+        if not left & (left - 1):
+            off |= low
+            todo |= left & ~start
+    return off
+
+
 def _reaches(
     first: int, masks: Sequence[int], unvisited: int, need: int, must: int = 0, on: int = -1
 ) -> bool:
@@ -244,6 +277,11 @@ def _reaches(
     unvisited end reaches nothing, since its other end is visited too, or
     else the visited path would be the run alone.  The first layer stays
     the real neighbours: over would see through a visited run.
+
+    The walk's visited vertices also hold those its start dropped (_peel).
+    A run with a dropped vertex is dropped whole, with one of its ends, so
+    through it over reaches no unvisited vertex either; were it to, the
+    search would only count too much, which cuts less and stays exact.
     """
     seen = first & unvisited
     frontier = seen
@@ -356,11 +394,30 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
     steps first along the run, so each long run is wholly visited or wholly
     unvisited, and no reach test starts on one: the reach test's crossing
     stays exact (_reaches).
+
+    Without spans each start s first drops the vertices that no longest
+    path walked from s can hold (_peel, which gives the proof): the pendant
+    trees peeled from the leaves below s.  A start with no leaf below it
+    drops nothing, at the cost of one AND.  A start with two thin
+    neighbours is skipped before the peel, which only lowers degrees and so
+    would not save it, and a start with a dropped neighbour after it, by
+    the endpoint rule.  The thin-start rule counts a vertex's neighbours
+    among those not dropped, and its proof holds in the graph left, which
+    is connected: P + sx is a cycle, through every vertex left, so a
+    dropped vertex next to it would extend P, and with none dropped P is
+    spanning.  The walk from s starts with the dropped vertices visited, so
+    no step and no reach test sees them, and records each path's mask
+    without them.  A run with a dropped vertex is dropped whole, with one
+    of its ends: its first dropped vertex has degree 2 and so a dropped
+    neighbour off the run, and each next one a dropped neighbour on it,
+    until the run ends or reaches s, whose neighbour is then dropped.  So
+    the walk still enters a run only at an end.
     """
     spanning = g.n - 1
     masks = g.nbr_masks
     full = g.vertex_mask()
-    thin = two = 0  # the vertices of degree <= 2, and of 2; none with spans
+    # the vertices of degree <= 2, of 2 and of 1; none with spans
+    thin = two = leaf = 0
     if not spans:
         for v, m in enumerate(masks):
             d = m.bit_count()
@@ -368,6 +425,8 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
                 thin |= 1 << v
                 if d == 2:
                     two |= 1 << v
+                else:
+                    leaf |= 1 << v
     # the long runs, which the walk crosses in one step each, and the masks
     # and vertices the reach test searches by and on from
     chain, hops, over = _runs(masks, two) or (0, {}, masks)
@@ -378,6 +437,8 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
     fold = spanning - 2 if spans else -1  # the length with two vertices left
     slack = False  # True once keep paths of the best length are held
     own = 0  # the start's neighbours, all on any longest path; 0 with spans
+    lone = 0  # the start's thin neighbours, at most one
+    off = 0  # the vertices that no longest path from the start holds
     found: list[tuple[tuple[int, ...], int]] = []  # (vertices, mask) of each
     path: list[int] = []
 
@@ -403,7 +464,7 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
         if not length:
             # the start: the thin-start rule leaves only the step to its
             # thin neighbour, if it has one (the caller skips it with two)
-            nxt = nxt & thin or nxt
+            nxt = nxt & lone or nxt
         length += 1
         # with r more vertices the child ends at length + r: it needs
         # best - length of them to tie, one more to beat, and one at least
@@ -433,7 +494,7 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
                         best = at
                         found = []
                     if len(found) < keep:
-                        found.append(((*path, *steps), vis_w))
+                        found.append(((*path, *steps), vis_w ^ off))
                     slack = len(found) >= keep
                 need = best - at + slack or 1
                 rem = full & ~vis_w
@@ -454,7 +515,7 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
                     best = length
                     found = []
                 if len(found) < keep:
-                    found.append(((*path, w), vis_w))
+                    found.append(((*path, w), vis_w ^ off))
                 slack = len(found) >= keep
                 need = best - length + slack or 1
             rem = full & ~vis_w
@@ -471,11 +532,25 @@ def _walk(g: Graph, keep: int, spans: bool) -> tuple[int, list[Path]]:
             lone = masks[s] & thin
             if lone & (lone - 1):
                 continue  # two thin neighbours: no first step is left
+            off = leaf & ((1 << s) - 1)
+            if off:
+                off = _peel(masks, off, s)
+                if masks[s] & off:
+                    continue  # a neighbour of the start is off every path
+                # thin among the vertices left
+                rest = masks[s] & ~thin
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if (masks[low.bit_length() - 1] & ~off).bit_count() <= 2:
+                        lone |= low
+                if lone & (lone - 1):
+                    continue
             high = full & ~((2 << s) - 1)
             if not spans:
                 own = masks[s]
             path.append(s)
-            dfs(s, 1 << s, 0)
+            dfs(s, 1 << s | off, 0)
             path.pop()
     except _CapReached:
         pass

@@ -118,14 +118,20 @@ GT_OF_H_THIN_START_WORK = {1: (2125, 2352), 2: (2544, 4076), 3: (2892, 6012), 4:
 GT_OF_H_LEAF_RULE_WORK = {1: (1953, 2220), 2: (2025, 3458), 3: (2025, 4620), 4: (2025, 5782)}
 
 # (reach tests, dfs calls, frames of the walk's nested functions) made by
-# enumerate_longest_paths on G_t of H, t = 2, 4, 8, once the walk crosses
-# each run of degree-2 vertices in one step: the counts no longer grow with
-# t (the dfs calls were 3,458 / 5,782 / 10,430 under the leaf rule), and
-# the reach tests stay within its 2,025 (1,605 each).  The frames are the
-# dfs calls and one dfs call per start walked, 1,083 + 30; a nested cross
-# that took each step into a run in a frame of its own made 3,195 (2,112
-# of them in cross)
-GT_OF_H_CHAIN_WORK = {t: (2025, 1083, 1113) for t in (2, 4, 8)}
+# enumerate_longest_paths on G_t of H once the walk crosses each run of
+# degree-2 vertices in one step and leaves out, for each start, the pendant
+# trees that _peel drops: the counts no longer grow with t from t = 3 on
+# (the dfs calls were 3,458 / 5,782 / 10,430 at t = 2 / 4 / 8 under the
+# leaf rule), and t = 3, 4 and 8 make the same work.  Crossing runs, before
+# the peel, the walk made (1,953, 2,067, 2,085) at t = 1 and (1,605, 1,083,
+# 1,113) from t = 2 on.  The frames are the dfs calls and one dfs call per
+# start walked; a nested cross that took each step into a run in a frame
+# of its own made 3,195 at t = 2 (2,112 of them in cross)
+GT_OF_H_CHAIN_WORK = {
+    1: (414, 459, 474),
+    2: (276, 231, 252),
+    **{t: (649, 603, 624) for t in (3, 4, 8)},
+}
 
 
 class TestPath:
@@ -448,14 +454,17 @@ class TestEnumerate:
 
     def test_chain_jumps_cut_gt_of_h(self, h_graph, monkeypatch):
         # every vertex G_t adds lies on a run of t degree-2 vertices, which
-        # the walk and its reach tests cross in one step each
+        # the walk and its reach tests cross in one step each, and the three
+        # pendant chains of t + 1 vertices are dropped by the starts above
+        # their leaves
         work = set()
         for t, (reach_limit, node_limit, frame_limit) in GT_OF_H_CHAIN_WORK.items():
             ell, paths, calls, nodes, frames = self._walk_work(gt_of_h(h_graph, t), monkeypatch)
             assert (ell, paths) == (11 * (t + 1), 18)
             assert calls <= reach_limit and nodes <= node_limit and frames <= frame_limit, (
                 t, calls, nodes, frames)
-            work.add((calls, nodes, frames))
+            if t >= 3:
+                work.add((calls, nodes, frames))
         assert len(work) == 1, work
 
     def test_k9_beyond_default_cap(self):
@@ -492,8 +501,9 @@ def thin_graphs(draw) -> Graph:
 
 
 def same_as_oracle(g: Graph):
-    """Check the walk's two routes on g against the oracle, and the eager
-    walk's facts, at caps None and 1-4; return the oracle's set."""
+    """Check the walk's two routes on g against the oracle, paths and
+    masks, and the eager walk's facts, at caps None and 1-4; return the
+    oracle's set."""
     slow = enumerate_longest_paths_oracle(g)
     assert longest_path_length(g) == slow.length
     for cap in (None, 1, 2, 3, 4):
@@ -501,6 +511,7 @@ def same_as_oracle(g: Graph):
         expected = slow.paths if cap is None else slow.paths[:cap]
         assert fast.length == slow.length
         assert [p.vertices for p in fast.paths] == [p.vertices for p in expected]
+        assert [p.mask for p in fast.paths] == [p.mask for p in expected]
         assert fast.truncated == (cap is not None and len(slow.paths) > cap)
         assert _facts(eager_longest_paths(g, cap)) == _facts(fast)
     return slow
@@ -816,6 +827,62 @@ class TestRuns:
         monkeypatch.setattr(lplab.longest, "_runs", recorded)
         assert same_as_oracle(g).length < g.n - 1
         assert start in read and read <= want[1].keys()
+
+
+def chorded_tree_with_pendants(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """A random tree on 4..7 vertices with up to two chords, and two or
+    three pendant paths of one to three vertices hung from it: at most 11
+    vertices, and at least three leaves, so no spanning path."""
+    n = rng.randint(4, 7)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    absent = [e for e in itertools.combinations(range(n), 2) if e not in edges]
+    edges += rng.sample(absent, rng.randint(0, 2))
+    paths = rng.randint(2, 3)
+    return pendants(rng, n, edges, paths, min(3, (11 - n) // paths))
+
+
+class TestPeel:
+    """Without a spanning path, the walk from each start leaves out the
+    vertices _peel drops, the pendant trees that no longest path from that
+    start can hold, and skips a start with a dropped neighbour."""
+
+    def test_against_oracle(self, monkeypatch):
+        # each graph under several relabellings, so that its leaves fall
+        # both below and above the starts; the counts show the cut ran
+        peel = lplab.longest._peel
+        dropped = above = skipped = 0
+
+        def counted(masks, todo, s):
+            nonlocal dropped, above, skipped
+            off = peel(masks, todo, s)
+            dropped += off.bit_count()
+            above += (off >> s).bit_count()
+            skipped += bool(masks[s] & off)
+            return off
+
+        monkeypatch.setattr(lplab.longest, "_peel", counted)
+        rng = random.Random(3600)
+        for _ in range(40):
+            n, edges = chorded_tree_with_pendants(rng)
+            assert n <= 11
+            g = Graph.from_edges(n, edges)
+            for _ in range(4):
+                label = list(range(n))
+                rng.shuffle(label)
+                same_as_oracle(relabel(g, label))
+        assert dropped and above and skipped, (dropped, above, skipped)
+
+    @pytest.mark.parametrize("s, off", [
+        (2, []),  # no leaf below the start
+        (4, [3, 5]),  # the leaf 3, then 5, above the start, left a leaf
+        (5, [3, 4]),  # both leaves, and 5 stays: it is the start
+    ])
+    def test_table(self, s, off):
+        # a triangle 0, 1, 2 with the pendant path 1, 5, 3 and the leaf 4
+        # at 0
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (1, 5), (5, 3), (0, 4)])
+        leaves = (1 << 3 | 1 << 4) & ((1 << s) - 1)
+        assert lplab.longest._peel(g.nbr_masks, leaves, s) == sum(1 << v for v in off)
 
 
 def windmill(rng: random.Random, n: int) -> Graph:
